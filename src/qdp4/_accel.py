@@ -1,190 +1,93 @@
-"""Hot inner loops: JIT kernels with pure-numpy fallbacks.
+"""Hot inner loops as numpy kernels on precomputed field tables.
 
-The environment flag QDP4_NO_JIT=1 forces the numpy path; by default the
-numba kernels are used when numba imports.  Both paths are exact integer
-computations on precomputed field tables and must agree bit for bit.
+Both kernels are exact integer computations: table gathers on encoded field
+elements and on signed-permutation indices.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_HAVE_NUMBA = False
-try:
-    from numba import njit as _njit
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _njit = None
-
-
-def jit_requested() -> bool:
-    return os.environ.get("QDP4_NO_JIT", "").strip().lower() not in {"1", "true", "yes"}
-
-
-def jit_active() -> bool:
-    return _HAVE_NUMBA and jit_requested()
-
 
 # ---------------------------------------------------------------------------
 # Projective point counting: common zeros of two quadratic forms on P^4(F_q)
 # ---------------------------------------------------------------------------
 # CA, CB are 5x5 int64 matrices of encoded field scalars with c[i][j] (i <= j)
 # the coefficient of x_i x_j; entries below the diagonal are unused.  add/mul
-# are q x q encoded-arithmetic tables; the encoded zero is 0.
-
-if _HAVE_NUMBA:
-
-    @_njit(cache=True)
-    def _count_jit(CA, CB, add, mul, q):  # pragma: no cover - exercised via wrapper
-        total = 0
-        x = np.zeros(5, np.int64)
-        for m in range(4, -1, -1):
-            if m == 4:
-                if CA[4, 4] == 0 and CB[4, 4] == 0:
-                    total += 1
-                continue
-            n_out = 3 - m
-            digits = np.zeros(3, np.int64)
-            while True:
-                for i in range(5):
-                    x[i] = 0
-                x[m] = 1
-                for i in range(n_out):
-                    x[m + 1 + i] = digits[i]
-                baseA = 0
-                baseB = 0
-                for i in range(m, 4):
-                    xi = x[i]
-                    if xi == 0:
-                        continue
-                    for j in range(i, 4):
-                        xj = x[j]
-                        if xj == 0:
-                            continue
-                        if CA[i, j] != 0:
-                            baseA = add[baseA, mul[CA[i, j], mul[xi, xj]]]
-                        if CB[i, j] != 0:
-                            baseB = add[baseB, mul[CB[i, j], mul[xi, xj]]]
-                linA = 0
-                linB = 0
-                for i in range(m, 4):
-                    xi = x[i]
-                    if xi == 0:
-                        continue
-                    if CA[i, 4] != 0:
-                        linA = add[linA, mul[CA[i, 4], xi]]
-                    if CB[i, 4] != 0:
-                        linB = add[linB, mul[CB[i, 4], xi]]
-                quadA = CA[4, 4]
-                quadB = CB[4, 4]
-                for t in range(q):
-                    vA = add[baseA, mul[t, add[linA, mul[quadA, t]]]]
-                    if vA == 0:
-                        vB = add[baseB, mul[t, add[linB, mul[quadB, t]]]]
-                        if vB == 0:
-                            total += 1
-                k = 0
-                while k < n_out:
-                    digits[k] += 1
-                    if digits[k] < q:
-                        break
-                    digits[k] = 0
-                    k += 1
-                if k == n_out:
-                    break
-        return total
+# are q x q encoded-arithmetic tables of a field of odd characteristic; the
+# encoded zero and one are 0 and 1.
 
 
-def _count_numpy(CA, CB, add, mul, q):
-    total = 0
-    for m in range(4, -1, -1):
-        if m == 4:
-            if CA[4, 4] == 0 and CB[4, 4] == 0:
-                total += 1
-            continue
-        n_out = 3 - m
-        shape = (q,) * n_out if n_out else ()
-        coords = [None] * 5  # scalar 0/1 or broadcast arrays
-        for i in range(5):
-            coords[i] = 0
-        coords[m] = 1
-        for i in range(n_out):
-            idx = np.arange(q, dtype=np.int64)
-            coords[m + 1 + i] = idx.reshape((q,) + (1,) * (n_out - 1 - i))
-
-        def qpart(C):
-            acc = np.zeros(shape, dtype=np.int64)
-            for i in range(m, 4):
-                xi = coords[i]
-                if np.isscalar(xi) and xi == 0:
-                    continue
-                for j in range(i, 4):
-                    xj = coords[j]
-                    if np.isscalar(xj) and xj == 0:
-                        continue
-                    if C[i, j] == 0:
-                        continue
-                    term = mul[C[i, j]][mul[xi, xj]]
-                    acc = add[acc, np.broadcast_to(term, shape)]
-            return acc
-
-        def lpart(C):
-            acc = np.zeros(shape, dtype=np.int64)
-            for i in range(m, 4):
-                xi = coords[i]
-                if np.isscalar(xi) and xi == 0:
-                    continue
-                if C[i, 4] == 0:
-                    continue
-                acc = add[acc, np.broadcast_to(mul[C[i, 4]][xi], shape)]
-            return acc
-
-        baseA, baseB = qpart(CA), qpart(CB)
-        linA, linB = lpart(CA), lpart(CB)
-        quadA, quadB = CA[4, 4], CB[4, 4]
-        for t in range(q):
-            vA = add[baseA, mul[t][add[linA, mul[quadA, t]]]]
-            vB = add[baseB, mul[t][add[linB, mul[quadB, t]]]]
-            total += int(np.count_nonzero((vA == 0) & (vB == 0)))
-    return total
-
-
-def count_zero_pairs(CA, CB, add, mul, q, force=None):
+def count_zero_pairs(CA, CB, add, mul, q):
     """Number of points of P^4(F_q) where both encoded quadratic forms vanish.
 
-    force: None (env default), "jit", or "numpy".
+    Every point but (0:0:0:0:1) lies on exactly one fibre: a point
+    (x0:x1:x2:x3) of P^3, scaled so that its first nonzero coordinate is 1,
+    with t = x4 free.  On a fibre Q_A is a t^2 + L t + C with the constant
+    a = CA[4, 4].  Its at most two roots come from a square-root table and
+    Q_B is tested at those roots only; on fibres where Q_A vanishes for every
+    t, the roots of Q_B are counted instead.  Fibres are taken in chunks of
+    fixed (x0, x1), so every array holds at most q^2 entries.
     """
-    use_jit = jit_active() if force is None else (force == "jit")
-    if use_jit:
-        if not _HAVE_NUMBA:
-            raise RuntimeError("numba is not available")
-        return int(_count_jit(CA, CB, add, mul, q))
-    return _count_numpy(CA, CB, add, mul, q)
+    neg = np.argmin(add, axis=1)        # add[e, neg[e]] == 0
+    inv = np.argmax(mul == 1, axis=1)   # mul[e, inv[e]] == 1 for e != 0
+    e = np.arange(q)
+    sqrt = np.full(q, -1, dtype=np.int64)  # -1 marks the non-squares
+    sqrt[mul[e, e]] = e
+
+    def comb(terms, acc=0):
+        """acc + sum of c * v over (c, v) with c an encoded scalar."""
+        for c, v in terms:
+            if c:
+                acc = add[acc, mul[c][v]]
+        return acc
+
+    def roots(a, L, C):
+        """Candidate roots [(t, valid)] of a t^2 + L t + C on each fibre, and
+        the mask of fibres where it vanishes for every t."""
+        if a == 0:
+            return [(mul[neg[C], inv[L]], L != 0)], (L == 0) & (C == 0)
+        h = mul[inv[add[a, a]]][L]                      # L / 2a
+        s = sqrt[add[mul[h, h], neg[mul[inv[a]][C]]]]   # sqrt(h^2 - C / a)
+        ok = s >= 0
+        return ([(add[neg[h], s], ok), (add[neg[h], neg[s]], ok & (s != 0))],
+                np.zeros(len(L), dtype=bool))
+
+    def restrict(M, x0, x1, y2, y3, quad, lin):
+        """(C, L) of the form M on the fibres over (x0, x1, y2, y3), given
+        the parts quad and lin that depend on (y2, y3) only."""
+        s = comb([(M[0, 0], mul[x0, x0]), (M[0, 1], mul[x0, x1]), (M[1, 1], mul[x1, x1])])
+        k2 = comb([(M[0, 2], x0), (M[1, 2], x1)])
+        k3 = comb([(M[0, 3], x0), (M[1, 3], x1)])
+        l0 = comb([(M[0, 4], x0), (M[1, 4], x1)])
+        return comb([(k2, y2), (k3, y3)], add[s][quad]), add[l0][lin]
+
+    grid = np.divmod(np.arange(q * q), q)                          # every (x2, x3)
+    tail = (np.append(np.ones(q, np.int64), 0), np.append(e, 1))  # (1, *), (0, 1)
+    a, b = CA[4, 4], CB[4, 4]
+    total = int(a == 0 and b == 0)  # the point (0:0:0:0:1)
+    for (y2, y3), prefixes in ((grid, [(1, c) for c in range(q)] + [(0, 1)]),
+                               (tail, [(0, 0)])):
+        zero = np.zeros_like(y2)
+        y22, y23, y33 = mul[y2, y2], mul[y2, y3], mul[y3, y3]
+        quadA, quadB = (comb([(M[2, 2], y22), (M[2, 3], y23), (M[3, 3], y33)], zero)
+                        for M in (CA, CB))
+        linA, linB = (comb([(M[2, 4], y2), (M[3, 4], y3)], zero) for M in (CA, CB))
+        for x0, x1 in prefixes:
+            CfA, LA = restrict(CA, x0, x1, y2, y3, quadA, linA)
+            CfB, LB = restrict(CB, x0, x1, y2, y3, quadB, linB)
+            cands, every = roots(a, LA, CfA)
+            for t, ok in cands:
+                total += np.count_nonzero(ok & (add[CfB, mul[t, add[LB, mul[b][t]]]] == 0))
+            if every.any():
+                cands, every_b = roots(b, LB[every], CfB[every])
+                total += sum(np.count_nonzero(ok) for _, ok in cands)
+                total += q * np.count_nonzero(every_b)
+    return int(total)
 
 
 # ---------------------------------------------------------------------------
 # Exhaustive retract homomorphism check over all 3840^2 composable pairs
 # ---------------------------------------------------------------------------
-
-if _HAVE_NUMBA:
-
-    @_njit(cache=True)
-    def _retract_jit(perm_mul, mask_apply, retract_mask):  # pragma: no cover
-        bad = 0
-        for pa in range(120):
-            for ma in range(32):
-                rma = retract_mask[ma]
-                for pb in range(120):
-                    pab = perm_mul[pa, pb]
-                    for mb in range(32):
-                        lhs = 32 * pab + retract_mask[ma ^ mask_apply[pa, mb]]
-                        rhs = 32 * pab + (rma ^ mask_apply[pa, retract_mask[mb]])
-                        if lhs != rhs:
-                            bad += 1
-        return bad
-
 
 def _retract_numpy(perm_mul, mask_apply, retract_mask, chunk=256):
     n = 3840
@@ -202,11 +105,6 @@ def _retract_numpy(perm_mul, mask_apply, retract_mask, chunk=256):
     return bad
 
 
-def retract_homomorphism_violations(perm_mul, mask_apply, retract_mask, force=None):
+def retract_homomorphism_violations(perm_mul, mask_apply, retract_mask):
     """Count of pairs (a, b) in B5 x B5 with retract(ab) != retract(a) retract(b)."""
-    use_jit = jit_active() if force is None else (force == "jit")
-    if use_jit:
-        if not _HAVE_NUMBA:
-            raise RuntimeError("numba is not available")
-        return int(_retract_jit(perm_mul, mask_apply, retract_mask))
     return _retract_numpy(perm_mul, mask_apply, retract_mask)

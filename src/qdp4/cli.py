@@ -22,7 +22,7 @@ from .pencil import (NotSmoothError, QuadricPencil, ResourceLimitError,
                      UnsupportedSplittingError, canonical_invariant, charts,
                      count_points, discriminant_quintic, galois_signature,
                      is_smooth, isomorphic, point_configuration, predicted_count,
-                     reconstruct)
+                     reconstruct, splitting_field)
 from .wpline import PointConfiguration, aut_group
 
 EXIT_OK = 0
@@ -92,8 +92,7 @@ def analysis_report(P: QuadricPencil) -> dict:
         "includes_infinity": g.degree < 5,
     }
     invariant = canonical_invariant(P)
-    splitting = invariant[0].lam.field if hasattr(invariant[0].lam, "field") else QQ
-    report["splitting_field"] = splitting.descriptor()
+    report["splitting_field"] = splitting_field(P).descriptor()
     report["canonical_invariant"] = [nf.to_json() for nf in invariant]
     config = point_configuration(P)
     full_aut = aut_group(config)

@@ -322,6 +322,10 @@ class FiniteField:
     def __repr__(self):
         return f"GF({self.p})" if self.k == 1 else f"GF({self.p}^{self.k})"
 
+    def __reduce__(self):
+        # fields are singletons compared by identity: unpickle through GF
+        return (GF, (self.p, self.k))
+
 
 _FF_TOKEN = object()
 
@@ -369,15 +373,23 @@ def scalar_to_json(x):
     raise TypeError(f"not a scalar: {x!r}")
 
 
+def _exact_int(obj) -> int:
+    """An integer given as int or decimal string; floats and bools are refused
+    rather than truncated."""
+    if isinstance(obj, str):
+        return int(obj)
+    if isinstance(obj, bool) or not isinstance(obj, int):
+        raise ValueError(f"not an exact integer: {obj!r}")
+    return obj
+
+
 def scalar_from_json(field, obj):
     if field.is_rational:
         if isinstance(obj, str):
             return Fraction(obj)
-        if isinstance(obj, int):
-            return Fraction(obj)
-        raise ValueError(f"bad rational scalar {obj!r}")
+        return Fraction(_exact_int(obj))
     if field.k == 1:
-        return field(int(obj))
+        return field(_exact_int(obj))
     if isinstance(obj, str):
         obj = obj.strip()
         if not (obj.startswith("[") and obj.endswith("]")):
@@ -385,7 +397,7 @@ def scalar_from_json(field, obj):
         parts = [s for s in obj[1:-1].split(",") if s.strip()]
         return field([int(s) for s in parts])
     if isinstance(obj, (list, tuple)):
-        return field(list(obj))
+        return field([_exact_int(v) for v in obj])
     raise ValueError(f"bad extension-field scalar {obj!r}")
 
 
@@ -668,13 +680,6 @@ def roots(f: Poly):
     rs = [(-g.coeffs[0]) for g, _ in factor(f) if g.degree == 1]
     rs.sort(key=scalar_key)
     return rs
-
-
-def is_irreducible(f: Poly) -> bool:
-    if f.degree < 1:
-        return False
-    fs = factor(f)
-    return len(fs) == 1 and fs[0][1] == 1
 
 
 def rational_roots(f: Poly):

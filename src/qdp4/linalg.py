@@ -85,39 +85,6 @@ def kernel_vector(mat, field):
     return v
 
 
-def kernel_basis(mat, field):
-    """Basis of the right kernel (list of vectors)."""
-    n_rows = len(mat)
-    ncols = len(mat[0]) if mat else 0
-    rows = [list(r) for r in mat]
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, n_rows) if not _iszero(rows[i][col])), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = _inv(rows[r][col])
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(n_rows):
-            if i != r and not _iszero(rows[i][col]):
-                c = rows[i][col]
-                rows[i] = [x - c * y for x, y in zip(rows[i], rows[r])]
-        pivots.append((r, col))
-        r += 1
-    pivot_cols = {c for _, c in pivots}
-    basis = []
-    for fcol in range(ncols):
-        if fcol in pivot_cols:
-            continue
-        v = [field.zero] * ncols
-        v[fcol] = field.one
-        for prow, pcol in pivots:
-            v[pcol] = -rows[prow][fcol]
-        basis.append(v)
-    return basis
-
-
 def int_rank(mat) -> int:
     """Rank over Q of an integer matrix, by fraction-free (Bareiss) elimination."""
     if not mat:
@@ -148,10 +115,6 @@ def int_rank(mat) -> int:
 def int_kernel_dim(mat) -> int:
     ncols = len(mat[0]) if mat else 0
     return ncols - int_rank(mat)
-
-
-def frac_matrix(mat):
-    return [[Fraction(x) for x in row] for row in mat]
 
 
 def frac_inverse(mat):

@@ -543,8 +543,9 @@ def pointcount_guard() -> int:
     return int(os.environ.get(POINTCOUNT_GUARD_ENV, POINTCOUNT_GUARD))
 
 
-def count_points(P: QuadricPencil, k: int, force=None) -> int:
-    """|X(F_{p^k})| by enumerating P^4(F_{p^k}) and testing both quadrics."""
+def count_points(P: QuadricPencil, k: int) -> int:
+    """|X(F_{p^k})| by direct enumeration of P^4(F_{p^k}), line by line (see
+    _accel.count_zero_pairs)."""
     field = P.field
     if field.is_rational or field.k != 1:
         raise UnsupportedFieldError("count_points expects a prime-field pencil")
@@ -560,7 +561,7 @@ def count_points(P: QuadricPencil, k: int, force=None) -> int:
     add, mul = _encoded_tables(p, k)
     CA = _encode_form(P.A, p)
     CB = _encode_form(P.B, p)
-    return _accel.count_zero_pairs(CA, CB, add, mul, q, force=force)
+    return _accel.count_zero_pairs(CA, CB, add, mul, q)
 
 
 def predicted_count(sig: CycleSignature, p: int, k: int) -> int:

@@ -69,6 +69,16 @@ def test_analyze_parse_error_exit_2(capsys, tmp_path):
     assert "error" in err
 
 
+def test_analyze_inexact_entry_exit_2(capsys, tmp_path):
+    obj = reconstruct((2, 3), GF(7)).to_json()
+    obj["A"][0][0] = 2.9
+    path = tmp_path / "float.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert code == 2
+    assert out == "" and "2.9" in err
+
+
 def test_analyze_nonsplit_rational_exit_4(capsys, tmp_path):
     A = [[0, 1, 0, 0, 0], [1, 0, 1, 0, 0], [0, 1, 0, 1, 0],
          [0, 0, 1, 0, 1], [0, 0, 0, 1, 1]]

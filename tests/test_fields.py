@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 
@@ -266,6 +267,25 @@ def test_scalar_json_round_trip():
     x = F9((2, 1))
     assert scalar_to_json(x) == "[2, 1]"
     assert scalar_from_json(F9, scalar_to_json(x)) == x
+
+
+def test_scalar_json_rejects_inexact_numbers():
+    # floats and bools used to be truncated to integers
+    F7, F9 = GF(7), GF(3, 2)
+    for field, obj in ((F7, 2.7), (F9, [2.7, 1]), (F7, True), (F9, [True, 1]),
+                       (QQ, True), (QQ, 2.5)):
+        with pytest.raises(ValueError):
+            scalar_from_json(field, obj)
+
+
+def test_pickled_fields_and_elements_combine_with_live_ones():
+    for field in (GF(7), GF(3, 2)):
+        x = field.gen() + field.one
+        assert pickle.loads(pickle.dumps(field)) is field
+        y = pickle.loads(pickle.dumps(x))
+        assert y.field is field
+        assert y == x and hash(y) == hash(x)
+        assert y + x == x + x and y * x == x * x
 
 
 def test_field_descriptor_round_trip():

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -5,13 +6,14 @@ from fractions import Fraction
 import pytest
 
 from qdp4 import _accel
-from qdp4.fields import GF, QQ, FieldMismatchError, factor
+from qdp4.fields import GF, QQ, FieldMismatchError, embed, factor
 from qdp4.hyperoct import CycleSignature
 from qdp4.linalg import congruence
 from qdp4.pencil import (DegeneratePencilError, InvalidNormalFormError,
                          NormalForm, NotSmoothError, QuadricPencil,
                          ResourceLimitError, UnsupportedFieldError,
-                         UnsupportedSplittingError, canonical_invariant, charts,
+                         UnsupportedSplittingError, _encode_form,
+                         _encoded_tables, canonical_invariant, charts,
                          count_points, degenerate_parameter_points,
                          degenerate_points, discriminant_quintic,
                          galois_signature, is_smooth, isomorphic, normal_form,
@@ -386,13 +388,67 @@ def test_predicted_count_examples():
     assert predicted_count(CycleSignature(((5, -1),)), 3, 1) == 13
 
 
-def test_count_paths_agree():
-    P = random_smooth_pencil(GF(3), random.Random(3))
-    for k in (1, 2, 3):
-        assert count_points(P, k, force="numpy") == count_points(P, k, force="jit" if _accel._HAVE_NUMBA else "numpy")
+def brute_force_count(A, B, F):
+    """Points of P^4(F) where x^T A x and x^T B x both vanish, testing every
+    point with F's own element arithmetic, tabulated on its element list."""
+    elems = list(F.elements())
+    idx = {x: i for i, x in enumerate(elems)}
+    add = [[idx[x + y] for y in elems] for x in elems]
+    mul = [[idx[x * y] for y in elems] for x in elems]
+    zero, one = idx[F.zero], idx[F.one]
+
+    def coeffs(M):  # coefficient of x_i x_j, i <= j
+        M = [[embed(x, F) for x in row] for row in M]
+        return [(i, j, idx[M[i][j] + M[j][i] if i < j else M[i][i]])
+                for i in range(5) for j in range(i, 5)]
+
+    def value(c, x):
+        acc = zero
+        for i, j, cij in c:
+            acc = add[acc][mul[cij][mul[x[i]][x[j]]]]
+        return acc
+
+    cA, cB = coeffs(A), coeffs(B)
+    count = 0
+    for m in range(5):  # first nonzero coordinate x_m = 1
+        for rest in itertools.product(range(len(elems)), repeat=4 - m):
+            x = (zero,) * m + (one,) + rest
+            if value(cA, x) == zero and value(cB, x) == zero:
+                count += 1
+    return count
 
 
-@pytest.mark.skipif(not _accel.jit_active(), reason="q=81 enumeration needs the JIT path")
+def test_count_matches_brute_force():
+    # every q <= 27: a random pencil, the same pencil with A[4][4] = 0
+    # (Q_A is linear in x4), and A = x3 x4 against that A (fibres on which
+    # one or both forms vanish for every x4); the last pair is not a smooth
+    # pencil, so it goes to the kernel directly
+    rng = random.Random(27)
+    for p, ks in ((3, (1, 2, 3)), (5, (1, 2)), (7, (1,)), (11, (1,)), (13, (1,)),
+                  (17, (1,)), (19, (1,)), (23, (1,))):
+        field = GF(p)
+        P = random_smooth_pencil(field, rng)
+        A, B = P.A, P.B
+        if B[4][4].is_zero():
+            A, B = B, A
+        else:
+            c = A[4][4] / B[4][4]
+            A = [[x - c * y for x, y in zip(ra, rb)] for ra, rb in zip(A, B)]
+        P0 = QuadricPencil(field, A, B)
+        assert P0.A[4][4].is_zero() and is_smooth(P0)
+        half = field(1) / field(2)
+        X34 = [[half if {i, j} == {3, 4} else field.zero for j in range(5)]
+               for i in range(5)]
+        for k in ks:
+            F = GF(p, k)
+            assert count_points(P, k) == brute_force_count(P.A, P.B, F)
+            assert count_points(P0, k) == brute_force_count(P0.A, P0.B, F)
+            add, mul = _encoded_tables(p, k)
+            n = _accel.count_zero_pairs(_encode_form(X34, p), _encode_form(P0.A, p),
+                                        add, mul, p ** k)
+            assert n == brute_force_count(X34, P0.A, F)
+
+
 def test_four_cycle_sign_validated_by_lefschetz():
     # a 4-cycle's sign only enters the trace at k = 4 (q = 81, inside the guard)
     rng = random.Random(81)
@@ -414,7 +470,6 @@ def test_four_cycle_sign_validated_by_lefschetz():
     assert seen, "no 4-cycle pencils found"
 
 
-@pytest.mark.skipif(not _accel.jit_active(), reason="q=243 enumeration needs the JIT path")
 def test_five_cycle_sign_validated_by_lefschetz():
     # the 5-cycle sign only enters at k = 5 (q = 243, inside the default guard)
     rng = random.Random(243)
