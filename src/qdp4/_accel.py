@@ -22,11 +22,15 @@ def count_zero_pairs(CA, CB, add, mul, q):
 
     Every point but (0:0:0:0:1) lies on exactly one fibre: a point
     (x0:x1:x2:x3) of P^3, scaled so that its first nonzero coordinate is 1,
-    with t = x4 free.  On a fibre Q_A is a t^2 + L t + C with the constant
-    a = CA[4, 4].  Its at most two roots come from a square-root table and
-    Q_B is tested at those roots only; on fibres where Q_A vanishes for every
-    t, the roots of Q_B are counted instead.  Fibres are taken in chunks of
-    fixed (x0, x1), so every array holds at most q^2 entries.
+    with t = x4 free.  On a fibre a form is a t^2 + L t + C with a constant
+    a, the coefficient of x4^2.  The pair is first replaced by one with the
+    same common zeros whose first form has a = 0: Q_A and Q_B swapped when
+    only Q_A has an x4^2 term, b Q_A - a Q_B and Q_B when both have.  So on
+    every fibre Q_A is linear in t, its one root is -C / L and Q_B is tested
+    there only, whether or not the pencil has x4^2 terms.  On fibres where
+    Q_A vanishes for every t the roots of Q_B are counted instead, from a
+    square-root table.  Fibres are taken in chunks of fixed (x0, x1), so
+    every array holds at most q^2 entries.
     """
     neg = np.argmin(add, axis=1)        # add[e, neg[e]] == 0
     inv = np.argmax(mul == 1, axis=1)   # mul[e, inv[e]] == 1 for e != 0
@@ -61,10 +65,14 @@ def count_zero_pairs(CA, CB, add, mul, q):
         l0 = comb([(M[0, 4], x0), (M[1, 4], x1)])
         return comb([(k2, y2), (k3, y3)], add[s][quad]), add[l0][lin]
 
+    a, b = CA[4, 4], CB[4, 4]
+    if a and not b:
+        CA, CB, b = CB, CA, a
+    elif a:
+        CA = add[mul[b][CA], neg[mul[a][CB]]]
     grid = np.divmod(np.arange(q * q), q)                          # every (x2, x3)
     tail = (np.append(np.ones(q, np.int64), 0), np.append(e, 1))  # (1, *), (0, 1)
-    a, b = CA[4, 4], CB[4, 4]
-    total = int(a == 0 and b == 0)  # the point (0:0:0:0:1)
+    total = int(b == 0)  # the point (0:0:0:0:1)
     for (y2, y3), prefixes in ((grid, [(1, c) for c in range(q)] + [(0, 1)]),
                                (tail, [(0, 0)])):
         zero = np.zeros_like(y2)
@@ -75,7 +83,7 @@ def count_zero_pairs(CA, CB, add, mul, q):
         for x0, x1 in prefixes:
             CfA, LA = restrict(CA, x0, x1, y2, y3, quadA, linA)
             CfB, LB = restrict(CB, x0, x1, y2, y3, quadB, linB)
-            cands, every = roots(a, LA, CfA)
+            cands, every = roots(0, LA, CfA)
             for t, ok in cands:
                 total += np.count_nonzero(ok & (add[CfB, mul[t, add[LB, mul[b][t]]]] == 0))
             if every.any():

@@ -630,10 +630,9 @@ def _poly_seed(f: Poly, tag: str) -> int:
     return int.from_bytes(hashlib.sha256(payload.encode()).digest()[:8], "big")
 
 
-def _equal_degree(f: Poly, d: int, rng: random.Random):
-    """Cantor-Zassenhaus split of a squarefree product of degree-d irreducibles (q odd)."""
-    if f.degree == d:
-        return [f]
+def _split(f: Poly, d: int, rng: random.Random) -> Poly:
+    """A proper monic factor of f, a squarefree product of at least two
+    degree-d irreducibles (q odd), by one Cantor-Zassenhaus split."""
     field = f.field
     q = field.order
     exp = (q ** d - 1) // 2
@@ -652,7 +651,29 @@ def _equal_degree(f: Poly, d: int, rng: random.Random):
         h = poly_pow_mod(r, exp, f)
         g = poly_gcd(f, h - one)
         if 0 < g.degree < f.degree:
-            return _equal_degree(g, d, rng) + _equal_degree(f // g, d, rng)
+            return g
+
+
+def _equal_degree(f: Poly, d: int, rng: random.Random):
+    """Cantor-Zassenhaus split of a squarefree product of degree-d irreducibles (q odd)."""
+    if f.degree == d:
+        return [f]
+    g = _split(f, d, rng)
+    return _equal_degree(g, d, rng) + _equal_degree(f // g, d, rng)
+
+
+def split_root(f: Poly):
+    """One root of f, a product of distinct linear factors over its field
+    (q odd).  Each split keeps the smaller factor, so no more than one
+    factorization path is followed; the root is fixed by f."""
+    if f.degree < 1:
+        raise DegenerateInputError("a constant polynomial has no root")
+    rng = random.Random(_poly_seed(f, "root"))
+    f = f.monic()
+    while f.degree > 1:
+        g = _split(f, 1, rng)
+        f = min(g, f // g, key=lambda h: h.degree)
+    return -f.coeffs[0]
 
 
 def factor(f: Poly):

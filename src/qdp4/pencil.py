@@ -15,7 +15,8 @@ import numpy as np
 from . import _accel
 from .fields import (GF, QQ, FieldMismatchError, Poly, UnsupportedFieldError,
                      embed, embed_poly, factor, is_square, rational_roots,
-                     scalar_from_json, scalar_key, scalar_to_json, squarefree)
+                     scalar_from_json, scalar_key, scalar_to_json, split_root,
+                     squarefree)
 from .hyperoct import CycleSignature, permutation_parity
 from .linalg import congruence, kernel_vector, rank
 from .wpline import (Moebius, PointConfiguration, ProjPoint,
@@ -463,9 +464,9 @@ def galois_signature(P: QuadricPencil) -> CycleSignature:
         if m == 1:
             root = -irr.coeffs[0]
         else:
-            lin = sorted((f for f, _ in factor(embed_poly(irr, K)) if f.degree == 1),
-                         key=lambda f: scalar_key(-f.coeffs[0]))
-            root = -lin[0].coeffs[0]
+            # irr splits over K into the conjugates of one root, and the
+            # ruling sign is the same at each of them
+            root = split_root(embed_poly(irr, K))
         AK = [[embed(x, K) for x in row] for row in P.A]
         BK = [[embed(x, K) for x in row] for row in P.B]
         Q = [[AK[i][j] - root * BK[i][j] for j in range(5)] for i in range(5)]

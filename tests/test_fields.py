@@ -8,7 +8,7 @@ from qdp4.fields import (GF, QQ, DegenerateInputError, FieldMismatchError, Poly,
                          UnsupportedFieldError, embed, embed_poly, factor,
                          field_from_descriptor, is_square, is_square_in_subfield,
                          poly_gcd, rational_roots, scalar_from_json,
-                         scalar_to_json, squarefree)
+                         scalar_to_json, split_root, squarefree)
 
 
 def test_rational_arithmetic():
@@ -158,6 +158,24 @@ def test_factor_multiply_back_1000_random():
                 for _ in range(m):
                     prod = prod * g
             assert prod == f
+
+
+def test_split_root_finds_a_root_of_split_polynomials():
+    # products of 1 to 6 distinct monic linear factors over F_7, F_9 and F_25
+    rng = random.Random(99)
+    for field in (GF(7), GF(3, 2), GF(5, 2)):
+        elems = list(field.elements())
+        for n in range(1, 7):
+            for _ in range(5):
+                roots = rng.sample(elems, n)
+                f = Poly(field, [field(2)])
+                for r in roots:
+                    f = f * Poly(field, [-r, field.one])
+                root = split_root(f)
+                assert root in roots and f.evaluate(root) == field.zero
+                assert split_root(f) == root
+    with pytest.raises(DegenerateInputError):
+        split_root(Poly.from_ints(GF(7), [3]))
 
 
 def test_factor_detects_multiplicity_and_frobenius_powers():

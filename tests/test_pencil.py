@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from qdp4 import _accel
-from qdp4.fields import GF, QQ, FieldMismatchError, embed, factor
+from qdp4.fields import GF, QQ, FieldMismatchError, embed, embed_poly, factor
 from qdp4.hyperoct import CycleSignature
 from qdp4.linalg import congruence
 from qdp4.pencil import (DegeneratePencilError, InvalidNormalFormError,
@@ -17,7 +17,8 @@ from qdp4.pencil import (DegeneratePencilError, InvalidNormalFormError,
                          count_points, degenerate_parameter_points,
                          degenerate_points, discriminant_quintic,
                          galois_signature, is_smooth, isomorphic, normal_form,
-                         predicted_count, reconstruct, simultaneous_diagonalize)
+                         predicted_count, reconstruct, ruling_sign,
+                         simultaneous_diagonalize)
 from qdp4.sampling import (random_gl2, random_invertible, random_smooth_pencil,
                            random_split_pencil, random_symmetric)
 from qdp4.wpline import ProjPoint
@@ -330,6 +331,31 @@ def test_galois_signature_irreducible_quintic():
     assert sig.cycles[0][1] in (1, -1)
 
 
+def test_ruling_sign_is_the_same_at_every_conjugate_root():
+    # galois_signature takes the sign of a k-cycle at one root of its factor
+    # over F_{p^k}; every root must give that sign
+    checked = 0
+    for p in (3, 5, 7):
+        rng = random.Random(p)
+        for _ in range(12):
+            P = random_smooth_pencil(GF(p), rng)
+            cycles = galois_signature(P).cycles
+            g, _ = charts(P)
+            for irr, _ in factor(g):
+                k = irr.degree
+                if k == 1:
+                    continue
+                K = GF(p, k)
+                AK = [[embed(x, K) for x in row] for row in P.A]
+                BK = [[embed(x, K) for x in row] for row in P.B]
+                signs = {ruling_sign([[a - r * b for a, b in zip(ra, rb)]
+                                      for ra, rb in zip(AK, BK)], K)
+                         for r in (-f.coeffs[0] for f, _ in factor(embed_poly(irr, K)))}
+                assert len(signs) == 1 and (k, signs.pop()) in cycles
+                checked += 1
+    assert checked >= 10
+
+
 def test_galois_signature_not_smooth():
     P_bad = diag_pencil(GF(7), (1, 0, 1, 1, 3), (0, 1, 1, 1, 1))
     with pytest.raises(NotSmoothError):
@@ -419,10 +445,11 @@ def brute_force_count(A, B, F):
 
 
 def test_count_matches_brute_force():
-    # every q <= 27: a random pencil, the same pencil with A[4][4] = 0
-    # (Q_A is linear in x4), and A = x3 x4 against that A (fibres on which
-    # one or both forms vanish for every x4); the last pair is not a smooth
-    # pencil, so it goes to the kernel directly
+    # every q <= 27: a random pencil (both forms have an x4^2 term), the same
+    # pencil with A[4][4] = 0 (Q_A is linear in x4), and x3 x4 against that A
+    # and against the original A, in both orders (fibres on which one or both
+    # forms vanish for every x4); the last pairs are not smooth pencils, so
+    # they go to the kernel directly
     rng = random.Random(27)
     for p, ks in ((3, (1, 2, 3)), (5, (1, 2)), (7, (1,)), (11, (1,)), (13, (1,)),
                   (17, (1,)), (19, (1,)), (23, (1,))):
@@ -444,9 +471,10 @@ def test_count_matches_brute_force():
             assert count_points(P, k) == brute_force_count(P.A, P.B, F)
             assert count_points(P0, k) == brute_force_count(P0.A, P0.B, F)
             add, mul = _encoded_tables(p, k)
-            n = _accel.count_zero_pairs(_encode_form(X34, p), _encode_form(P0.A, p),
-                                        add, mul, p ** k)
-            assert n == brute_force_count(X34, P0.A, F)
+            for X, Y in ((X34, P0.A), (X34, P.A), (P.A, X34)):
+                n = _accel.count_zero_pairs(_encode_form(X, p), _encode_form(Y, p),
+                                            add, mul, p ** k)
+                assert n == brute_force_count(X, Y, F)
 
 
 def test_four_cycle_sign_validated_by_lefschetz():
