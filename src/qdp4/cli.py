@@ -11,19 +11,19 @@ import json
 import sys
 
 from . import kgroups, picard, selftest
-from .fields import (GF, QQ, FieldMismatchError, UnsupportedFieldError, factor,
-                     field_from_descriptor, rational_roots, scalar_from_json,
-                     scalar_to_json)
+from .fields import (GF, QQ, FieldMismatchError, UnsupportedFieldError,
+                     field_from_descriptor, scalar_from_json, scalar_to_json)
 from .groupoids import (FiniteGroupoid, GroupoidFunctor, build_psi, check_functor,
                         check_groupoid, find_splitting, injective_on_iso_classes,
                         verify_heavy_separability)
 from .hyperoct import CycleSignature, fiber_product
 from .pencil import (NotSmoothError, QuadricPencil, ResourceLimitError,
-                     UnsupportedSplittingError, canonical_invariant, charts,
-                     count_points, discriminant_quintic, galois_signature,
-                     is_smooth, isomorphic, point_configuration, predicted_count,
-                     reconstruct, splitting_field)
-from .wpline import PointConfiguration, aut_group
+                     UnsupportedSplittingError, canonical_invariant,
+                     count_points, degenerate_orbits, discriminant_quintic,
+                     galois_signature, is_smooth, isomorphic,
+                     point_configuration, predicted_count, reconstruct,
+                     splitting_field)
+from .wpline import PointConfiguration, aut_group, defined_over
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -79,28 +79,24 @@ def analysis_report(P: QuadricPencil) -> dict:
     report = {"field": field.descriptor(), "quintic": quintic, "smooth": smooth}
     if not smooth:
         return report
-    g, _ = charts(P)
+    # a smooth pencil's quintic is squarefree: every multiplicity is 1
+    includes_infinity, orbits = degenerate_orbits(P)
     if field.is_rational:
-        factors = [{"root": scalar_to_json(r), "degree": 1, "multiplicity": m}
-                   for r, m in rational_roots(g)]
+        factors = [{"root": scalar_to_json(-f.coeffs[0]), "degree": 1,
+                    "multiplicity": 1} for f in orbits]
     else:
         factors = [{"coeffs": [scalar_to_json(c) for c in f.coeffs],
-                    "degree": f.degree, "multiplicity": m}
-                   for f, m in factor(g)]
+                    "degree": f.degree, "multiplicity": 1} for f in orbits]
     report["degenerate_points"] = {
         "affine_factors": factors,
-        "includes_infinity": g.degree < 5,
+        "includes_infinity": includes_infinity,
     }
     invariant = canonical_invariant(P)
     report["splitting_field"] = splitting_field(P).descriptor()
     report["canonical_invariant"] = [nf.to_json() for nf in invariant]
     config = point_configuration(P)
     full_aut = aut_group(config)
-    if field.is_rational:
-        base_aut = full_aut
-    else:
-        base_aut = [(m, perm) for m, perm in full_aut
-                    if m.entries_in_subfield(field.k)]
+    base_aut = defined_over(full_aut, field)
     report["aut_p_order"] = len(base_aut)
     report["aut_p_geometric_order"] = len(full_aut)
     report["aut_x_order"] = 16 * len(base_aut)
@@ -166,10 +162,7 @@ def cmd_aut(args) -> int:
         raise ParseFailure("expected a pencil {field,A,B} or a configuration "
                            "{field,points}")
     full = aut_group(config)
-    if field.is_rational or config.field.is_rational:
-        base = full
-    else:
-        base = [(m, p) for m, p in full if m.entries_in_subfield(field.k)]
+    base = defined_over(full, field)
     elements = [{"moebius": m.to_json(), "permutation": [i + 1 for i in perm],
                  "base_rational": (m, perm) in base} for m, perm in full]
     _emit({"aut_p_order": len(base),

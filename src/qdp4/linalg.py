@@ -26,14 +26,19 @@ def congruence(m, a):
     return mat_mul(transpose(m), mat_mul(a, m))
 
 
-def rank(mat, field) -> int:
-    """Rank over the coefficient field (fraction-full Gaussian elimination)."""
-    if not mat:
-        return 0
+def _rref(mat):
+    """Reduced row echelon form by Gauss-Jordan elimination over any field.
+
+    Returns (rows, pivot_cols): row i of the echelon form has its leading
+    one in column pivot_cols[i]; the rows after the last pivot are zero.
+    """
     rows = [list(r) for r in mat]
-    ncols = len(rows[0])
-    r = 0
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
     for col in range(ncols):
+        r = len(pivots)
+        if r == len(rows):
+            break
         pivot = next((i for i in range(r, len(rows)) if not _iszero(rows[i][col])), None)
         if pivot is None:
             continue
@@ -44,44 +49,29 @@ def rank(mat, field) -> int:
             if i != r and not _iszero(rows[i][col]):
                 c = rows[i][col]
                 rows[i] = [x - c * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-        if r == len(rows):
-            break
-    return r
+        pivots.append(col)
+    return rows, pivots
+
+
+def rank(mat, field) -> int:
+    """Rank over the coefficient field."""
+    return len(_rref(mat)[1])
 
 
 def kernel_vector(mat, field):
     """One nonzero kernel vector of a singular square matrix, deterministically.
 
-    Returns the kernel vector with the last free column set to one, reduced
-    echelon back-substitution; None if the matrix is invertible.
+    Returns the kernel vector with the first free column set to one, by
+    reduced echelon back-substitution; None if the matrix is invertible.
     """
-    n = len(mat)
-    rows = [list(r) for r in mat]
-    pivots = []  # (row, col)
-    r = 0
-    for col in range(n):
-        pivot = next((i for i in range(r, n) if not _iszero(rows[i][col])), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = _inv(rows[r][col])
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(n):
-            if i != r and not _iszero(rows[i][col]):
-                c = rows[i][col]
-                rows[i] = [x - c * y for x, y in zip(rows[i], rows[r])]
-        pivots.append((r, col))
-        r += 1
-    pivot_cols = {c for _, c in pivots}
-    free = [c for c in range(n) if c not in pivot_cols]
-    if not free:
+    rows, pivots = _rref(mat)
+    fcol = next((c for c in range(len(mat)) if c not in pivots), None)
+    if fcol is None:
         return None
-    fcol = free[0]
-    v = [field.zero] * n
+    v = [field.zero] * len(mat)
     v[fcol] = field.one
-    for prow, pcol in pivots:
-        v[pcol] = -rows[prow][fcol]
+    for row, pcol in zip(rows, pivots):
+        v[pcol] = -row[fcol]
     return v
 
 
@@ -120,21 +110,9 @@ def int_kernel_dim(mat) -> int:
 def frac_inverse(mat):
     """Inverse of a square matrix over Q (Gauss-Jordan); raises on singular input."""
     n = len(mat)
-    aug = [[Fraction(mat[i][j]) for j in range(n)] +
-           [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if aug[i][col] != 0), None)
-        if pivot is None:
-            raise ZeroDivisionError("singular matrix")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                c = aug[i][col]
-                aug[i] = [x - c * y for x, y in zip(aug[i], aug[col])]
-    return [row[n:] for row in aug]
-
-
-def identity(n, one=1, zero=0):
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+    rows, pivots = _rref([[Fraction(mat[i][j]) for j in range(n)] +
+                          [Fraction(1 if i == j else 0) for j in range(n)]
+                          for i in range(n)])
+    if pivots != list(range(n)):
+        raise ZeroDivisionError("singular matrix")
+    return [row[n:] for row in rows]

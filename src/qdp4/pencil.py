@@ -13,10 +13,10 @@ from math import lcm
 import numpy as np
 
 from . import _accel
-from .fields import (GF, QQ, FieldMismatchError, Poly, UnsupportedFieldError,
-                     embed, embed_poly, factor, is_square, rational_roots,
-                     scalar_from_json, scalar_key, scalar_to_json, split_root,
-                     squarefree)
+from .fields import (GF, QQ, FFElem, FieldMismatchError, Poly,
+                     UnsupportedFieldError, embed, embed_poly, factor, is_square,
+                     rational_roots, scalar_from_json, scalar_key, scalar_to_json,
+                     split_root, squarefree)
 from .hyperoct import CycleSignature, permutation_parity
 from .linalg import congruence, kernel_vector, rank
 from .wpline import (Moebius, PointConfiguration, ProjPoint,
@@ -52,8 +52,8 @@ class QuadricPencil:
     __slots__ = ("field", "A", "B", "_cache")
 
     def __init__(self, field, A, B):
-        A = tuple(tuple(field(x) if isinstance(x, int) else x for x in row) for row in A)
-        B = tuple(tuple(field(x) if isinstance(x, int) else x for x in row) for row in B)
+        A = tuple(tuple(_entry(field, x) for x in row) for row in A)
+        B = tuple(tuple(_entry(field, x) for x in row) for row in B)
         if len(A) != 5 or len(B) != 5 or any(len(r) != 5 for r in A + B):
             raise ValueError("pencil matrices must be 5x5")
         for M in (A, B):
@@ -86,6 +86,18 @@ class QuadricPencil:
 
     def __repr__(self):
         return f"QuadricPencil(field={self.field!r})"
+
+
+def _entry(field, x):
+    """A matrix entry as an element of field: ints are coerced, elements of
+    field pass, anything else (floats, bools, other fields) is refused."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return field(x)
+    if field.is_rational and isinstance(x, Fraction):
+        return x
+    if isinstance(x, FFElem) and x.field is field:
+        return x
+    raise ValueError(f"pencil entry {x!r} is neither an integer nor an element of {field!r}")
 
 
 @dataclass(frozen=True)
@@ -185,59 +197,83 @@ def is_smooth(P: QuadricPencil) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Degenerate points over the splitting field
+# Degenerate points: one base-field record, then one root per Galois orbit
 # ---------------------------------------------------------------------------
 
-def splitting_field(P: QuadricPencil):
-    """Smallest field over which all five degenerate points are rational."""
-    cached = P._cache.get("splitting")
+def degenerate_orbits(P: QuadricPencil):
+    """(includes_infinity, orbits): the Galois orbits of the affine degenerate
+    points as monic irreducibles over the base field, in `factor` order (over
+    Q the linear factors z - r, in root order).
+
+    The quintic is factored here, once per pencil, and nowhere else; every
+    other degenerate-point computation reads this record.
+    """
+    cached = P._cache.get("orbits")
     if cached is not None:
         return cached
+    if not is_smooth(P):
+        raise NotSmoothError("pencil has a repeated degenerate point")
     g, _ = charts(P)
-    field = P.field
-    if field.is_rational:
-        rr = rational_roots(g) if g.degree >= 1 else []
-        if sum(m for _, m in rr) != g.degree:
+    if P.field.is_rational:
+        roots = rational_roots(g)
+        if len(roots) != g.degree:
             raise UnsupportedSplittingError(
                 "quintic does not split over Q; reduce the pencil modulo an odd "
                 "prime to compute over a finite field")
-        out = QQ
+        orbits = tuple(Poly(QQ, [-r, Fraction(1)]) for r, _ in roots)
     else:
-        degs = [f.degree for f, _ in factor(g)] if g.degree >= 1 else []
-        m = lcm(*degs) if degs else 1
-        out = field if m == 1 else GF(field.p, field.k * m)
-    P._cache["splitting"] = out
+        orbits = tuple(f for f, _ in factor(g))
+    out = (g.degree < 5, orbits)
+    P._cache["orbits"] = out
+    return out
+
+
+def splitting_field(P: QuadricPencil):
+    """Smallest field over which all five degenerate points are rational."""
+    _, orbits = degenerate_orbits(P)
+    m = lcm(*(f.degree for f in orbits))
+    return P.field if m == 1 else GF(P.field.p, P.field.k * m)
+
+
+def _orbit_root(f: Poly, dst):
+    """One root in dst of the base-field irreducible f; dst must split f."""
+    if f.degree == 1:
+        return embed(-f.coeffs[0], dst)
+    return split_root(embed_poly(f, dst))
+
+
+def _points_with_degrees(P: QuadricPencil, dst=None):
+    """The five degenerate points over dst (default: splitting field), sorted,
+    each paired with its residue degree over the base field.
+
+    Each orbit gives one root r and its conjugates r^(Q^j), Q = |base field|.
+    The base factors are embedded straight into dst: canonical embeddings do
+    not compose, so points over dst never come from the splitting field.
+    """
+    split = splitting_field(P)
+    if dst is None:
+        dst = split
+    cached = P._cache.get(("points", dst))
+    if cached is not None:
+        return cached
+    if dst.k % split.k:  # split_root never returns on a factor dst does not split
+        raise UnsupportedSplittingError("destination field does not split the quintic")
+    includes_infinity, orbits = degenerate_orbits(P)
+    out = [(ProjPoint.infinity(dst), 1)] if includes_infinity else []
+    for f in orbits:
+        conjugates = [_orbit_root(f, dst)]
+        while len(conjugates) < f.degree:
+            conjugates.append(conjugates[-1] ** P.field.order)
+        out += [(ProjPoint.affine(dst, r), f.degree) for r in conjugates]
+    out.sort(key=lambda pd: pd[0].sort_key())
+    out = tuple(out)
+    P._cache[("points", dst)] = out
     return out
 
 
 def degenerate_parameter_points(P: QuadricPencil, dst=None):
     """The five degenerate parameter points, sorted, over dst (default: splitting field)."""
-    if not is_smooth(P):
-        raise NotSmoothError("pencil has a repeated degenerate point")
-    if dst is None:
-        dst = splitting_field(P)
-    cached = P._cache.get(("points", dst))
-    if cached is not None:
-        return list(cached)
-    g, _ = charts(P)
-    pts = []
-    if g.degree < 5:
-        pts.append(ProjPoint.infinity(dst))
-    field = P.field
-    if field.is_rational:
-        for root, mult in rational_roots(g):
-            pts.extend([ProjPoint.affine(dst, root)] * mult)
-    else:
-        gd = embed_poly(g, dst)
-        for lin, mult in factor(gd):
-            if lin.degree != 1:
-                raise UnsupportedSplittingError("destination field does not split the quintic")
-            pts.extend([ProjPoint.affine(dst, -lin.coeffs[0])] * mult)
-    if len(pts) != 5 or len(set(pts)) != 5:
-        raise NotSmoothError("pencil has a repeated degenerate point")
-    pts.sort(key=lambda p: p.sort_key())
-    P._cache[("points", dst)] = tuple(pts)
-    return pts
+    return [p for p, _ in _points_with_degrees(P, dst)]
 
 
 def point_configuration(P: QuadricPencil, dst=None) -> PointConfiguration:
@@ -282,20 +318,7 @@ def simultaneous_diagonalize(P: QuadricPencil):
 def degenerate_points(P: QuadricPencil):
     """Rich degenerate-point records over the splitting field."""
     M, pairs, pts = simultaneous_diagonalize(P)
-    base = P.field
-    g, _ = charts(P)
-    res_deg = {}
-    if base.is_rational:
-        for p in pts:
-            res_deg[p] = 1
-    else:
-        dst = pts[0].field
-        if g.degree < 5:
-            res_deg[ProjPoint.infinity(dst)] = 1
-        for f, _ in factor(g):
-            fd = embed_poly(f, dst)
-            for lin, _ in factor(fd):
-                res_deg[ProjPoint.affine(dst, -lin.coeffs[0])] = f.degree
+    degrees = [d for _, d in _points_with_degrees(P)]
     out = []
     for i, p in enumerate(pts):
         entries = []
@@ -306,7 +329,7 @@ def degenerate_points(P: QuadricPencil):
             entries.append(a * p.v - b * p.u)
         if any(_is_zero(e) for e in entries):
             raise NotSmoothError("member has corank > 1")
-        out.append(DegeneratePoint(p, res_deg[p], tuple(entries)))
+        out.append(DegeneratePoint(p, degrees[i], tuple(entries)))
     return out
 
 
@@ -448,25 +471,20 @@ def galois_signature(P: QuadricPencil) -> CycleSignature:
     if not is_smooth(P):
         raise NotSmoothError("signature is defined for smooth pencils only")
     if field.is_rational:
-        splitting_field(P)  # raises when not split
+        degenerate_orbits(P)  # raises when the quintic does not split
         return CycleSignature.trivial()
     if field.k != 1:
         raise UnsupportedFieldError("galois_signature expects a prime-field pencil")
-    p = field.p
-    g, _ = charts(P)
+    includes_infinity, orbits = degenerate_orbits(P)
     cycles = []
-    if g.degree < 5:
+    if includes_infinity:
         Q = [[-x for x in row] for row in P.B]  # member at (t0 : t1) = (0 : 1)
         cycles.append((1, ruling_sign(Q, field)))
-    for irr, _ in factor(g):
+    for irr in orbits:
+        # the ruling sign is the same at each conjugate root of irr
         m = irr.degree
-        K = GF(p, m) if m > 1 else field
-        if m == 1:
-            root = -irr.coeffs[0]
-        else:
-            # irr splits over K into the conjugates of one root, and the
-            # ruling sign is the same at each of them
-            root = split_root(embed_poly(irr, K))
+        K = GF(field.p, m)
+        root = _orbit_root(irr, K)
         AK = [[embed(x, K) for x in row] for row in P.A]
         BK = [[embed(x, K) for x in row] for row in P.B]
         Q = [[AK[i][j] - root * BK[i][j] for j in range(5)] for i in range(5)]

@@ -5,8 +5,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .fields import (FieldMismatchError, embed, in_subfield, scalar_from_json,
-                     scalar_key, scalar_to_json)
+from .fields import (FieldMismatchError, in_subfield, scalar_from_json, scalar_key,
+                     scalar_to_json)
 
 
 class ProjPoint:
@@ -43,9 +43,6 @@ class ProjPoint:
         if self.is_infinity():
             raise ValueError("infinity has no affine value")
         return self.u
-
-    def embed_into(self, dst) -> "ProjPoint":
-        return ProjPoint(dst, embed(self.u, dst), embed(self.v, dst))
 
     def sort_key(self):
         # infinity first, then affine points in scalar order
@@ -245,3 +242,11 @@ def aut_group(c: PointConfiguration):
             out.append((m, perm))
     out.sort(key=lambda mp: mp[1])
     return out
+
+
+def defined_over(auts, field):
+    """The (Moebius, permutation) pairs of `auts` whose Moebius entries lie in
+    field, a subfield of the configuration's field (everything over Q)."""
+    if field.is_rational:
+        return list(auts)
+    return [(m, perm) for m, perm in auts if m.entries_in_subfield(field.k)]

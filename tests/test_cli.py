@@ -1,14 +1,16 @@
 import itertools
 import json
+import random
 import subprocess
 import sys
 
 import pytest
 
-from qdp4 import cli
-from qdp4.fields import GF, QQ
+from qdp4 import cli, pencil
+from qdp4.fields import GF, QQ, factor
 from qdp4.groupoids import group_groupoid
-from qdp4.pencil import QuadricPencil, reconstruct
+from qdp4.pencil import QuadricPencil, charts, reconstruct
+from qdp4.sampling import random_smooth_pencil
 
 
 @pytest.fixture
@@ -86,9 +88,52 @@ def test_analyze_nonsplit_rational_exit_4(capsys, tmp_path):
     P = QuadricPencil(QQ, A, eye)
     path = tmp_path / "nonsplit.json"
     path.write_text(json.dumps(P.to_json()))
-    code, _, err = run_cli(capsys, "analyze", str(path))
-    assert code == 4
-    assert "mod" in err  # points the user to reduction mod p
+    # every command that needs the points says the quintic does not split
+    for argv in (("analyze", str(path)), ("iso", str(path), str(path)),
+                 ("aut", str(path))):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 4
+        assert "mod" in err  # points the user to reduction mod p
+
+
+def test_analysis_report_finds_the_degenerate_points_once(monkeypatch):
+    P7 = random_smooth_pencil(GF(7), random.Random(12))
+    g, _ = charts(P7)
+    assert g.degree == 5 and [f.degree for f, _ in factor(g)] == [2, 3]
+    calls = {"factor": 0, "rational_roots": 0}
+
+    def counted(name):
+        fn = getattr(pencil, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(pencil, name, counted(name))
+    report = cli.analysis_report(P7)
+    assert report["splitting_field"] == GF(7, 6).descriptor()
+    assert calls == {"factor": 1, "rational_roots": 0}
+    cli.analysis_report(reconstruct((2, 3), QQ))
+    assert calls == {"factor": 1, "rational_roots": 1}
+
+
+def test_aut_and_analyze_agree_on_base_automorphisms(capsys, tmp_path):
+    # both commands keep the automorphisms whose entries lie in the base
+    # field; the first two pencils have automorphisms outside it
+    for field, seed in ((GF(3), 6), (GF(7), 2), (GF(3, 2), 0)):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(
+            random_smooth_pencil(field, random.Random(seed)).to_json()))
+        _, out, _ = run_cli(capsys, "analyze", str(path))
+        report = json.loads(out)
+        _, out, _ = run_cli(capsys, "aut", str(path))
+        aut = json.loads(out)
+        assert aut["aut_p_order"] == report["aut_p_order"]
+        assert aut["aut_p_geometric_order"] == report["aut_p_geometric_order"]
+        assert aut["aut_p_order"] == sum(e["base_rational"] for e in aut["elements"])
+        assert (aut["aut_p_order"] < aut["aut_p_geometric_order"]) == (field.k == 1)
 
 
 def test_iso_exit_codes(capsys, p23, p25):

@@ -1,0 +1,48 @@
+import random
+from fractions import Fraction
+
+import pytest
+
+from qdp4.fields import GF, QQ
+from qdp4.linalg import frac_inverse, kernel_vector, mat_mul, mat_vec, rank
+from qdp4.sampling import random_element
+
+
+def _random_of_rank(field, rng, n, r):
+    """An n x n matrix of rank r: r rows in echelon form with unit pivots,
+    then random combinations of them, in shuffled order."""
+    rows = [[field.one if j == i else random_element(field, rng) if j > i
+             else field.zero for j in range(n)] for i in range(r)]
+    for _ in range(n - r):
+        coeffs = [random_element(field, rng) for _ in range(r)]
+        rows.append([sum((c * row[j] for c, row in zip(coeffs, rows[:r])), field.zero)
+                     for j in range(n)])
+    rng.shuffle(rows)
+    return rows
+
+
+def test_rank_and_kernel_vector_share_one_elimination():
+    rng = random.Random(5)
+    for field in (GF(5), GF(3, 2)):
+        for r in range(6):
+            M = _random_of_rank(field, rng, 5, r)
+            assert rank(M, field) == r
+            v = kernel_vector(M, field)
+            if r == 5:
+                assert v is None
+                continue
+            assert any(not x.is_zero() for x in v)
+            assert all(x.is_zero() for x in mat_vec(M, v))
+    assert rank([], QQ) == 0
+    # of the two free columns, the first is set to one
+    M = [[Fraction(i * j) for j in (1, 2, 3)] for i in (1, 2, 3)]
+    assert kernel_vector(M, QQ) == [Fraction(-2), Fraction(1), Fraction(0)]
+
+
+def test_frac_inverse():
+    M = [[2, 1, 0], [1, 3, 1], [0, 1, 4]]
+    inv = frac_inverse(M)
+    eye = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
+    assert mat_mul(M, inv) == eye
+    with pytest.raises(ZeroDivisionError):
+        frac_inverse([[1, 2], [2, 4]])

@@ -18,7 +18,7 @@ from qdp4.pencil import (DegeneratePencilError, InvalidNormalFormError,
                          degenerate_points, discriminant_quintic,
                          galois_signature, is_smooth, isomorphic, normal_form,
                          predicted_count, reconstruct, ruling_sign,
-                         simultaneous_diagonalize)
+                         simultaneous_diagonalize, splitting_field)
 from qdp4.sampling import (random_gl2, random_invertible, random_smooth_pencil,
                            random_split_pencil, random_symmetric)
 from qdp4.wpline import ProjPoint
@@ -297,12 +297,56 @@ def test_degenerate_points_records():
         assert rec.residue_degree == 1
         assert len(rec.diagonal_entries) == 4
         assert all(not e == 0 for e in rec.diagonal_entries)
-    F3 = GF(3)
-    P3 = random_smooth_pencil(F3, random.Random(0))
-    recs3 = degenerate_points(P3)
-    assert sum(1 for r in recs3 for _ in range(1)) == 5
-    assert sorted(r.residue_degree for r in recs3) == \
-        sorted(d for r in recs3 for d in [r.residue_degree])
+    # non-split pencils over F_3 (orbits 1 + 4; infinity + 1 + 3) and F_9
+    # (orbits 1 + 1 + 1 + 2): the residue degrees are the orbit degrees of
+    # the base factorization, degree d appearing d times
+    for field, seed in ((GF(3), 0), (GF(3), 9), (GF(3, 2), 0)):
+        P = random_smooth_pencil(field, random.Random(seed))
+        g, _ = charts(P)
+        orbit_degrees = [f.degree for f, _ in factor(g) for _ in range(f.degree)]
+        orbit_degrees += [1] * (g.degree < 5)
+        assert max(orbit_degrees) > 1
+        recs = degenerate_points(P)
+        assert len(recs) == 5
+        assert sorted(r.residue_degree for r in recs) == sorted(orbit_degrees)
+        # each point's degree is the least d with u^(Q^d) = u, Q = |base field|
+        for r in recs:
+            if r.point.is_infinity():
+                assert r.residue_degree == 1
+                continue
+            u = r.point.u
+            fixed = [d for d in range(1, 6) if u ** (field.order ** d) == u]
+            assert fixed[0] == r.residue_degree
+
+
+def test_points_over_larger_fields_come_from_the_base_factors():
+    # canonical embeddings do not compose, so points over a field larger than
+    # the splitting field must not be re-embedded from the splitting field
+    P = random_smooth_pencil(GF(3, 2), random.Random(0))
+    assert splitting_field(P) == GF(3, 4)
+    g, _ = charts(P)
+    for dst in (GF(3, 8), GF(3, 12)):
+        lin = [f for f, _ in factor(embed_poly(g, dst))]
+        assert all(f.degree == 1 for f in lin)
+        expected = {ProjPoint.affine(dst, -f.coeffs[0]) for f in lin}
+        if g.degree < 5:
+            expected.add(ProjPoint.infinity(dst))
+        assert set(degenerate_parameter_points(P, dst)) == expected
+    with pytest.raises(UnsupportedSplittingError):
+        degenerate_parameter_points(P, GF(3, 6))
+
+
+def test_entries_must_be_integers_or_field_elements():
+    eye = [[1 if i == j else 0 for j in range(5)] for i in range(5)]
+    for field, element, foreign in ((GF(7), GF(7)(3), GF(5)(3)),
+                                    (QQ, Fraction(1, 3), GF(7)(3))):
+        A = [[2 if i == j else 0 for j in range(5)] for i in range(5)]
+        A[1][1] = element
+        QuadricPencil(field, A, eye)
+        for bad in (2.5, True, foreign, "2"):
+            A[0][0] = bad
+            with pytest.raises(ValueError, match="neither an integer"):
+                QuadricPencil(field, A, eye)
 
 
 def test_galois_signature_split_and_rational():
