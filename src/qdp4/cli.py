@@ -127,12 +127,9 @@ def analysis_report(P: QuadricPencil) -> dict:
 def cmd_analyze(args) -> int:
     P = _load_pencil(args.pencil)
     report = analysis_report(P)
-    if not report["smooth"]:
-        print("pencil is not smooth: discriminant quintic has a repeated root",
-              file=sys.stderr)
-        _emit(report)
-        return EXIT_NOT_SMOOTH
     _emit(report)
+    if not report["smooth"]:
+        degenerate_orbits(P)  # raises NotSmoothError naming the repeated point
     return EXIT_OK
 
 

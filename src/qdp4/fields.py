@@ -310,9 +310,6 @@ class FiniteField:
                 n //= self.p
             yield FFElem(self, tuple(reversed(digits)))
 
-    def frobenius(self, a: FFElem) -> FFElem:
-        return a ** self.p
-
     def descriptor(self) -> dict:
         if self.k == 1:
             return {"kind": "prime-field", "p": self.p}
@@ -496,6 +493,13 @@ class Poly:
     def __floordiv__(self, other):
         return divmod(self, other)[0]
 
+    def __truediv__(self, other):
+        """Exact quotient; raises ArithmeticError on a nonzero remainder."""
+        quo, rem = divmod(self, other)
+        if not rem.is_zero():
+            raise ArithmeticError("inexact polynomial division")
+        return quo
+
     def __mod__(self, other):
         return divmod(self, other)[1]
 
@@ -553,13 +557,13 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 
 
 def poly_pow_mod(base: Poly, n: int, mod: Poly) -> Poly:
+    # left to right, so each multiplication is by base (cheap when base is x)
     result = Poly(base.field, [base.field.one])
     base = base % mod
-    while n:
-        if n & 1:
+    for bit in bin(n)[2:]:
+        result = (result * result) % mod
+        if bit == "1":
             result = (result * base) % mod
-        base = (base * base) % mod
-        n >>= 1
     return result
 
 
@@ -665,9 +669,13 @@ def _equal_degree(f: Poly, d: int, rng: random.Random):
 def split_root(f: Poly):
     """One root of f, a product of distinct linear factors over its field
     (q odd).  Each split keeps the smaller factor, so no more than one
-    factorization path is followed; the root is fixed by f."""
+    factorization path is followed; the root is fixed by f.  Any other f
+    (x^q != x mod f) raises DegenerateInputError."""
     if f.degree < 1:
         raise DegenerateInputError("a constant polynomial has no root")
+    x = Poly(f.field, [f.field.zero, f.field.one])
+    if f.degree > 1 and poly_pow_mod(x, f.field.order, f) != x:
+        raise DegenerateInputError("not a product of distinct linear factors")
     rng = random.Random(_poly_seed(f, "root"))
     f = f.monic()
     while f.degree > 1:

@@ -110,24 +110,6 @@ def doubled_permutation(a: SignedPerm):
     return tuple(images)
 
 
-def permutation_parity(images) -> int:
-    """+1 for even, -1 for odd, by cycle counting."""
-    seen = [False] * len(images)
-    parity = 1
-    for i in range(len(images)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = images[j]
-            length += 1
-        if length % 2 == 0:
-            parity = -parity
-    return parity
-
-
 @lru_cache(maxsize=None)
 def all_signed_perms(n: int = 5):
     """All 2^n * n! signed permutations, in a fixed deterministic order."""

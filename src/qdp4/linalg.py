@@ -75,6 +75,27 @@ def kernel_vector(mat, field):
     return v
 
 
+def det(mat):
+    """Determinant of a nonempty square matrix by Bareiss fraction-free
+    elimination with row swaps.  Every division is exact, so the entries may
+    be field elements or polynomials (`Poly` division refuses a remainder)."""
+    rows = [list(r) for r in mat]
+    n = len(rows)
+    negate = False
+    for k in range(n - 1):
+        pivot = next((i for i in range(k, n) if not _iszero(rows[i][k])), None)
+        if pivot is None:
+            return rows[k][k]
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            negate = not negate
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = rows[k][k] * rows[i][j] - rows[i][k] * rows[k][j]
+                rows[i][j] = num / rows[k - 1][k - 1] if k else num
+    return -rows[-1][-1] if negate else rows[-1][-1]
+
+
 def int_rank(mat) -> int:
     """Rank over Q of an integer matrix, by fraction-free (Bareiss) elimination."""
     if not mat:

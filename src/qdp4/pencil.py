@@ -15,10 +15,10 @@ import numpy as np
 from . import _accel
 from .fields import (GF, QQ, FFElem, FieldMismatchError, Poly,
                      UnsupportedFieldError, embed, embed_poly, factor, is_square,
-                     rational_roots, scalar_from_json, scalar_key, scalar_to_json,
-                     split_root, squarefree)
-from .hyperoct import CycleSignature, permutation_parity
-from .linalg import congruence, kernel_vector, rank
+                     poly_gcd, rational_roots, scalar_from_json, scalar_key,
+                     scalar_to_json, split_root, squarefree)
+from .hyperoct import CycleSignature
+from .linalg import congruence, det, kernel_vector, rank
 from .wpline import (Moebius, PointConfiguration, ProjPoint,
                      moebius_to_inf_zero_one, pgl2_match)
 
@@ -152,27 +152,15 @@ def discriminant_quintic(P: QuadricPencil):
     cached = P._cache.get("quintic")
     if cached is not None:
         return cached
-    field = P.field
-    coeffs = [field.zero] * 6
-    for perm in itertools.permutations(range(5)):
-        sign = permutation_parity(perm)
-        prod = [field.one]
-        for i in range(5):
-            a = P.A[i][perm[i]]
-            b = -P.B[i][perm[i]]
-            new = [field.zero] * (len(prod) + 1)
-            for d, c in enumerate(prod):
-                if not _is_zero(c):
-                    new[d] = new[d] + c * a
-                    new[d + 1] = new[d + 1] + c * b
-            prod = new
-        if sign > 0:
-            coeffs = [x + y for x, y in zip(coeffs, prod)]
-        else:
-            coeffs = [x - y for x, y in zip(coeffs, prod)]
-    out = tuple(coeffs)
+    g = _pencil_minor(P, range(5))
+    out = g.coeffs + (P.field.zero,) * (6 - len(g.coeffs))
     P._cache["quintic"] = out
     return out
+
+
+def _pencil_minor(P: QuadricPencil, idx):
+    """det(A - zB) on the rows and columns idx, in F[z]."""
+    return det([[Poly(P.field, (P.A[i][j], -P.B[i][j])) for j in idx] for i in idx])
 
 
 def charts(P: QuadricPencil):
@@ -211,9 +199,9 @@ def degenerate_orbits(P: QuadricPencil):
     cached = P._cache.get("orbits")
     if cached is not None:
         return cached
-    if not is_smooth(P):
-        raise NotSmoothError("pencil has a repeated degenerate point")
     g, _ = charts(P)
+    if not is_smooth(P):
+        raise NotSmoothError(_repeated_point(g))
     if P.field.is_rational:
         roots = rational_roots(g)
         if len(roots) != g.degree:
@@ -226,6 +214,20 @@ def degenerate_orbits(P: QuadricPencil):
     out = (g.degree < 5, orbits)
     P._cache["orbits"] = out
     return out
+
+
+def _repeated_point(g: Poly) -> str:
+    """The repeated degenerate point of a pencil with affine quintic g: the
+    root of gcd(g, g'), that factor if it has several roots, or infinity."""
+    if g.is_zero():
+        return "every member of the pencil is singular"
+    rep = poly_gcd(g, g.derivative())
+    if rep.degree == 1:
+        return f"pencil has a repeated degenerate point z = {scalar_to_json(-rep.coeffs[0])}"
+    if rep.degree > 1:
+        return ("pencil has repeated degenerate points at the roots of "
+                f"{[scalar_to_json(c) for c in rep.coeffs]} (low degree first)")
+    return "pencil has a repeated degenerate point at infinity"
 
 
 def splitting_field(P: QuadricPencil):
@@ -256,7 +258,7 @@ def _points_with_degrees(P: QuadricPencil, dst=None):
     cached = P._cache.get(("points", dst))
     if cached is not None:
         return cached
-    if dst.k % split.k:  # split_root never returns on a factor dst does not split
+    if dst.k % split.k:  # dst does not split every orbit
         raise UnsupportedSplittingError("destination field does not split the quintic")
     includes_infinity, orbits = degenerate_orbits(P)
     out = [(ProjPoint.infinity(dst), 1)] if includes_infinity else []
@@ -434,61 +436,50 @@ def reconstruct(nf, field) -> QuadricPencil:
 # Galois signature
 # ---------------------------------------------------------------------------
 
-def _det(mat, field):
-    n = len(mat)
-    total = field.zero
-    for perm in itertools.permutations(range(n)):
-        term = field.one
-        for i in range(n):
-            term = term * mat[i][perm[i]]
-        total = total + term if permutation_parity(perm) > 0 else total - term
-    return total
+def _principal_minor(P: QuadricPencil, i: int) -> Poly:
+    """D_i(z): det(A - zB) with row and column i deleted (cached)."""
+    if ("minor", i) not in P._cache:
+        P._cache["minor", i] = _pencil_minor(P, [j for j in range(5) if j != i])
+    return P._cache["minor", i]
 
 
-def _corank1_discriminant(Q, field):
-    """Determinant of the form induced on the quotient by the 1-dim radical."""
-    v = kernel_vector(Q, field)
-    if v is None:
-        raise NotSmoothError("expected a corank-1 member")
-    i0 = next(i for i in range(5) if not _is_zero(v[i]))
-    idxs = [j for j in range(5) if j != i0]
-    G = [[Q[a][b] for b in idxs] for a in idxs]
-    d = _det(G, field)
-    if _is_zero(d):
-        raise NotSmoothError("member has corank > 1")
-    return d
+def _norm(D: Poly, f: Poly):
+    """Res(f, D) for monic f: det of multiplication by D on F[z]/(f)."""
+    zero, m = f.field.zero, f.degree
+    z = Poly(f.field, [zero, f.field.one])
+    rows, h = [], D % f
+    for _ in range(m):
+        rows.append(list(h.coeffs) + [zero] * (m - len(h.coeffs)))
+        h = (h * z) % f
+    return det(rows)
 
 
-def ruling_sign(Q, field) -> int:
-    """+1 iff the rank-4 discriminant of the corank-1 member is a square in field."""
-    return 1 if is_square(_corank1_discriminant(Q, field)) else -1
+def _ruling_sign(values) -> int:
+    """Quadratic character of the first nonzero value; a corank-1 member
+    (every degenerate member of a smooth pencil) always has one."""
+    return 1 if is_square(next(v for v in values if not _is_zero(v))) else -1
 
 
 def galois_signature(P: QuadricPencil) -> CycleSignature:
     """Frobenius cycle lengths on the degenerate points with per-cycle
-    ruling-swap signs (prime fields; trivial over Q for split pencils)."""
+    ruling-swap signs (prime fields; trivial over Q for split pencils).
+
+    At a root r of an orbit f, adj(A - rB) = c v v^T, so D_i(r) = c v_i^2 and
+    the sign is the character of c over F_{p^m}: the character over F_p of
+    the norm Res(f, D_i) at the first i where it is nonzero.  At infinity it
+    is the character of det(B_i), the z^4 coefficient of D_i.
+    """
     field = P.field
-    if not is_smooth(P):
-        raise NotSmoothError("signature is defined for smooth pencils only")
+    includes_infinity, orbits = degenerate_orbits(P)
     if field.is_rational:
-        degenerate_orbits(P)  # raises when the quintic does not split
         return CycleSignature.trivial()
     if field.k != 1:
         raise UnsupportedFieldError("galois_signature expects a prime-field pencil")
-    includes_infinity, orbits = degenerate_orbits(P)
-    cycles = []
+    cycles = [(f.degree, _ruling_sign(_norm(_principal_minor(P, i), f) for i in range(5)))
+              for f in orbits]
     if includes_infinity:
-        Q = [[-x for x in row] for row in P.B]  # member at (t0 : t1) = (0 : 1)
-        cycles.append((1, ruling_sign(Q, field)))
-    for irr in orbits:
-        # the ruling sign is the same at each conjugate root of irr
-        m = irr.degree
-        K = GF(field.p, m)
-        root = _orbit_root(irr, K)
-        AK = [[embed(x, K) for x in row] for row in P.A]
-        BK = [[embed(x, K) for x in row] for row in P.B]
-        Q = [[AK[i][j] - root * BK[i][j] for j in range(5)] for i in range(5)]
-        cycles.append((m, ruling_sign(Q, K)))
+        tops = (_principal_minor(P, i).coeffs[4:] for i in range(5))
+        cycles.append((1, _ruling_sign(c[0] if c else field.zero for c in tops)))
     return CycleSignature(tuple(cycles))
 
 
@@ -568,8 +559,7 @@ def count_points(P: QuadricPencil, k: int) -> int:
     field = P.field
     if field.is_rational or field.k != 1:
         raise UnsupportedFieldError("count_points expects a prime-field pencil")
-    if not is_smooth(P):
-        raise NotSmoothError("point counts are certified for smooth pencils only")
+    degenerate_orbits(P)  # point counts are certified for smooth pencils only
     p = field.p
     q = p ** k
     guard = pointcount_guard()

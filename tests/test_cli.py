@@ -61,6 +61,7 @@ def test_analyze_not_smooth_exit_3(capsys, tmp_path):
     code, out, err = run_cli(capsys, "analyze", str(path))
     assert code == 3
     assert json.loads(out)["smooth"] is False
+    assert "repeated degenerate point z = 1" in err
 
 
 def test_analyze_parse_error_exit_2(capsys, tmp_path):

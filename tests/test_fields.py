@@ -174,8 +174,23 @@ def test_split_root_finds_a_root_of_split_polynomials():
                 root = split_root(f)
                 assert root in roots and f.evaluate(root) == field.zero
                 assert split_root(f) == root
-    with pytest.raises(DegenerateInputError):
-        split_root(Poly.from_ints(GF(7), [3]))
+    # a constant, x^2 + 1 (irreducible over F_3) and (x - 1)^2 over F_5:
+    # none divides x^q - x, and none may loop
+    for f in (Poly.from_ints(GF(7), [3]), Poly.from_ints(GF(3), [1, 0, 1]),
+              Poly.from_ints(GF(5), [1, -2, 1])):
+        with pytest.raises(DegenerateInputError):
+            split_root(f)
+
+
+def test_poly_true_division_is_exact():
+    F7 = GF(7)
+    f = Poly.from_ints(F7, [1, 1])
+    g = Poly.from_ints(F7, [3, 0, 2])
+    assert (f * g) / f == g
+    with pytest.raises(ArithmeticError):
+        (f * g + Poly.from_ints(F7, [1])) / f
+    with pytest.raises(ZeroDivisionError):
+        g / Poly(F7, [])
 
 
 def test_factor_detects_multiplicity_and_frobenius_powers():

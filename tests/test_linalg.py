@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from qdp4.fields import GF, QQ
-from qdp4.linalg import frac_inverse, kernel_vector, mat_mul, mat_vec, rank
+from qdp4.fields import GF, QQ, Poly
+from qdp4.linalg import det, frac_inverse, kernel_vector, mat_mul, mat_vec, rank
 from qdp4.sampling import random_element
 
 
@@ -46,3 +46,53 @@ def test_frac_inverse():
     assert mat_mul(M, inv) == eye
     with pytest.raises(ZeroDivisionError):
         frac_inverse([[1, 2], [2, 4]])
+
+
+def _cofactor(M):
+    """Determinant by cofactor expansion along the first row."""
+    if len(M) == 1:
+        return M[0][0]
+    acc = None
+    for j in range(len(M)):
+        term = M[0][j] * _cofactor([row[:j] + row[j + 1:] for row in M[1:]])
+        acc = term if acc is None else acc - term if j % 2 else acc + term
+    return acc
+
+
+def test_det_matches_cofactor_expansion_on_scalars():
+    rng = random.Random(8)
+    for field in (GF(5), GF(3, 2)):
+        for n in range(1, 6):
+            for r in range(n + 1):
+                M = _random_of_rank(field, rng, n, r)
+                d = det(M)
+                assert d == _cofactor(M)
+                assert d.is_zero() == (r < n)
+    for n in range(1, 6):
+        M = [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
+             for _ in range(n)]
+        assert det(M) == _cofactor(M)
+        M[0][0] = Fraction(0)  # the first pivot comes from a row swap
+        assert det(M) == _cofactor(M)
+        M[-1] = [2 * x for x in M[0]]
+        assert det(M) == 0
+
+
+def test_det_matches_cofactor_expansion_on_polynomials():
+    rng = random.Random(9)
+    for field in (GF(7), GF(3, 2), QQ):
+        def entry():
+            if field.is_rational:
+                return Poly(QQ, [Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                                 for _ in range(rng.randrange(3))])
+            return Poly(field, [random_element(field, rng) for _ in range(rng.randrange(3))])
+        for n in range(1, 6):
+            M = [[entry() for _ in range(n)] for _ in range(n)]
+            assert det(M) == _cofactor(M)
+            for row in M[:-1]:  # the first pivot, if any, is in the last row
+                row[0] = Poly(field, [])
+            assert det(M) == _cofactor(M)
+            if n > 1:
+                c = entry()
+                M[1] = [x * c for x in M[0]]  # a multiple of row 0 over F[z]
+                assert det(M).is_zero()

@@ -1,14 +1,16 @@
 import itertools
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from qdp4 import _accel
-from qdp4.fields import GF, QQ, FieldMismatchError, embed, embed_poly, factor
+from qdp4 import _accel, pencil
+from qdp4.fields import (GF, QQ, FieldMismatchError, embed, embed_poly, factor,
+                         is_square)
 from qdp4.hyperoct import CycleSignature
-from qdp4.linalg import congruence
+from qdp4.linalg import congruence, kernel_vector
 from qdp4.pencil import (DegeneratePencilError, InvalidNormalFormError,
                          NormalForm, NotSmoothError, QuadricPencil,
                          ResourceLimitError, UnsupportedFieldError,
@@ -17,7 +19,7 @@ from qdp4.pencil import (DegeneratePencilError, InvalidNormalFormError,
                          count_points, degenerate_parameter_points,
                          degenerate_points, discriminant_quintic,
                          galois_signature, is_smooth, isomorphic, normal_form,
-                         predicted_count, reconstruct, ruling_sign,
+                         predicted_count, reconstruct,
                          simultaneous_diagonalize, splitting_field)
 from qdp4.sampling import (random_gl2, random_invertible, random_smooth_pencil,
                            random_split_pencil, random_symmetric)
@@ -84,17 +86,43 @@ def test_discriminant_example_eq_pencil():
     assert set(pts) == expect
 
 
+def _random_rational_symmetric(rng):
+    M = [[Fraction(0)] * 5 for _ in range(5)]
+    for i in range(5):
+        for j in range(i, 5):
+            M[i][j] = M[j][i] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+    return M
+
+
 def test_discriminant_oracle_on_random_pencils():
     rng = random.Random(21)
-    for p in (5, 7, 11):
-        field = GF(p)
-        for _ in range(10):
-            try:
-                P = QuadricPencil(field, random_symmetric(field, rng),
-                                  random_symmetric(field, rng))
-            except DegeneratePencilError:
-                continue
-            assert discriminant_quintic(P) == oracle_quintic(P)
+    checked = []
+    for field in (GF(3), GF(5), GF(7), GF(11), GF(3, 2), GF(3, 3), QQ):
+        def sym():
+            if field.is_rational:
+                return _random_rational_symmetric(rng)
+            return random_symmetric(field, rng)
+        for case in ("random", "pivot swap", "degree < 5", "common kernel"):
+            for _ in range(4):
+                A, B = sym(), sym()
+                if case == "pivot swap":
+                    A[0][0] = B[0][0] = field.zero
+                if case in ("degree < 5", "common kernel"):
+                    for i in range(5):  # B (and A) kill e4
+                        B[i][4] = B[4][i] = field.zero
+                if case == "common kernel":
+                    for i in range(5):
+                        A[i][4] = A[4][i] = field.zero
+                try:
+                    P = QuadricPencil(field, A, B)
+                except DegeneratePencilError:
+                    continue
+                cs = discriminant_quintic(P)
+                assert cs == oracle_quintic(P)
+                checked.append((case, cs))
+    assert len(checked) >= 100
+    assert any(c == "degree < 5" and cs[5] == 0 and any(cs) for c, cs in checked)
+    assert any(c == "common kernel" and not any(cs) for c, cs in checked)
 
 
 def test_degenerate_pencil_rejected():
@@ -375,35 +403,95 @@ def test_galois_signature_irreducible_quintic():
     assert sig.cycles[0][1] in (1, -1)
 
 
+def _reference_sign(Q, field):
+    """The ruling sign at one corank-1 member Q: the quadratic character of
+    the 4x4 minor of Q off the first nonzero entry of a kernel vector."""
+    v = kernel_vector(Q, field)
+    i0 = next(i for i in range(5) if not v[i].is_zero())
+    idx = [j for j in range(5) if j != i0]
+    (d,) = _cofactor_det([[[Q[a][b]] for b in idx] for a in idx], field)
+    return 1 if is_square(d) else -1
+
+
 def test_ruling_sign_is_the_same_at_every_conjugate_root():
-    # galois_signature takes the sign of a k-cycle at one root of its factor
-    # over F_{p^k}; every root must give that sign
+    # galois_signature takes each sign from a norm over F_p, without a root;
+    # every root of each orbit, in F_{p^k}, must give that sign
     checked = 0
     for p in (3, 5, 7):
         rng = random.Random(p)
         for _ in range(12):
             P = random_smooth_pencil(GF(p), rng)
-            cycles = galois_signature(P).cycles
             g, _ = charts(P)
-            for irr, _ in factor(g):
-                k = irr.degree
-                if k == 1:
-                    continue
-                K = GF(p, k)
-                AK = [[embed(x, K) for x in row] for row in P.A]
-                BK = [[embed(x, K) for x in row] for row in P.B]
-                signs = {ruling_sign([[a - r * b for a, b in zip(ra, rb)]
-                                      for ra, rb in zip(AK, BK)], K)
-                         for r in (-f.coeffs[0] for f, _ in factor(embed_poly(irr, K)))}
-                assert len(signs) == 1 and (k, signs.pop()) in cycles
+            # the same pencil with its first rational degenerate point moved
+            # to infinity, which covers the sign there
+            lin = [f for f, _ in factor(g) if f.degree == 1]
+            moved = []
+            if lin:
+                r = -lin[0].coeffs[0]
+                moved = [QuadricPencil(GF(p), P.B, [[r * b - a for a, b in zip(ra, rb)]
+                                                    for ra, rb in zip(P.A, P.B)])]
+            for Pm in [P] + moved:
+                g, _ = charts(Pm)
+                expected = []
+                if g.degree < 5:
+                    expected.append((1, _reference_sign([[-x for x in row] for row in Pm.B],
+                                                        GF(p))))
+                for irr, _ in factor(g):
+                    k = irr.degree
+                    K = GF(p, k)
+                    AK = [[embed(x, K) for x in row] for row in Pm.A]
+                    BK = [[embed(x, K) for x in row] for row in Pm.B]
+                    signs = {_reference_sign([[a - r * b for a, b in zip(ra, rb)]
+                                              for ra, rb in zip(AK, BK)], K)
+                             for r in (-f.coeffs[0] for f, _ in factor(embed_poly(irr, K)))}
+                    assert len(signs) == 1
+                    expected.append((k, signs.pop()))
+                assert galois_signature(Pm) == CycleSignature(tuple(expected))
                 checked += 1
-    assert checked >= 10
+    assert checked >= 40
+
+
+def test_galois_signature_builds_no_extension_field(monkeypatch):
+    pencils = [random_smooth_pencil(GF(p), random.Random(seed))
+               for p in (3, 5, 7) for seed in range(4)]
+    calls = {"GF": 0, "embed": 0, "embed_poly": 0, "split_root": 0}
+
+    def counted(name):
+        fn = getattr(pencil, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(pencil, name, counted(name))
+    lengths = {n for P in pencils for n, _ in galois_signature(P).cycles}
+    assert max(lengths) >= 3
+    assert calls == {"GF": 0, "embed": 0, "embed_poly": 0, "split_root": 0}
+    # the wrappers do count: the points of the same pencils need all four
+    degenerate_parameter_points(pencils[0])
+    assert min(calls.values()) >= 1
 
 
 def test_galois_signature_not_smooth():
-    P_bad = diag_pencil(GF(7), (1, 0, 1, 1, 3), (0, 1, 1, 1, 1))
-    with pytest.raises(NotSmoothError):
-        galois_signature(P_bad)
+    # the error names the repeated point: a root, infinity, or a factor
+    F3, F7 = GF(3), GF(7)
+    # two 2x2 blocks with det 1 - z - z^2, irreducible over F_3, and one -z
+    blocks_a = [[int(i == j and i < 4) for j in range(5)] for i in range(5)]
+    blocks_b = [[1, 1, 0, 0, 0], [1, 0, 0, 0, 0], [0, 0, 1, 1, 0], [0, 0, 1, 0, 0],
+                [0, 0, 0, 0, 1]]
+    cases = [
+        (diag_pencil(F7, (1, 0, 1, 1, 3), (0, 1, 1, 1, 1)), "z = 1"),
+        (diag_pencil(QQ, (1, 0, 1, 3, 3), (0, 1, 1, 1, 1)), "z = 3"),
+        (diag_pencil(F7, (1, 1, 1, 2, 3), (0, 0, 1, 1, 1)), "at infinity"),
+        (QuadricPencil(F3, blocks_a, blocks_b), "roots of [2, 1, 1]"),
+    ]
+    for P, witness in cases:
+        assert not is_smooth(P)
+        for fn in (splitting_field, galois_signature):
+            with pytest.raises(NotSmoothError, match=re.escape(witness)):
+                fn(P)
 
 
 def test_count_points_examples():
