@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 
 from . import kgroups, picard, selftest
 from .fields import (GF, QQ, FieldMismatchError, UnsupportedFieldError,
@@ -48,14 +49,22 @@ class ParseFailure(Exception):
     pass
 
 
-def _load_pencil(path: str) -> QuadricPencil:
-    obj = _load_json(path)
+@contextmanager
+def _parsing(what: str):
+    """Malformed JSON content becomes a ParseFailure naming `what`; an
+    unsupported field keeps its own exit code."""
     try:
-        return QuadricPencil.from_json(obj)
+        yield
     except UnsupportedFieldError:
         raise
     except (KeyError, ValueError, TypeError) as exc:
-        raise ParseFailure(f"bad pencil file {path}: {exc}") from exc
+        raise ParseFailure(f"bad {what}: {exc}") from exc
+
+
+def _load_pencil(path: str) -> QuadricPencil:
+    obj = _load_json(path)
+    with _parsing(f"pencil file {path}"):
+        return QuadricPencil.from_json(obj)
 
 
 def parse_field_spec(spec: str):
@@ -149,12 +158,14 @@ def cmd_iso(args) -> int:
 def cmd_aut(args) -> int:
     obj = _load_json(args.file)
     if isinstance(obj, dict) and "A" in obj and "B" in obj:
-        P = QuadricPencil.from_json(obj)
+        with _parsing(f"pencil file {args.file}"):
+            P = QuadricPencil.from_json(obj)
         config = point_configuration(P)
         field = P.field
     elif isinstance(obj, dict) and "points" in obj:
-        field = field_from_descriptor(obj["field"])
-        config = PointConfiguration.from_json(field, obj["points"])
+        with _parsing(f"configuration file {args.file}"):
+            field = field_from_descriptor(obj["field"])
+            config = PointConfiguration.from_json(field, obj["points"])
     else:
         raise ParseFailure("expected a pencil {field,A,B} or a configuration "
                            "{field,points}")

@@ -341,14 +341,17 @@ def GF(p: int, k: int = 1) -> FiniteField:
 
 
 def field_from_descriptor(desc: dict):
+    """The field a JSON descriptor names; a malformed one raises ValueError."""
+    if not isinstance(desc, dict):
+        raise ValueError(f"field descriptor must be an object, not {desc!r}")
     kind = desc.get("kind")
     if kind == "rationals":
         return QQ
     if kind == "prime-field":
-        return GF(int(desc["p"]))
+        return GF(_exact_int(desc.get("p")))
     if kind == "extension-field":
-        f = GF(int(desc["p"]), int(desc["degree"]))
-        if "modulus" in desc and list(desc["modulus"]) != list(f.modulus):
+        f = GF(_exact_int(desc.get("p")), _exact_int(desc.get("degree")))
+        if "modulus" in desc and desc["modulus"] != list(f.modulus):
             raise UnsupportedFieldError(
                 "non-canonical modulus; this library fixes the lexicographically "
                 f"smallest irreducible {list(f.modulus)} for GF({f.p}^{f.k})")
@@ -383,7 +386,10 @@ def _exact_int(obj) -> int:
 def scalar_from_json(field, obj):
     if field.is_rational:
         if isinstance(obj, str):
-            return Fraction(obj)
+            try:
+                return Fraction(obj)
+            except ZeroDivisionError as exc:
+                raise ValueError(f"zero denominator in {obj!r}") from exc
         return Fraction(_exact_int(obj))
     if field.k == 1:
         return field(_exact_int(obj))
@@ -764,21 +770,6 @@ def is_square(a: FFElem) -> bool:
     if a.is_zero():
         raise DegenerateInputError("is_square(0) is undefined")
     return a ** ((a.field.order - 1) // 2) == a.field.one
-
-
-def is_square_in_subfield(a: FFElem, m: int) -> bool:
-    """Squareness of a in the subfield F_{p^m} of a's field (requires a in that subfield)."""
-    if a.is_zero():
-        raise DegenerateInputError("is_square(0) is undefined")
-    f = a.field
-    if f.k % m != 0:
-        raise ValueError(f"F_{f.p}^{m} is not a subfield of {f!r}")
-    t = a ** ((f.p ** m - 1) // 2)
-    if t == f.one:
-        return True
-    if t == -f.one:
-        return False
-    raise ValueError("element does not lie in the requested subfield")
 
 
 def in_subfield(a: FFElem, m: int) -> bool:

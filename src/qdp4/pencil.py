@@ -13,7 +13,7 @@ from math import lcm
 import numpy as np
 
 from . import _accel
-from .fields import (GF, QQ, FFElem, FieldMismatchError, Poly,
+from .fields import (GF, QQ, FFElem, FieldMismatchError, Poly, _iszero,
                      UnsupportedFieldError, embed, embed_poly, factor, is_square,
                      poly_gcd, rational_roots, scalar_from_json, scalar_key,
                      scalar_to_json, split_root, squarefree)
@@ -108,11 +108,12 @@ class NormalForm:
     mu: object
 
     def __post_init__(self):
-        if _is_zero(self.lam) or _is_zero(self.mu):
+        if _iszero(self.lam) or _iszero(self.mu):
             raise InvalidNormalFormError("lambda, mu must avoid 0")
-        if _is_zero(self.lam - _one_like(self.lam)) or _is_zero(self.mu - _one_like(self.mu)):
+        one = _one_like(self.lam)
+        if self.lam == one or self.mu == one:
             raise InvalidNormalFormError("lambda, mu must avoid 1")
-        if _is_zero(self.lam - self.mu):
+        if self.lam == self.mu:
             raise InvalidNormalFormError("lambda and mu must differ")
 
     def pair(self):
@@ -123,10 +124,6 @@ class NormalForm:
 
     def to_json(self):
         return [scalar_to_json(self.lam), scalar_to_json(self.mu)]
-
-
-def _is_zero(x):
-    return x == 0 if isinstance(x, Fraction) else x.is_zero()
 
 
 def _one_like(x):
@@ -206,8 +203,10 @@ def degenerate_orbits(P: QuadricPencil):
         roots = rational_roots(g)
         if len(roots) != g.degree:
             raise UnsupportedSplittingError(
-                "quintic does not split over Q; reduce the pencil modulo an odd "
-                "prime to compute over a finite field")
+                f"quintic does not split over Q: it has {len(roots)} rational "
+                f"root(s) and a factor of degree {g.degree - len(roots)} with no "
+                "rational root; reduce the pencil modulo an odd prime to compute "
+                "over a finite field")
         orbits = tuple(Poly(QQ, [-r, Fraction(1)]) for r, _ in roots)
     else:
         orbits = tuple(f for f, _ in factor(g))
@@ -279,8 +278,13 @@ def degenerate_parameter_points(P: QuadricPencil, dst=None):
 
 
 def point_configuration(P: QuadricPencil, dst=None) -> PointConfiguration:
+    """The degenerate points over dst as one configuration per field, so the
+    invariant, `aut_group` and `pgl2_match` share its cross-ratio table."""
     pts = degenerate_parameter_points(P, dst)
-    return PointConfiguration(pts[0].field, pts)
+    key = ("config", pts[0].field)
+    if key not in P._cache:
+        P._cache[key] = PointConfiguration(pts[0].field, pts)
+    return P._cache[key]
 
 
 def simultaneous_diagonalize(P: QuadricPencil):
@@ -307,12 +311,12 @@ def simultaneous_diagonalize(P: QuadricPencil):
     MB = congruence(M, B)
     for i in range(5):
         for j in range(5):
-            if i != j and (not _is_zero(MA[i][j]) or not _is_zero(MB[i][j])):
+            if i != j and (not _iszero(MA[i][j]) or not _iszero(MB[i][j])):
                 raise NotSmoothError("simultaneous diagonalization failed")
     pairs = [(MA[i][i], MB[i][i]) for i in range(5)]
     for i, p in enumerate(pts):
         a, b = pairs[i]
-        if not _is_zero(a * p.v - b * p.u):
+        if not _iszero(a * p.v - b * p.u):
             raise NotSmoothError("diagonal pair does not match its degenerate point")
     return M, pairs, pts
 
@@ -329,7 +333,7 @@ def degenerate_points(P: QuadricPencil):
                 continue
             a, b = pairs[j]
             entries.append(a * p.v - b * p.u)
-        if any(_is_zero(e) for e in entries):
+        if any(_iszero(e) for e in entries):
             raise NotSmoothError("member has corank > 1")
         out.append(DegeneratePoint(p, degrees[i], tuple(entries)))
     return out
@@ -350,32 +354,13 @@ def normal_form(P: QuadricPencil, ordering=(0, 1, 2, 3, 4)) -> NormalForm:
     return NormalForm(m(ref[3]).affine_value(), m(ref[4]).affine_value())
 
 
-def _invariant_of_points(pts):
-    # raw-coordinate version of the 120-ordering orbit: for each ordered
-    # triple the map to (oo, 0, 1) is applied to the remaining two points
-    uv = [(p.u, p.v) for p in pts]
-    seen = set()
-    for i, j, k in itertools.permutations(range(5), 3):
-        (u1, v1), (u2, v2), (u3, v3) = uv[i], uv[j], uv[k]
-        c, d = v1, -u1           # row killing point i (to infinity)
-        a, b = v2, -u2           # row killing point j (to zero)
-        t = (c * u3 + d * v3) / (a * u3 + b * v3)  # scale sending point k to 1
-        rest = [m for m in range(5) if m not in (i, j, k)]
-        vals = []
-        for m in rest:
-            um, vm = uv[m]
-            vals.append((t * (a * um + b * vm)) / (c * um + d * vm))
-        seen.add((vals[0], vals[1]))
-        seen.add((vals[1], vals[0]))
-    out = [NormalForm(lam, mu) for lam, mu in seen]
-    out.sort(key=NormalForm.sort_key)
-    return tuple(out)
-
-
 def canonical_invariant(P: QuadricPencil, dst=None):
-    """The sorted orbit of (lambda, mu) over all 120 orderings; a complete
-    isomorphism invariant of the underlying five-point configuration."""
-    return _invariant_of_points(degenerate_parameter_points(P, dst))
+    """The sorted orbit of (lambda, mu) over all 120 orderings (the values
+    of the cross-ratio table); a complete isomorphism invariant of the
+    underlying five-point configuration."""
+    pairs = {values for _, values in point_configuration(P, dst).cross_ratios()}
+    return tuple(sorted((NormalForm(lam, mu) for lam, mu in pairs),
+                        key=NormalForm.sort_key))
 
 
 @dataclass(frozen=True)
@@ -457,7 +442,7 @@ def _norm(D: Poly, f: Poly):
 def _ruling_sign(values) -> int:
     """Quadratic character of the first nonzero value; a corank-1 member
     (every degenerate member of a smooth pencil) always has one."""
-    return 1 if is_square(next(v for v in values if not _is_zero(v))) else -1
+    return 1 if is_square(next(v for v in values if not _iszero(v))) else -1
 
 
 def galois_signature(P: QuadricPencil) -> CycleSignature:

@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
-from .fields import (FieldMismatchError, in_subfield, scalar_from_json, scalar_key,
-                     scalar_to_json)
+from .fields import (FieldMismatchError, _iszero, in_subfield, scalar_from_json,
+                     scalar_key, scalar_to_json)
 
 
 class ProjPoint:
@@ -18,9 +17,9 @@ class ProjPoint:
     __slots__ = ("field", "u", "v")
 
     def __init__(self, field, u, v):
-        if _z(u) and _z(v):
+        if _iszero(u) and _iszero(v):
             raise ValueError("(0 : 0) is not a projective point")
-        if _z(v):
+        if _iszero(v):
             u, v = field.one, field.zero
         else:
             u, v = u / v, field.one
@@ -37,7 +36,7 @@ class ProjPoint:
         return cls(field, field(x) if isinstance(x, int) else x, field.one)
 
     def is_infinity(self) -> bool:
-        return _z(self.v)
+        return _iszero(self.v)
 
     def affine_value(self):
         if self.is_infinity():
@@ -65,16 +64,12 @@ class ProjPoint:
 
     @classmethod
     def from_json(cls, field, obj):
-        if obj == [1, 0]:
+        if not (isinstance(obj, list) and len(obj) == 2):
+            raise ValueError(f"a point is a pair [u, v], not {obj!r}")
+        if obj == [1, 0] and all(type(x) is int for x in obj):
             return cls.infinity(field)
         u, v = obj
         return cls(field, scalar_from_json(field, u), scalar_from_json(field, v))
-
-
-def _z(x):
-    if isinstance(x, Fraction):
-        return x == 0
-    return x.is_zero()
 
 
 class Moebius:
@@ -84,10 +79,10 @@ class Moebius:
 
     def __init__(self, field, a, b, c, d):
         det = a * d - b * c
-        if _z(det):
+        if _iszero(det):
             raise ValueError("Moebius matrix must be invertible")
         for x in (a, b, c, d):
-            if not _z(x):
+            if not _iszero(x):
                 inv = field.one / x
                 a, b, c, d = a * inv, b * inv, c * inv, d * inv
                 break
@@ -117,15 +112,15 @@ class Moebius:
         return Moebius(self.field, self.d, -self.b, -self.c, self.a)
 
     def is_identity(self) -> bool:
-        return (self.a == self.d and _z(self.b) and _z(self.c)
-                and not _z(self.a))
+        return (self.a == self.d and _iszero(self.b) and _iszero(self.c)
+                and not _iszero(self.a))
 
     def entries(self):
         return (self.a, self.b, self.c, self.d)
 
     def entries_in_subfield(self, m: int) -> bool:
         """True iff all entries lie in F_{p^m} (finite fields only)."""
-        return all(_z(x) or in_subfield(x, m) for x in self.entries())
+        return all(_iszero(x) or in_subfield(x, m) for x in self.entries())
 
     def __eq__(self, other):
         return (isinstance(other, Moebius) and self.field == other.field
@@ -166,7 +161,7 @@ def moebius_between_triples(src, dst) -> Moebius:
 class PointConfiguration:
     """Five distinct points of P^1 over a common field, kept in canonical order."""
 
-    __slots__ = ("field", "points")
+    __slots__ = ("field", "points", "_table")
 
     def __init__(self, field, points):
         pts = sorted(points, key=lambda p: p.sort_key())
@@ -176,26 +171,47 @@ class PointConfiguration:
             raise ValueError("configuration points must be pairwise distinct")
         self.field = field
         self.points = tuple(pts)
-
-    def point_set(self):
-        return frozenset(self.points)
+        self._table = None
 
     def apply(self, m: Moebius) -> "PointConfiguration":
         return PointConfiguration(self.field, [m(p) for p in self.points])
 
-    def induced_permutation(self, m: Moebius):
-        """sigma with m(points[i]) == points[sigma[i]], or None if m does not stabilize."""
-        images = [m(p) for p in self.points]
-        if set(images) != set(self.points):
-            return None
-        index = {p: i for i, p in enumerate(self.points)}
-        return tuple(index[img] for img in images)
+    def cross_ratios(self):
+        """The cross-ratio table, built on first use and kept on the object.
+
+        One entry (ordering, (lam, mu)) per ordering of the point indices, in
+        `itertools.permutations` order: lam, mu are the images of points
+        ordering[3], ordering[4] under the Moebius map sending the first three
+        to infinity, 0, 1.  With D(a, b) = u_a v_b - u_b v_a, the image of m
+        under the map for (i, j, k) is D(k, i) D(m, j) / (D(k, j) D(m, i)).
+        """
+        if self._table is not None:
+            return self._table
+        pts = self.points
+        D, inv = {}, {}
+        for a, b in itertools.combinations(range(5), 2):
+            d = pts[a].u * pts[b].v - pts[b].u * pts[a].v
+            e = 1 / d
+            D[a, b], D[b, a], inv[a, b], inv[b, a] = d, -d, e, -e
+        # r(x; i, j) = D(x, i) / D(x, j); the image is r(k; i, j) r(m; j, i)
+        r = {(x, i, j): D[x, i] * inv[x, j]
+             for i, j in itertools.permutations(range(5), 2)
+             for x in range(5) if x != i and x != j}
+        table = []
+        for i, j, k in itertools.permutations(range(5), 3):
+            m, n = (x for x in range(5) if x not in (i, j, k))
+            lam, mu = r[k, i, j] * r[m, j, i], r[k, i, j] * r[n, j, i]
+            table += [((i, j, k, m, n), (lam, mu)), ((i, j, k, n, m), (mu, lam))]
+        self._table = tuple(table)
+        return self._table
 
     def to_json(self):
         return [p.to_json() for p in self.points]
 
     @classmethod
     def from_json(cls, field, obj):
+        if not isinstance(obj, list):
+            raise ValueError(f"configuration points must be a list, not {obj!r}")
         return cls(field, [ProjPoint.from_json(field, o) for o in obj])
 
     def __eq__(self, other):
@@ -211,37 +227,28 @@ class PointConfiguration:
 def pgl2_match(c1: PointConfiguration, c2: PointConfiguration):
     """A Moebius map with m(c1) == c2 as sets, or None.
 
-    Enumerates the 60 candidates sending a fixed ordered triple of c1 to each
-    ordered triple of c2; the first match in the fixed enumeration order wins.
+    The map sending points 0..4 of c1 to an ordering of c2 exists exactly when
+    c2's table values at that ordering are c1's at the identity; the first
+    such ordering in permutation order wins, and only its map is built.
     """
     if c1.field != c2.field:
         raise FieldMismatchError("configurations live over different fields")
-    src = c1.points[:3]
-    target_set = c2.point_set()
-    for dst in itertools.permutations(c2.points, 3):
-        m = moebius_between_triples(src, dst)
-        if {m(p) for p in c1.points} == target_set:
-            return m
+    ref = c1.cross_ratios()[0][1]
+    for ordering, values in c2.cross_ratios():
+        if values == ref:
+            return moebius_between_triples(
+                c1.points[:3], [c2.points[x] for x in ordering[:3]])
     return None
 
 
 def aut_group(c: PointConfiguration):
-    """Full PGL2 stabilizer of the point set, as (Moebius, induced permutation) pairs.
-
-    At most 60 candidates: a Moebius map is determined by the images of three
-    points.  Output is deterministic and closed under composition.
-    """
-    out = []
-    src = c.points[:3]
-    seen = set()
-    for dst in itertools.permutations(c.points, 3):
-        m = moebius_between_triples(src, dst)
-        perm = c.induced_permutation(m)
-        if perm is not None and m not in seen:
-            seen.add(m)
-            out.append((m, perm))
-    out.sort(key=lambda mp: mp[1])
-    return out
+    """Full PGL2 stabilizer of the point set, as (Moebius, induced permutation)
+    pairs sorted by permutation: the orderings whose table values are those
+    of the identity, with a map built for each of them only."""
+    table = c.cross_ratios()
+    ref = table[0][1]
+    return [(moebius_between_triples(c.points[:3], [c.points[x] for x in ordering[:3]]),
+             ordering) for ordering, values in table if values == ref]
 
 
 def defined_over(auts, field):

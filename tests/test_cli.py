@@ -5,6 +5,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qdp4 import cli, pencil
 from qdp4.fields import GF, QQ, factor
@@ -89,12 +91,102 @@ def test_analyze_nonsplit_rational_exit_4(capsys, tmp_path):
     P = QuadricPencil(QQ, A, eye)
     path = tmp_path / "nonsplit.json"
     path.write_text(json.dumps(P.to_json()))
-    # every command that needs the points says the quintic does not split
+    # every command that needs the points says the quintic does not split,
+    # with its witness: the rational roots found and the degree of the rest
     for argv in (("analyze", str(path)), ("iso", str(path), str(path)),
                  ("aut", str(path))):
         code, _, err = run_cli(capsys, *argv)
         assert code == 4
         assert "mod" in err  # points the user to reduction mod p
+        assert "0 rational root(s) and a factor of degree 5" in err
+    # points 0, 1 and infinity, and the roots of 2 z^2 - 1
+    A = [[1, 0, 0, 0, 0], [0, 0, 0, 0, 0], [0, 0, 1, 0, 0],
+         [0, 0, 0, 0, 1], [0, 0, 0, 1, 0]]
+    B = [[0, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0],
+         [0, 0, 0, 1, 0], [0, 0, 0, 0, 2]]
+    path.write_text(json.dumps(QuadricPencil(QQ, A, B).to_json()))
+    code, _, err = run_cli(capsys, "analyze", str(path))
+    assert code == 4
+    assert "2 rational root(s) and a factor of degree 2" in err
+
+
+_Q_PENCIL = reconstruct((2, 3), QQ).to_json()
+_Q_CONFIG = {"field": {"kind": "rationals"},
+             "points": [[1, 0], ["0", "1"], ["1", "1"], ["2", "1"], ["3", "1"]]}
+_ONE_OVER_ZERO = json.loads(json.dumps(_Q_PENCIL))
+_ONE_OVER_ZERO["A"][3][3] = "1/0"
+_MALFORMED = {
+    "pencil-field-not-object": dict(_Q_PENCIL, field=7),
+    "pencil-one-over-zero": _ONE_OVER_ZERO,
+    "pencil-A-not-matrix": dict(_Q_PENCIL, A=5),
+    "config-field-not-object": dict(_Q_CONFIG, field=7),
+    "config-no-field": {"points": _Q_CONFIG["points"]},
+    "config-points-not-list": dict(_Q_CONFIG, points=5),
+    "config-point-not-pair": dict(_Q_CONFIG, points=_Q_CONFIG["points"][:4] + [3]),
+    "config-point-one-over-zero": dict(
+        _Q_CONFIG, points=_Q_CONFIG["points"][:4] + [["1/0", "1"]]),
+}
+# every command reads pencil files; only aut reads configuration files
+_MALFORMED_RUNS = [(name, command) for name in _MALFORMED
+                   for command in ("analyze", "iso", "aut", "minimal", "count-points")
+                   if name.startswith("pencil") or command == "aut"]
+
+
+@pytest.mark.parametrize("name,command", _MALFORMED_RUNS)
+def test_malformed_input_exits_2(capsys, tmp_path, name, command):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(_MALFORMED[name]))
+    files = [str(path)] * (2 if command == "iso" else 1)
+    code, out, err = run_cli(capsys, command, *files)
+    assert code == 2, err
+    assert out == "" and err.startswith("error: ")
+
+
+def test_reconstruct_one_over_zero_exits_2(capsys):
+    code, _, err = run_cli(capsys, "reconstruct", "--lambda", "1/0", "--mu", "3")
+    assert code == 2 and "1/0" in err
+
+
+_json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-20, 20),
+    st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=6),
+    st.sampled_from(["1/0", "3/4", "-2", "[1, 2]", "[0,1]", "x", ""]))
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=6) | st.dictionaries(
+        st.text(max_size=4), inner, max_size=3),
+    max_leaves=12)
+_descriptors = st.one_of(
+    _json_values,
+    st.just({"kind": "rationals"}),
+    st.fixed_dictionaries({"kind": st.just("prime-field"),
+                           "p": st.sampled_from([1, 2, 3, 5, 7, 9, 11, 13, "5", 5.0])}),
+    # small degrees only: the canonical-modulus search is exponential in the degree
+    st.fixed_dictionaries({"kind": st.just("extension-field"),
+                           "p": st.sampled_from([3, 5, 7, 4]),
+                           "degree": st.integers(-1, 3)}),
+)
+_coords = st.one_of(st.integers(-6, 6), _json_scalars, st.lists(st.integers(-3, 3), max_size=3))
+_points = st.one_of(
+    _json_values,
+    st.lists(st.lists(st.integers(-6, 6), min_size=2, max_size=2), min_size=5, max_size=5),
+    st.lists(st.one_of(st.lists(_coords, min_size=2, max_size=2), _json_values),
+             min_size=3, max_size=7),
+)
+_configuration_files = st.one_of(
+    st.fixed_dictionaries({"field": _descriptors, "points": _points}),
+    _json_values)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(obj=_configuration_files)
+def test_aut_configuration_files_get_a_documented_exit_code(capsys, tmp_path, obj):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(obj))
+    code, _, err = run_cli(capsys, "aut", str(path))
+    assert code in {0, 1, 2, 3, 4}
+    assert "Traceback" not in err
 
 
 def test_analysis_report_finds_the_degenerate_points_once(monkeypatch):

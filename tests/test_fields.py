@@ -6,7 +6,7 @@ import pytest
 
 from qdp4.fields import (GF, QQ, DegenerateInputError, FieldMismatchError, Poly,
                          UnsupportedFieldError, embed, embed_poly, factor,
-                         field_from_descriptor, is_square, is_square_in_subfield,
+                         field_from_descriptor, is_square,
                          poly_gcd, rational_roots, scalar_from_json,
                          scalar_to_json, split_root, squarefree)
 
@@ -247,13 +247,6 @@ def test_is_square_agrees_with_exhaustive_squaring():
             if a.is_zero():
                 continue
             assert is_square(a) == (a in squares), (p, k, a)
-
-
-def test_is_square_in_subfield():
-    F25 = GF(5, 2)
-    two = embed(GF(5)(2), F25)
-    assert is_square(two)                      # 2 becomes a square in F_25
-    assert not is_square_in_subfield(two, 1)   # but is not one in F_5
 
 
 def test_rational_roots():

@@ -1,9 +1,12 @@
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
-from qdp4.fields import GF, QQ, FieldMismatchError
-from qdp4.pencil import canonical_invariant, reconstruct
+from qdp4 import wpline
+from qdp4.fields import GF, QQ, FieldMismatchError, scalar_key
+from qdp4.pencil import QuadricPencil, canonical_invariant, point_configuration, reconstruct
 from qdp4.wpline import (Moebius, PointConfiguration, ProjPoint, aut_group,
                          moebius_between_triples, moebius_to_inf_zero_one,
                          pgl2_match)
@@ -27,9 +30,8 @@ def test_apply_identity_and_inversion():
 def test_apply_three_minus_z_preserves_example_set():
     C = config(QQ, (0, 1, 2, 3))
     m = Moebius(QQ, QQ(-1), QQ(3), QQ(0), QQ(1))  # z -> 3 - z
-    assert {m(p) for p in C.points} == C.point_set()
     # fixes infinity, swaps 0<->3 and 1<->2
-    assert C.induced_permutation(m) == (0, 4, 3, 2, 1)
+    assert [m(p) for p in C.points] == [C.points[i] for i in (0, 4, 3, 2, 1)]
 
 
 def test_moebius_to_inf_zero_one():
@@ -74,7 +76,7 @@ def test_pgl2_match_random_image():
         image = C.apply(m)
         found = pgl2_match(C, image)
         assert found is not None
-        assert {found(p) for p in C.points} == image.point_set()
+        assert {found(p) for p in C.points} == set(image.points)
 
 
 def test_pgl2_match_negative():
@@ -170,3 +172,128 @@ def test_entries_in_subfield_flag():
     assert m_rational.entries_in_subfield(1)
     m_not = Moebius(F25, F25.gen(), F25(1), F25(0), F25(1))
     assert not m_not.entries_in_subfield(1)
+
+
+# --- the cross-ratio table against the 60-map enumeration ---------------------
+
+def reference_aut_group(c):
+    """Every map sending points 0, 1, 2 to an ordered triple of the
+    configuration, kept when it permutes the points, sorted by permutation."""
+    index = {p: i for i, p in enumerate(c.points)}
+    out = []
+    for dst in itertools.permutations(c.points, 3):
+        m = moebius_between_triples(c.points[:3], dst)
+        images = [m(p) for p in c.points]
+        if set(images) == set(c.points):
+            out.append((m, tuple(index[q] for q in images)))
+    out.sort(key=lambda mp: mp[1])
+    return out
+
+
+def reference_match(c1, c2):
+    """The first of the 60 candidate maps, in permutation order, carrying c1 onto c2."""
+    for dst in itertools.permutations(c2.points, 3):
+        m = moebius_between_triples(c1.points[:3], dst)
+        if {m(p) for p in c1.points} == set(c2.points):
+            return m
+    return None
+
+
+def reference_invariant(c):
+    """The sorted (lambda, mu) pairs of the 120 orderings, each through the
+    explicit map sending the first three points to infinity, 0, 1."""
+    pairs = set()
+    for ordering in itertools.permutations(c.points):
+        m = moebius_to_inf_zero_one(*ordering[:3])
+        pairs.add((m(ordering[3]).affine_value(), m(ordering[4]).affine_value()))
+    return sorted(pairs, key=lambda lm: (scalar_key(lm[0]), scalar_key(lm[1])))
+
+
+def diagonal_pencil(c):
+    """A pencil whose degenerate points are the configuration's: the member
+    at (u : v) of diag(u_i) and diag(v_i) loses rank exactly at the points."""
+    F = c.field
+    diag = [[[F.zero] * 5 for _ in range(5)] for _ in range(2)]
+    for i, p in enumerate(c.points):
+        diag[0][i][i], diag[1][i][i] = p.u, p.v
+    return QuadricPencil(F, *diag)
+
+
+def random_configuration(field, rng, infinity):
+    if field.is_rational:
+        values = set()
+        while len(values) < 5 - infinity:
+            values.add(Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+    else:
+        values = rng.sample(list(field.elements()), 5 - infinity)
+    return config(field, sorted(values, key=scalar_key), infinity)
+
+
+def random_moebius(field, rng):
+    while True:
+        if field.is_rational:
+            entries = [Fraction(rng.randint(-5, 5)) for _ in range(4)]
+        else:
+            entries = [rng.choice(list(field.elements())) for _ in range(4)]
+        try:
+            return Moebius(field, *entries)
+        except ValueError:
+            continue
+
+
+def oracle_configurations():
+    rng = random.Random(2024)
+    out = []
+    for field in (QQ, GF(7), GF(3, 2), GF(5, 2)):
+        for infinity in (True, False):
+            out += [random_configuration(field, rng, infinity) for _ in range(3)]
+    out.append(config(GF(5), range(5), infinity=False))              # |Aut| = 20
+    out.append(config(GF(11), (1, 3, 4, 5, 9), infinity=False))      # fifth roots of 1
+    out.append(config(QQ, (0, 1, 2, 3)))                             # |Aut| = 2
+    return out
+
+
+def test_cross_ratio_table_agrees_with_the_60_map_enumeration():
+    rng = random.Random(7)
+    configs = oracle_configurations()
+    orders = [len(aut_group(c)) for c in configs]
+    assert orders[-3:] == [20, 10, 2]
+    negatives = 0
+    for c, other in zip(configs, configs[1:] + configs[:1]):
+        assert aut_group(c) == reference_aut_group(c)
+        P = diagonal_pencil(c)
+        assert point_configuration(P) == c
+        assert ([nf.pair() for nf in canonical_invariant(P)] ==
+                reference_invariant(c))
+        image = c.apply(random_moebius(c.field, rng))
+        m = pgl2_match(c, image)
+        assert m is not None and m == reference_match(c, image)
+        if other.field == c.field:
+            expected = reference_match(c, other)
+            assert pgl2_match(c, other) == expected
+            negatives += expected is None
+    assert negatives >= 10
+
+
+def test_aut_group_and_match_build_only_the_maps_they_return(monkeypatch):
+    built = []
+    real = wpline.moebius_between_triples
+
+    def counted(src, dst):
+        built.append(dst)
+        return real(src, dst)
+
+    monkeypatch.setattr(wpline, "moebius_between_triples", counted)
+    rng = random.Random(3)
+    configs = oracle_configurations()
+    for c, other in zip(configs, configs[1:] + configs[:1]):
+        built.clear()
+        G = aut_group(c)
+        assert len(built) == len(G)
+        built.clear()
+        assert pgl2_match(c, c.apply(random_moebius(c.field, rng))) is not None
+        assert len(built) == 1
+        if other.field == c.field:
+            built.clear()
+            found = pgl2_match(c, other)
+            assert len(built) == (found is not None)
