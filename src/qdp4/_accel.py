@@ -97,22 +97,19 @@ def count_zero_pairs(CA, CB, add, mul, q):
 # Exhaustive retract homomorphism check over all 3840^2 composable pairs
 # ---------------------------------------------------------------------------
 
-def _retract_numpy(perm_mul, mask_apply, retract_mask, chunk=256):
+def retract_homomorphism_violations(perm_mul, mask_apply, retract_mask):
+    """Count of pairs (a, b) in B5 x B5 with retract(ab) != retract(a) retract(b),
+    in chunks of 256 left factors."""
     n = 3840
     idx = np.arange(n, dtype=np.int64)
     pall, mall = idx // 32, idx % 32
     bad = 0
-    for start in range(0, n, chunk):
-        pa = pall[start:start + chunk, None]
-        ma = mall[start:start + chunk, None]
+    for start in range(0, n, 256):
+        pa = pall[start:start + 256, None]
+        ma = mall[start:start + 256, None]
         pab = perm_mul[pa, pall[None, :]]
         m_ab = ma ^ mask_apply[pa, mall[None, :]]
         lhs = 32 * pab + retract_mask[m_ab]
         rhs = 32 * pab + (retract_mask[ma] ^ mask_apply[pa, retract_mask[mall[None, :]]])
         bad += int(np.count_nonzero(lhs != rhs))
     return bad
-
-
-def retract_homomorphism_violations(perm_mul, mask_apply, retract_mask):
-    """Count of pairs (a, b) in B5 x B5 with retract(ab) != retract(a) retract(b)."""
-    return _retract_numpy(perm_mul, mask_apply, retract_mask)

@@ -1,13 +1,14 @@
 """Command-line front end: JSON in, JSON out, documented exit codes.
 
-Exit codes: 0 success (iso: isomorphic), 1 negative verdict / failed suite,
-2 parse error, 3 not smooth, 4 unsupported field.
+Exit codes: 0 success (iso: isomorphic), 1 negative verdict / failed suite /
+closed stdout, 2 parse error, 3 not smooth, 4 unsupported field.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import contextmanager
 
@@ -16,7 +17,7 @@ from .fields import (GF, QQ, FieldMismatchError, UnsupportedFieldError,
                      field_from_descriptor, scalar_from_json, scalar_to_json)
 from .groupoids import (FiniteGroupoid, GroupoidFunctor, build_psi, check_functor,
                         check_groupoid, find_splitting, injective_on_iso_classes,
-                        verify_heavy_separability)
+                        standard_choice, verify_heavy_separability)
 from .hyperoct import CycleSignature, fiber_product
 from .pencil import (NotSmoothError, QuadricPencil, ResourceLimitError,
                      UnsupportedSplittingError, canonical_invariant,
@@ -34,7 +35,8 @@ EXIT_UNSUPPORTED = 4
 
 
 def _emit(obj) -> None:
-    print(json.dumps(obj, indent=2))
+    # flushed here, so that a closed stdout raises inside main, not at exit
+    print(json.dumps(obj, indent=2), flush=True)
 
 
 def _load_json(path: str):
@@ -120,13 +122,17 @@ def analysis_report(P: QuadricPencil) -> dict:
     else:
         report["signature"] = sig.to_json()
         report["minimal"] = picard.is_minimal(sig)
-        report["ranks"] = {
-            "picard": kgroups.g_invariant_rank(sig, "picard"),
+        report["ranks"] = _ranks(sig)
+    return report
+
+
+def _ranks(sig: CycleSignature) -> dict:
+    """The G-invariant ranks; the surface K0 is defined for five points only."""
+    return {"picard": kgroups.g_invariant_rank(sig, "picard"),
             "wpl_k0": kgroups.g_invariant_rank(sig, "wpl"),
             "torsion": kgroups.g_invariant_rank(sig, "torsion"),
-            "surface_k0": kgroups.g_invariant_rank(sig, "surface-k0"),
-        }
-    return report
+            "surface_k0": kgroups.g_invariant_rank(sig, "surface-k0")
+            if sig.total() == 5 else None}
 
 
 # ---------------------------------------------------------------------------
@@ -211,24 +217,12 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_kgroups_ranks(args) -> int:
-    try:
+    with _parsing("signature"):
         sig = CycleSignature.from_json(json.loads(args.signature))
-    except (json.JSONDecodeError, ValueError, TypeError) as exc:
-        raise ParseFailure(f"bad signature: {exc}") from exc
-    n = sig.total()
-    report = {
-        "signature": sig.to_json(),
-        "points": n,
-        "picard": kgroups.g_invariant_rank(sig, "picard", n),
-        "wpl_k0": kgroups.g_invariant_rank(sig, "wpl", n),
-        "torsion": kgroups.g_invariant_rank(sig, "torsion", n),
-        "surface_k0": kgroups.g_invariant_rank(sig, "surface-k0", n)
-        if n == 5 else None,
-        "minimal": sig.plus_cycles() == 0,
-        "conic_bundle": kgroups.conic_bundle_ranks(n, sig,
-                                                   sig.plus_cycles() == 0),
-    }
-    _emit(report)
+    minimal = sig.plus_cycles() == 0
+    _emit({"signature": sig.to_json(), "points": sig.total(), **_ranks(sig),
+           "minimal": minimal,
+           "conic_bundle": kgroups.conic_bundle_ranks(sig.total(), sig, minimal)})
     return EXIT_OK
 
 
@@ -249,56 +243,45 @@ def cmd_kgroups_gram(args) -> int:
 
 def cmd_groupoid_verify(args) -> int:
     obj = _load_json(args.file)
-    try:
+    with _parsing("groupoid file"):
         G = FiniteGroupoid.from_json(obj)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ParseFailure(f"bad groupoid file: {exc}") from exc
     witness = check_groupoid(G)
     report = {"valid": witness is None, "witness": witness}
     ok = witness is None
-    if args.functor and ok:
-        fobj = _load_json(args.functor)
-        try:
-            target = FiniteGroupoid.from_json(fobj["target"])
-            phi = GroupoidFunctor(G, target, fobj["objects"], fobj["morphisms"])
-        except (KeyError, ValueError, TypeError) as exc:
-            raise ParseFailure(f"bad functor file: {exc}") from exc
-        fwitness = check_functor(phi)
-        report["functor_valid"] = fwitness is None
-        report["functor_witness"] = fwitness
-        if fwitness is None:
-            injective = injective_on_iso_classes(phi)
-            report["injective_on_iso_classes"] = injective
-            heavy = False
-            if injective:
-                classes = G.iso_classes()
-                base_objects = {}
-                isos = {}
-                psi_by_base = {}
-                found_all = True
-                for cls in classes:
-                    x0 = cls[0]
-                    psi = find_splitting(phi, x0)
-                    if psi is None:
-                        found_all = False
-                        break
-                    psi_by_base[x0] = psi
-                    for x in cls:
-                        base_objects[x] = x0
-                        isos[x] = G.hom(x0, x)[0]
-                report["splitting_found"] = found_all
-                if found_all:
-                    Psi = build_psi(phi, psi_by_base, base_objects, isos)
-                    heavy, hw = verify_heavy_separability(phi, Psi)
-                    report["heavy_separability_witness"] = hw
-            else:
-                report["splitting_found"] = None
-            report["heavily_separable"] = heavy
-            ok = heavy
-        else:
-            ok = False
+    if ok and args.functor:
+        ok = _functor_report(G, args.functor, report)
     _emit(report)
     return EXIT_OK if ok else EXIT_NEGATIVE
+
+
+def _functor_report(G: FiniteGroupoid, path: str, report: dict) -> bool:
+    """Adds the functor verdicts to report; True iff the functor is heavily
+    separable.  The splitting search stops at the first class without one."""
+    fobj = _load_json(path)
+    with _parsing("functor file"):
+        target = FiniteGroupoid.from_json(fobj["target"])
+        phi = GroupoidFunctor(G, target, fobj["objects"], fobj["morphisms"])
+    witness = check_functor(phi)
+    report["functor_valid"] = witness is None
+    report["functor_witness"] = witness
+    if witness is not None:
+        return False
+    injective = report["injective_on_iso_classes"] = injective_on_iso_classes(phi)
+    report["splitting_found"] = None
+    heavy = False
+    if injective:
+        base_objects, isos = standard_choice(G)
+        psi_by_base = {}
+        for x0 in dict.fromkeys(base_objects.values()):
+            psi_by_base[x0] = find_splitting(phi, x0)
+            if psi_by_base[x0] is None:
+                break
+        report["splitting_found"] = None not in psi_by_base.values()
+        if report["splitting_found"]:
+            Psi = build_psi(phi, psi_by_base, base_objects, isos)
+            heavy, report["heavy_separability_witness"] = verify_heavy_separability(phi, Psi)
+    report["heavily_separable"] = heavy
+    return heavy
 
 
 def cmd_selftest(args) -> int:
@@ -371,6 +354,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except BrokenPipeError:  # the reader closed stdout; keep the exit flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_NEGATIVE
     except ParseFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

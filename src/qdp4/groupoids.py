@@ -8,6 +8,9 @@ import random
 from dataclasses import dataclass
 
 
+MAX_SPLITTING_GROUP_ORDER = 256  # find_splitting's brute-force bound on |Aut_D|
+
+
 class InvalidGroupError(ValueError):
     pass
 
@@ -118,10 +121,6 @@ def check_groupoid(G: FiniteGroupoid):
     return None
 
 
-def validate(G: FiniteGroupoid) -> bool:
-    return check_groupoid(G) is None
-
-
 @dataclass(frozen=True)
 class GroupoidFunctor:
     source: FiniteGroupoid
@@ -156,10 +155,6 @@ def check_functor(phi: GroupoidFunctor):
     return None
 
 
-def validate_functor(phi: GroupoidFunctor) -> bool:
-    return check_functor(phi) is None
-
-
 def injective_on_iso_classes(phi: GroupoidFunctor) -> bool:
     C, D = phi.source, phi.target
     reps = [cls[0] for cls in C.iso_classes()]
@@ -190,6 +185,19 @@ def _check_splitting(phi: GroupoidFunctor, x0, psi: dict):
         if psi[phi.mor(g)] != g:
             return f"splitting at {x0!r} is not a left inverse on {g!r}"
     return None
+
+
+def standard_choice(C: FiniteGroupoid):
+    """The admissible choice build_psi is given unless a caller varies it:
+    each isomorphism class's first object is its base object, and X's
+    isomorphism is the first morphism base -> X by name.  Returns
+    (base_objects, isos); the base objects appear in class order."""
+    base_objects, isos = {}, {}
+    for cls in C.iso_classes():
+        for x in cls:
+            base_objects[x] = cls[0]
+            isos[x] = C.hom(cls[0], x)[0]
+    return base_objects, isos
 
 
 def build_psi(phi: GroupoidFunctor, psi_by_base: dict, base_objects: dict,
@@ -255,21 +263,6 @@ def verify_heavy_separability(phi: GroupoidFunctor, Psi: dict):
                         rhs = C.compose(Psi[(y, z)][v], Psi[(x, y)][u])
                         if lhs != rhs:
                             return False, f"(s3) fails on ({v!r}, {u!r}) at ({x!r},{y!r},{z!r})"
-    return True, None
-
-
-def verify_naturality(phi: GroupoidFunctor, Psi: dict):
-    """The naturality squares (the condition implied by (s1) + (s3))."""
-    C, D = phi.source, phi.target
-    for a, (xp, x) in C.morphisms.items():
-        for b, (y, yp) in C.morphisms.items():
-            if (x, y) not in Psi:
-                continue
-            for u in D.hom(phi.ob(x), phi.ob(y)):
-                lhs = Psi[(xp, yp)][D.compose(phi.mor(b), D.compose(u, phi.mor(a)))]
-                rhs = C.compose(b, C.compose(Psi[(x, y)][u], a))
-                if lhs != rhs:
-                    return False, f"(s2) fails on ({a!r}, {b!r}, {u!r})"
     return True, None
 
 
@@ -342,12 +335,12 @@ def independence_check(phi: GroupoidFunctor, psi_all: dict,
     return True
 
 
-def find_splitting(phi: GroupoidFunctor, x0, max_group_order: int = 256):
+def find_splitting(phi: GroupoidFunctor, x0):
     """Brute-force left-inverse homomorphism Aut_D(phi(x0)) -> Aut_C(x0), or None."""
     C, D = phi.source, phi.target
     aut_d = D.aut(phi.ob(x0))
     aut_c = C.aut(x0)
-    if len(aut_d) > max_group_order:
+    if len(aut_d) > MAX_SPLITTING_GROUP_ORDER:
         raise InvalidGroupError("automorphism group exceeds the search bound")
     e_d = D.identities[phi.ob(x0)]
     e_c = C.identities[x0]
@@ -398,29 +391,11 @@ def find_splitting(phi: GroupoidFunctor, x0, max_group_order: int = 256):
     return None
 
 
-def build_left_inverse_functor(phi: GroupoidFunctor, Psi: dict):
-    """A functor on the image with Psi_functor o phi == id on a chosen-object
-    subcategory; realizes the left-inverse-functor characterization."""
-    C, D = phi.source, phi.target
-    chosen = {}
-    for x in C.objects:
-        d = phi.ob(x)
-        chosen.setdefault(d, x)
-    object_map = dict(chosen)
-    morphism_map = {}
-    for (x, y), table in Psi.items():
-        if chosen[phi.ob(x)] != x or chosen[phi.ob(y)] != y:
-            continue
-        for u, f in table.items():
-            morphism_map[u] = f
-    return object_map, morphism_map
-
-
 # ---------------------------------------------------------------------------
 # Constructions (used by tests and the CLI selftest)
 # ---------------------------------------------------------------------------
 
-def group_groupoid(tag: str, objects, elements, mul, inverse=None):
+def group_groupoid(tag: str, objects, elements, mul):
     """Connected groupoid with Hom(X, Y) = {(X, Y, g)}: composition
     (Y,Z,h) o (X,Y,g) = (X,Z,h*g).  Morphism names are f"{tag}:{X}>{Y}:{g}"."""
     objects = tuple(objects)

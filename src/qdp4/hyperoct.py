@@ -42,11 +42,6 @@ class SignedPerm:
     def identity(cls, n: int = 5):
         return cls(tuple(range(n)), (1,) * n)
 
-    @classmethod
-    def central_flip(cls, n: int = 5):
-        """The all-signs-flip element c: odd, central, of order 2."""
-        return cls(tuple(range(n)), (-1,) * n)
-
     def compose(self, other: "SignedPerm") -> "SignedPerm":
         """self after other."""
         sigma, eps = self.perm, self.signs
@@ -70,17 +65,9 @@ class SignedPerm:
         signs = tuple(self.signs[self.perm[j]] for j in range(n))
         return SignedPerm(tuple(inv), signs)
 
-    def act(self, pair):
-        i, s = pair
-        j = self.perm[i]
-        return (j, s * self.signs[j])
-
     def is_even(self) -> bool:
         """Parity of the induced permutation of the 10-element doubled set."""
         return self.signs.count(-1) % 2 == 0
-
-    def is_identity(self) -> bool:
-        return self == SignedPerm.identity(len(self.perm))
 
     def to_json(self):
         return {"perm": [i + 1 for i in self.perm], "signs": list(self.signs)}
@@ -95,19 +82,6 @@ def retract(a: SignedPerm) -> SignedPerm:
     if a.is_even():
         return a
     return SignedPerm(a.perm, tuple(-s for s in a.signs))
-
-
-def doubled_permutation(a: SignedPerm):
-    """The induced permutation of the 10 points (i, +1), (i, -1), as an image tuple.
-
-    Point (i, s) is indexed 2*i for s = +1 and 2*i + 1 for s = -1.
-    """
-    images = []
-    for i in range(len(a.perm)):
-        for s in (1, -1):
-            j, t = a.act((i, s))
-            images.append(2 * j + (0 if t == 1 else 1))
-    return tuple(images)
 
 
 @lru_cache(maxsize=None)
@@ -294,16 +268,3 @@ def index_tables():
                              for m in range(32)], dtype=np.int64)
     return perms, perm_mul, mask_apply, retract_mask
 
-
-def signed_perm_index(a: SignedPerm) -> int:
-    perms, _, _, _ = index_tables()
-    pidx = perms.index(a.perm)
-    mask = sum(1 << j for j in range(5) if a.signs[j] == -1)
-    return 32 * pidx + mask
-
-
-def signed_perm_from_index(e: int) -> SignedPerm:
-    perms, _, _, _ = index_tables()
-    pidx, mask = divmod(e, 32)
-    signs = tuple(-1 if (mask >> j) & 1 else 1 for j in range(5))
-    return SignedPerm(perms[pidx], signs)

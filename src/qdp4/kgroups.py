@@ -26,9 +26,6 @@ class K0ClassX:
     c1: tuple
     s2: int
 
-    def vector(self):
-        return (self.r,) + tuple(self.c1) + (self.s2,)
-
     @classmethod
     def from_vector(cls, v):
         return cls(int(v[0]), tuple(int(x) for x in v[1:7]), int(v[7]))
@@ -53,10 +50,6 @@ def euler_x(u: K0ClassX, v: K0ClassX) -> Fraction:
            + Fraction(ru * sv + rv * su, 2)
            - Fraction(intersect(Du, Dv)))
     return val
-
-
-def euler_vec(u, v) -> Fraction:
-    return euler_x(K0ClassX.from_vector(u), K0ClassX.from_vector(v))
 
 
 def full_k0_gram():
@@ -193,79 +186,37 @@ def wpl_pair_gram(n: int):
     return out
 
 
-def orbit_sum_self_pairing(n: int, orbit):
-    """chi(e, e) for e the sum of the simples S_j, j in orbit (one per point)."""
-    G = wpl_gram(n)
-    size = 2 + n
-    e = [0] * size
-    for j in orbit:
-        e[2 + j] = 1
-    return sum(e[x] * G[x][y] * e[y] for x in range(size) for y in range(size))
-
-
-def point_class_self_pairing(n: int):
-    G = wpl_gram(n)
-    size = 2 + n
-    f = [0] * size
-    f[1] = 1
-    return sum(f[x] * G[x][y] * f[y] for x in range(size) for y in range(size))
-
-
 # ---------------------------------------------------------------------------
 # G-invariant ranks
 # ---------------------------------------------------------------------------
 
-_SPACES = ("picard", "wpl", "torsion", "surface-k0")
+# Per space: the fixed classes before and after the n simples, and the row
+# (a fixed class, [O] or [O_pt]) to which a sign-flipped simple adds itself,
+# S -> [fixed] - S, or None where a flip is a plain sign change.
+_LAYOUTS = {
+    "picard": (1, 0, None),      # K, hbar_1..hbar_n
+    "wpl": (2, 0, 1),            # [O], [O_pt], S_1..S_n
+    "torsion": (1, 0, 0),        # [O_pt], S_1..S_n
+    "surface-k0": (2, 1, None),  # rank, K, hbar_1..hbar_n, second Z summand
+}
+_SPACES = tuple(_LAYOUTS)
 
 
 def _action_matrix(sp: SignedPerm, space: str):
-    """Integer matrix of the signature action on the chosen lattice.
-
-    The action fixes [O] and [O_pt] and permutes the simples per the signed
-    permutation, a -1 sign swapping S -> [O_pt] - S at the target point.
-    """
+    """Integer matrix of the signature action on the chosen lattice: the
+    fixed classes stay, simple i goes to +-simple perm[i] with the sign of
+    its target, and a -1 sign also adds the flip row's class."""
+    if space not in _LAYOUTS:
+        raise ValueError(f"space must be one of {_SPACES}")
+    before, after, flip_row = _LAYOUTS[space]
     n = len(sp.perm)
-    if space == "picard":
-        M = np.zeros((1 + n, 1 + n), dtype=np.int64)
-        M[0, 0] = 1
-        for i in range(n):
-            M[1 + sp.perm[i], 1 + i] = sp.signs[sp.perm[i]]
-        return M
-    if space == "surface-k0":
-        # basis: rank, K, hbar_1..hbar_n, second Z summand
-        M = np.zeros((3 + n, 3 + n), dtype=np.int64)
-        M[0, 0] = 1
-        M[1, 1] = 1
-        M[2 + n, 2 + n] = 1
-        for i in range(n):
-            M[2 + sp.perm[i], 2 + i] = sp.signs[sp.perm[i]]
-        return M
-    if space == "wpl":
-        size = 2 + n
-        M = np.zeros((size, size), dtype=np.int64)
-        M[0, 0] = 1
-        M[1, 1] = 1
-        for i in range(n):
-            j = sp.perm[i]
-            if sp.signs[j] == 1:
-                M[2 + j, 2 + i] = 1
-            else:
-                M[2 + j, 2 + i] = -1
-                M[1, 2 + i] = 1
-        return M
-    if space == "torsion":
-        size = 1 + n
-        M = np.zeros((size, size), dtype=np.int64)
-        M[0, 0] = 1
-        for i in range(n):
-            j = sp.perm[i]
-            if sp.signs[j] == 1:
-                M[1 + j, 1 + i] = 1
-            else:
-                M[1 + j, 1 + i] = -1
-                M[0, 1 + i] = 1
-        return M
-    raise ValueError(f"space must be one of {_SPACES}")
+    M = np.eye(before + n + after, dtype=np.int64)
+    M[before:before + n, before:before + n] = 0
+    for i, j in enumerate(sp.perm):
+        M[before + j, before + i] = sp.signs[j]
+        if sp.signs[j] == -1 and flip_row is not None:
+            M[flip_row, before + i] = 1
+    return M
 
 
 def invariant_rank_of_action(sp: SignedPerm, space: str) -> int:
@@ -275,7 +226,7 @@ def invariant_rank_of_action(sp: SignedPerm, space: str) -> int:
     return int_kernel_dim((M - np.eye(n, dtype=np.int64)).tolist())
 
 
-def closed_form_rank(sig: CycleSignature, space: str, n: int | None = None) -> int:
+def closed_form_rank(sig: CycleSignature, space: str) -> int:
     plus = sig.plus_cycles()
     if space == "picard":
         return 1 + plus
@@ -288,15 +239,11 @@ def closed_form_rank(sig: CycleSignature, space: str, n: int | None = None) -> i
     raise ValueError(f"space must be one of {_SPACES}")
 
 
-def g_invariant_rank(sig: CycleSignature, space: str, n: int | None = None) -> int:
+def g_invariant_rank(sig: CycleSignature, space: str) -> int:
     """Rank of the G-invariant part of the chosen lattice, by exact kernel
     computation on a realizing signed permutation."""
-    if n is None:
-        n = sig.total()
-    if sig.total() != n:
-        raise ValueError("signature does not act on the requested number of points")
     rank = invariant_rank_of_action(sig.representative(), space)
-    assert rank == closed_form_rank(sig, space, n)
+    assert rank == closed_form_rank(sig, space)
     return rank
 
 
@@ -307,5 +254,5 @@ def conic_bundle_ranks(n: int, sig: CycleSignature, relatively_minimal: bool):
         raise ValueError("signature cycles must sum to the number of degenerate fibres")
     if relatively_minimal and sig.plus_cycles() > 0:
         raise ValueError("a relatively minimal action admits no +1 cycles on the fibres")
-    atom_rank = g_invariant_rank(sig, "wpl", n)
+    atom_rank = g_invariant_rank(sig, "wpl")
     return {"k0x_rank": atom_rank + 2, "atom_rank": atom_rank}

@@ -53,7 +53,7 @@ def _rref(mat):
     return rows, pivots
 
 
-def rank(mat, field) -> int:
+def rank(mat) -> int:
     """Rank over the coefficient field."""
     return len(_rref(mat)[1])
 

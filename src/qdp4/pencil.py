@@ -63,7 +63,7 @@ class QuadricPencil:
                         raise ValueError("pencil matrices must be symmetric")
         flat = [list(itertools.chain.from_iterable(A)),
                 list(itertools.chain.from_iterable(B))]
-        if rank(flat, field) < 2:
+        if rank(flat) < 2:
             raise DegeneratePencilError("matrices are proportional")
         self.field = field
         self.A = A
@@ -80,8 +80,12 @@ class QuadricPencil:
         from .fields import field_from_descriptor
         if field is None:
             field = field_from_descriptor(obj["field"])
-        A = [[scalar_from_json(field, x) for x in row] for row in obj["A"]]
-        B = [[scalar_from_json(field, x) for x in row] for row in obj["B"]]
+        mats = obj["A"], obj["B"]
+        if not all(isinstance(M, list) and all(isinstance(r, list) for r in M)
+                   for M in mats):
+            raise ValueError("pencil matrices A and B must be lists of rows, "
+                             "each row a list of entries")
+        A, B = ([[scalar_from_json(field, x) for x in row] for row in M] for M in mats)
         return cls(field, A, B)
 
     def __repr__(self):
@@ -475,52 +479,20 @@ def galois_signature(P: QuadricPencil) -> CycleSignature:
 @lru_cache(maxsize=None)
 def _encoded_tables(p: int, k: int):
     """Addition and multiplication tables for F_{p^k} encoded as 0..q-1
-    (element sum c_i x^i encoded as sum c_i p^i)."""
+    (element sum c_i x^i encoded as sum c_i p^i).
+
+    With digits[b] the coefficient vector of b and shifts[i][b] that of
+    x^i b, reduced by x^k = -(modulus[:k]), a b = sum_i a_i x^i b."""
     q = p ** k
-    if k == 1:
-        a = np.arange(q, dtype=np.int64)
-        add = (a[:, None] + a[None, :]) % p
-        mul = (a[:, None] * a[None, :]) % p
-        return add.astype(np.int64), mul.astype(np.int64)
-    field = GF(p, k)
-    digits = np.zeros((q, k), dtype=np.int64)
-    e = np.arange(q)
-    for i in range(k):
-        digits[:, i] = (e // p ** i) % p
-    add = np.zeros((q, q), dtype=np.int64)
-    for i in range(k):
-        add += ((digits[:, None, i] + digits[None, :, i]) % p) * p ** i
-    elems = [field(tuple(int(digits[e0, i]) for i in range(k))) for e0 in range(q)]
-    enc = {el: i for i, el in enumerate(elems)}
-    # multiplicative generator by order test
-    def prime_factors(n):
-        fs = set()
-        d = 2
-        while d * d <= n:
-            while n % d == 0:
-                fs.add(d)
-                n //= d
-            d += 1
-        if n > 1:
-            fs.add(n)
-        return fs
-    pf = prime_factors(q - 1)
-    gen = None
-    for cand in elems[1:]:
-        if all(cand ** ((q - 1) // ell) != field.one for ell in pf):
-            gen = cand
-            break
-    log = np.zeros(q, dtype=np.int64)
-    antilog = np.zeros(q - 1, dtype=np.int64)
-    cur = field.one
-    for i in range(q - 1):
-        ec = enc[cur]
-        antilog[i] = ec
-        log[ec] = i
-        cur = cur * gen
-    mul = np.zeros((q, q), dtype=np.int64)
-    li = log[1:]
-    mul[1:, 1:] = antilog[(li[:, None] + li[None, :]) % (q - 1)]
+    digits = np.arange(q)[:, None] // p ** np.arange(k) % p
+    shifts = [digits]
+    for _ in range(k - 1):
+        s = shifts[-1]
+        shifts.append((np.pad(s[:, :-1], ((0, 0), (1, 0)))
+                       - s[:, -1:] * np.array(GF(p, k).modulus[:k])) % p)
+    weights = p ** np.arange(k)
+    add = ((digits[:, None, :] + digits[None, :, :]) % p) @ weights
+    mul = (np.einsum("ai,ibj->abj", digits, np.stack(shifts)) % p) @ weights
     return add, mul
 
 

@@ -4,13 +4,11 @@ D5 root system and Weyl group, and Galois-invariant rank certificates."""
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from .hyperoct import CycleSignature, SignedPerm
-from .linalg import int_kernel_dim
 
 
 class InvalidClassError(ValueError):
@@ -188,41 +186,11 @@ def to_signed_perm(w: np.ndarray) -> SignedPerm:
     return SignedPerm(tuple(perm), tuple(signs))
 
 
-def matrix_on_standard_basis(sp: SignedPerm):
-    """Action on the standard basis H, E1..E5 (rational; integral iff sp is even)."""
-    hbars = _doubled_hbar()  # doubled, integral
-    # change of basis: columns K, 2*hbar_i expressed in the standard basis
-    C = np.array([K_CLASS] + [list(h) for h in hbars], dtype=np.int64).T
-    P = np.zeros((6, 6), dtype=np.int64)
-    P[0, 0] = 1
-    for i in range(5):
-        P[1 + sp.perm[i], 1 + i] = sp.signs[sp.perm[i]]
-    Cf = [[Fraction(int(C[i][j])) for j in range(6)] for i in range(6)]
-    from .linalg import frac_inverse, mat_mul
-    Cinv = frac_inverse(Cf)
-    Pf = [[Fraction(int(P[i][j])) for j in range(6)] for i in range(6)]
-    return mat_mul(Cf, mat_mul(Pf, Cinv))
-
-
-def signed_perm_matrix(sp: SignedPerm) -> np.ndarray:
-    """The 5x5 signed permutation matrix on the hbar span."""
-    M = np.zeros((5, 5), dtype=np.int64)
-    for i in range(5):
-        M[sp.perm[i], i] = sp.signs[sp.perm[i]]
-    return M
-
-
 def invariant_rank(sig: CycleSignature) -> int:
     """rank Pic^G = 1 + number of +1 cycles."""
     if sig.total() != 5:
         raise ValueError("Picard signatures act on 5 pairs")
     return 1 + sig.plus_cycles()
-
-
-def invariant_rank_kernel(sp: SignedPerm) -> int:
-    """Independent oracle: dim ker(M - I) on Pic_Q for the realizing matrix."""
-    M = signed_perm_matrix(sp)
-    return 1 + int_kernel_dim((M - np.eye(5, dtype=np.int64)).tolist())
 
 
 def is_minimal(sig: CycleSignature) -> bool:

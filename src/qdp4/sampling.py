@@ -32,7 +32,7 @@ def random_symmetric(field, rng: random.Random, n: int = 5):
 def random_invertible(field, rng: random.Random, n: int = 5):
     while True:
         M = [[random_element(field, rng) for _ in range(n)] for _ in range(n)]
-        if rank(M, field) == n:
+        if rank(M) == n:
             return M
 
 
@@ -40,9 +40,9 @@ def random_gl2(field, rng: random.Random):
     return random_invertible(field, rng, n=2)
 
 
-def random_smooth_pencil(field, rng: random.Random, tries: int = 400) -> QuadricPencil:
-    """Rejection sampling of smooth pencils over a finite field."""
-    for _ in range(tries):
+def random_smooth_pencil(field, rng: random.Random) -> QuadricPencil:
+    """Rejection sampling of smooth pencils over a finite field (400 tries)."""
+    for _ in range(400):
         try:
             P = QuadricPencil(field, random_symmetric(field, rng),
                               random_symmetric(field, rng))
@@ -53,11 +53,10 @@ def random_smooth_pencil(field, rng: random.Random, tries: int = 400) -> Quadric
     raise RuntimeError("no smooth pencil found; widen the search")
 
 
-def random_split_pencil(p: int, rng: random.Random,
-                        basis_change: bool = True) -> QuadricPencil:
+def random_split_pencil(p: int, rng: random.Random) -> QuadricPencil:
     """Random smooth pencil over F_p whose quintic splits: a random diagonal
     pencil with five distinct rational parameter points, hidden by a random
-    congruence (and optionally a pencil basis change).  Requires p >= 5."""
+    congruence and a pencil basis change.  Requires p >= 5."""
     field = GF(p)
     if p < 5:
         raise ValueError("P^1(F_p) needs at least five points")
@@ -75,10 +74,9 @@ def random_split_pencil(p: int, rng: random.Random,
     M = random_invertible(field, rng)
     A = congruence(M, A)
     B = congruence(M, B)
-    if basis_change:
-        (a, b), (c, d) = random_gl2(field, rng)
-        A, B = ([[a * A[i][j] + b * B[i][j] for j in range(5)] for i in range(5)],
-                [[c * A[i][j] + d * B[i][j] for j in range(5)] for i in range(5)])
+    (a, b), (c, d) = random_gl2(field, rng)
+    A, B = ([[a * A[i][j] + b * B[i][j] for j in range(5)] for i in range(5)],
+            [[c * A[i][j] + d * B[i][j] for j in range(5)] for i in range(5)])
     P = QuadricPencil(field, A, B)
     assert is_smooth(P)
     return P

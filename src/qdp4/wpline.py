@@ -111,10 +111,6 @@ class Moebius:
     def inverse(self) -> "Moebius":
         return Moebius(self.field, self.d, -self.b, -self.c, self.a)
 
-    def is_identity(self) -> bool:
-        return (self.a == self.d and _iszero(self.b) and _iszero(self.c)
-                and not _iszero(self.a))
-
     def entries(self):
         return (self.a, self.b, self.c, self.d)
 

@@ -9,8 +9,8 @@ from fractions import Fraction
 
 from qdp4 import _accel, kgroups, picard
 from qdp4.fields import GF, QQ
-from qdp4.groupoids import (build_psi, independence_check,
-                            verify_heavy_separability, verify_naturality)
+from qdp4.groupoids import (build_psi, independence_check, standard_choice,
+                            verify_heavy_separability)
 from qdp4.hyperoct import (CycleSignature, all_signed_perms, even_signed_perms,
                            fiber_product, index_tables, retract)
 from qdp4.linalg import congruence, mat_vec
@@ -20,6 +20,7 @@ from qdp4.pencil import (canonical_invariant, count_points,
 from qdp4.sampling import (random_gl2, random_invertible, random_smooth_pencil,
                            random_split_functor, random_split_pencil)
 from qdp4.wpline import PointConfiguration, ProjPoint, aut_group
+from test_groupoids import verify_naturality
 
 
 def ok(criterion, detail):
@@ -226,15 +227,8 @@ def test_criterion_12_heavy_separability_suite():
     instances = 0
     for i in range(100):
         phi, psi_all = random_split_functor(rng, idx=1000 + i)
-        C = phi.source
-        classes = C.iso_classes()
-        base_objects, isos, psi_by_base = {}, {}, {}
-        for cls in classes:
-            x0 = cls[0]
-            psi_by_base[x0] = psi_all[x0]
-            for x in cls:
-                base_objects[x] = x0
-                isos[x] = C.hom(x0, x)[0]
+        base_objects, isos = standard_choice(phi.source)
+        psi_by_base = {x0: psi_all[x0] for x0 in base_objects.values()}
         Psi = build_psi(phi, psi_by_base, base_objects, isos)
         s13, witness = verify_heavy_separability(phi, Psi)
         assert s13, witness

@@ -1,5 +1,6 @@
 import itertools
 import json
+import os
 import random
 import subprocess
 import sys
@@ -119,6 +120,8 @@ _MALFORMED = {
     "pencil-field-not-object": dict(_Q_PENCIL, field=7),
     "pencil-one-over-zero": _ONE_OVER_ZERO,
     "pencil-A-not-matrix": dict(_Q_PENCIL, A=5),
+    "pencil-rows-are-strings": dict(
+        _Q_PENCIL, A=["10000", "00000", "00100", "00020", "00003"]),
     "config-field-not-object": dict(_Q_CONFIG, field=7),
     "config-no-field": {"points": _Q_CONFIG["points"]},
     "config-points-not-list": dict(_Q_CONFIG, points=5),
@@ -382,6 +385,20 @@ def test_console_script_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["field"] == {"kind": "rationals"}
+
+
+@pytest.mark.parametrize("command", ["analyze", "selftest"])
+def test_closed_stdout_exits_1_without_traceback(p23, command):
+    argv = [command, p23] if command == "analyze" else [command]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "qdp4.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert proc.stderr == ""
+    assert proc.returncode == 1
 
 
 def test_kgroups_gram_command(capsys):

@@ -6,13 +6,39 @@ import pytest
 from qdp4.fields import QQ
 from qdp4.hyperoct import (CycleSignature, FiberMismatchError,
                            SignedPerm, all_signed_perms, aut0_matrices,
-                           doubled_permutation, even_signed_perms,
-                           fiber_product, index_tables, retract, retract_fiber,
-                           signed_perm_from_index, signed_perm_index)
+                           even_signed_perms, fiber_product, index_tables,
+                           retract, retract_fiber)
 from qdp4.wpline import Moebius
 
 E = SignedPerm.identity()
-C = SignedPerm.central_flip()
+C = SignedPerm(tuple(range(5)), (-1,) * 5)  # the central flip
+
+
+def doubled_permutation(a: SignedPerm):
+    """The induced permutation of the 10 points (i, +1), (i, -1), as an image tuple.
+
+    Point (i, s) is indexed 2*i for s = +1 and 2*i + 1 for s = -1.
+    """
+    images = []
+    for i in range(len(a.perm)):
+        for s in (1, -1):
+            j = a.perm[i]  # (i, s) -> (perm[i], s * signs[perm[i]])
+            images.append(2 * j + (0 if s * a.signs[j] == 1 else 1))
+    return tuple(images)
+
+
+def signed_perm_index(a: SignedPerm) -> int:
+    """Element index 32 * perm_index + sign_mask, the encoding of index_tables."""
+    perms, _, _, _ = index_tables()
+    mask = sum(1 << j for j in range(5) if a.signs[j] == -1)
+    return 32 * perms.index(a.perm) + mask
+
+
+def signed_perm_from_index(e: int) -> SignedPerm:
+    perms, _, _, _ = index_tables()
+    pidx, mask = divmod(e, 32)
+    signs = tuple(-1 if (mask >> j) & 1 else 1 for j in range(5))
+    return SignedPerm(perms[pidx], signs)
 
 
 def _parity_by_inversions(images):
@@ -113,7 +139,7 @@ def test_cycle_signature_examples():
 
 def test_trace_power_against_matrix_power():
     import numpy as np
-    from qdp4.picard import signed_perm_matrix
+    from test_picard import signed_perm_matrix
     rng = random.Random(3)
     B5 = all_signed_perms()
     for _ in range(200):

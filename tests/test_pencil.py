@@ -4,6 +4,7 @@ import random
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qdp4 import _accel, pencil
@@ -23,7 +24,7 @@ from qdp4.pencil import (DegeneratePencilError, InvalidNormalFormError,
                          simultaneous_diagonalize, splitting_field)
 from qdp4.sampling import (random_gl2, random_invertible, random_smooth_pencil,
                            random_split_pencil, random_symmetric)
-from qdp4.wpline import ProjPoint
+from qdp4.wpline import Moebius, ProjPoint
 
 
 def diag_pencil(field, a_diag, b_diag):
@@ -281,7 +282,7 @@ def test_isomorphic_certificates():
     assert pts1 == set(degenerate_parameter_points(Q))
     assert isomorphic(reconstruct((2, 3), QQ), reconstruct((2, 5), QQ)) is None
     self_cert = isomorphic(P, P)
-    assert self_cert is not None and self_cert.moebius.is_identity()
+    assert self_cert is not None and self_cert.moebius == Moebius.identity(F13)
 
 
 def test_isomorphic_field_mismatch():
@@ -607,6 +608,21 @@ def test_count_matches_brute_force():
                 n = _accel.count_zero_pairs(_encode_form(X, p), _encode_form(Y, p),
                                             add, mul, p ** k)
                 assert n == brute_force_count(X, Y, F)
+
+
+def test_encoded_tables_match_field_arithmetic():
+    # every add and mul entry is the encoded FFElem sum and product, at every
+    # F_{p^k} with k >= 2 and q <= 250, and at the prime fields F_3, F_5, F_251
+    cases = [(p, k) for p in (3, 5, 7, 11, 13) for k in range(2, 6) if p ** k <= 250]
+    for p, k in cases + [(3, 1), (5, 1), (251, 1)]:
+        F = GF(p, k)
+        elems = [F([e // p ** i % p for i in range(k)]) for e in range(p ** k)]
+        code = {x.coeffs: e for e, x in enumerate(elems)}
+        add, mul = _encoded_tables(p, k)
+        assert add.dtype == mul.dtype == np.int64
+        for a, x in enumerate(elems):
+            assert [code[(x + y).coeffs] for y in elems] == add[a].tolist()
+            assert [code[(x * y).coeffs] for y in elems] == mul[a].tolist()
 
 
 def test_four_cycle_sign_validated_by_lefschetz():

@@ -1,19 +1,46 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from qdp4.hyperoct import CycleSignature, SignedPerm, all_signed_perms, even_signed_perms
+from qdp4.linalg import frac_inverse, int_kernel_dim, mat_mul
 from qdp4.picard import (InvalidAutError, InvalidClassError, InvalidRootError,
                          K_CLASS, brute_force_classes, canonical_class,
-                         intersect, invariant_rank, invariant_rank_kernel,
-                         is_minimal, matrix_on_standard_basis, neg, pair_of,
+                         intersect, invariant_rank, is_minimal, neg, pair_of,
                          pair_representatives, reflect, reflection_matrix,
                          roots, to_signed_perm, weyl_group, zero_classes)
 from qdp4.picard import _doubled_hbar
 
 H = (1, 0, 0, 0, 0, 0)
 E1 = (0, 1, 0, 0, 0, 0)
+
+
+# --- independent oracles: the signed permutation acting on explicit matrices ---
+
+def signed_perm_matrix(sp: SignedPerm) -> np.ndarray:
+    """The 5x5 signed permutation matrix on the hbar span."""
+    M = np.zeros((5, 5), dtype=np.int64)
+    for i in range(5):
+        M[sp.perm[i], i] = sp.signs[sp.perm[i]]
+    return M
+
+
+def invariant_rank_kernel(sp: SignedPerm) -> int:
+    """dim ker(M - I) on Pic_Q for the realizing matrix."""
+    M = signed_perm_matrix(sp)
+    return 1 + int_kernel_dim((M - np.eye(5, dtype=np.int64)).tolist())
+
+
+def matrix_on_standard_basis(sp: SignedPerm):
+    """Action on the standard basis H, E1..E5 (rational; integral iff sp is even):
+    C P C^-1 with C the columns K, 2*hbar_i and P = diag(1, signed_perm_matrix(sp))."""
+    C = [[Fraction(x) for x in row] for row in zip(K_CLASS, *_doubled_hbar())]
+    P = [[Fraction(int(i == j == 0)) for j in range(6)] for i in range(6)]
+    for i, row in enumerate(signed_perm_matrix(sp).tolist()):
+        P[1 + i][1:] = [Fraction(x) for x in row]
+    return mat_mul(C, mat_mul(P, frac_inverse(C)))
 
 
 def test_intersection_form_examples():
