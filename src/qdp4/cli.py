@@ -13,8 +13,9 @@ import sys
 from contextlib import contextmanager
 
 from . import kgroups, picard, selftest
-from .fields import (GF, QQ, FieldMismatchError, UnsupportedFieldError,
-                     field_from_descriptor, scalar_from_json, scalar_to_json)
+from .fields import (QQ, FieldMismatchError, UnsupportedFieldError,
+                     described_field, field_from_descriptor, scalar_from_json,
+                     scalar_to_json)
 from .groupoids import (FiniteGroupoid, GroupoidFunctor, build_psi, check_functor,
                         check_groupoid, find_splitting, injective_on_iso_classes,
                         standard_choice, verify_heavy_separability)
@@ -75,8 +76,8 @@ def parse_field_spec(spec: str):
         return QQ
     if "^" in spec:
         p, k = spec.split("^", 1)
-        return GF(int(p), int(k))
-    return GF(int(spec))
+        return described_field(int(p), int(k))
+    return described_field(int(spec), 1)
 
 
 # ---------------------------------------------------------------------------

@@ -340,6 +340,26 @@ def GF(p: int, k: int = 1) -> FiniteField:
     return _gf_cached(int(p), int(k))
 
 
+# The largest characteristic and extension degree that input may name.  On a
+# 2-vCPU VM, trial division proves the largest prime below 2^40 prime in
+# 0.04 s, and the modulus search builds GF(3, k) and GF(5, k) in at most
+# 0.25 s for every k <= 16 (GF(3, 27) takes 3.1 s, GF(3, 39) 13 s).
+MAX_P = 2 ** 40
+MAX_DEGREE = 16
+
+
+def described_field(p: int, k: int) -> FiniteField:
+    """GF(p, k) for a field that input names: beyond the limits it raises
+    UnsupportedFieldError before any primality test or modulus search."""
+    if p > MAX_P:
+        raise UnsupportedFieldError(
+            f"p = {p} exceeds the largest supported characteristic 2^40")
+    if k > MAX_DEGREE:
+        raise UnsupportedFieldError(
+            f"extension degree {k} exceeds the largest supported degree {MAX_DEGREE}")
+    return GF(p, k)
+
+
 def field_from_descriptor(desc: dict):
     """The field a JSON descriptor names; a malformed one raises ValueError."""
     if not isinstance(desc, dict):
@@ -348,9 +368,9 @@ def field_from_descriptor(desc: dict):
     if kind == "rationals":
         return QQ
     if kind == "prime-field":
-        return GF(_exact_int(desc.get("p")))
+        return described_field(_exact_int(desc.get("p")), 1)
     if kind == "extension-field":
-        f = GF(_exact_int(desc.get("p")), _exact_int(desc.get("degree")))
+        f = described_field(_exact_int(desc.get("p")), _exact_int(desc.get("degree")))
         if "modulus" in desc and desc["modulus"] != list(f.modulus):
             raise UnsupportedFieldError(
                 "non-canonical modulus; this library fixes the lexicographically "
@@ -635,6 +655,13 @@ def _distinct_degree(f: Poly):
     return out
 
 
+def random_element(field, rng: random.Random) -> FFElem:
+    """A uniform element of the finite field, drawn from rng."""
+    if field.k == 1:
+        return field(rng.randrange(field.p))
+    return field(tuple(rng.randrange(field.p) for _ in range(field.k)))
+
+
 def _poly_seed(f: Poly, tag: str) -> int:
     payload = repr((tag, f.field.p, f.field.k, tuple(c.coeffs for c in f.coeffs)))
     return int.from_bytes(hashlib.sha256(payload.encode()).digest()[:8], "big")
@@ -648,14 +675,7 @@ def _split(f: Poly, d: int, rng: random.Random) -> Poly:
     exp = (q ** d - 1) // 2
     one = Poly(field, [field.one])
     while True:
-        coeffs = []
-        for _ in range(f.degree):
-            if field.k == 1:
-                coeffs.append(field(rng.randrange(field.p)))
-            else:
-                coeffs.append(field(tuple(rng.randrange(field.p)
-                                          for _ in range(field.k))))
-        r = Poly(field, coeffs)
+        r = Poly(field, [random_element(field, rng) for _ in range(f.degree)])
         if r.degree < 1:
             continue
         h = poly_pow_mod(r, exp, f)
@@ -779,38 +799,19 @@ def in_subfield(a: FFElem, m: int) -> bool:
 
 # --- canonical modulus and embeddings ----------------------------------------
 
-def _prime_poly_irreducible(p: int, coeffs: tuple) -> bool:
-    """Rabin irreducibility for a monic poly over F_p given as an int tuple (low first)."""
-    field = GF(p)
-    f = Poly.from_ints(field, coeffs)
-    n = f.degree
-    x = Poly.from_ints(field, [0, 1])
-    # x^(p^n) == x mod f
-    g = poly_pow_mod(x, p ** n, f)
-    if g != x % f:
-        return False
-    for ell in {d for d in range(2, n + 1) if _is_prime(d) and n % d == 0}:
-        h = poly_pow_mod(x, p ** (n // ell), f)
-        if poly_gcd(f, h - x).degree != 0:
-            return False
-    return True
-
-
 @lru_cache(maxsize=None)
 def _canonical_modulus(p: int, k: int) -> tuple:
     """Lexicographically smallest monic irreducible of degree k over F_p.
 
     Non-leading coefficients are enumerated as the base-p digits of n (most
-    significant digit = coefficient of x^(k-1)), n ascending.
+    significant digit = coefficient of x^(k-1)), n ascending.  A candidate
+    is irreducible exactly when distinct-degree factorization finds no
+    factor of degree <= k/2, which every reducible one has.
     """
     for n in range(p ** k):
-        digits = []
-        m = n
-        for _ in range(k):
-            digits.append(m % p)
-            m //= p
-        coeffs = tuple(digits) + (1,)  # low degree first
-        if _prime_poly_irreducible(p, coeffs):
+        coeffs = tuple(n // p ** i % p for i in range(k)) + (1,)  # low degree first
+        f = Poly.from_ints(GF(p), coeffs)
+        if _distinct_degree(f) == [(f, k)]:
             return coeffs
     raise RuntimeError("unreachable: irreducibles of every degree exist")
 

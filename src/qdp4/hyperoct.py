@@ -149,18 +149,6 @@ class CycleSignature:
                 tr += length * (sign ** (k // length))
         return tr
 
-    def representative(self) -> SignedPerm:
-        """A signed permutation with this signature (minus sign on the closing step)."""
-        perm = []
-        signs = []
-        for length, sign in self.cycles:
-            base = len(perm)
-            perm.extend(base + (j + 1) % length for j in range(length))
-            signs.extend([1] * length)
-            if sign == -1:
-                signs[base] = -1  # closing step base+length-1 -> base carries the flip
-        return SignedPerm(tuple(perm), tuple(signs))
-
     def to_json(self):
         return [list(c) for c in self.cycles]
 

@@ -199,16 +199,19 @@ _LAYOUTS = {
     "torsion": (1, 0, 0),        # [O_pt], S_1..S_n
     "surface-k0": (2, 1, None),  # rank, K, hbar_1..hbar_n, second Z summand
 }
-_SPACES = tuple(_LAYOUTS)
+
+
+def _layout(space: str):
+    if space not in _LAYOUTS:
+        raise ValueError(f"space must be one of {tuple(_LAYOUTS)}")
+    return _LAYOUTS[space]
 
 
 def _action_matrix(sp: SignedPerm, space: str):
     """Integer matrix of the signature action on the chosen lattice: the
     fixed classes stay, simple i goes to +-simple perm[i] with the sign of
     its target, and a -1 sign also adds the flip row's class."""
-    if space not in _LAYOUTS:
-        raise ValueError(f"space must be one of {_SPACES}")
-    before, after, flip_row = _LAYOUTS[space]
+    before, after, flip_row = _layout(space)
     n = len(sp.perm)
     M = np.eye(before + n + after, dtype=np.int64)
     M[before:before + n, before:before + n] = 0
@@ -226,25 +229,12 @@ def invariant_rank_of_action(sp: SignedPerm, space: str) -> int:
     return int_kernel_dim((M - np.eye(n, dtype=np.int64)).tolist())
 
 
-def closed_form_rank(sig: CycleSignature, space: str) -> int:
-    plus = sig.plus_cycles()
-    if space == "picard":
-        return 1 + plus
-    if space == "wpl":
-        return 2 + plus
-    if space == "torsion":
-        return 1 + plus
-    if space == "surface-k0":
-        return 3 + plus
-    raise ValueError(f"space must be one of {_SPACES}")
-
-
 def g_invariant_rank(sig: CycleSignature, space: str) -> int:
-    """Rank of the G-invariant part of the chosen lattice, by exact kernel
-    computation on a realizing signed permutation."""
-    rank = invariant_rank_of_action(sig.representative(), space)
-    assert rank == closed_form_rank(sig, space)
-    return rank
+    """Rank of the G-invariant part of the chosen lattice: the fixed classes
+    and one class per +1 cycle (`invariant_rank_of_action` computes it from
+    the realized action, and the rank-formulas suite checks the two agree)."""
+    before, after, _ = _layout(space)
+    return before + after + sig.plus_cycles()
 
 
 def conic_bundle_ranks(n: int, sig: CycleSignature, relatively_minimal: bool):

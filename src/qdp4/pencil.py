@@ -4,7 +4,6 @@ diagonalization, degenerate points, Galois signatures, and point counting."""
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -19,11 +18,9 @@ from .fields import (GF, QQ, FFElem, FieldMismatchError, Poly, _iszero,
                      scalar_to_json, split_root, squarefree)
 from .hyperoct import CycleSignature
 from .linalg import congruence, det, kernel_vector, rank
-from .wpline import (Moebius, PointConfiguration, ProjPoint,
-                     moebius_to_inf_zero_one, pgl2_match)
+from .wpline import Moebius, PointConfiguration, ProjPoint, pgl2_match
 
-POINTCOUNT_GUARD = 250
-POINTCOUNT_GUARD_ENV = "QDP4_POINTCOUNT_GUARD"
+POINTCOUNT_GUARD = 250  # largest p^k that count_points enumerates
 
 
 class DegeneratePencilError(ValueError):
@@ -134,16 +131,6 @@ def _one_like(x):
     return Fraction(1) if isinstance(x, Fraction) else x.field.one
 
 
-@dataclass(frozen=True)
-class DegeneratePoint:
-    """A corank-1 member: its parameter point, residue degree, and the four
-    nonzero diagonal entries in simultaneously diagonalizing coordinates."""
-
-    point: ProjPoint
-    residue_degree: int
-    diagonal_entries: tuple
-
-
 # ---------------------------------------------------------------------------
 # Discriminant and smoothness
 # ---------------------------------------------------------------------------
@@ -247,9 +234,9 @@ def _orbit_root(f: Poly, dst):
     return split_root(embed_poly(f, dst))
 
 
-def _points_with_degrees(P: QuadricPencil, dst=None):
-    """The five degenerate points over dst (default: splitting field), sorted,
-    each paired with its residue degree over the base field.
+def degenerate_parameter_points(P: QuadricPencil, dst=None):
+    """The five degenerate parameter points over dst (default: splitting
+    field), sorted.
 
     Each orbit gives one root r and its conjugates r^(Q^j), Q = |base field|.
     The base factors are embedded straight into dst: canonical embeddings do
@@ -260,30 +247,25 @@ def _points_with_degrees(P: QuadricPencil, dst=None):
         dst = split
     cached = P._cache.get(("points", dst))
     if cached is not None:
-        return cached
+        return list(cached)
     if dst.k % split.k:  # dst does not split every orbit
         raise UnsupportedSplittingError("destination field does not split the quintic")
     includes_infinity, orbits = degenerate_orbits(P)
-    out = [(ProjPoint.infinity(dst), 1)] if includes_infinity else []
+    out = [ProjPoint.infinity(dst)] if includes_infinity else []
     for f in orbits:
         conjugates = [_orbit_root(f, dst)]
         while len(conjugates) < f.degree:
             conjugates.append(conjugates[-1] ** P.field.order)
-        out += [(ProjPoint.affine(dst, r), f.degree) for r in conjugates]
-    out.sort(key=lambda pd: pd[0].sort_key())
-    out = tuple(out)
-    P._cache[("points", dst)] = out
+        out += [ProjPoint.affine(dst, r) for r in conjugates]
+    out.sort(key=ProjPoint.sort_key)
+    P._cache[("points", dst)] = tuple(out)
     return out
-
-
-def degenerate_parameter_points(P: QuadricPencil, dst=None):
-    """The five degenerate parameter points, sorted, over dst (default: splitting field)."""
-    return [p for p, _ in _points_with_degrees(P, dst)]
 
 
 def point_configuration(P: QuadricPencil, dst=None) -> PointConfiguration:
     """The degenerate points over dst as one configuration per field, so the
-    invariant, `aut_group` and `pgl2_match` share its cross-ratio table."""
+    invariant, the normal forms, `aut_group` and `pgl2_match` share its
+    cross-ratio table."""
     pts = degenerate_parameter_points(P, dst)
     key = ("config", pts[0].field)
     if key not in P._cache:
@@ -325,44 +307,24 @@ def simultaneous_diagonalize(P: QuadricPencil):
     return M, pairs, pts
 
 
-def degenerate_points(P: QuadricPencil):
-    """Rich degenerate-point records over the splitting field."""
-    M, pairs, pts = simultaneous_diagonalize(P)
-    degrees = [d for _, d in _points_with_degrees(P)]
-    out = []
-    for i, p in enumerate(pts):
-        entries = []
-        for j in range(5):
-            if j == i:
-                continue
-            a, b = pairs[j]
-            entries.append(a * p.v - b * p.u)
-        if any(_iszero(e) for e in entries):
-            raise NotSmoothError("member has corank > 1")
-        out.append(DegeneratePoint(p, degrees[i], tuple(entries)))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Normal forms and the canonical invariant
 # ---------------------------------------------------------------------------
 
 def normal_form(P: QuadricPencil, ordering=(0, 1, 2, 3, 4)) -> NormalForm:
     """Images of points 4, 5 under the Moebius map sending points 1, 2, 3 to
-    infinity, 0, 1 (points indexed by `ordering` into the sorted point list)."""
-    pts = degenerate_parameter_points(P)
+    infinity, 0, 1 (points indexed by `ordering` into the sorted point list):
+    the cross-ratio table's entry at that ordering."""
     if sorted(ordering) != [0, 1, 2, 3, 4]:
         raise ValueError("ordering must be a permutation of 0..4")
-    ref = [pts[i] for i in ordering]
-    m = moebius_to_inf_zero_one(ref[0], ref[1], ref[2])
-    return NormalForm(m(ref[3]).affine_value(), m(ref[4]).affine_value())
+    return NormalForm(*dict(point_configuration(P).cross_ratios())[tuple(ordering)])
 
 
-def canonical_invariant(P: QuadricPencil, dst=None):
+def canonical_invariant(P: QuadricPencil):
     """The sorted orbit of (lambda, mu) over all 120 orderings (the values
     of the cross-ratio table); a complete isomorphism invariant of the
     underlying five-point configuration."""
-    pairs = {values for _, values in point_configuration(P, dst).cross_ratios()}
+    pairs = {values for _, values in point_configuration(P).cross_ratios()}
     return tuple(sorted((NormalForm(lam, mu) for lam, mu in pairs),
                         key=NormalForm.sort_key))
 
@@ -375,7 +337,11 @@ class IsoCertificate:
 
 def isomorphic(P1: QuadricPencil, P2: QuadricPencil):
     """A Moebius certificate mapping degenerate points of P1 onto those of P2,
-    or None when the canonical invariants differ."""
+    or None when there is none.
+
+    The canonical invariants over the common field agree exactly when some
+    ordering of P2's cross-ratio table has P1's identity values, which is
+    the test `pgl2_match` makes, so the match alone decides."""
     f1, f2 = P1.field, P2.field
     if f1.is_rational != f2.is_rational:
         raise FieldMismatchError("pencils live over different characteristics")
@@ -386,14 +352,8 @@ def isomorphic(P1: QuadricPencil, P2: QuadricPencil):
             raise FieldMismatchError("pencils live over different characteristics")
         s1, s2 = splitting_field(P1), splitting_field(P2)
         common = GF(f1.p, lcm(s1.k, s2.k))
-    inv1 = canonical_invariant(P1, common)
-    inv2 = canonical_invariant(P2, common)
-    if [nf.pair() for nf in inv1] != [nf.pair() for nf in inv2]:
-        return None
-    c1 = point_configuration(P1, common)
-    c2 = point_configuration(P2, common)
-    m = pgl2_match(c1, c2)
-    if m is None:  # equal invariants always admit a matching
+    m = pgl2_match(point_configuration(P1, common), point_configuration(P2, common))
+    if m is None:
         return None
     if common.is_rational:
         base_rational = True
@@ -506,10 +466,6 @@ def _encode_form(M, p: int) -> np.ndarray:
     return C
 
 
-def pointcount_guard() -> int:
-    return int(os.environ.get(POINTCOUNT_GUARD_ENV, POINTCOUNT_GUARD))
-
-
 def count_points(P: QuadricPencil, k: int) -> int:
     """|X(F_{p^k})| by direct enumeration of P^4(F_{p^k}), line by line (see
     _accel.count_zero_pairs)."""
@@ -519,11 +475,9 @@ def count_points(P: QuadricPencil, k: int) -> int:
     degenerate_orbits(P)  # point counts are certified for smooth pencils only
     p = field.p
     q = p ** k
-    guard = pointcount_guard()
-    if q > guard:
+    if q > POINTCOUNT_GUARD:
         raise ResourceLimitError(
-            f"p^k = {q} exceeds the enumeration guard {guard} "
-            f"(override with {POINTCOUNT_GUARD_ENV})")
+            f"p^k = {q} exceeds the enumeration guard {POINTCOUNT_GUARD}")
     add, mul = _encoded_tables(p, k)
     CA = _encode_form(P.A, p)
     CB = _encode_form(P.B, p)

@@ -38,14 +38,6 @@ def canonical_class():
     return K_CLASS
 
 
-def add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def neg(a):
-    return tuple(-x for x in a)
-
-
 @lru_cache(maxsize=None)
 def zero_classes():
     """The ten classes h with h^2 = 0 and h.K = -2, in lexicographic order."""

@@ -6,17 +6,11 @@ from __future__ import annotations
 import itertools
 import random
 
-from .fields import GF
+from .fields import GF, random_element
 from .groupoids import GroupoidFunctor, disjoint_union, group_groupoid
 from .linalg import congruence, rank
 from .pencil import QuadricPencil, is_smooth
 from .wpline import ProjPoint
-
-
-def random_element(field, rng: random.Random):
-    if field.k == 1:
-        return field(rng.randrange(field.p))
-    return field(tuple(rng.randrange(field.p) for _ in range(field.k)))
 
 
 def random_symmetric(field, rng: random.Random, n: int = 5):

@@ -64,7 +64,7 @@ def suite_rank_formulas():
         sig = CycleSignature.from_signed_perm(sp)
         for space in spaces:
             if kgroups.invariant_rank_of_action(sp, space) != \
-                    kgroups.closed_form_rank(sig, space):
+                    kgroups.g_invariant_rank(sig, space):
                 return False, f"mismatch at {sp} on {space}"
     sig_min = CycleSignature(((5, -1),))
     triple = (kgroups.g_invariant_rank(sig_min, "picard"),

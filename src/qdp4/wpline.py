@@ -38,11 +38,6 @@ class ProjPoint:
     def is_infinity(self) -> bool:
         return _iszero(self.v)
 
-    def affine_value(self):
-        if self.is_infinity():
-            raise ValueError("infinity has no affine value")
-        return self.u
-
     def sort_key(self):
         # infinity first, then affine points in scalar order
         return (0,) if self.is_infinity() else (1, scalar_key(self.u))
@@ -168,9 +163,6 @@ class PointConfiguration:
         self.field = field
         self.points = tuple(pts)
         self._table = None
-
-    def apply(self, m: Moebius) -> "PointConfiguration":
-        return PointConfiguration(self.field, [m(p) for p in self.points])
 
     def cross_ratios(self):
         """The cross-ratio table, built on first use and kept on the object.

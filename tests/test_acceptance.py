@@ -145,7 +145,7 @@ def test_criterion_08_rank_bookkeeping():
         sig = CycleSignature.from_signed_perm(sp)
         for space in spaces:
             assert kgroups.invariant_rank_of_action(sp, space) == \
-                kgroups.closed_form_rank(sig, space)
+                kgroups.g_invariant_rank(sig, space)
     minimal = CycleSignature(((5, -1),))
     triple = (kgroups.g_invariant_rank(minimal, "picard"),
               kgroups.g_invariant_rank(minimal, "wpl"),

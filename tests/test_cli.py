@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -143,6 +144,34 @@ def test_malformed_input_exits_2(capsys, tmp_path, name, command):
     code, out, err = run_cli(capsys, command, *files)
     assert code == 2, err
     assert out == "" and err.startswith("error: ")
+
+
+# descriptors beyond the field limits: without them, trial division of p and
+# the degree-100 modulus search would not finish
+_OVER_LIMIT = {
+    "prime-field": ({"kind": "prime-field", "p": 10 ** 30 + 57}, "characteristic 2^40"),
+    "extension-field": ({"kind": "extension-field", "p": 3, "degree": 100},
+                        "supported degree 16"),
+}
+
+
+@pytest.mark.parametrize("kind,command", [
+    (kind, command) for kind in _OVER_LIMIT
+    for command in ("analyze", "iso", "aut", "minimal", "count-points", "reconstruct")])
+def test_over_limit_fields_exit_4(capsys, tmp_path, kind, command):
+    desc, limit = _OVER_LIMIT[kind]
+    if command == "reconstruct":
+        spec = str(desc["p"]) + (f"^{desc['degree']}" if "degree" in desc else "")
+        argv = ["reconstruct", "--lambda", "2", "--mu", "3", "--field", spec]
+    else:
+        path = tmp_path / "pencil.json"
+        path.write_text(json.dumps(dict(_Q_PENCIL, field=desc)))
+        argv = [command] + [str(path)] * (2 if command == "iso" else 1)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 4 and out == ""
+    assert limit in err
 
 
 def test_reconstruct_one_over_zero_exits_2(capsys):
@@ -289,7 +318,7 @@ def test_minimal_rational_nonsplit_exit_4(capsys, tmp_path):
     assert code == 4
 
 
-def test_count_points_command(capsys, tmp_path, monkeypatch):
+def test_count_points_command(capsys, tmp_path):
     path = tmp_path / "f5.json"
     path.write_text(json.dumps(reconstruct((2, 3), GF(5)).to_json()))
     code, out, _ = run_cli(capsys, "count-points", str(path), "--ext", "2")
@@ -297,8 +326,7 @@ def test_count_points_command(capsys, tmp_path, monkeypatch):
     payload = json.loads(out)
     assert payload["consistent"] is True
     assert payload["count"] == payload["predicted"]
-    monkeypatch.setenv("QDP4_POINTCOUNT_GUARD", "3")
-    code, _, err = run_cli(capsys, "count-points", str(path), "--ext", "2")
+    code, _, err = run_cli(capsys, "count-points", str(path), "--ext", "4")  # 625 > 250
     assert code == 1
     assert "guard" in err
 

@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from qdp4.fields import (GF, QQ, DegenerateInputError, FieldMismatchError, Poly,
-                         UnsupportedFieldError, embed, embed_poly, factor,
-                         field_from_descriptor, is_square,
-                         poly_gcd, rational_roots, scalar_from_json,
+from qdp4.fields import (GF, MAX_DEGREE, QQ, DegenerateInputError,
+                         FieldMismatchError, Poly, UnsupportedFieldError,
+                         _canonical_modulus, _is_prime, embed, embed_poly,
+                         factor, field_from_descriptor, is_square, poly_gcd,
+                         poly_pow_mod, rational_roots, scalar_from_json,
                          scalar_to_json, split_root, squarefree)
 
 
@@ -320,6 +321,46 @@ def test_field_descriptor_round_trip():
     with pytest.raises(UnsupportedFieldError):
         field_from_descriptor({"kind": "extension-field", "p": 3, "degree": 2,
                                "modulus": [2, 0, 1]})
+
+
+BIG_PRIME = 10 ** 30 + 57  # the least prime above 10^30
+
+
+def rabin_irreducible(p, coeffs):
+    """Rabin's test: f of degree n is irreducible over F_p iff x^(p^n) = x
+    mod f and gcd(f, x^(p^(n/l)) - x) = 1 for each prime l dividing n."""
+    field = GF(p)
+    f = Poly.from_ints(field, coeffs)
+    n = f.degree
+    x = Poly.from_ints(field, [0, 1])
+    if poly_pow_mod(x, p ** n, f) != x % f:
+        return False
+    return all(poly_gcd(f, poly_pow_mod(x, p ** (n // ell), f) - x).degree == 0
+               for ell in range(2, n + 1) if _is_prime(ell) and n % ell == 0)
+
+
+def test_canonical_modulus_is_the_rabin_choice():
+    cases = [(p, k) for p in range(3, 3 ** 5) if _is_prime(p)
+             for k in range(2, 11) if p ** k <= 3 ** 10] + [(11, 12)]
+    assert len(cases) == 78
+    for p, k in cases:
+        first = next(c for c in (tuple(n // p ** i % p for i in range(k)) + (1,)
+                                 for n in range(p ** k)) if rabin_irreducible(p, c))
+        assert _canonical_modulus(p, k) == first, (p, k)
+
+
+def test_described_fields_are_bounded():
+    # refused before the primality test and the modulus search, which would
+    # not finish for these two
+    with pytest.raises(UnsupportedFieldError, match=r"characteristic 2\^40"):
+        field_from_descriptor({"kind": "prime-field", "p": BIG_PRIME})
+    with pytest.raises(UnsupportedFieldError, match=f"supported degree {MAX_DEGREE}"):
+        field_from_descriptor({"kind": "extension-field", "p": 3, "degree": 100})
+    # both limits are inclusive
+    largest = 1099511627689  # the largest prime below 2^40
+    assert field_from_descriptor({"kind": "prime-field", "p": largest}) == GF(largest)
+    assert field_from_descriptor({"kind": "extension-field", "p": 3,
+                                  "degree": MAX_DEGREE}) == GF(3, MAX_DEGREE)
 
 
 def test_even_characteristic_rejected():

@@ -151,12 +151,25 @@ def test_trace_power_against_matrix_power():
                 np.linalg.matrix_power(M, k)))
 
 
+def representative(sig: CycleSignature) -> SignedPerm:
+    """A signed permutation with this signature (minus sign on the closing step)."""
+    perm = []
+    signs = []
+    for length, sign in sig.cycles:
+        base = len(perm)
+        perm.extend(base + (j + 1) % length for j in range(length))
+        signs.extend([1] * length)
+        if sign == -1:
+            signs[base] = -1  # closing step base+length-1 -> base carries the flip
+    return SignedPerm(tuple(perm), tuple(signs))
+
+
 def test_signature_representative_round_trip():
     rng = random.Random(4)
     B5 = all_signed_perms()
     for _ in range(200):
         sig = CycleSignature.from_signed_perm(rng.choice(B5))
-        assert CycleSignature.from_signed_perm(sig.representative()) == sig
+        assert CycleSignature.from_signed_perm(representative(sig)) == sig
 
 
 def test_signature_canonical_sorting_and_validation():

@@ -7,7 +7,7 @@ import sympy
 from qdp4.hyperoct import CycleSignature, all_signed_perms
 from qdp4.kgroups import (DegenerateFormError, K0ClassX, STRUCTURE_SHEAF,
                           atom_basis, atom_class, atom_coords, atom_functional,
-                          atom_gram, atom_serre, class_of, closed_form_rank,
+                          atom_gram, atom_serre, class_of,
                           conic_bundle_ranks, euler_x, full_k0_gram,
                           g_invariant_rank, invariant_rank_of_action,
                           serre_from_gram, surface_zero_class_gram,
@@ -179,7 +179,7 @@ def test_labeled_actions_match_closed_forms():
         sig = CycleSignature.from_signed_perm(sp)
         for space in ("picard", "wpl", "torsion", "surface-k0"):
             assert invariant_rank_of_action(sp, space) == \
-                closed_form_rank(sig, space)
+                g_invariant_rank(sig, space)
 
 
 def test_conic_bundle_examples():

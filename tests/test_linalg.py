@@ -3,9 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from qdp4.fields import GF, QQ, Poly
+from qdp4.fields import GF, QQ, Poly, random_element
 from qdp4.linalg import det, frac_inverse, kernel_vector, mat_mul, mat_vec, rank
-from qdp4.sampling import random_element
 
 
 def _random_of_rank(field, rng, n, r):

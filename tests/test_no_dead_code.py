@@ -1,11 +1,19 @@
 """Dead-code guard: every function and method that qdp4 defines is used.
 
-Occurrences of a name are its definitions in `src/qdp4` plus its references
-(a bare name, an attribute, an `__init__` export) in `src/qdp4` and
-`perfbench/`.  A function or method passes when its name occurs more often
-than `src/qdp4` defines it, so a name defined twice and never referenced
-fails.  Dunder methods are exempt.  Tests do not count: an oracle that only
-a test calls belongs in that test.
+A function's references are resolved to the module that defines it, so a
+name that happens to match something elsewhere does not keep it alive:
+
+- a bare name in the defining module itself;
+- a bare name in another module bound by `from .m import f` (or
+  `from qdp4.m import f`, or through the package's `from qdp4 import f`);
+- an attribute `m.f` (or `qdp4.m.f`, `qdp4.f`) whose object is named after
+  the module;
+- an export in `__init__`, the public API.
+
+Methods cannot be resolved without types, so a method counts as used when
+any attribute access in `src/qdp4` or `perfbench/` bears its name (bare
+names do not count).  Dunder methods are exempt.  Tests do not count: an
+oracle that only a test calls belongs in that test.
 """
 
 import ast
@@ -14,43 +22,111 @@ import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "qdp4"
+MODULES = {path.stem for path in PACKAGE.glob("*.py")}
 
 # Public API that only the tests reach, kept on purpose.  An entry that
 # becomes referenced, or whose definition goes, must leave this table.
 TEST_ONLY = {
     "identity": "SignedPerm.identity and Moebius.identity, the tests' reference elements",
-    "degenerate_points": "the per-point records of a pencil, checked against "
-                         "simultaneous diagonalization",
+    "elements": "FiniteField.elements, the element list the tests enumerate",
 }
 
 
+def _sources():
+    for path in sorted(PACKAGE.glob("*.py")):
+        yield path.stem, True, ast.parse(path.read_text(), str(path))
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        yield "perfbench." + path.stem, False, ast.parse(path.read_text(), str(path))
+
+
+def _imported_module(node, in_package):
+    """The qdp4 module an ImportFrom reads from, or None."""
+    if in_package and node.level == 1:
+        return node.module or "__init__"
+    if node.level == 0 and node.module and node.module.split(".")[0] == "qdp4":
+        parts = node.module.split(".")
+        return parts[1] if len(parts) > 1 else "__init__"
+    return None
+
+
+def _definitions(tree, module):
+    """{key: count} with key (module, name) for functions, ("method", name)
+    for methods; dunders are skipped."""
+    out = collections.Counter()
+
+    def visit(node, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if not child.name.startswith("__"):
+                    out[("method", child.name) if in_class else (module, child.name)] += 1
+                visit(child, False)
+            else:
+                visit(child, in_class or isinstance(child, ast.ClassDef))
+
+    visit(tree, False)
+    return out
+
+
 def _counts():
+    trees = list(_sources())
     defined = collections.Counter()
-    occurs = collections.Counter()
-    for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if path.parent == PACKAGE and not node.name.startswith("__"):
-                    defined[node.name] += 1
-                    occurs[node.name] += 1
-            elif isinstance(node, ast.Name):
-                occurs[node.id] += 1
+    for module, in_package, tree in trees:
+        if in_package:
+            defined.update(_definitions(tree, module))
+    exports = {}  # name bound in __init__ -> (module, name)
+    for module, _, tree in trees:
+        if module == "__init__":
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and _imported_module(node, True):
+                    for alias in node.names:
+                        exports[alias.asname or alias.name] = (node.module, alias.name)
+
+    def resolve(module, name):
+        return exports.get(name, (module, name)) if module == "__init__" else (module, name)
+
+    refs = collections.Counter()
+    for module, in_package, tree in trees:
+        bindings = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                src = _imported_module(node, in_package)
+                if src is None:
+                    continue
+                for alias in node.names:
+                    if alias.name not in MODULES:
+                        bindings[alias.asname or alias.name] = resolve(src, alias.name)
+                if module == "__init__":
+                    refs.update(resolve(src, alias.name) for alias in node.names)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                if node.id in bindings:
+                    refs[bindings[node.id]] += 1
+                elif in_package:
+                    refs[(module, node.id)] += 1
             elif isinstance(node, ast.Attribute):
-                occurs[node.attr] += 1
-            elif isinstance(node, ast.ImportFrom) and path.name == "__init__.py":
-                occurs.update(alias.name for alias in node.names)
-    return defined, occurs
+                value = node.value
+                owner = (value.id if isinstance(value, ast.Name) else
+                         value.attr if isinstance(value, ast.Attribute) else None)
+                if owner == "qdp4":
+                    refs[resolve("__init__", node.attr)] += 1
+                elif owner in MODULES:
+                    refs[(owner, node.attr)] += 1
+                else:
+                    refs[("method", node.attr)] += 1
+    return defined, refs
+
+
+def _unreferenced():
+    defined, refs = _counts()
+    return {key for key in defined if refs[key] == 0}
 
 
 def test_every_function_is_referenced():
-    defined, occurs = _counts()
-    dead = sorted(name for name, n in defined.items()
-                  if occurs[name] <= n and name not in TEST_ONLY)
+    dead = sorted(".".join(key) for key in _unreferenced() if key[1] not in TEST_ONLY)
     assert dead == [], f"defined in src/qdp4 but never referenced: {dead}"
 
 
 def test_test_only_table_is_current():
-    defined, occurs = _counts()
-    stale = sorted(name for name in TEST_ONLY
-                   if not defined[name] or occurs[name] > defined[name])
+    unreferenced = {name for _, name in _unreferenced()}
+    stale = sorted(name for name in TEST_ONLY if name not in unreferenced)
     assert stale == [], f"no longer test-only: {stale}"

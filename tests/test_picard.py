@@ -8,13 +8,17 @@ from qdp4.hyperoct import CycleSignature, SignedPerm, all_signed_perms, even_sig
 from qdp4.linalg import frac_inverse, int_kernel_dim, mat_mul
 from qdp4.picard import (InvalidAutError, InvalidClassError, InvalidRootError,
                          K_CLASS, brute_force_classes, canonical_class,
-                         intersect, invariant_rank, is_minimal, neg, pair_of,
+                         intersect, invariant_rank, is_minimal, pair_of,
                          pair_representatives, reflect, reflection_matrix,
                          roots, to_signed_perm, weyl_group, zero_classes)
 from qdp4.picard import _doubled_hbar
 
 H = (1, 0, 0, 0, 0, 0)
 E1 = (0, 1, 0, 0, 0, 0)
+
+
+def neg(a):
+    return tuple(-x for x in a)
 
 
 # --- independent oracles: the signed permutation acting on explicit matrices ---
