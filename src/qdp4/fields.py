@@ -561,7 +561,7 @@ class Poly:
 
 
 def _iszero(c) -> bool:
-    if isinstance(c, Fraction):
+    if isinstance(c, (int, Fraction)):
         return c == 0
     return c.is_zero()
 
@@ -730,13 +730,6 @@ def factor(f: Poly):
     return out
 
 
-def roots(f: Poly):
-    """Roots of f in its own (finite) coefficient field, sorted, without multiplicity."""
-    rs = [(-g.coeffs[0]) for g, _ in factor(f) if g.degree == 1]
-    rs.sort(key=scalar_key)
-    return rs
-
-
 def rational_roots(f: Poly):
     """All rational roots of a nonzero f over Q, with multiplicity, sorted."""
     if not f.field.is_rational:
@@ -799,6 +792,14 @@ def in_subfield(a: FFElem, m: int) -> bool:
 
 # --- canonical modulus and embeddings ----------------------------------------
 
+def _binomials_reducible(p: int, k: int) -> bool:
+    """True when no x^k + c is irreducible over F_p (Capelli; Lidl-Niederreiter,
+    Theorem 3.75): some prime factor of k does not divide p - 1, or 4 | k and
+    p = 3 mod 4."""
+    primes = [r for r in range(2, k + 1) if k % r == 0 and _is_prime(r)]
+    return any((p - 1) % r for r in primes) or (k % 4 == 0 and p % 4 == 3)
+
+
 @lru_cache(maxsize=None)
 def _canonical_modulus(p: int, k: int) -> tuple:
     """Lexicographically smallest monic irreducible of degree k over F_p.
@@ -806,9 +807,10 @@ def _canonical_modulus(p: int, k: int) -> tuple:
     Non-leading coefficients are enumerated as the base-p digits of n (most
     significant digit = coefficient of x^(k-1)), n ascending.  A candidate
     is irreducible exactly when distinct-degree factorization finds no
-    factor of degree <= k/2, which every reducible one has.
+    factor of degree <= k/2, which every reducible one has.  The first p
+    candidates are the binomials x^k + n, skipped when none is irreducible.
     """
-    for n in range(p ** k):
+    for n in range(p if _binomials_reducible(p, k) else 0, p ** k):
         coeffs = tuple(n // p ** i % p for i in range(k)) + (1,)  # low degree first
         f = Poly.from_ints(GF(p), coeffs)
         if _distinct_degree(f) == [(f, k)]:
@@ -818,16 +820,16 @@ def _canonical_modulus(p: int, k: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _embedding_image(src_key, dst_key) -> FFElem:
-    """Canonical image of the generator of src in dst (src degree divides dst degree)."""
+    """Canonical image of the generator of src in dst (src degree divides dst
+    degree): the smallest root of src's modulus in the fixed scalar order.
+    The roots are one root and its p-power conjugates."""
     p, ks = src_key
     _, kd = dst_key
-    src = GF(p, ks)
     dst = GF(p, kd)
-    mod = Poly(dst, [dst(c) for c in src.modulus])
-    cands = roots(mod)
-    if not cands:
-        raise ValueError("no embedding: source degree does not divide target degree")
-    return cands[0]  # smallest root in the fixed scalar order
+    conjugates = [split_root(Poly(dst, [dst(c) for c in GF(p, ks).modulus]))]
+    while len(conjugates) < ks:
+        conjugates.append(conjugates[-1] ** p)
+    return min(conjugates)
 
 
 def embed(a, dst):

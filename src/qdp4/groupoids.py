@@ -381,12 +381,7 @@ def find_splitting(phi: GroupoidFunctor, x0):
                 else:
                     mapping[prod] = val
                     frontier.append(prod)
-        if not ok or len(mapping) != len(aut_d):
-            continue
-        if any(mapping[D.compose(v, u)] != C.compose(mapping[v], mapping[u])
-               for v in aut_d for u in aut_d):
-            continue
-        if all(mapping[phi.mor(g)] == g for g in aut_c):
+        if ok and _check_splitting(phi, x0, mapping) is None:
             return mapping
     return None
 

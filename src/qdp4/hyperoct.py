@@ -39,8 +39,8 @@ class SignedPerm:
             raise ValueError("signs must be +1 or -1")
 
     @classmethod
-    def identity(cls, n: int = 5):
-        return cls(tuple(range(n)), (1,) * n)
+    def identity(cls):
+        return cls(tuple(range(5)), (1,) * 5)
 
     def compose(self, other: "SignedPerm") -> "SignedPerm":
         """self after other."""
@@ -85,19 +85,19 @@ def retract(a: SignedPerm) -> SignedPerm:
 
 
 @lru_cache(maxsize=None)
-def all_signed_perms(n: int = 5):
-    """All 2^n * n! signed permutations, in a fixed deterministic order."""
+def all_signed_perms():
+    """All 2^5 * 5! signed permutations, in a fixed deterministic order."""
     out = []
-    for perm in itertools.permutations(range(n)):
-        for mask in range(2 ** n):
-            signs = tuple(-1 if (mask >> j) & 1 else 1 for j in range(n))
+    for perm in itertools.permutations(range(5)):
+        for mask in range(2 ** 5):
+            signs = tuple(-1 if (mask >> j) & 1 else 1 for j in range(5))
             out.append(SignedPerm(perm, signs))
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def even_signed_perms(n: int = 5):
-    return tuple(a for a in all_signed_perms(n) if a.is_even())
+def even_signed_perms():
+    return tuple(a for a in all_signed_perms() if a.is_even())
 
 
 @dataclass(frozen=True)
@@ -132,8 +132,8 @@ class CycleSignature:
         return cls(tuple(cycles))
 
     @classmethod
-    def trivial(cls, n: int = 5) -> "CycleSignature":
-        return cls(((1, 1),) * n)
+    def trivial(cls) -> "CycleSignature":
+        return cls(((1, 1),) * 5)
 
     def total(self) -> int:
         return sum(length for length, _ in self.cycles)
@@ -173,11 +173,11 @@ class FiberElement:
             raise FiberMismatchError("fiber elements carry even signed permutations")
 
 
-def _even_sign_vectors(n: int = 5):
+def _even_sign_vectors():
     out = []
-    for mask in range(2 ** n):
+    for mask in range(2 ** 5):
         if bin(mask).count("1") % 2 == 0:
-            out.append(tuple(-1 if (mask >> j) & 1 else 1 for j in range(n)))
+            out.append(tuple(-1 if (mask >> j) & 1 else 1 for j in range(5)))
     return out
 
 
@@ -200,7 +200,7 @@ def fiber_product(aut_p):
                     "aut_p is not a group: S5 images not closed under composition")
     out = []
     for moebius, perm in aut_p:
-        for signs in _even_sign_vectors(5):
+        for signs in _even_sign_vectors():
             out.append(FiberElement(SignedPerm(tuple(perm), signs), moebius,
                                     tuple(perm)))
     return out

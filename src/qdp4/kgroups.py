@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 
 from .hyperoct import CycleSignature, SignedPerm
-from .linalg import frac_inverse, int_kernel_dim, mat_mul, transpose
+from .linalg import frac_inverse, mat_mul, rank, transpose
 from .picard import K_CLASS, intersect, pair_of, pair_representatives
 
 
@@ -226,7 +226,7 @@ def invariant_rank_of_action(sp: SignedPerm, space: str) -> int:
     """dim ker(M - I) for the realized action (exact integer linear algebra)."""
     M = _action_matrix(sp, space)
     n = M.shape[0]
-    return int_kernel_dim((M - np.eye(n, dtype=np.int64)).tolist())
+    return n - rank((M - np.eye(n, dtype=np.int64)).tolist())
 
 
 def g_invariant_rank(sig: CycleSignature, space: str) -> int:

@@ -1,10 +1,11 @@
-"""Small exact linear algebra: generic field Gaussian elimination and integer ranks."""
+"""Small exact linear algebra over any field, the integers and F[z]: one
+Bareiss elimination behind the rank, the determinant, kernels and inverses."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .fields import _inv, _iszero
+from .fields import _iszero
 
 
 def mat_mul(a, b):
@@ -26,15 +27,31 @@ def congruence(m, a):
     return mat_mul(transpose(m), mat_mul(a, m))
 
 
-def _rref(mat):
-    """Reduced row echelon form by Gauss-Jordan elimination over any field.
+def _exact_div(a, b):
+    """a / b where b divides a: `//` on ints, with the remainder checked, and
+    `/` otherwise (`Poly` division refuses a remainder)."""
+    if isinstance(a, int):
+        q, rem = divmod(a, b)
+        if rem:
+            raise ArithmeticError("inexact integer division")
+        return q
+    return a / b
 
-    Returns (rows, pivot_cols): row i of the echelon form has its leading
-    one in column pivot_cols[i]; the rows after the last pivot are zero.
+
+def _echelon(mat):
+    """Row echelon form by Bareiss fraction-free elimination with row swaps
+    (Bareiss 1968).
+
+    Returns (rows, pivots, swaps): row r < len(pivots) has its pivot in
+    column pivots[r], and every entry right of it is a minor of mat, so
+    each division is exact and the entries may be integers, field elements
+    or polynomials.  Entries left of a pivot are stale; a column without a
+    pivot is zero from row len(pivots) down.  A square matrix of full rank
+    has determinant (-1)^swaps times the last pivot.
     """
     rows = [list(r) for r in mat]
     ncols = len(rows[0]) if rows else 0
-    pivots = []
+    pivots, swaps, prev = [], 0, None
     for col in range(ncols):
         r = len(pivots)
         if r == len(rows):
@@ -42,98 +59,63 @@ def _rref(mat):
         pivot = next((i for i in range(r, len(rows)) if not _iszero(rows[i][col])), None)
         if pivot is None:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = _inv(rows[r][col])
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not _iszero(rows[i][col]):
-                c = rows[i][col]
-                rows[i] = [x - c * y for x, y in zip(rows[i], rows[r])]
+        if pivot != r:
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            swaps += 1
+        for i in range(r + 1, len(rows)):
+            for j in range(col + 1, ncols):
+                num = rows[r][col] * rows[i][j] - rows[i][col] * rows[r][j]
+                rows[i][j] = num if prev is None else _exact_div(num, prev)
+        prev = rows[r][col]
         pivots.append(col)
-    return rows, pivots
+    return rows, pivots, swaps
+
+
+def _back_substitute(rows, pivots, v):
+    """Solve the pivot entries of v, from the last pivot up, so that every
+    echelon row annihilates v; the other entries of v are given."""
+    for r in reversed(range(len(pivots))):
+        c = pivots[r]
+        v[c] = -sum(rows[r][j] * v[j] for j in range(c + 1, len(v))) / rows[r][c]
+    return v
 
 
 def rank(mat) -> int:
-    """Rank over the coefficient field."""
-    return len(_rref(mat)[1])
+    """Rank over the coefficient field (over Q for integer matrices)."""
+    return len(_echelon(mat)[1])
+
+
+def det(mat):
+    """Determinant of a nonempty square matrix."""
+    rows, pivots, swaps = _echelon(mat)
+    if len(pivots) < len(rows):  # a column without pivot: its last entry is a zero
+        return rows[-1][next(c for c in range(len(rows)) if c not in pivots)]
+    return -rows[-1][-1] if swaps % 2 else rows[-1][-1]
 
 
 def kernel_vector(mat, field):
-    """One nonzero kernel vector of a singular square matrix, deterministically.
-
-    Returns the kernel vector with the first free column set to one, by
-    reduced echelon back-substitution; None if the matrix is invertible.
-    """
-    rows, pivots = _rref(mat)
+    """One nonzero kernel vector of a singular square matrix, deterministically:
+    the one whose first free column is one and whose other free columns are
+    zero.  None if the matrix is invertible."""
+    rows, pivots, _ = _echelon(mat)
     fcol = next((c for c in range(len(mat)) if c not in pivots), None)
     if fcol is None:
         return None
     v = [field.zero] * len(mat)
     v[fcol] = field.one
-    for row, pcol in zip(rows, pivots):
-        v[pcol] = -row[fcol]
-    return v
-
-
-def det(mat):
-    """Determinant of a nonempty square matrix by Bareiss fraction-free
-    elimination with row swaps.  Every division is exact, so the entries may
-    be field elements or polynomials (`Poly` division refuses a remainder)."""
-    rows = [list(r) for r in mat]
-    n = len(rows)
-    negate = False
-    for k in range(n - 1):
-        pivot = next((i for i in range(k, n) if not _iszero(rows[i][k])), None)
-        if pivot is None:
-            return rows[k][k]
-        if pivot != k:
-            rows[k], rows[pivot] = rows[pivot], rows[k]
-            negate = not negate
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = rows[k][k] * rows[i][j] - rows[i][k] * rows[k][j]
-                rows[i][j] = num / rows[k - 1][k - 1] if k else num
-    return -rows[-1][-1] if negate else rows[-1][-1]
-
-
-def int_rank(mat) -> int:
-    """Rank over Q of an integer matrix, by fraction-free (Bareiss) elimination."""
-    if not mat:
-        return 0
-    rows = [list(map(int, r)) for r in mat]
-    n, m = len(rows), len(rows[0])
-    r = 0
-    prev = 1
-    for col in range(m):
-        pivot = next((i for i in range(r, n) if rows[i][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        for i in range(r + 1, n):
-            for j in range(col + 1, m):
-                num = rows[r][col] * rows[i][j] - rows[i][col] * rows[r][j]
-                q, rem = divmod(num, prev)
-                assert rem == 0  # Bareiss divisions are exact
-                rows[i][j] = q
-            rows[i][col] = 0
-        prev = rows[r][col]
-        r += 1
-        if r == n:
-            break
-    return r
-
-
-def int_kernel_dim(mat) -> int:
-    ncols = len(mat[0]) if mat else 0
-    return ncols - int_rank(mat)
+    return _back_substitute(rows, pivots, v)
 
 
 def frac_inverse(mat):
-    """Inverse of a square matrix over Q (Gauss-Jordan); raises on singular input."""
+    """Inverse of a square matrix over Q; raises ZeroDivisionError on singular
+    input.  Column j solves the echelon form of [mat | I] against -e_j."""
     n = len(mat)
-    rows, pivots = _rref([[Fraction(mat[i][j]) for j in range(n)] +
-                          [Fraction(1 if i == j else 0) for j in range(n)]
-                          for i in range(n)])
+    rows, pivots, _ = _echelon([[Fraction(mat[i][j]) for j in range(n)] +
+                                [Fraction(int(i == j)) for j in range(n)]
+                                for i in range(n)])
     if pivots != list(range(n)):
         raise ZeroDivisionError("singular matrix")
-    return [row[n:] for row in rows]
+    cols = [_back_substitute(rows, pivots, [Fraction(0)] * n +
+                             [Fraction(-int(i == j)) for i in range(n)])[:n]
+            for j in range(n)]
+    return transpose(cols)

@@ -13,9 +13,10 @@ import numpy as np
 
 from . import _accel
 from .fields import (GF, QQ, FFElem, FieldMismatchError, Poly, _iszero,
-                     UnsupportedFieldError, embed, embed_poly, factor, is_square,
-                     poly_gcd, rational_roots, scalar_from_json, scalar_key,
-                     scalar_to_json, split_root, squarefree)
+                     UnsupportedFieldError, embed, embed_poly, factor,
+                     field_from_descriptor, is_square, poly_gcd, rational_roots,
+                     scalar_from_json, scalar_key, scalar_to_json, split_root,
+                     squarefree)
 from .hyperoct import CycleSignature
 from .linalg import congruence, det, kernel_vector, rank
 from .wpline import Moebius, PointConfiguration, ProjPoint, pgl2_match
@@ -73,10 +74,8 @@ class QuadricPencil:
                 "B": [[scalar_to_json(x) for x in row] for row in self.B]}
 
     @classmethod
-    def from_json(cls, obj, field=None):
-        from .fields import field_from_descriptor
-        if field is None:
-            field = field_from_descriptor(obj["field"])
+    def from_json(cls, obj):
+        field = field_from_descriptor(obj["field"])
         mats = obj["A"], obj["B"]
         if not all(isinstance(M, list) and all(isinstance(r, list) for r in M)
                    for M in mats):
@@ -151,23 +150,14 @@ def _pencil_minor(P: QuadricPencil, idx):
     return det([[Poly(P.field, (P.A[i][j], -P.B[i][j])) for j in idx] for i in idx])
 
 
-def charts(P: QuadricPencil):
-    """Affine charts of the binary quintic: g(z) = F(1, z) and h(u) = F(u, 1)."""
-    cs = discriminant_quintic(P)
-    g = Poly(P.field, cs)
-    h = Poly(P.field, tuple(reversed(cs)))
-    return g, h
-
-
 def is_smooth(P: QuadricPencil) -> bool:
-    """Squarefreeness of the binary quintic on both affine charts."""
+    """Squarefreeness of the binary quintic: its affine chart g(z) = F(1, z)
+    is squarefree, and infinity, a root of multiplicity 5 - deg g, is at
+    most simple."""
     cached = P._cache.get("smooth")
     if cached is None:
-        g, h = charts(P)
-        if g.is_zero():
-            cached = False
-        else:
-            cached = squarefree(g) and squarefree(h)
+        g = Poly(P.field, discriminant_quintic(P))
+        cached = not g.is_zero() and g.degree >= 4 and squarefree(g)
         P._cache["smooth"] = cached
     return cached
 
@@ -187,7 +177,7 @@ def degenerate_orbits(P: QuadricPencil):
     cached = P._cache.get("orbits")
     if cached is not None:
         return cached
-    g, _ = charts(P)
+    g = Poly(P.field, discriminant_quintic(P))
     if not is_smooth(P):
         raise NotSmoothError(_repeated_point(g))
     if P.field.is_rational:

@@ -96,10 +96,10 @@ def roots():
     return tuple(sorted(out))
 
 
-def brute_force_classes(square: int, k_pairing: int, box: int = 3):
-    """All classes in the coefficient box [-box, box]^6 with the given
+def brute_force_classes(square: int, k_pairing: int):
+    """All classes in the coefficient box [-3, 3]^6 with the given
     self-intersection and K-pairing (completeness oracle for the lists above)."""
-    rng = range(-box, box + 1)
+    rng = range(-3, 4)
     out = []
     for v in itertools.product(rng, repeat=6):
         if intersect(v, v) == square and intersect(v, K_CLASS) == k_pairing:

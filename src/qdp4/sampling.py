@@ -13,10 +13,10 @@ from .pencil import QuadricPencil, is_smooth
 from .wpline import ProjPoint
 
 
-def random_symmetric(field, rng: random.Random, n: int = 5):
-    M = [[field.zero] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
+def random_symmetric(field, rng: random.Random):
+    M = [[field.zero] * 5 for _ in range(5)]
+    for i in range(5):
+        for j in range(i, 5):
             v = random_element(field, rng)
             M[i][j] = v
             M[j][i] = v

@@ -11,9 +11,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qdp4 import cli, pencil
-from qdp4.fields import GF, QQ, factor
+from qdp4.fields import GF, QQ, Poly, factor
 from qdp4.groupoids import group_groupoid
-from qdp4.pencil import QuadricPencil, charts, reconstruct
+from qdp4.pencil import QuadricPencil, discriminant_quintic, reconstruct
 from qdp4.sampling import random_smooth_pencil
 
 
@@ -174,6 +174,16 @@ def test_over_limit_fields_exit_4(capsys, tmp_path, kind, command):
     assert limit in err
 
 
+def test_reconstruct_over_a_large_cubic_extension_is_fast(capsys):
+    # 1099511627609 < 2^40 is 2 mod 3: no x^3 + c is irreducible over it
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "reconstruct", "--lambda", "[2, 0, 0]",
+                           "--mu", "[3, 0, 0]", "--field", "1099511627609^3")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert json.loads(out)["field"]["degree"] == 3
+
+
 def test_reconstruct_one_over_zero_exits_2(capsys):
     code, _, err = run_cli(capsys, "reconstruct", "--lambda", "1/0", "--mu", "3")
     assert code == 2 and "1/0" in err
@@ -221,9 +231,90 @@ def test_aut_configuration_files_get_a_documented_exit_code(capsys, tmp_path, ob
     assert "Traceback" not in err
 
 
+def _symmetric(upper):
+    """The 5x5 symmetric matrix with the 15 given entries on and above the diagonal."""
+    it = iter(upper)
+    M = [[None] * 5 for _ in range(5)]
+    for i in range(5):
+        for j in range(i, 5):
+            M[i][j] = M[j][i] = next(it)
+    return M
+
+
+def _diagonal(d):
+    return [[d[i] if i == j else 0 for j in range(5)] for i in range(5)]
+
+
+_small = st.integers(-3, 3)
+_entries = st.one_of(_small, st.floats(allow_nan=False, allow_infinity=False),
+                     st.booleans(), st.sampled_from(["1/2", "x", "[1, 2]", "[0,1]", "1/0"]))
+_symmetric_ints = st.lists(_small, min_size=15, max_size=15).map(_symmetric)
+_good_matrices = st.one_of(
+    _symmetric_ints,
+    st.lists(st.integers(0, 6), min_size=5, max_size=5).map(_diagonal),  # often singular
+)
+_bad_matrices = st.one_of(
+    st.lists(_entries, min_size=15, max_size=15).map(_symmetric),  # floats, bools, strings
+    st.lists(st.lists(_small, min_size=5, max_size=5), min_size=5, max_size=5),  # asymmetric
+    st.lists(st.one_of(st.text(max_size=6), st.lists(_small, max_size=6)),
+             min_size=3, max_size=6),  # string or short rows
+    _json_values,
+)
+# small fields only: the splitting field of a pencil over F_{p^k} has degree
+# up to 6k, and every example runs five commands
+_good_fields = st.sampled_from([
+    {"kind": "rationals"}, {"kind": "prime-field", "p": 3},
+    {"kind": "prime-field", "p": 5}, {"kind": "prime-field", "p": 13},
+    {"kind": "extension-field", "p": 3, "degree": 2}])
+_bad_fields = st.one_of(_json_values, st.sampled_from([
+    {"kind": "prime-field", "p": 9}, {"kind": "prime-field", "p": 5.0},
+    {"kind": "prime-field", "p": True}, {"kind": "prime-field"},
+    {"kind": "extension-field", "p": 3, "degree": 0},
+    {"kind": "extension-field", "p": 4, "degree": 2},
+    {"kind": "extension-field", "p": 3, "degree": 2, "modulus": [2, 0, 1]}]))
+
+
+def _encoded(field, *mats):
+    """A pencil file with integer matrices written as F_{p^k} scalars: over
+    an extension, as coefficient-vector strings of the base field."""
+    if field["kind"] == "extension-field":
+        mats = [[[f"[{x}, 0]" for x in row] for row in M] for M in mats]
+    return dict(zip(("field", "A", "B"), (field, *mats)))
+
+
+_malformed_pencil_files = st.one_of(
+    st.fixed_dictionaries({"field": _good_fields, "A": _good_matrices | _bad_matrices,
+                           "B": _bad_matrices}),
+    st.fixed_dictionaries({"field": _bad_fields, "A": _good_matrices, "B": _good_matrices}),
+    st.builds(lambda field, A, c: _encoded(field, A, [[c * x for x in row] for row in A]),
+              _good_fields, _symmetric_ints, _small),  # proportional
+    _json_values)
+# half well-formed (smooth, singular, non-split over Q), half malformed
+_pencil_files = st.booleans().flatmap(lambda well_formed: st.builds(
+    _encoded, _good_fields, _good_matrices, _good_matrices)
+    if well_formed else _malformed_pencil_files)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(obj=_pencil_files)
+def test_pencil_files_get_a_documented_exit_code(capsys, tmp_path, obj):
+    path = tmp_path / "pencil.json"
+    path.write_text(json.dumps(obj))
+    for command in ("analyze", "iso", "aut", "minimal", "count-points"):
+        files = [str(path)] * (2 if command == "iso" else 1)
+        code, out, err = run_cli(capsys, command, *files)
+        assert code in {0, 1, 2, 3, 4}, (command, err)
+        assert "Traceback" not in err
+        if code == 0:
+            json.loads(out)
+        if code in {2, 3, 4}:
+            assert err.startswith("error: "), (command, err)
+
+
 def test_analysis_report_finds_the_degenerate_points_once(monkeypatch):
     P7 = random_smooth_pencil(GF(7), random.Random(12))
-    g, _ = charts(P7)
+    g = Poly(P7.field, discriminant_quintic(P7))
     assert g.degree == 5 and [f.degree for f, _ in factor(g)] == [2, 3]
     calls = {"factor": 0, "rational_roots": 0}
 

@@ -1,5 +1,6 @@
 import pickle
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -272,6 +273,18 @@ def test_embedding_is_a_field_homomorphism():
     assert mod.evaluate(embed(src.gen(), dst)).is_zero()
 
 
+def test_embedding_image_is_the_smallest_root_of_the_modulus():
+    # the oracle factors the modulus over dst and takes its least linear factor
+    pairs = [((3, 2), 4), ((3, 2), 6), ((3, 3), 6), ((3, 3), 12), ((5, 2), 4),
+             ((5, 3), 6), ((7, 2), 6), ((11, 2), 12), ((11, 3), 12), ((11, 4), 12),
+             ((11, 6), 12)]
+    for (p, ks), kd in pairs:
+        src, dst = GF(p, ks), GF(p, kd)
+        mod = Poly(dst, [dst(c) for c in src.modulus])
+        smallest = min(-g.coeffs[0] for g, _ in factor(mod))
+        assert embed(src.gen(), dst) == smallest, (p, ks, kd)
+
+
 def test_embed_poly_roots_cover_factors():
     F3 = GF(3)
     f = Poly.from_ints(F3, [2, 2, 0, 1])  # some cubic
@@ -347,6 +360,19 @@ def test_canonical_modulus_is_the_rabin_choice():
         first = next(c for c in (tuple(n // p ** i % p for i in range(k)) + (1,)
                                  for n in range(p ** k)) if rabin_irreducible(p, c))
         assert _canonical_modulus(p, k) == first, (p, k)
+
+
+def test_modulus_search_skips_the_binomials_when_none_is_irreducible():
+    # 100019 = 2 mod 3, so no x^3 + c is irreducible: the search starts at
+    # x^3 + x, and the first irreducible after it is the canonical modulus
+    p = 100019
+    start = time.perf_counter()
+    F = GF(p, 3)
+    assert time.perf_counter() - start < 1.0
+    n = sum(c * p ** i for i, c in enumerate(F.modulus[:3]))
+    assert rabin_irreducible(p, F.modulus)
+    assert not any(rabin_irreducible(p, tuple(m // p ** i % p for i in range(3)) + (1,))
+                   for m in range(p, n))
 
 
 def test_described_fields_are_bounded():

@@ -12,7 +12,7 @@ from qdp4.kgroups import (DegenerateFormError, K0ClassX, STRUCTURE_SHEAF,
                           g_invariant_rank, invariant_rank_of_action,
                           serre_from_gram, surface_zero_class_gram,
                           tensor_k_matrix, wpl_gram, wpl_pair_gram)
-from qdp4.linalg import int_rank, mat_vec
+from qdp4.linalg import mat_vec, rank
 from qdp4.picard import K_CLASS, intersect, pair_of, zero_classes
 
 O = STRUCTURE_SHEAF
@@ -67,7 +67,7 @@ def test_atom_sublattice():
     assert atom_functional(O) == 1
     basis = atom_basis()
     assert len(basis) == 7
-    assert int_rank([list(b) for b in basis]) == 7
+    assert rank([list(b) for b in basis]) == 7
     for b in basis:
         assert atom_functional(K0ClassX.from_vector(b)) == 0
     # coordinates round trip
@@ -128,7 +128,7 @@ def test_wpl_gram_entries():
     assert G[0][0] == 1 and G[0][1] == 1 and G[0][2] == 1
     assert G[1][0] == -1 and G[1][1] == 0 and G[1][2] == 0
     assert G[2][0] == 0 and G[2][1] == 0 and G[2][2] == 1 and G[2][3] == 0
-    assert int_rank(G) == 7  # nondegenerate
+    assert rank(G) == 7  # nondegenerate
     with pytest.raises(ValueError):
         wpl_gram(0)
 
@@ -222,4 +222,4 @@ def test_minus_cycle_orbit_sum_is_point_class_multiple():
 def test_atom_gram_is_integral_and_nondegenerate():
     EA = atom_gram()
     assert all(x.denominator == 1 for row in EA for x in row)
-    assert int_rank([[int(x) for x in row] for row in EA]) == 7
+    assert rank([[int(x) for x in row] for row in EA]) == 7

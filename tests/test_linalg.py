@@ -38,6 +38,16 @@ def test_rank_and_kernel_vector_share_one_elimination():
     assert kernel_vector(M, QQ) == [Fraction(-2), Fraction(1), Fraction(0)]
 
 
+def test_integer_rank_matches_the_rank_over_q():
+    # integer entries divide with `//`, which raises on a remainder
+    rng = random.Random(6)
+    for r in range(1, 6):
+        L = [[rng.randint(-9, 9) for _ in range(r)] for _ in range(6)]
+        R = [[rng.randint(-9, 9) for _ in range(7)] for _ in range(r)]
+        M = mat_mul(L, R)
+        assert rank(M) == rank([[Fraction(x) for x in row] for row in M]) == r
+
+
 def test_frac_inverse():
     M = [[2, 1, 0], [1, 3, 1], [0, 1, 4]]
     inv = frac_inverse(M)

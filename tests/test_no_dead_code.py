@@ -14,6 +14,13 @@ Methods cannot be resolved without types, so a method counts as used when
 any attribute access in `src/qdp4` or `perfbench/` bears its name (bare
 names do not count).  Dunder methods are exempt.  Tests do not count: an
 oracle that only a test calls belongs in that test.
+
+The same holds for a parameter's default: some call in `src/qdp4` or
+`perfbench/` must pass the parameter, by position or keyword, a value other
+than the default's literal, or the parameter is a constant in disguise.
+Calls resolve by name (`f(...)`, `x.f(...)`, and `C(...)` for `C.__init__`),
+so a same-named call counts as passing, except one qualified by another
+class's name: `Moebius.identity(field)` passes nothing to `SignedPerm.identity`.
 """
 
 import ast
@@ -29,6 +36,14 @@ MODULES = {path.stem for path in PACKAGE.glob("*.py")}
 TEST_ONLY = {
     "identity": "SignedPerm.identity and Moebius.identity, the tests' reference elements",
     "elements": "FiniteField.elements, the element list the tests enumerate",
+}
+
+
+# Defaults that no call passes, kept on purpose as public API.  An entry
+# whose parameter becomes passed, or goes, must leave this table.
+DEFAULTS_KEPT = {
+    ("normal_form", "ordering"): "public API: the normal form at any of the 120 "
+                                 "orderings; the default is the sorted point order",
 }
 
 
@@ -130,3 +145,102 @@ def test_test_only_table_is_current():
     unreferenced = {name for _, name in _unreferenced()}
     stale = sorted(name for name in TEST_ONLY if name not in unreferenced)
     assert stale == [], f"no longer test-only: {stale}"
+
+
+def _defaults_and_calls(tree):
+    """The defaulted parameters a tree defines, as (class or None, function,
+    parameter, position, default node) with the position counted without
+    self or cls (None for keyword-only parameters), and its calls, as (call
+    node, enclosing function's key or None, its defaults by parameter)."""
+    params, calls = [], []
+
+    def visit(node, cls, enclosing, defaults):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name, enclosing, defaults)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                decorators = {d.id for d in child.decorator_list if isinstance(d, ast.Name)}
+                bound = cls is not None and "staticmethod" not in decorators
+                positional = args.posonlyargs + args.args
+                own = {}
+                first = len(positional) - len(args.defaults)
+                for i, default in enumerate(args.defaults, first):
+                    own[positional[i].arg] = (i - bound, default)
+                for param, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        own[param.arg] = (None, default)
+                params.extend((cls, child.name, p, pos, d) for p, (pos, d) in own.items())
+                visit(child, None, (cls, child.name), {p: d for p, (_, d) in own.items()})
+            else:
+                if isinstance(child, ast.Call):
+                    calls.append((child, enclosing, defaults))
+                visit(child, cls, enclosing, defaults)
+
+    visit(tree, None, None, {})
+    return params, calls
+
+
+def _same_literal(a, b):
+    return isinstance(a, ast.Constant) and isinstance(b, ast.Constant) and a.value == b.value
+
+
+def _supplied(call, param, position):
+    """The argument node a call gives param, True when a * or ** argument may
+    give it, or None."""
+    if any(isinstance(a, ast.Starred) for a in call.args) or \
+            any(k.arg is None for k in call.keywords):
+        return True
+    if position is not None and position < len(call.args):
+        return call.args[position]
+    return next((k.value for k in call.keywords if k.arg == param), None)
+
+
+def test_every_default_is_passed():
+    """A call passes a default when it gives the parameter a value other than
+    the default's literal; handing on the caller's own parameter with the same
+    default counts only once the caller's parameter is passed."""
+    params, calls, classes = [], [], set()
+    for _, in_package, tree in _sources():
+        p, c = _defaults_and_calls(tree)
+        calls += c
+        if in_package:
+            params += p
+            classes.update(n.name for n in ast.walk(tree) if isinstance(n, ast.ClassDef))
+
+    def callers(cls, name):
+        """Calls by the name a definition is called under: a call qualified
+        by another class's name (Moebius.identity) calls that class."""
+        called = cls if name == "__init__" else name
+        for call, enclosing, defaults in calls:
+            func = call.func
+            owner = func.value.id if isinstance(func, ast.Attribute) and \
+                isinstance(func.value, ast.Name) else None
+            if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) \
+                    == called and (owner not in classes or owner == cls):
+                yield call, enclosing, defaults
+
+    passed = set()
+    while True:
+        grown = set()
+        for cls, name, param, position, default in params:
+            if (cls, name, param) in passed:
+                continue
+            for call, enclosing, defaults in callers(cls, name):
+                value = _supplied(call, param, position)
+                if value is None or _same_literal(value, default):
+                    continue
+                if isinstance(value, ast.Name) and _same_literal(defaults.get(value.id), default):
+                    if enclosing + (value.id,) not in passed:
+                        continue
+                grown.add((cls, name, param))
+                break
+        if not grown:
+            break
+        passed |= grown
+    unpassed = {(name, param) for cls, name, param, _, _ in params
+                if (cls, name, param) not in passed}
+    stale = sorted(key for key in DEFAULTS_KEPT if key not in unpassed)
+    assert stale == [], f"no longer unpassed defaults: {stale}"
+    never = sorted(f"{name}({param}=...)" for name, param in unpassed - set(DEFAULTS_KEPT))
+    assert never == [], f"defaults that no call in src/qdp4 or perfbench passes: {never}"

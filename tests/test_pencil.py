@@ -9,15 +9,15 @@ import numpy as np
 import pytest
 
 from qdp4 import _accel, pencil
-from qdp4.fields import (GF, QQ, FieldMismatchError, embed, embed_poly, factor,
-                         is_square, scalar_key)
+from qdp4.fields import (GF, QQ, FieldMismatchError, Poly, embed, embed_poly,
+                         factor, is_square, scalar_key, squarefree)
 from qdp4.hyperoct import CycleSignature
 from qdp4.linalg import congruence, kernel_vector
 from qdp4.pencil import (DegeneratePencilError, InvalidNormalFormError,
                          NormalForm, NotSmoothError, QuadricPencil,
                          ResourceLimitError, UnsupportedFieldError,
                          UnsupportedSplittingError, _encode_form,
-                         _encoded_tables, canonical_invariant, charts,
+                         _encoded_tables, canonical_invariant,
                          count_points, degenerate_parameter_points,
                          discriminant_quintic,
                          galois_signature, is_smooth, isomorphic, normal_form,
@@ -26,6 +26,11 @@ from qdp4.pencil import (DegeneratePencilError, InvalidNormalFormError,
 from qdp4.sampling import (random_gl2, random_invertible, random_smooth_pencil,
                            random_split_pencil, random_symmetric)
 from qdp4.wpline import Moebius, ProjPoint, moebius_to_inf_zero_one
+
+
+def affine_quintic(P):
+    """The affine chart g(z) = F(1, z) of the binary quintic."""
+    return Poly(P.field, discriminant_quintic(P))
 
 
 def diag_pencil(field, a_diag, b_diag):
@@ -148,7 +153,7 @@ def test_asymmetric_rejected():
 def test_diagonal_f7_pencil_quintic():
     F7 = GF(7)
     P = diag_pencil(F7, (1, 2, 3, 4, 5), (1, 1, 1, 1, 1))
-    g, _ = charts(P)
+    g = affine_quintic(P)
     roots = sorted((-f.coeffs[0]).coeffs[0] for f, _ in factor(g) if f.degree == 1)
     # det = prod(a_i t0 - t1): roots t1/t0 = a_i
     assert roots == [1, 2, 3, 4, 5]
@@ -173,7 +178,7 @@ def test_smoothness_iff_all_multiplicities_one():
                               random_symmetric(F5, rng))
         except DegeneratePencilError:
             continue
-        g, h = charts(P)
+        g = affine_quintic(P)
         if g.is_zero():
             assert not is_smooth(P)
             checked_singular += 1
@@ -182,6 +187,9 @@ def test_smoothness_iff_all_multiplicities_one():
         inf_mult = 5 - g.degree
         squarefree_binary = all(m == 1 for m in mults) and inf_mult <= 1
         assert is_smooth(P) == squarefree_binary
+        # both affine charts squarefree, the binary quintic read at infinity too
+        h = Poly(F5, tuple(reversed(discriminant_quintic(P))))
+        assert squarefree_binary == (squarefree(g) and squarefree(h))
         if squarefree_binary:
             checked_smooth += 1
         else:
@@ -383,7 +391,7 @@ def test_points_over_larger_fields_come_from_the_base_factors():
     # the splitting field must not be re-embedded from the splitting field
     P = random_smooth_pencil(GF(3, 2), random.Random(0))
     assert splitting_field(P) == GF(3, 4)
-    g, _ = charts(P)
+    g = affine_quintic(P)
     for dst in (GF(3, 8), GF(3, 12)):
         lin = [f for f, _ in factor(embed_poly(g, dst))]
         assert all(f.degree == 1 for f in lin)
@@ -427,7 +435,7 @@ def test_galois_signature_split_and_rational():
 
 def test_galois_signature_irreducible_quintic():
     P = random_smooth_pencil(GF(5), random.Random(10))
-    g, _ = charts(P)
+    g = affine_quintic(P)
     assert [f.degree for f, _ in factor(g)] == [5]
     sig = galois_signature(P)
     assert len(sig.cycles) == 1 and sig.cycles[0][0] == 5
@@ -452,7 +460,7 @@ def test_ruling_sign_is_the_same_at_every_conjugate_root():
         rng = random.Random(p)
         for _ in range(12):
             P = random_smooth_pencil(GF(p), rng)
-            g, _ = charts(P)
+            g = affine_quintic(P)
             # the same pencil with its first rational degenerate point moved
             # to infinity, which covers the sign there
             lin = [f for f, _ in factor(g) if f.degree == 1]
@@ -462,7 +470,7 @@ def test_ruling_sign_is_the_same_at_every_conjugate_root():
                 moved = [QuadricPencil(GF(p), P.B, [[r * b - a for a, b in zip(ra, rb)]
                                                     for ra, rb in zip(P.A, P.B)])]
             for Pm in [P] + moved:
-                g, _ = charts(Pm)
+                g = affine_quintic(Pm)
                 expected = []
                 if g.degree < 5:
                     expected.append((1, _reference_sign([[-x for x in row] for row in Pm.B],
@@ -705,7 +713,7 @@ def test_signature_lengths_are_factor_degrees():
         field = GF(p)
         for _ in range(8):
             P = random_smooth_pencil(field, rng)
-            g, _ = charts(P)
+            g = affine_quintic(P)
             degrees = sorted(f.degree for f, _ in factor(g))
             if g.degree < 5:
                 degrees = sorted(degrees + [1])  # the point at infinity

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qdp4.hyperoct import CycleSignature, SignedPerm, all_signed_perms, even_signed_perms
-from qdp4.linalg import frac_inverse, int_kernel_dim, mat_mul
+from qdp4.linalg import frac_inverse, mat_mul, rank
 from qdp4.picard import (InvalidAutError, InvalidClassError, InvalidRootError,
                          K_CLASS, brute_force_classes, canonical_class,
                          intersect, invariant_rank, is_minimal, pair_of,
@@ -34,7 +34,7 @@ def signed_perm_matrix(sp: SignedPerm) -> np.ndarray:
 def invariant_rank_kernel(sp: SignedPerm) -> int:
     """dim ker(M - I) on Pic_Q for the realizing matrix."""
     M = signed_perm_matrix(sp)
-    return 1 + int_kernel_dim((M - np.eye(5, dtype=np.int64)).tolist())
+    return 1 + 5 - rank((M - np.eye(5, dtype=np.int64)).tolist())
 
 
 def matrix_on_standard_basis(sp: SignedPerm):
