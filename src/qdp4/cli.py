@@ -11,6 +11,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
+from functools import lru_cache
 
 from . import kgroups, picard, selftest
 from .fields import (QQ, FieldMismatchError, UnsupportedFieldError,
@@ -21,11 +22,10 @@ from .groupoids import (FiniteGroupoid, GroupoidFunctor, build_psi, check_functo
                         standard_choice, verify_heavy_separability)
 from .hyperoct import CycleSignature, fiber_product
 from .pencil import (NotSmoothError, QuadricPencil, ResourceLimitError,
-                     UnsupportedSplittingError, canonical_invariant,
-                     count_points, degenerate_orbits, discriminant_quintic,
-                     galois_signature, is_smooth, isomorphic,
-                     point_configuration, predicted_count, reconstruct,
-                     splitting_field)
+                     canonical_invariant, count_points, degenerate_orbits,
+                     discriminant_quintic, galois_signature, is_smooth,
+                     isomorphic, point_configuration, predicted_count,
+                     reconstruct, splitting_field)
 from .wpline import PointConfiguration, aut_group, defined_over
 
 EXIT_OK = 0
@@ -290,6 +290,7 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_NEGATIVE
 
 
+@lru_cache(maxsize=None)  # one parser per process: parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qdp4",
@@ -350,30 +351,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the exit code of each error that main reports, first match wins
+_EXIT_CODES = ((ParseFailure, EXIT_PARSE), (NotSmoothError, EXIT_NOT_SMOOTH),
+               (UnsupportedFieldError, EXIT_UNSUPPORTED), (FieldMismatchError, EXIT_UNSUPPORTED),
+               (ResourceLimitError, EXIT_NEGATIVE),
+               (ValueError, EXIT_PARSE))  # invalid scalars, normal forms, matrices
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except BrokenPipeError:  # the reader closed stdout; keep the exit flush quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_NEGATIVE
-    except ParseFailure as exc:
+    except tuple(cls for cls, _ in _EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except NotSmoothError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_SMOOTH
-    except (UnsupportedFieldError, UnsupportedSplittingError,
-            FieldMismatchError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NEGATIVE
-    except ValueError as exc:  # invalid scalars, normal forms, matrices
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

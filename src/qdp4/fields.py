@@ -12,6 +12,8 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 
 class FieldMismatchError(ValueError):
     """Operands belong to different fields."""
@@ -634,21 +636,68 @@ def _squarefree_decomposition(f: Poly):
         n *= p
 
 
-def _distinct_degree(f: Poly):
-    """Monic squarefree f -> list of (product-of-irreducibles-of-degree-d, d)."""
+@lru_cache(maxsize=None)
+def _twists(field) -> tuple:
+    """G[m][c][r]: coefficient r of t^m t^(cp) in F_{p^k}, t its generator."""
+    t, twists = field.gen(), [field.one]
+    while len(twists) < field.k:
+        twists.append(twists[-1] * t ** field.p)
+    return tuple(tuple((t ** m * s).coeffs for s in twists) for m in range(field.k))
+
+
+class _Frobenius:
+    """The p-power map of V = K[x]/(f), K = F_{p^n}, as an nd x nd matrix over
+    F_p (von zur Gathen-Shoup 1992).  Coordinate i*n + j is coefficient j of
+    the x^i coefficient; column i*n + j is t^(jp) (x^p)^i mod f, so building
+    it costs one x^p mod f.  Entries are int64 while nd (p-1)^2 < 2^63 bounds
+    a matrix-vector product, Python ints beyond.  Reduction modulo a factor g
+    of f commutes with the map, so one matrix serves every such g."""
+
+    def __init__(self, f: Poly):
+        field = self.field = f.field
+        self.f = f
+        p, n, d = field.p, field.k, f.degree
+        self.dtype = np.int64 if n * d * (p - 1) ** 2 < 2 ** 63 else object
+        xp = poly_pow_mod(Poly(field, [field.zero, field.one]), p, f)
+        powers = [Poly(field, [field.one]) % f]
+        for _ in range(d - 1):
+            powers.append(powers[-1] * xp % f)
+        # A[i, l, m]: coefficient m of the x^l coefficient of (x^p)^i
+        A = np.array([self.vector(h).reshape(d, n) for h in powers], dtype=self.dtype)
+        phi = np.tensordot(A, np.array(_twists(field), dtype=self.dtype), axes=([2], [0]))
+        self.matrix = phi.transpose(1, 3, 0, 2).reshape(n * d, n * d) % p  # [l, r, i, c]
+
+    def vector(self, h: Poly):
+        n, cs = self.field.k, [c.coeffs for c in (h % self.f).coeffs]
+        return np.array(cs + [(0,) * n] * (self.f.degree - len(cs)), dtype=self.dtype).ravel()
+
+    def poly(self, v) -> Poly:
+        n = self.field.k
+        return Poly(self.field, [FFElem(self.field, tuple(int(a) for a in v[i:i + n]))
+                                 for i in range(0, len(v), n)])
+
+    def iterate(self, h: Poly, m: int):
+        """(h^(p^m), sum_{i<m} h^(p^i)), both mod f."""
+        p, v, acc = self.field.p, self.vector(h), 0
+        for _ in range(m):
+            v, acc = self.matrix @ v % p, (acc + v) % p
+        return self.poly(v), self.poly(acc)
+
+
+def _distinct_degree(f: Poly, frob: _Frobenius):
+    """Monic squarefree f, a factor of frob's modulus -> list of
+    (product-of-irreducibles-of-degree-d, d).  x^(Q^d) is Phi^(kd) x."""
     field = f.field
-    q = field.order
     out = []
     x = Poly(field, [field.zero, field.one])
     g = x
     d = 1
     while 2 * d <= f.degree:
-        g = poly_pow_mod(g, q, f)
+        g = frob.iterate(g, field.k)[0]
         h = poly_gcd(f, g - x)
         if h.degree > 0:
             out.append((h, d))
             f = f // h
-            g = g % f
         d += 1
     if f.degree > 0:
         out.append((f, f.degree))
@@ -667,45 +716,45 @@ def _poly_seed(f: Poly, tag: str) -> int:
     return int.from_bytes(hashlib.sha256(payload.encode()).digest()[:8], "big")
 
 
-def _split(f: Poly, d: int, rng: random.Random) -> Poly:
-    """A proper monic factor of f, a squarefree product of at least two
-    degree-d irreducibles (q odd), by one Cantor-Zassenhaus split."""
+def _split(f: Poly, d: int, frob: _Frobenius, rng: random.Random) -> Poly:
+    """A proper monic factor of f, a squarefree product of at least two degree-d
+    irreducibles over F_{p^k} (p odd) dividing frob's modulus: T(r) = sum_{i<kd}
+    r^(p^i) lies in F_p at each root, and gcd(f, T(r)^((p-1)/2) - 1) splits f."""
     field = f.field
-    q = field.order
-    exp = (q ** d - 1) // 2
     one = Poly(field, [field.one])
     while True:
         r = Poly(field, [random_element(field, rng) for _ in range(f.degree)])
         if r.degree < 1:
             continue
-        h = poly_pow_mod(r, exp, f)
+        h = poly_pow_mod(frob.iterate(r, field.k * d)[1], (field.p - 1) // 2, f)
         g = poly_gcd(f, h - one)
         if 0 < g.degree < f.degree:
             return g
 
 
-def _equal_degree(f: Poly, d: int, rng: random.Random):
-    """Cantor-Zassenhaus split of a squarefree product of degree-d irreducibles (q odd)."""
+def _equal_degree(f: Poly, d: int, frob: _Frobenius, rng: random.Random):
+    """Cantor-Zassenhaus split of a squarefree product of degree-d irreducibles (p odd)."""
     if f.degree == d:
         return [f]
-    g = _split(f, d, rng)
-    return _equal_degree(g, d, rng) + _equal_degree(f // g, d, rng)
+    g = _split(f, d, frob, rng)
+    return _equal_degree(g, d, frob, rng) + _equal_degree(f // g, d, frob, rng)
 
 
 def split_root(f: Poly):
     """One root of f, a product of distinct linear factors over its field
-    (q odd).  Each split keeps the smaller factor, so no more than one
-    factorization path is followed; the root is fixed by f.  Any other f
-    (x^q != x mod f) raises DegenerateInputError."""
+    F_{p^k} (p odd).  Each split keeps the smaller factor, so no more than
+    one factorization path is followed; the root is fixed by f.  Any other f
+    (Phi^k x != x, that is x^(p^k) != x mod f) raises DegenerateInputError."""
     if f.degree < 1:
         raise DegenerateInputError("a constant polynomial has no root")
-    x = Poly(f.field, [f.field.zero, f.field.one])
-    if f.degree > 1 and poly_pow_mod(x, f.field.order, f) != x:
+    f = f.monic()
+    frob = _Frobenius(f)
+    x = Poly(f.field, [f.field.zero, f.field.one]) % f
+    if frob.iterate(x, f.field.k)[0] != x:
         raise DegenerateInputError("not a product of distinct linear factors")
     rng = random.Random(_poly_seed(f, "root"))
-    f = f.monic()
     while f.degree > 1:
-        g = _split(f, 1, rng)
+        g = _split(f, 1, frob, rng)
         f = min(g, f // g, key=lambda h: h.degree)
     return -f.coeffs[0]
 
@@ -721,10 +770,12 @@ def factor(f: Poly):
     if f.degree == 0:
         return []
     rng = random.Random(_poly_seed(f, "edf"))
+    f = f.monic()
+    frob = _Frobenius(f)
     out = []
-    for g, mult in _squarefree_decomposition(f.monic()):
-        for h, d in _distinct_degree(g):
-            for irr in _equal_degree(h, d, rng):
+    for g, mult in _squarefree_decomposition(f):
+        for h, d in _distinct_degree(g, frob):
+            for irr in _equal_degree(h, d, frob, rng):
                 out.append((irr.monic(), mult))
     out.sort(key=lambda fm: (fm[0].degree, [c.coeffs for c in fm[0].coeffs]))
     return out
@@ -813,7 +864,7 @@ def _canonical_modulus(p: int, k: int) -> tuple:
     for n in range(p if _binomials_reducible(p, k) else 0, p ** k):
         coeffs = tuple(n // p ** i % p for i in range(k)) + (1,)  # low degree first
         f = Poly.from_ints(GF(p), coeffs)
-        if _distinct_degree(f) == [(f, k)]:
+        if _distinct_degree(f, _Frobenius(f)) == [(f, k)]:
             return coeffs
     raise RuntimeError("unreachable: irreducibles of every degree exist")
 

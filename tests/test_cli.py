@@ -14,7 +14,8 @@ from qdp4 import cli, pencil
 from qdp4.fields import GF, QQ, Poly, factor
 from qdp4.groupoids import group_groupoid
 from qdp4.pencil import QuadricPencil, discriminant_quintic, reconstruct
-from qdp4.sampling import random_smooth_pencil
+from qdp4.linalg import congruence
+from qdp4.sampling import random_invertible, random_smooth_pencil
 
 
 @pytest.fixture
@@ -361,6 +362,54 @@ def test_iso_exit_codes(capsys, p23, p25):
     code, out, _ = run_cli(capsys, "iso", p23, p25)
     assert code == 1
     assert json.loads(out)["isomorphic"] is False
+
+
+def test_one_parser_serves_every_call_of_a_process(capsys, tmp_path, p23, p25):
+    # analyze, a malformed file (exit 2) and iso through main() in one
+    # process give the exit codes and stdout bytes of fresh processes
+    broken = tmp_path / "broken.json"
+    broken.write_text("{nope")
+    calls = [["analyze", p23], ["analyze", str(broken)], ["iso", p23, p25],
+             ["iso", p23, p23]]
+    in_process = [run_cli(capsys, *argv)[:2] for argv in calls]
+    assert [code for code, _ in in_process] == [0, 2, 1, 0]
+    assert cli.build_parser() is cli.build_parser()
+    for argv, (code, out) in zip(calls, in_process):
+        proc = subprocess.run([sys.executable, "-m", "qdp4.cli", *argv],
+                              capture_output=True)
+        assert (code, out.encode()) == (proc.returncode, proc.stdout), argv
+
+
+def test_pencils_over_a_large_prime_field_end_to_end(capsys, tmp_path):
+    # p = 10^9+7 = 3 mod 4; the second pencil's degenerate points are
+    # 3, 5, 7 and the pair z^2 = -1 from the block [[0, 1], [1, 0]] - z diag(1, -1)
+    F = GF(10 ** 9 + 7)
+    rng = random.Random(10)
+    lam, mu = 123456789, 987654321
+    z, one = F.zero, F.one
+    A = [[z, one, z, z, z], [one, z, z, z, z], [z, z, F(3), z, z], [z, z, z, F(5), z],
+         [z, z, z, z, F(7)]]
+    B = [[one if i == j else z for j in range(5)] for i in range(5)]
+    B[1][1] = -one
+    for P, split_degree in ((reconstruct((lam, mu), F), 1), (QuadricPencil(F, A, B), 2)):
+        M = random_invertible(F, rng)
+        hidden = QuadricPencil(F, congruence(M, P.A), congruence(M, P.B))
+        paths = []
+        for name, Q in (("p", P), ("hidden", hidden)):
+            paths.append(str(tmp_path / f"{name}.json"))
+            with open(paths[-1], "w") as fh:
+                json.dump(Q.to_json(), fh)
+        code, out, _ = run_cli(capsys, "analyze", paths[1])
+        assert code == 0
+        report = json.loads(out)
+        assert report["splitting_field"].get("degree", 1) == split_degree
+        if split_degree == 1:
+            assert [lam, mu] in report["canonical_invariant"]
+        else:
+            assert sorted(f["degree"] for f in report["degenerate_points"]["affine_factors"]) \
+                == [1, 1, 1, 2]
+        code, out, _ = run_cli(capsys, "iso", paths[0], paths[1])
+        assert code == 0 and json.loads(out)["isomorphic"] is True
 
 
 def test_iso_mismatched_characteristics_exit_4(capsys, tmp_path, p23):

@@ -3,14 +3,16 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qdp4.fields import (GF, MAX_DEGREE, QQ, DegenerateInputError,
                          FieldMismatchError, Poly, UnsupportedFieldError,
-                         _canonical_modulus, _is_prime, embed, embed_poly,
-                         factor, field_from_descriptor, is_square, poly_gcd,
-                         poly_pow_mod, rational_roots, scalar_from_json,
-                         scalar_to_json, split_root, squarefree)
+                         _canonical_modulus, _Frobenius, _is_prime, embed,
+                         embed_poly, factor, field_from_descriptor, is_square,
+                         poly_gcd, poly_pow_mod, random_element, rational_roots,
+                         scalar_from_json, scalar_to_json, split_root,
+                         squarefree)
 
 
 def test_rational_arithmetic():
@@ -162,26 +164,54 @@ def test_factor_multiply_back_1000_random():
             assert prod == f
 
 
+def _distinct_elements(field, n, rng):
+    out = []
+    while len(out) < n:
+        a = random_element(field, rng)
+        if a not in out:
+            out.append(a)
+    return out
+
+
+def _with_roots(field, roots, lead=2):
+    f = Poly(field, [field(lead)])
+    for r in roots:
+        f = f * Poly(field, [-r, field.one])
+    return f
+
+
 def test_split_root_finds_a_root_of_split_polynomials():
-    # products of 1 to 6 distinct monic linear factors over F_7, F_9 and F_25
+    # products of 1 to 6 distinct linear factors over F_7, F_9, F_25 and the
+    # largest fields the benchmark splits in: F_{3^12}, F_{11^12}, F_{1009^5}
     rng = random.Random(99)
-    for field in (GF(7), GF(3, 2), GF(5, 2)):
-        elems = list(field.elements())
+    for field in (GF(7), GF(3, 2), GF(5, 2), GF(3, 12), GF(11, 12), GF(1009, 5)):
         for n in range(1, 7):
-            for _ in range(5):
-                roots = rng.sample(elems, n)
-                f = Poly(field, [field(2)])
-                for r in roots:
-                    f = f * Poly(field, [-r, field.one])
+            for _ in range(5 if field.order < 100 else 2):
+                roots = _distinct_elements(field, n, rng)
+                f = _with_roots(field, roots)
                 root = split_root(f)
                 assert root in roots and f.evaluate(root) == field.zero
                 assert split_root(f) == root
-    # a constant, x^2 + 1 (irreducible over F_3) and (x - 1)^2 over F_5:
-    # none divides x^q - x, and none may loop
-    for f in (Poly.from_ints(GF(7), [3]), Poly.from_ints(GF(3), [1, 0, 1]),
-              Poly.from_ints(GF(5), [1, -2, 1])):
-        with pytest.raises(DegenerateInputError):
-            split_root(f)
+    # a constant, x^2 + 1 over a prime field P = 3 mod 4, (x - 1)^2 and an
+    # irreducible x^2 - a over an extension: none divides x^q - x, and none
+    # may loop, whether the Frobenius matrix holds int64 or Python ints
+    big = 1099511627563  # prime, 3 mod 4
+
+    def irreducible_quadratic(F):
+        a = next(a for a in (random_element(F, rng) for _ in range(100))
+                 if not a.is_zero() and not is_square(a))
+        return Poly(F, [-a, F.zero, F.one])
+
+    cases = {np.int64: [Poly.from_ints(GF(7), [3]), Poly.from_ints(GF(3), [1, 0, 1]),
+                        Poly.from_ints(GF(5), [1, -2, 1]), irreducible_quadratic(GF(3, 2))],
+             object: [Poly.from_ints(GF(big), [1, 0, 1]), Poly.from_ints(GF(big), [1, -2, 1]),
+                      irreducible_quadratic(GF(10 ** 9 + 7, 5))]}
+    for dtype, polys in cases.items():
+        for f in polys:
+            if f.degree > 0:
+                assert _Frobenius(f).dtype is dtype
+            with pytest.raises(DegenerateInputError):
+                split_root(f)
 
 
 def test_poly_true_division_is_exact():
@@ -339,16 +369,14 @@ def test_field_descriptor_round_trip():
 BIG_PRIME = 10 ** 30 + 57  # the least prime above 10^30
 
 
-def rabin_irreducible(p, coeffs):
-    """Rabin's test: f of degree n is irreducible over F_p iff x^(p^n) = x
-    mod f and gcd(f, x^(p^(n/l)) - x) = 1 for each prime l dividing n."""
-    field = GF(p)
-    f = Poly.from_ints(field, coeffs)
-    n = f.degree
-    x = Poly.from_ints(field, [0, 1])
-    if poly_pow_mod(x, p ** n, f) != x % f:
+def rabin_irreducible(f):
+    """Rabin's test: f of degree n is irreducible over F_q iff x^(q^n) = x
+    mod f and gcd(f, x^(q^(n/l)) - x) = 1 for each prime l dividing n."""
+    q, n = f.field.order, f.degree
+    x = Poly(f.field, [f.field.zero, f.field.one])
+    if poly_pow_mod(x, q ** n, f) != x % f:
         return False
-    return all(poly_gcd(f, poly_pow_mod(x, p ** (n // ell), f) - x).degree == 0
+    return all(poly_gcd(f, poly_pow_mod(x, q ** (n // ell), f) - x).degree == 0
                for ell in range(2, n + 1) if _is_prime(ell) and n % ell == 0)
 
 
@@ -358,7 +386,8 @@ def test_canonical_modulus_is_the_rabin_choice():
     assert len(cases) == 78
     for p, k in cases:
         first = next(c for c in (tuple(n // p ** i % p for i in range(k)) + (1,)
-                                 for n in range(p ** k)) if rabin_irreducible(p, c))
+                                 for n in range(p ** k))
+                     if rabin_irreducible(Poly.from_ints(GF(p), c)))
         assert _canonical_modulus(p, k) == first, (p, k)
 
 
@@ -370,9 +399,21 @@ def test_modulus_search_skips_the_binomials_when_none_is_irreducible():
     F = GF(p, 3)
     assert time.perf_counter() - start < 1.0
     n = sum(c * p ** i for i, c in enumerate(F.modulus[:3]))
-    assert rabin_irreducible(p, F.modulus)
-    assert not any(rabin_irreducible(p, tuple(m // p ** i % p for i in range(3)) + (1,))
+    assert rabin_irreducible(Poly.from_ints(GF(p), F.modulus))
+    assert not any(rabin_irreducible(Poly.from_ints(GF(p), [m // p ** i % p for i in range(3)]
+                                                    + [1]))
                    for m in range(p, n))
+
+
+def test_large_characteristic_moduli_are_pinned_and_fast():
+    # the moduli the search found when each candidate cost up to k/2
+    # powerings x^(p^d) mod f; it now costs one x^p mod f
+    for p, k, modulus in ((10 ** 9 + 7, 9, (9, 1, 0, 0, 0, 0, 0, 0, 0, 1)),
+                          (1099511627609, 6, (6, 1, 0, 0, 0, 0, 1))):
+        start = time.perf_counter()
+        assert _canonical_modulus.__wrapped__(p, k) == modulus
+        assert time.perf_counter() - start < 1.0
+        assert rabin_irreducible(Poly.from_ints(GF(p), modulus))
 
 
 def test_described_fields_are_bounded():
@@ -411,3 +452,53 @@ def test_poly_gcd_monic():
     g = (t + one) * (t + Poly.from_ints(F7, [5]))
     d = poly_gcd(f, g)
     assert d == t + one
+
+
+def test_frobenius_matrix_is_the_p_power_map():
+    # the oracle raises h to p^m by repeated squaring in tuple arithmetic
+    rng = random.Random(17)
+    for field, d, dtype in ((GF(3), 4, np.int64), (GF(5, 3), 3, np.int64),
+                            (GF(11, 4), 2, np.int64), (GF(10 ** 9 + 7, 3), 3, np.int64),
+                            (GF(10 ** 9 + 7, 2), 5, object),
+                            (GF(1099511627689), 3, object)):
+        p = field.p
+        g = Poly(field, [random_element(field, rng) for _ in range(2)] + [field.one])
+        f = g * Poly(field, [random_element(field, rng) for _ in range(d - 2)] + [field.one])
+        frob = _Frobenius(f)
+        assert frob.dtype is dtype and frob.matrix.shape == (field.k * d, field.k * d)
+        for _ in range(3):
+            h = Poly(field, [random_element(field, rng) for _ in range(d)])
+            powers = [poly_pow_mod(h, p ** i, f) for i in range(4)]
+            assert frob.iterate(h, 3) == (powers[3], (powers[0] + powers[1] + powers[2]) % f)
+            assert frob.iterate(h, 1) == (powers[1], powers[0])
+            # reduction modulo a factor of the modulus commutes with the map
+            assert frob.iterate(h, 1)[0] % g == poly_pow_mod(h, p, g)
+
+
+def _check_factorization(f, fs):
+    prod = Poly(f.field, [f.leading()])
+    for g, m in fs:
+        assert g.leading() == f.field.one and rabin_irreducible(g)
+        for _ in range(m):
+            prod = prod * g
+    assert prod == f
+
+
+def test_split_root_and_factor_on_both_element_types():
+    # nd (p-1)^2 < 2^63 holds for nd <= 9 at p = 10^9+7 and for no nd near 2^40
+    rng = random.Random(23)
+    P = 10 ** 9 + 7
+    for field, d, dtype in ((GF(P), 9, np.int64), (GF(P), 10, object),
+                            (GF(P, 3), 3, np.int64), (GF(P, 2), 5, object),
+                            (GF(1099511627689), 4, object)):
+        roots = _distinct_elements(field, d, rng)
+        f = _with_roots(field, roots, lead=3)
+        assert _Frobenius(f).dtype is dtype
+        root = split_root(f)
+        assert root in roots and f.evaluate(root).is_zero()
+        g = Poly(field, [random_element(field, rng) for _ in range(d)] + [field(5)])
+        assert _Frobenius(g).dtype is dtype
+        _check_factorization(g, factor(g))
+        # a repeated root beside the random factors
+        h = g * _with_roots(field, roots[:2], lead=1) * Poly(field, [-roots[0], field.one])
+        _check_factorization(h, factor(h))
