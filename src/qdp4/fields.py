@@ -11,6 +11,7 @@ import hashlib
 import random
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 import numpy as np
 
@@ -781,47 +782,54 @@ def factor(f: Poly):
     return out
 
 
+def _eval_mod(cs, x: int, m: int) -> int:
+    """The integer polynomial with coefficients cs (low degree first) at x, mod m."""
+    acc = 0
+    for c in reversed(cs):
+        acc = (acc * x + c) % m
+    return acc
+
+
 def rational_roots(f: Poly):
-    """All rational roots of a nonzero f over Q, with multiplicity, sorted."""
+    """All rational roots of a nonzero f over Q, with multiplicity, sorted.
+
+    The squarefree part s = c_n x^n + ... + c_0 of f / x^m is reduced modulo
+    the smallest odd prime p that keeps its degree and its squarefreeness.
+    Each root mod p (a linear factor from `factor`) is Newton-lifted to a
+    modulus N > 2 |c_n c_0|.  A root a/b has a | c_0 and b | c_n, so c_n a/b
+    is the symmetric residue of c_n r mod N; every candidate is checked
+    exactly (von zur Gathen-Gerhard, Modern Computer Algebra, ch. 15).
+    """
     if not f.field.is_rational:
         raise UnsupportedFieldError("rational_roots expects a polynomial over Q")
     if f.is_zero():
         raise DegenerateInputError("zero polynomial")
-    # clear denominators to an integer polynomial
-    from math import gcd, lcm
-    den = lcm(*[c.denominator for c in f.coeffs]) if f.coeffs else 1
-    ints = [int(c * den) for c in f.coeffs]
-    # strip factors of x
-    mult0 = 0
-    while ints and ints[0] == 0:
-        ints.pop(0)
-        mult0 += 1
+    mult0 = next(i for i, c in enumerate(f.coeffs) if c)
     out = [(Fraction(0), mult0)] if mult0 else []
-    if len(ints) <= 1:
-        return sorted(out)
-    a0, an = abs(ints[0]), abs(ints[-1])
-
-    def divisors(n):
-        ds = set()
-        d = 1
-        while d * d <= n:
-            if n % d == 0:
-                ds.add(d)
-                ds.add(n // d)
-            d += 1
-        return ds
-
-    g = Poly(QQ, [Fraction(c) for c in ints])
-    candidates = sorted({Fraction(s * num, den) for num in divisors(a0)
-                         for den in divisors(an) for s in (1, -1)})
-    for cand in candidates:
-        m = 0
-        lin = Poly(QQ, [-cand, Fraction(1)])
-        while g.evaluate(cand) == 0:
-            g = g // lin
-            m += 1
+    g = Poly(QQ, f.coeffs[mult0:])
+    if g.degree < 1:
+        return out
+    s = g // poly_gcd(g, g.derivative())
+    den = lcm(*[c.denominator for c in s.coeffs])
+    cs = [int(c * den) for c in s.coeffs]
+    ds = [i * c for i, c in enumerate(cs)][1:]
+    p = 3
+    while not (cs[-1] % p and _is_prime(p) and squarefree(Poly.from_ints(GF(p), cs))):
+        p += 2
+    for h, _ in factor(Poly.from_ints(GF(p), cs)):
+        if h.degree > 1:
+            break
+        r, N = -h.coeffs[0].coeffs[0] % p, p
+        while N <= 2 * abs(cs[-1] * cs[0]):
+            N *= N
+            r = (r - _eval_mod(cs, r, N) * pow(_eval_mod(ds, r, N), -1, N)) % N
+        v = cs[-1] * r % N
+        root, m = Fraction(v - N if 2 * v > N else v, cs[-1]), 0
+        lin = Poly(QQ, [-root, Fraction(1)])
+        while g.evaluate(root) == 0:
+            g, m = g // lin, m + 1
         if m:
-            out.append((cand, m))
+            out.append((root, m))
     return sorted(out)
 
 

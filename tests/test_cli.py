@@ -5,16 +5,17 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from qdp4 import cli, pencil
 from qdp4.fields import GF, QQ, Poly, factor
 from qdp4.groupoids import group_groupoid
 from qdp4.pencil import QuadricPencil, discriminant_quintic, reconstruct
-from qdp4.linalg import congruence
+from qdp4.linalg import congruence, mat_mul, transpose
 from qdp4.sampling import random_invertible, random_smooth_pencil
 
 
@@ -111,6 +112,105 @@ def test_analyze_nonsplit_rational_exit_4(capsys, tmp_path):
     code, _, err = run_cli(capsys, "analyze", str(path))
     assert code == 4
     assert "2 rational root(s) and a factor of degree 2" in err
+
+
+# each pencil is block-diagonal: 1x1 blocks (a, b) give the points a / b, and
+# a 2x2 block ([[0, 1], [1, 0]], diag(1, 1/c)) the pair z^2 = c
+_EXIT_4_WITNESSES = (
+    # the tridiagonal pencil of the test above: no rational point
+    ([[0, 1, 0, 0, 0], [1, 0, 1, 0, 0], [0, 1, 0, 1, 0], [0, 0, 1, 0, 1], [0, 0, 0, 1, 1]],
+     ["1", "1", "1", "1", "1"], 0, 5),
+    # the point 0 and the pairs z^2 = 2 and z^2 = 3
+    ([[0, 0, 0, 0, 0], [0, 0, 1, 0, 0], [0, 1, 0, 0, 0], [0, 0, 0, 0, 1], [0, 0, 0, 1, 0]],
+     ["1", "1", "1/2", "1", "1/3"], 1, 4),
+    # the points 0, 1 and 2 and the pair z^2 = 2
+    ([[0, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 2, 0, 0], [0, 0, 0, 0, 1], [0, 0, 0, 1, 0]],
+     ["1", "1", "1", "1", "1/2"], 3, 2),
+)
+
+
+@pytest.mark.parametrize("A,B_diagonal,roots,rest", _EXIT_4_WITNESSES)
+def test_nonsplit_rational_witness_is_pinned(capsys, tmp_path, A, B_diagonal, roots, rest):
+    # the stderr text, byte for byte, as the divisor enumeration printed it
+    B = [[B_diagonal[i] if i == j else "0" for j in range(5)] for i in range(5)]
+    path = tmp_path / "nonsplit.json"
+    path.write_text(json.dumps({"field": {"kind": "rationals"},
+                                "A": [[str(x) for x in row] for row in A], "B": B}))
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert (code, out) == (4, "")
+    assert err == (f"error: quintic does not split over Q: it has {roots} rational "
+                   f"root(s) and a factor of degree {rest} with no rational root; "
+                   "reduce the pencil modulo an odd prime to compute over a finite field\n")
+
+
+def _hidden_rational_pencil(P, rng, basis_change):
+    """P under the unimodular congruence by L L^T, L unitriangular with small
+    integer entries, and the pencil basis change (A, B) -> (aA + bB, cA + dB)."""
+    lower = [[Fraction(rng.randint(-2, 2) if j < i else int(i == j)) for j in range(5)]
+             for i in range(5)]
+    M = mat_mul(lower, transpose(lower))
+    A, B = congruence(M, P.A), congruence(M, P.B)
+    a, b, c, d = basis_change
+    return QuadricPencil(QQ, [[a * x + b * y for x, y in zip(r, s)] for r, s in zip(A, B)],
+                         [[c * x + d * y for x, y in zip(r, s)] for r, s in zip(A, B)])
+
+
+def test_large_height_rational_pencil_end_to_end(capsys, tmp_path):
+    # the divisor enumeration did not finish `analyze` on the hidden copy in 120 s
+    lam, mu = Fraction(10 ** 9 + 7), Fraction(1234567, 7654321)
+    P = reconstruct((lam, mu), QQ)
+    rng = random.Random(4)
+    paths = []
+    for basis_change in ((2, 1, 1, 1), (1, -1, 1, 0)):
+        hidden = _hidden_rational_pencil(P, rng, basis_change)
+        assert hidden.A != P.A
+        paths.append(tmp_path / f"hidden{len(paths)}.json")
+        paths[-1].write_text(json.dumps(hidden.to_json()))
+    code, out, _ = run_cli(capsys, "analyze", str(paths[0]))
+    assert code == 0
+    report = json.loads(out)
+    assert report["degenerate_points"]["includes_infinity"] is False
+    assert [str(lam), str(mu)] in report["canonical_invariant"]
+    code, out, _ = run_cli(capsys, "iso", str(paths[0]), str(paths[1]))
+    assert code == 0 and json.loads(out)["isomorphic"] is True
+
+
+_big = st.integers(-10 ** 40, 10 ** 40)
+_normal_form_args = st.one_of(
+    _big.map(str),
+    st.builds(lambda a, b: f"{a}/{b}", _big, st.integers(1, 10 ** 40)),
+    st.lists(st.integers(-5, 10 ** 6), min_size=1, max_size=5).map(str),  # F_{p^k}
+    st.sampled_from(["1/0", "2.7", "", "0", "1", "-1", "1/2", "-3/4", " 5 ", "[1, 2]", "x"]))
+_field_args = st.one_of(
+    st.just("Q"),
+    st.sampled_from(["q", "QQ", "rationals", "3", "5", "13", "1009", "1000000007",
+                     "1099511627689", "3^2", "5^3", "7^2", "3^5", "1009^2",
+                     "1099511627609^3"]),
+    st.sampled_from(["1", "2", "4", "0", "-3", "9", "3^0", "3^-1", "3^17", "3^100",
+                     str(2 ** 40 + 15), "", "x", "3^", "^2"]))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lam=_normal_form_args, mu=_normal_form_args, equal=st.integers(0, 4).map(lambda n: n == 0),
+       field=_field_args)
+@example(lam="10000000000000000000000000000000000000007/3", mu="-5/2", equal=False, field="Q")
+@example(lam="2", mu="-1", equal=False, field="1009")
+@example(lam="[0, 1]", mu="[1, 1]", equal=False, field="3^2")
+def test_reconstruct_arguments_get_a_documented_exit_code(capsys, tmp_path, lam, mu,
+                                                          equal, field):
+    # "--lambda=-1/2": argparse reads a separate "-1/2" as an option
+    code, out, err = run_cli(capsys, "reconstruct", f"--lambda={lam}",
+                             f"--mu={lam if equal else mu}", f"--field={field}")
+    assert code in {0, 2, 4}, err
+    if code:
+        assert err.startswith("error: ") and out == "", err
+        return
+    pencil_json = json.loads(out)
+    if pencil_json["field"] == {"kind": "rationals"}:
+        path = tmp_path / "pencil.json"
+        path.write_text(out)
+        assert run_cli(capsys, "analyze", str(path))[0] == 0
 
 
 _Q_PENCIL = reconstruct((2, 3), QQ).to_json()

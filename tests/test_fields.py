@@ -2,10 +2,12 @@ import pickle
 import random
 import time
 from fractions import Fraction
+from math import gcd, isqrt, lcm
 
 import numpy as np
 import pytest
 
+from qdp4 import fields
 from qdp4.fields import (GF, MAX_DEGREE, QQ, DegenerateInputError,
                          FieldMismatchError, Poly, UnsupportedFieldError,
                          _canonical_modulus, _Frobenius, _is_prime, embed,
@@ -288,6 +290,131 @@ def test_rational_roots():
     assert rational_roots(g) == []
     h = Poly.from_ints(QQ, [0, 0, 2, -2])  # -2 t^2 (t - 1)
     assert rational_roots(h) == [(Fraction(0), 2), (Fraction(1), 1)]
+
+
+def divisor_rational_roots(f):
+    """The divisor enumeration: a rational root a/b of the primitive integer
+    polynomial c_n x^n + ... + c_0 has a | c_0 and b | c_n, so trying every
+    such candidate finds them all, in time that grows with the divisor counts."""
+    den = lcm(*[c.denominator for c in f.coeffs])
+    ints = [int(c * den) for c in f.coeffs]
+    ints = [c // gcd(*ints) for c in ints]
+    mult0 = 0
+    while ints[0] == 0:
+        ints.pop(0)
+        mult0 += 1
+    out = [(Fraction(0), mult0)] if mult0 else []
+    if len(ints) <= 1:
+        return out
+
+    def divisors(n):
+        return {e for d in range(1, isqrt(n) + 1) if n % d == 0 for e in (d, n // d)}
+
+    g = Poly(QQ, [Fraction(c) for c in ints])
+    for cand in sorted({Fraction(s * a, b) for a in divisors(abs(ints[0]))
+                        for b in divisors(abs(ints[-1])) for s in (1, -1)}):
+        m, lin = 0, Poly(QQ, [-cand, Fraction(1)])
+        while g.evaluate(cand) == 0:
+            g, m = g // lin, m + 1
+        if m:
+            out.append((cand, m))
+    return sorted(out)
+
+
+def _random_rational_poly(rng):
+    """(f, its rational roots with multiplicity): f over Q of degree 1-6, a
+    product of linear factors of height <= 50 (some repeated, some with
+    denominators 3, 5 and 7), powers of x, irreducible quadratics (non-square
+    discriminant) and cubics (x^3 - d, d no cube), times a constant that is
+    non-integral or a multiple of 3*5*7."""
+    degree = rng.randint(1, 6)
+    f, roots = Poly.from_ints(QQ, [1]), {}
+    while f.degree < degree:
+        room = degree - f.degree
+        kind = rng.choice(["root", "root", "repeated", "zero", "quadratic", "cubic"])
+        if kind in ("root", "repeated", "zero"):
+            h = rng.choice([5, 12, 50])
+            r = Fraction(0) if kind == "zero" else Fraction(
+                rng.randint(-h, h), rng.choice([1, 2, 3, 5, 7, 15, 21, 35, rng.randint(1, h)]))
+            m = min(room, 1 if kind == "root" else rng.randint(2 - (kind == "zero"), 3))
+            roots[r] = roots.get(r, 0) + m
+            for _ in range(m):
+                f = f * Poly.from_ints(QQ, [-r.numerator, r.denominator])
+        elif kind == "quadratic" and room >= 2:
+            b, c = rng.randint(-20, 20), rng.randint(-20, 20)
+            if b * b - 4 * c < 0 or isqrt(b * b - 4 * c) ** 2 != b * b - 4 * c:
+                f = f * Poly.from_ints(QQ, [c, b, 1]).scale(Fraction(rng.randint(1, 5)))
+        elif kind == "cubic" and room >= 3:
+            d = rng.choice([-1, 1]) * rng.randint(2, 50)
+            if round(abs(d) ** (1 / 3)) ** 3 != abs(d):
+                f = f * Poly.from_ints(QQ, [-d, 0, 0, 1])
+    scale = rng.choice([Fraction(1), Fraction(105), Fraction(-105, 11),
+                        Fraction(rng.randint(1, 9), rng.randint(2, 9))])
+    return f.scale(scale), sorted(roots.items())
+
+
+def test_rational_roots_match_the_divisor_enumeration():
+    rng = random.Random(2024)
+    polys = [_random_rational_poly(rng) for _ in range(240)]
+    for f, expected in polys:
+        assert rational_roots(f) == divisor_rational_roots(f) == expected, f
+    # the mix the comparison covers
+    assert {f.degree for f, _ in polys} == {1, 2, 3, 4, 5, 6}
+    assert sum(any(r == 0 and m == k for r, m in roots) for f, roots in polys
+               for k in (1, 2, 3)) >= 3 * 5
+    assert sum(any(m > 1 for r, m in roots if r) for _, roots in polys) >= 20
+    assert sum(len(roots) < f.degree for f, roots in polys) >= 50
+    assert sum(any(c.denominator > 1 for c in f.coeffs) for f, _ in polys) >= 20
+    assert sum(f.leading() % 105 == f.coeffs[0] % 105 == 0 for f, _ in polys) >= 20
+
+
+def _poly_with_rational_roots(roots):
+    f = Poly.from_ints(QQ, [1])
+    for r in roots:
+        f = f * Poly(QQ, [-Fraction(r), Fraction(1)])
+    return f
+
+
+def test_rational_roots_reduce_modulo_the_smallest_good_prime(monkeypatch):
+    # 1 and 1 + 4849845 (= 3*5*7*11*13*17*19) meet modulo every odd prime
+    # below 23, and a leading 3*5*7*11 rules out 3, 5, 7 and 11
+    primes = []
+    real_factor = fields.factor
+
+    def recording_factor(f):
+        primes.append(f.field.p)
+        return real_factor(f)
+
+    monkeypatch.setattr(fields, "factor", recording_factor)
+    f = _poly_with_rational_roots([1, 2, 1 + 4849845])
+    assert rational_roots(f) == [(Fraction(r), 1) for r in (1, 2, 4849846)]
+    g = Poly.from_ints(QQ, [1155]) * _poly_with_rational_roots([Fraction(1, 1155), 2, -3])
+    assert g.leading() == 1155
+    assert rational_roots(g) == [(Fraction(-3), 1), (Fraction(1, 1155), 1), (Fraction(2), 1)]
+    assert primes == [23, 13]
+    # (x^2 - 2)(x^2 - 3)(x^2 - 6) has a root modulo every prime, none over Q
+    h = Poly.from_ints(QQ, [-2, 0, 1]) * Poly.from_ints(QQ, [-3, 0, 1]) * \
+        Poly.from_ints(QQ, [-6, 0, 1])
+    assert rational_roots(h) == []
+    for poly in (f, g, h):
+        assert rational_roots(poly) == rational_roots(poly)
+
+
+def test_rational_roots_of_large_height():
+    # five roots with 7-digit and with 100-digit numerators and denominators;
+    # the divisor enumeration did not finish the 7-digit case in 300 s
+    rng = random.Random(31)
+    for digits in (7, 100):
+        def number():
+            return rng.randrange(10 ** (digits - 1), 10 ** digits)
+
+        roots = sorted({Fraction(rng.choice((-1, 1)) * number(), number()) for _ in range(5)})
+        f = _poly_with_rational_roots(roots).scale(Fraction(3, 7))
+        assert rational_roots(f) == [(r, 1) for r in roots]
+        x3 = Poly.from_ints(QQ, [0, 0, 0, 1])
+        g = f * Poly(QQ, [-roots[0], Fraction(1)]) * Poly.from_ints(QQ, [-2, 0, 1]) * x3
+        assert rational_roots(g) == sorted([(Fraction(0), 3), (roots[0], 2)]
+                                           + [(r, 1) for r in roots[1:]])
 
 
 def test_embedding_is_a_field_homomorphism():
