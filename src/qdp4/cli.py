@@ -260,9 +260,9 @@ def _functor_report(G: FiniteGroupoid, path: str, report: dict) -> bool:
     separable.  The splitting search stops at the first class without one."""
     fobj = _load_json(path)
     with _parsing("functor file"):
-        target = FiniteGroupoid.from_json(fobj["target"])
-        phi = GroupoidFunctor(G, target, fobj["objects"], fobj["morphisms"])
-    witness = check_functor(phi)
+        phi = GroupoidFunctor.from_json(G, fobj)
+    witness = check_groupoid(phi.target)
+    witness = check_functor(phi) if witness is None else f"target: {witness}"
     report["functor_valid"] = witness is None
     report["functor_witness"] = witness
     if witness is not None:
@@ -358,8 +358,18 @@ _EXIT_CODES = ((ParseFailure, EXIT_PARSE), (NotSmoothError, EXIT_NOT_SMOOTH),
                (ValueError, EXIT_PARSE))  # invalid scalars, normal forms, matrices
 
 
+def _attach_values(argv):
+    """'--lambda -1/2' as '--lambda=-1/2': argparse takes a separate argument
+    that starts with '-' for an option unless it reads as a plain number."""
+    out = list(argv)
+    for i in range(len(out) - 2, -1, -1):
+        if out[i] in ("--lambda", "--mu"):
+            out[i:i + 2] = [f"{out[i]}={out[i + 1]}"]
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_attach_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
     except BrokenPipeError:  # the reader closed stdout; keep the exit flush quiet

@@ -21,7 +21,8 @@ class FieldMismatchError(ValueError):
 
 
 class DegenerateInputError(ValueError):
-    """Zero input where a nonzero one is required."""
+    """Input outside a function's domain: zero where a nonzero value is
+    required, or a polynomial that is not squarefree."""
 
 
 class UnsupportedFieldError(ValueError):
@@ -547,16 +548,6 @@ class Poly:
             acc = acc * x + c
         return acc
 
-    def pth_root_substitution(self) -> "Poly":
-        """For f with f' = 0 over F_{p^k}: the g with g(x^p) = f (coefficient p-th roots)."""
-        f = self.field
-        p = f.p
-        root_exp = p ** (f.k - 1)  # a^(p^(k-1)) is the p-th root in F_{p^k}
-        out = []
-        for i in range(0, len(self.coeffs), p):
-            out.append(self.coeffs[i] ** root_exp)
-        return Poly(f, out)
-
     def __repr__(self):
         if self.is_zero():
             return "Poly(0)"
@@ -597,45 +588,20 @@ def poly_pow_mod(base: Poly, n: int, mod: Poly) -> Poly:
 
 
 def squarefree(f: Poly) -> bool:
-    """True iff gcd(f, f') is constant."""
+    """True iff gcd(f, f') is constant; a p-th power (f' = 0) has gcd f."""
     if f.is_zero():
         raise DegenerateInputError("squarefree test on the zero polynomial")
-    if f.degree == 0:
-        return True
-    d = f.derivative()
-    if d.is_zero():
-        return False  # f is a p-th power (char p); never squarefree for deg >= 1
-    return poly_gcd(f, d).degree == 0
+    return poly_gcd(f, f.derivative()).degree == 0
+
+
+def _require_squarefree(f: Poly) -> None:
+    """Raise DegenerateInputError, naming gcd(f, f'), unless f is squarefree."""
+    if not squarefree(f):
+        rep = [scalar_to_json(c) for c in poly_gcd(f, f.derivative()).coeffs]
+        raise DegenerateInputError(f"not squarefree: gcd(f, f') = {rep} (low degree first)")
 
 
 # --- factorization over finite fields --------------------------------------
-
-def _squarefree_decomposition(f: Poly):
-    """Monic f over F_{p^k} -> list of (monic squarefree g_i, multiplicity e_i)."""
-    field = f.field
-    p = field.p
-    out = []
-    n = 1
-    while True:
-        d = f.derivative()
-        if not d.is_zero():
-            g = poly_gcd(f, d)
-            h = f // g
-            i = 1
-            while h.degree > 0:
-                gg = poly_gcd(g, h)
-                hh = h // gg
-                if hh.degree > 0:
-                    out.append((hh.monic(), i * n))
-                g = g // gg
-                h = gg
-                i += 1
-            if g.degree == 0:
-                return out
-            f = g  # remaining part is a p-th power
-        f = f.pth_root_substitution()
-        n *= p
-
 
 @lru_cache(maxsize=None)
 def _twists(field) -> tuple:
@@ -761,24 +727,21 @@ def split_root(f: Poly):
 
 
 def factor(f: Poly):
-    """Full factorization over F_{p^k}: sorted list of (monic irreducible, multiplicity)."""
-    if f.is_zero():
-        raise DegenerateInputError("cannot factor the zero polynomial")
+    """The monic irreducible factors of a squarefree f over F_{p^k}, sorted;
+    any other f raises DegenerateInputError naming gcd(f, f')."""
     if f.field.is_rational:
         raise UnsupportedFieldError(
             "factorization is available over finite fields only; over Q use "
             "rational_roots / reduce mod p")
+    _require_squarefree(f)
     if f.degree == 0:
         return []
     rng = random.Random(_poly_seed(f, "edf"))
     f = f.monic()
     frob = _Frobenius(f)
-    out = []
-    for g, mult in _squarefree_decomposition(f):
-        for h, d in _distinct_degree(g, frob):
-            for irr in _equal_degree(h, d, frob, rng):
-                out.append((irr.monic(), mult))
-    out.sort(key=lambda fm: (fm[0].degree, [c.coeffs for c in fm[0].coeffs]))
+    out = [irr.monic() for h, d in _distinct_degree(f, frob)
+           for irr in _equal_degree(h, d, frob, rng)]
+    out.sort(key=lambda g: (g.degree, [c.coeffs for c in g.coeffs]))
     return out
 
 
@@ -791,32 +754,31 @@ def _eval_mod(cs, x: int, m: int) -> int:
 
 
 def rational_roots(f: Poly):
-    """All rational roots of a nonzero f over Q, with multiplicity, sorted.
+    """The rational roots of a squarefree f over Q, sorted; any other f raises
+    DegenerateInputError naming gcd(f, f').
 
-    The squarefree part s = c_n x^n + ... + c_0 of f / x^m is reduced modulo
-    the smallest odd prime p that keeps its degree and its squarefreeness.
-    Each root mod p (a linear factor from `factor`) is Newton-lifted to a
-    modulus N > 2 |c_n c_0|.  A root a/b has a | c_0 and b | c_n, so c_n a/b
-    is the symmetric residue of c_n r mod N; every candidate is checked
-    exactly (von zur Gathen-Gerhard, Modern Computer Algebra, ch. 15).
+    s = c_n x^n + ... + c_0, f without its root 0 and cleared of denominators,
+    is reduced modulo the smallest odd prime p that keeps its degree and its
+    squarefreeness.  Each root mod p (a linear factor from `factor`) is
+    Newton-lifted to a modulus N > 2 |c_n c_0|.  A root a/b has a | c_0 and
+    b | c_n, so c_n a/b is the symmetric residue of c_n r mod N; every
+    candidate is checked exactly (von zur Gathen-Gerhard, Modern Computer
+    Algebra, ch. 15).
     """
     if not f.field.is_rational:
         raise UnsupportedFieldError("rational_roots expects a polynomial over Q")
-    if f.is_zero():
-        raise DegenerateInputError("zero polynomial")
-    mult0 = next(i for i, c in enumerate(f.coeffs) if c)
-    out = [(Fraction(0), mult0)] if mult0 else []
-    g = Poly(QQ, f.coeffs[mult0:])
-    if g.degree < 1:
+    _require_squarefree(f)
+    out = [Fraction(0)] if f.coeffs[0] == 0 else []
+    s = Poly(QQ, f.coeffs[len(out):])
+    if s.degree < 1:
         return out
-    s = g // poly_gcd(g, g.derivative())
     den = lcm(*[c.denominator for c in s.coeffs])
     cs = [int(c * den) for c in s.coeffs]
     ds = [i * c for i, c in enumerate(cs)][1:]
     p = 3
     while not (cs[-1] % p and _is_prime(p) and squarefree(Poly.from_ints(GF(p), cs))):
         p += 2
-    for h, _ in factor(Poly.from_ints(GF(p), cs)):
+    for h in factor(Poly.from_ints(GF(p), cs)):
         if h.degree > 1:
             break
         r, N = -h.coeffs[0].coeffs[0] % p, p
@@ -824,12 +786,9 @@ def rational_roots(f: Poly):
             N *= N
             r = (r - _eval_mod(cs, r, N) * pow(_eval_mod(ds, r, N), -1, N)) % N
         v = cs[-1] * r % N
-        root, m = Fraction(v - N if 2 * v > N else v, cs[-1]), 0
-        lin = Poly(QQ, [-root, Fraction(1)])
-        while g.evaluate(root) == 0:
-            g, m = g // lin, m + 1
-        if m:
-            out.append((root, m))
+        root = Fraction(v - N if 2 * v > N else v, cs[-1])
+        if s.evaluate(root) == 0:
+            out.append(root)
     return sorted(out)
 
 

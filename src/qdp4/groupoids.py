@@ -75,9 +75,19 @@ class FiniteGroupoid:
 
     @classmethod
     def from_json(cls, obj):
+        """Every name must be a string, as the keys of a functor's maps are."""
         morphisms = {m["name"]: (m["src"], m["tgt"]) for m in obj["morphisms"]}
         compose = {(g, f): gf for g, f, gf in obj["compose"]}
-        return cls(tuple(obj["objects"]), morphisms, compose, dict(obj["identities"]))
+        G = cls(tuple(obj["objects"]), morphisms, compose, dict(obj["identities"]))
+        _require_names(G.objects, G.morphisms, *G.morphisms.values(), *G.compose_table,
+                       G.compose_table.values(), G.identities, G.identities.values())
+        return G
+
+
+def _require_names(*groups):
+    bad = [name for group in groups for name in group if not isinstance(name, str)]
+    if bad:
+        raise ValueError(f"names must be strings, not {bad[0]!r}")
 
 
 def check_groupoid(G: FiniteGroupoid):
@@ -128,6 +138,15 @@ class GroupoidFunctor:
     object_map: dict
     morphism_map: dict
 
+    @classmethod
+    def from_json(cls, source: FiniteGroupoid, obj):
+        """{"target": a groupoid, "objects" and "morphisms": maps of names}."""
+        maps = obj["objects"], obj["morphisms"]
+        if not all(isinstance(m, dict) for m in maps):
+            raise ValueError("the object and morphism maps must be JSON objects")
+        _require_names(*maps, *(m.values() for m in maps))
+        return cls(source, FiniteGroupoid.from_json(obj["target"]), *maps)
+
     def ob(self, x):
         return self.object_map[x]
 
@@ -140,7 +159,7 @@ def check_functor(phi: GroupoidFunctor):
     for x in C.objects:
         if phi.object_map.get(x) not in D.objects:
             return f"object {x!r} has no image"
-        if phi.mor(C.identities[x]) != D.identities[phi.ob(x)]:
+        if phi.morphism_map.get(C.identities[x]) != D.identities[phi.ob(x)]:
             return f"identity at {x!r} not preserved"
     for f, (s, t) in C.morphisms.items():
         img = phi.morphism_map.get(f)

@@ -9,6 +9,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .fields import _exact_int
 from .wpline import Moebius
 
 
@@ -154,7 +155,8 @@ class CycleSignature:
 
     @classmethod
     def from_json(cls, obj):
-        return cls(tuple((int(a), int(b)) for a, b in obj))
+        """[length, sign] pairs of exact integers: floats and bools raise ValueError."""
+        return cls(tuple((_exact_int(a), _exact_int(b)) for a, b in obj))
 
 
 @dataclass(frozen=True)
@@ -229,18 +231,12 @@ def aut0_matrices():
 def index_tables():
     """Encoded composition data for B5: element index = 32 * perm_index + sign_mask.
 
-    Returns (perms, perm_mul, mask_apply, retract_mask):
+    Returns (perms, mask_apply, retract_mask):
       perms[i]          the i-th permutation (lex order over image tuples)
-      perm_mul[a, b]    index of perms[a] o perms[b]
       mask_apply[a, m]  the mask m' with bit_j(m') = bit_{perms[a]^-1(j)}(m)
       retract_mask[m]   m with all bits flipped when popcount(m) is odd
     """
     perms = list(itertools.permutations(range(5)))
-    pindex = {p: i for i, p in enumerate(perms)}
-    perm_mul = np.zeros((120, 120), dtype=np.int64)
-    for a, pa in enumerate(perms):
-        for b, pb in enumerate(perms):
-            perm_mul[a, b] = pindex[tuple(pa[pb[i]] for i in range(5))]
     mask_apply = np.zeros((120, 32), dtype=np.int64)
     for a, pa in enumerate(perms):
         inv = [0] * 5
@@ -254,5 +250,5 @@ def index_tables():
             mask_apply[a, m] = out
     retract_mask = np.array([m ^ 31 if bin(m).count("1") % 2 else m
                              for m in range(32)], dtype=np.int64)
-    return perms, perm_mul, mask_apply, retract_mask
+    return perms, mask_apply, retract_mask
 

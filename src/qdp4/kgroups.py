@@ -75,7 +75,6 @@ def tensor_k_matrix():
 
 def serre_from_gram(E):
     """The operator S with chi(x, y) = chi(y, Sx) for all x, y: S = E^-1 E^T."""
-    n = len(E)
     Ef = [[Fraction(x) for x in row] for row in E]
     try:
         Einv = frac_inverse(Ef)

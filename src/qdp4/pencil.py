@@ -188,9 +188,9 @@ def degenerate_orbits(P: QuadricPencil):
                 f"root(s) and a factor of degree {g.degree - len(roots)} with no "
                 "rational root; reduce the pencil modulo an odd prime to compute "
                 "over a finite field")
-        orbits = tuple(Poly(QQ, [-r, Fraction(1)]) for r, _ in roots)
+        orbits = tuple(Poly(QQ, [-r, Fraction(1)]) for r in roots)
     else:
-        orbits = tuple(f for f, _ in factor(g))
+        orbits = tuple(factor(g))
     out = (g.degree < 5, orbits)
     P._cache["orbits"] = out
     return out
@@ -354,10 +354,7 @@ def isomorphic(P1: QuadricPencil, P2: QuadricPencil):
 
 def reconstruct(nf, field) -> QuadricPencil:
     """The diagonal pencil with degenerate points infinity, 0, 1, lambda, mu."""
-    if isinstance(nf, NormalForm):
-        lam, mu = nf.lam, nf.mu
-    else:
-        lam, mu = nf
+    lam, mu = nf.pair() if isinstance(nf, NormalForm) else nf
     lam = field(lam) if isinstance(lam, int) else lam
     mu = field(mu) if isinstance(mu, int) else mu
     NormalForm(lam, mu)  # validates the constraints

@@ -60,23 +60,9 @@ def pair_of(h):
     return tuple(-k - x for k, x in zip(K_CLASS, h))
 
 
-@lru_cache(maxsize=None)
-def zero_class_pairs():
-    """Five pairs (h, h'), each sorted, representative = lexicographically smaller."""
-    seen = set()
-    pairs = []
-    for h in zero_classes():
-        if h in seen:
-            continue
-        hp = pair_of(h)
-        seen.update((h, hp))
-        pairs.append((min(h, hp), max(h, hp)))
-    pairs.sort()
-    return tuple(pairs)
-
-
 def pair_representatives():
-    return tuple(p[0] for p in zero_class_pairs())
+    """The lexicographically smaller class of each pair (h, h'), in order."""
+    return tuple(h for h in zero_classes() if h < pair_of(h))
 
 
 @lru_cache(maxsize=None)

@@ -105,12 +105,7 @@ GROUP_CATALOG = {
     "S3": _sym3(),
 }
 
-COFACTOR_CATALOG = {
-    "1": _cyclic(1),
-    "C2": _cyclic(2),
-    "C3": _cyclic(3),
-    "C2xC2": _product(_cyclic(2), _cyclic(2)),
-}
+COFACTOR_CATALOG = {name: GROUP_CATALOG[name] for name in ("1", "C2", "C3", "C2xC2")}
 
 
 def random_split_functor(rng: random.Random, idx: int = 0):
@@ -126,13 +121,10 @@ def random_split_functor(rng: random.Random, idx: int = 0):
     functor_mor = {}
     psi_all = {}
     for ci in range(n_classes):
-        gname = rng.choice(list(GROUP_CATALOG))
-        kname = rng.choice(list(COFACTOR_CATALOG))
-        G = GROUP_CATALOG[gname]
-        K = COFACTOR_CATALOG[kname]
-        while len(G[0]) * len(K[0]) > 16:
-            kname = "1"
-            K = COFACTOR_CATALOG[kname]
+        G = GROUP_CATALOG[rng.choice(list(GROUP_CATALOG))]
+        K = COFACTOR_CATALOG[rng.choice(list(COFACTOR_CATALOG))]
+        if len(G[0]) * len(K[0]) > 16:
+            K = COFACTOR_CATALOG["1"]
         n_obj = rng.choice([1, 2])
         objs = [f"c{idx}_{ci}_{o}" for o in range(n_obj)]
         dobj = f"d{idx}_{ci}"

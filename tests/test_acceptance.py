@@ -21,6 +21,7 @@ from qdp4.sampling import (random_gl2, random_invertible, random_smooth_pencil,
                            random_split_functor, random_split_pencil)
 from qdp4.wpline import PointConfiguration, ProjPoint, aut_group
 from test_groupoids import verify_naturality
+from test_hyperoct import all_pairs_retract_violations
 
 
 def ok(criterion, detail):
@@ -52,10 +53,9 @@ def test_criterion_02_zero_class_census():
 
 
 def test_criterion_03_splitting_suite():
-    _, perm_mul, mask_apply, retract_mask = index_tables()
-    violations = _accel.retract_homomorphism_violations(
-        perm_mul, mask_apply, retract_mask)
-    assert violations == 0
+    perms, mask_apply, retract_mask = index_tables()
+    assert _accel.retract_homomorphism_violations(mask_apply, retract_mask) == 0
+    assert all_pairs_retract_violations(perms, mask_apply, retract_mask) == 0
     for a in all_signed_perms():
         r = retract(a)
         assert r.perm == a.perm            # compatible over S5

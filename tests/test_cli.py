@@ -199,7 +199,7 @@ _field_args = st.one_of(
 @example(lam="[0, 1]", mu="[1, 1]", equal=False, field="3^2")
 def test_reconstruct_arguments_get_a_documented_exit_code(capsys, tmp_path, lam, mu,
                                                           equal, field):
-    # "--lambda=-1/2": argparse reads a separate "-1/2" as an option
+    # the attached "--lambda=VALUE" form, which main makes of "--lambda VALUE"
     code, out, err = run_cli(capsys, "reconstruct", f"--lambda={lam}",
                              f"--mu={lam if equal else mu}", f"--field={field}")
     assert code in {0, 2, 4}, err
@@ -413,10 +413,160 @@ def test_pencil_files_get_a_documented_exit_code(capsys, tmp_path, obj):
             assert err.startswith("error: "), (command, err)
 
 
+def _exit_code(capsys, *argv):
+    """(exit code, stdout, stderr) of main, counting argparse's usage errors."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _cyclic_groupoid(tag, objects, n):
+    return group_groupoid(tag, objects, tuple(range(n)), lambda a, b: (a + b) % n)[0].to_json()
+
+
+_valid_groupoids = st.builds(_cyclic_groupoid, st.sampled_from("GH"),
+                             st.sampled_from([["X"], ["X", "Y"]]), st.integers(1, 3))
+_groupoid_names = st.one_of(st.sampled_from(["X", "Y", "a", "G:X>X:0"]), _json_scalars,
+                            st.lists(st.integers(0, 2), max_size=2))
+_groupoid_files = st.one_of(
+    _valid_groupoids,
+    st.builds(lambda obj, key, value: dict(obj, **{key: value}), _valid_groupoids,
+              st.sampled_from(["objects", "morphisms", "compose", "identities"]),
+              _json_values | st.lists(_groupoid_names, max_size=4)),
+    st.fixed_dictionaries({
+        "objects": st.lists(_groupoid_names, max_size=3),
+        "morphisms": st.lists(st.fixed_dictionaries(
+            {"name": _groupoid_names, "src": _groupoid_names, "tgt": _groupoid_names})
+            | _json_values, max_size=4),
+        "compose": st.lists(st.lists(_groupoid_names, min_size=3, max_size=3)
+                            | _json_values, max_size=4),
+        "identities": st.dictionaries(st.sampled_from(["X", "Y", ""]), _groupoid_names,
+                                      max_size=3) | _json_values}),
+    _json_values)
+
+
+def _strings(obj):
+    """Every string in a JSON value."""
+    if isinstance(obj, str):
+        return [obj]
+    items = obj.items() if isinstance(obj, dict) else obj if isinstance(obj, list) else []
+    return [t for item in items for t in _strings(item)]
+
+
+@st.composite
+def _functor_files(draw):
+    """(source, functor): a valid groupoid file and a functor file from it.
+    The target is the source, a valid groupoid or any groupoid file; the maps
+    are the identity or send each name to a string of the target or to junk.
+    One entry, or the whole file, may be junk instead."""
+    source = draw(_valid_groupoids)
+    target = draw(st.just(source) | _valid_groupoids | _groupoid_files)
+    mode = draw(st.sampled_from(["identity", "target", "any"]))
+    images = st.sampled_from(_strings(target) or ["X"]) if mode == "target" else _groupoid_names
+
+    def image(names):
+        if mode == "identity":
+            return {n: n for n in names}
+        return draw(st.fixed_dictionaries({n: images for n in names}))
+
+    functor = {"target": target, "objects": image(source["objects"]),
+               "morphisms": image([m["name"] for m in source["morphisms"]])}
+    junk = draw(st.sampled_from(["none", "none", "entry", "file"]))
+    if junk == "entry":
+        functor[draw(st.sampled_from(sorted(functor)))] = draw(_json_values)
+    return source, draw(_json_values) if junk == "file" else functor
+
+
+@settings(max_examples=200, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(obj=_groupoid_files)
+@example(obj={"objects": [[1]], "morphisms": [], "compose": [], "identities": {}})
+def test_groupoid_files_get_a_documented_exit_code(capsys, tmp_path, obj):
+    path = tmp_path / "groupoid.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, "groupoid", "verify", str(path))
+    assert code in {0, 1, 2}, err
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == "" and err.startswith("error: "), err
+
+
+@settings(max_examples=200, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(files=_functor_files())
+def test_functor_files_get_a_documented_exit_code(capsys, tmp_path, files):
+    paths = [tmp_path / "groupoid.json", tmp_path / "functor.json"]
+    for path, obj in zip(paths, files):
+        path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, "groupoid", "verify", str(paths[0]),
+                             "--functor", str(paths[1]))
+    assert code in {0, 1, 2}, err
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == "" and err.startswith("error: "), err
+
+
+def test_groupoid_verify_refuses_names_that_are_not_strings(capsys, tmp_path):
+    path = tmp_path / "groupoid.json"
+    path.write_text(json.dumps({"objects": [[1]], "morphisms": [], "compose": [],
+                                "identities": {}}))
+    code, out, err = run_cli(capsys, "groupoid", "verify", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad groupoid file") and "not [1]" in err
+
+
+def test_functor_into_a_non_groupoid_is_a_negative_verdict(capsys, tmp_path):
+    source = _cyclic_groupoid("G", ["X"], 1)
+    target = dict(_cyclic_groupoid("H", ["Y"], 2), compose=[])
+    paths = [tmp_path / "groupoid.json", tmp_path / "functor.json"]
+    paths[0].write_text(json.dumps(source))
+    paths[1].write_text(json.dumps({"target": target, "objects": {"X": "Y"},
+                                    "morphisms": {"G:X>X:0": "H:Y>Y:0"}}))
+    code, out, err = run_cli(capsys, "groupoid", "verify", str(paths[0]),
+                             "--functor", str(paths[1]))
+    assert code == 1 and err == ""
+    report = json.loads(out)
+    assert report["functor_valid"] is False
+    assert report["functor_witness"].startswith("target: composition table wrong")
+
+
+_signature_args = st.one_of(
+    st.lists(st.lists(st.one_of(st.integers(-3, 6), _json_scalars), max_size=3),
+             max_size=6).map(json.dumps),
+    _json_values.map(json.dumps), st.text(max_size=8))
+
+
+# small --points only: wpl_gram(n) builds an (n + 2)^2 matrix
+@settings(max_examples=200, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(signature=_signature_args, space=st.sampled_from(["wpl", "surface", "atom", "x"]),
+       points=st.integers(-3, 12).map(str) | st.sampled_from(["", "x", "2.5"]))
+@example(signature="[[2.5,-1],[3,-1]]", space="wpl", points="5")
+@example(signature="[[true,1]]", space="wpl", points="5")
+def test_kgroups_arguments_get_a_documented_exit_code(capsys, signature, space, points):
+    for argv in (["ranks", f"--signature={signature}"],
+                 ["gram", f"--space={space}", f"--points={points}"]):
+        code, out, err = _exit_code(capsys, "kgroups", *argv)
+        assert code in {0, 1, 2}, (argv, err)
+        assert "Traceback" not in err
+        if code == 0:
+            json.loads(out)
+
+
+@pytest.mark.parametrize("signature", ["[[2.5,-1],[3,-1]]", "[[true,1]]", "[[5,-1.0]]"])
+def test_kgroups_ranks_refuses_inexact_cycle_data(capsys, signature):
+    code, out, err = run_cli(capsys, "kgroups", "ranks", "--signature", signature)
+    assert code == 2 and out == ""
+    assert "not an exact integer" in err
+
+
 def test_analysis_report_finds_the_degenerate_points_once(monkeypatch):
     P7 = random_smooth_pencil(GF(7), random.Random(12))
     g = Poly(P7.field, discriminant_quintic(P7))
-    assert g.degree == 5 and [f.degree for f, _ in factor(g)] == [2, 3]
+    assert g.degree == 5 and [f.degree for f in factor(g)] == [2, 3]
     calls = {"factor": 0, "rational_roots": 0}
 
     def counted(name):
@@ -580,6 +730,15 @@ def test_reconstruct_command(capsys):
                            "--field", "11")
     assert code == 0
     assert json.loads(out)["field"] == {"kind": "prime-field", "p": 11}
+
+
+def test_reconstruct_reads_a_separate_negative_fraction_as_the_value(capsys):
+    # argparse alone takes "-1/2" for an option: it is not a plain number
+    code, joined, _ = run_cli(capsys, "reconstruct", "--lambda=-1/2", "--mu", "3")
+    assert code == 0
+    assert run_cli(capsys, "reconstruct", "--lambda", "-1/2", "--mu", "3") == (0, joined, "")
+    assert run_cli(capsys, "reconstruct", "--mu", "3", "--lambda", "-1/2")[1] == joined
+    assert json.loads(joined)["A"][3][3] == "-1/2"
 
 
 def test_reconstruct_invalid_normal_form_exit_2(capsys):

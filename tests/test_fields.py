@@ -1,5 +1,7 @@
+import itertools
 import pickle
 import random
+import re
 import time
 from fractions import Fraction
 from math import gcd, isqrt, lcm
@@ -120,8 +122,8 @@ def test_factor_fermat():
     f = Poly.from_ints(F5, [0, -1, 0, 0, 0, 1])  # t^5 - t
     fs = factor(f)
     assert len(fs) == 5
-    assert all(g.degree == 1 and m == 1 for g, m in fs)
-    roots = sorted((-g.coeffs[0]).coeffs[0] for g, _ in fs)
+    assert all(g.degree == 1 for g in fs)
+    roots = sorted((-g.coeffs[0]).coeffs[0] for g in fs)
     assert roots == [0, 1, 2, 3, 4]
 
 
@@ -133,15 +135,15 @@ def test_factor_artin_schreier_irreducible():
     for d in _all_monic_irreducibles_up_to_degree_2(5):
         assert not (f % d).is_zero()
     fs = factor(f)
-    assert len(fs) == 1 and fs[0][1] == 1 and fs[0][0].degree == 5
+    assert len(fs) == 1 and fs[0].degree == 5
 
 
 def test_factor_quadratic():
     F5 = GF(5)
     f = Poly.from_ints(F5, [1, 0, 1])  # t^2 + 1 = (t - 2)(t - 3)
     fs = factor(f)
-    assert [(tuple(c.coeffs[0] for c in g.coeffs), m) for g, m in fs] == \
-        [((2, 1), 1), ((3, 1), 1)]  # t + 2 = t - 3 and t + 3 = t - 2
+    assert [tuple(c.coeffs[0] for c in g.coeffs) for g in fs] == \
+        [(2, 1), (3, 1)]  # t + 2 = t - 3 and t + 3 = t - 2
 
 
 def test_factor_rejects_rationals():
@@ -150,19 +152,21 @@ def test_factor_rejects_rationals():
 
 
 def test_factor_multiply_back_1000_random():
+    # 200 squarefree polynomials of degree 1-6 over each field
     rng = random.Random(1234)
     for p in (3, 5, 7, 11, 13):
         field = GF(p)
-        for _ in range(200):
+        drawn = 0
+        while drawn < 200:
             coeffs = [rng.randrange(p) for _ in range(rng.randrange(2, 8))]
             f = Poly.from_ints(field, coeffs)
-            if f.degree < 1:
+            if f.degree < 1 or not squarefree(f):
                 continue
+            drawn += 1
             prod = Poly(field, [f.leading()])
-            for g, m in factor(f):
+            for g in factor(f):
                 assert g.leading() == field.one
-                for _ in range(m):
-                    prod = prod * g
+                prod = prod * g
             assert prod == f
 
 
@@ -228,16 +232,34 @@ def test_poly_true_division_is_exact():
 
 
 def test_factor_detects_multiplicity_and_frobenius_powers():
+    # factor and rational_roots take squarefree input only; any other input
+    # is refused with gcd(f, f') as the witness
     F3 = GF(3)
-    t = Poly.from_ints(F3, [0, 1])
-    f = (t + Poly.from_ints(F3, [1])) * (t + Poly.from_ints(F3, [1])) * \
-        (t + Poly.from_ints(F3, [1])) * (t + Poly.from_ints(F3, [2]))
-    fs = factor(f)
-    assert sorted((g.degree, m) for g, m in fs) == [(1, 1), (1, 3)]
+    x_plus_1 = Poly.from_ints(F3, [1, 1])
+    cases = [
+        (factor, x_plus_1 * x_plus_1 * x_plus_1 * Poly.from_ints(F3, [2, 1]), "[1, 0, 0, 1]"),
+        (factor, Poly.from_ints(F3, [-1, 0, 0, 1]), "[2, 0, 0, 1]"),  # x^3 - 1, f' = 0
+        (rational_roots, Poly.from_ints(QQ, [0, 0, -1, 1]), "['0', '1']"),  # x^2 (x - 1)
+    ]
+    for fn, f, witness in cases:
+        with pytest.raises(DegenerateInputError, match=re.escape(f"gcd(f, f') = {witness}")):
+            fn(f)
+
+
+def has_square_factor(f):
+    """Trial division: some monic h of degree 1 to deg f / 2 has h^2 | f."""
+    field = f.field
+    for d in range(1, f.degree // 2 + 1):
+        for tail in itertools.product(list(field.elements()), repeat=d):
+            h = Poly(field, list(tail) + [field.one])
+            if (f % (h * h)).is_zero():
+                return True
+    return False
 
 
 def test_squarefree_iff_no_repeated_roots():
     rng = random.Random(999)
+    repeated = 0
     for _ in range(200):
         p = rng.choice((3, 5, 7))
         field = GF(p)
@@ -245,7 +267,9 @@ def test_squarefree_iff_no_repeated_roots():
         f = Poly.from_ints(field, coeffs)
         if f.degree < 1:
             continue
-        assert squarefree(f) == all(m == 1 for _, m in factor(f))
+        assert squarefree(f) == (not has_square_factor(f)), f
+        repeated += has_square_factor(f)
+    assert repeated >= 20
 
 
 def test_is_square_examples():
@@ -285,11 +309,11 @@ def test_is_square_agrees_with_exhaustive_squaring():
 
 def test_rational_roots():
     f = Poly.from_ints(QQ, [6, -11, 6, -1])  # -(t-1)(t-2)(t-3)
-    assert rational_roots(f) == [(Fraction(1), 1), (Fraction(2), 1), (Fraction(3), 1)]
+    assert rational_roots(f) == [Fraction(1), Fraction(2), Fraction(3)]
     g = Poly(QQ, [Fraction(-1, 2), Fraction(0), Fraction(1)])  # t^2 - 1/2
     assert rational_roots(g) == []
-    h = Poly.from_ints(QQ, [0, 0, 2, -2])  # -2 t^2 (t - 1)
-    assert rational_roots(h) == [(Fraction(0), 2), (Fraction(1), 1)]
+    h = Poly.from_ints(QQ, [0, 2, -2])  # -2 t (t - 1)
+    assert rational_roots(h) == [Fraction(0), Fraction(1)]
 
 
 def divisor_rational_roots(f):
@@ -299,11 +323,10 @@ def divisor_rational_roots(f):
     den = lcm(*[c.denominator for c in f.coeffs])
     ints = [int(c * den) for c in f.coeffs]
     ints = [c // gcd(*ints) for c in ints]
-    mult0 = 0
+    out = []
     while ints[0] == 0:
         ints.pop(0)
-        mult0 += 1
-    out = [(Fraction(0), mult0)] if mult0 else []
+        out = [Fraction(0)]
     if len(ints) <= 1:
         return out
 
@@ -311,34 +334,28 @@ def divisor_rational_roots(f):
         return {e for d in range(1, isqrt(n) + 1) if n % d == 0 for e in (d, n // d)}
 
     g = Poly(QQ, [Fraction(c) for c in ints])
-    for cand in sorted({Fraction(s * a, b) for a in divisors(abs(ints[0]))
-                        for b in divisors(abs(ints[-1])) for s in (1, -1)}):
-        m, lin = 0, Poly(QQ, [-cand, Fraction(1)])
-        while g.evaluate(cand) == 0:
-            g, m = g // lin, m + 1
-        if m:
-            out.append((cand, m))
-    return sorted(out)
+    return sorted(out + [r for r in {Fraction(s * a, b) for a in divisors(abs(ints[0]))
+                                     for b in divisors(abs(ints[-1])) for s in (1, -1)}
+                         if g.evaluate(r) == 0])
 
 
 def _random_rational_poly(rng):
-    """(f, its rational roots with multiplicity): f over Q of degree 1-6, a
-    product of linear factors of height <= 50 (some repeated, some with
-    denominators 3, 5 and 7), powers of x, irreducible quadratics (non-square
-    discriminant) and cubics (x^3 - d, d no cube), times a constant that is
-    non-integral or a multiple of 3*5*7."""
+    """(f, its rational roots): a squarefree f over Q of degree 1-6, a product
+    of distinct linear factors of height <= 50 (some with denominators 3, 5
+    and 7, some x), irreducible quadratics (non-square discriminant) and
+    cubics (x^3 - d, d no cube), times a constant that is non-integral or a
+    multiple of 3*5*7."""
     degree = rng.randint(1, 6)
-    f, roots = Poly.from_ints(QQ, [1]), {}
+    f, roots = Poly.from_ints(QQ, [1]), set()
     while f.degree < degree:
         room = degree - f.degree
-        kind = rng.choice(["root", "root", "repeated", "zero", "quadratic", "cubic"])
-        if kind in ("root", "repeated", "zero"):
+        kind = rng.choice(["root", "root", "root", "zero", "quadratic", "cubic"])
+        if kind in ("root", "zero"):
             h = rng.choice([5, 12, 50])
             r = Fraction(0) if kind == "zero" else Fraction(
                 rng.randint(-h, h), rng.choice([1, 2, 3, 5, 7, 15, 21, 35, rng.randint(1, h)]))
-            m = min(room, 1 if kind == "root" else rng.randint(2 - (kind == "zero"), 3))
-            roots[r] = roots.get(r, 0) + m
-            for _ in range(m):
+            if r not in roots:
+                roots.add(r)
                 f = f * Poly.from_ints(QQ, [-r.numerator, r.denominator])
         elif kind == "quadratic" and room >= 2:
             b, c = rng.randint(-20, 20), rng.randint(-20, 20)
@@ -350,7 +367,7 @@ def _random_rational_poly(rng):
                 f = f * Poly.from_ints(QQ, [-d, 0, 0, 1])
     scale = rng.choice([Fraction(1), Fraction(105), Fraction(-105, 11),
                         Fraction(rng.randint(1, 9), rng.randint(2, 9))])
-    return f.scale(scale), sorted(roots.items())
+    return f.scale(scale), sorted(roots)
 
 
 def test_rational_roots_match_the_divisor_enumeration():
@@ -360,9 +377,7 @@ def test_rational_roots_match_the_divisor_enumeration():
         assert rational_roots(f) == divisor_rational_roots(f) == expected, f
     # the mix the comparison covers
     assert {f.degree for f, _ in polys} == {1, 2, 3, 4, 5, 6}
-    assert sum(any(r == 0 and m == k for r, m in roots) for f, roots in polys
-               for k in (1, 2, 3)) >= 3 * 5
-    assert sum(any(m > 1 for r, m in roots if r) for _, roots in polys) >= 20
+    assert sum(Fraction(0) in roots for _, roots in polys) >= 20
     assert sum(len(roots) < f.degree for f, roots in polys) >= 50
     assert sum(any(c.denominator > 1 for c in f.coeffs) for f, _ in polys) >= 20
     assert sum(f.leading() % 105 == f.coeffs[0] % 105 == 0 for f, _ in polys) >= 20
@@ -387,10 +402,10 @@ def test_rational_roots_reduce_modulo_the_smallest_good_prime(monkeypatch):
 
     monkeypatch.setattr(fields, "factor", recording_factor)
     f = _poly_with_rational_roots([1, 2, 1 + 4849845])
-    assert rational_roots(f) == [(Fraction(r), 1) for r in (1, 2, 4849846)]
+    assert rational_roots(f) == [Fraction(r) for r in (1, 2, 4849846)]
     g = Poly.from_ints(QQ, [1155]) * _poly_with_rational_roots([Fraction(1, 1155), 2, -3])
     assert g.leading() == 1155
-    assert rational_roots(g) == [(Fraction(-3), 1), (Fraction(1, 1155), 1), (Fraction(2), 1)]
+    assert rational_roots(g) == [Fraction(-3), Fraction(1, 1155), Fraction(2)]
     assert primes == [23, 13]
     # (x^2 - 2)(x^2 - 3)(x^2 - 6) has a root modulo every prime, none over Q
     h = Poly.from_ints(QQ, [-2, 0, 1]) * Poly.from_ints(QQ, [-3, 0, 1]) * \
@@ -410,11 +425,9 @@ def test_rational_roots_of_large_height():
 
         roots = sorted({Fraction(rng.choice((-1, 1)) * number(), number()) for _ in range(5)})
         f = _poly_with_rational_roots(roots).scale(Fraction(3, 7))
-        assert rational_roots(f) == [(r, 1) for r in roots]
-        x3 = Poly.from_ints(QQ, [0, 0, 0, 1])
-        g = f * Poly(QQ, [-roots[0], Fraction(1)]) * Poly.from_ints(QQ, [-2, 0, 1]) * x3
-        assert rational_roots(g) == sorted([(Fraction(0), 3), (roots[0], 2)]
-                                           + [(r, 1) for r in roots[1:]])
+        assert rational_roots(f) == roots
+        g = f * Poly.from_ints(QQ, [0, -2, 0, 1])  # x (x^2 - 2)
+        assert rational_roots(g) == sorted([Fraction(0)] + roots)
 
 
 def test_embedding_is_a_field_homomorphism():
@@ -438,7 +451,7 @@ def test_embedding_image_is_the_smallest_root_of_the_modulus():
     for (p, ks), kd in pairs:
         src, dst = GF(p, ks), GF(p, kd)
         mod = Poly(dst, [dst(c) for c in src.modulus])
-        smallest = min(-g.coeffs[0] for g, _ in factor(mod))
+        smallest = min(-g.coeffs[0] for g in factor(mod))
         assert embed(src.gen(), dst) == smallest, (p, ks, kd)
 
 
@@ -446,12 +459,12 @@ def test_embed_poly_roots_cover_factors():
     F3 = GF(3)
     f = Poly.from_ints(F3, [2, 2, 0, 1])  # some cubic
     fs = factor(f)
-    degs = sorted(g.degree for g, _ in fs)
+    degs = sorted(g.degree for g in fs)
     from math import lcm
     m = lcm(*degs)
     big = GF(3, m)
     fb = embed_poly(f, big)
-    assert all(g.degree == 1 for g, _ in factor(fb))
+    assert all(g.degree == 1 for g in factor(fb))
 
 
 def test_scalar_json_round_trip():
@@ -604,10 +617,9 @@ def test_frobenius_matrix_is_the_p_power_map():
 
 def _check_factorization(f, fs):
     prod = Poly(f.field, [f.leading()])
-    for g, m in fs:
+    for g in fs:
         assert g.leading() == f.field.one and rabin_irreducible(g)
-        for _ in range(m):
-            prod = prod * g
+        prod = prod * g
     assert prod == f
 
 
@@ -626,6 +638,8 @@ def test_split_root_and_factor_on_both_element_types():
         g = Poly(field, [random_element(field, rng) for _ in range(d)] + [field(5)])
         assert _Frobenius(g).dtype is dtype
         _check_factorization(g, factor(g))
-        # a repeated root beside the random factors
-        h = g * _with_roots(field, roots[:2], lead=1) * Poly(field, [-roots[0], field.one])
+        # two linear factors beside the random ones, then one of them again
+        h = g * _with_roots(field, roots[:2], lead=1)
         _check_factorization(h, factor(h))
+        with pytest.raises(DegenerateInputError, match="not squarefree"):
+            factor(h * Poly(field, [-roots[0], field.one]))

@@ -1,8 +1,10 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
+from qdp4 import _accel
 from qdp4.fields import QQ
 from qdp4.hyperoct import (CycleSignature, FiberMismatchError,
                            SignedPerm, all_signed_perms, aut0_matrices,
@@ -29,13 +31,13 @@ def doubled_permutation(a: SignedPerm):
 
 def signed_perm_index(a: SignedPerm) -> int:
     """Element index 32 * perm_index + sign_mask, the encoding of index_tables."""
-    perms, _, _, _ = index_tables()
+    perms, _, _ = index_tables()
     mask = sum(1 << j for j in range(5) if a.signs[j] == -1)
     return 32 * perms.index(a.perm) + mask
 
 
 def signed_perm_from_index(e: int) -> SignedPerm:
-    perms, _, _, _ = index_tables()
+    perms, _, _ = index_tables()
     pidx, mask = divmod(e, 32)
     signs = tuple(-1 if (mask >> j) & 1 else 1 for j in range(5))
     return SignedPerm(perms[pidx], signs)
@@ -183,17 +185,46 @@ def test_signature_canonical_sorting_and_validation():
 
 def test_index_encoding_matches_composition():
     rng = random.Random(5)
-    perms, perm_mul, mask_apply, retract_mask = index_tables()
+    perms, mask_apply, retract_mask = index_tables()
     B5 = all_signed_perms()
     for _ in range(300):
         a, b = rng.choice(B5), rng.choice(B5)
-        ia, ib = signed_perm_index(a), signed_perm_index(b)
-        pa, ma = divmod(ia, 32)
-        pb, mb = divmod(ib, 32)
-        composed = 32 * perm_mul[pa, pb] + (ma ^ mask_apply[pa, mb])
-        assert signed_perm_from_index(int(composed)) == a.compose(b)
+        pa, ma = divmod(signed_perm_index(a), 32)
+        mb = signed_perm_index(b) % 32
+        ab = a.compose(b)  # the permutation part; the mask part is encoded
+        composed = 32 * perms.index(ab.perm) + (ma ^ mask_apply[pa, mb])
+        assert signed_perm_from_index(int(composed)) == ab
         ra = 32 * pa + retract_mask[ma]
         assert signed_perm_from_index(int(ra)) == retract(a)
+
+
+def all_pairs_retract_violations(perms, mask_apply, retract_mask):
+    """The all-pairs oracle: retract(ab) against retract(a) retract(b) as
+    encoded elements, for each of the 3840^2 pairs (a, b), 256 left factors
+    at a time."""
+    pindex = {p: i for i, p in enumerate(perms)}
+    perm_mul = np.array([[pindex[tuple(pa[i] for i in pb)] for pb in perms] for pa in perms])
+    idx = np.arange(3840)
+    pall, mall = idx // 32, idx % 32
+    bad = 0
+    for start in range(0, 3840, 256):
+        pa = pall[start:start + 256, None]
+        ma = mall[start:start + 256, None]
+        pab = perm_mul[pa, pall[None, :]]
+        lhs = 32 * pab + retract_mask[ma ^ mask_apply[pa, mall[None, :]]]
+        rhs = 32 * pab + (retract_mask[ma] ^ mask_apply[pa, retract_mask[mall[None, :]]])
+        bad += int(np.count_nonzero(lhs != rhs))
+    return bad
+
+
+def test_retract_violation_count_matches_the_all_pairs_oracle():
+    perms, mask_apply, retract_mask = index_tables()
+    assert _accel.retract_homomorphism_violations(mask_apply, retract_mask) == 0
+    # a planted fault: two masks retract to the wrong even mask
+    faulty = retract_mask.copy()
+    faulty[3], faulty[7] = 5, 1
+    bad = _accel.retract_homomorphism_violations(mask_apply, faulty)
+    assert bad == all_pairs_retract_violations(perms, mask_apply, faulty) == 2557440
 
 
 def test_fiber_product_sizes():

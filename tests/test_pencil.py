@@ -26,6 +26,7 @@ from qdp4.pencil import (DegeneratePencilError, InvalidNormalFormError,
 from qdp4.sampling import (random_gl2, random_invertible, random_smooth_pencil,
                            random_split_pencil, random_symmetric)
 from qdp4.wpline import Moebius, ProjPoint, moebius_to_inf_zero_one
+from test_fields import has_square_factor
 
 
 def affine_quintic(P):
@@ -154,7 +155,7 @@ def test_diagonal_f7_pencil_quintic():
     F7 = GF(7)
     P = diag_pencil(F7, (1, 2, 3, 4, 5), (1, 1, 1, 1, 1))
     g = affine_quintic(P)
-    roots = sorted((-f.coeffs[0]).coeffs[0] for f, _ in factor(g) if f.degree == 1)
+    roots = sorted((-f.coeffs[0]).coeffs[0] for f in factor(g) if f.degree == 1)
     # det = prod(a_i t0 - t1): roots t1/t0 = a_i
     assert roots == [1, 2, 3, 4, 5]
     assert is_smooth(P)
@@ -183,9 +184,8 @@ def test_smoothness_iff_all_multiplicities_one():
             assert not is_smooth(P)
             checked_singular += 1
             continue
-        mults = [m for _, m in factor(g)]
-        inf_mult = 5 - g.degree
-        squarefree_binary = all(m == 1 for m in mults) and inf_mult <= 1
+        # the oracle: trial division by the square of every monic of degree <= 2
+        squarefree_binary = not has_square_factor(g) and 5 - g.degree <= 1
         assert is_smooth(P) == squarefree_binary
         # both affine charts squarefree, the binary quintic read at infinity too
         h = Poly(F5, tuple(reversed(discriminant_quintic(P))))
@@ -393,7 +393,7 @@ def test_points_over_larger_fields_come_from_the_base_factors():
     assert splitting_field(P) == GF(3, 4)
     g = affine_quintic(P)
     for dst in (GF(3, 8), GF(3, 12)):
-        lin = [f for f, _ in factor(embed_poly(g, dst))]
+        lin = factor(embed_poly(g, dst))
         assert all(f.degree == 1 for f in lin)
         expected = {ProjPoint.affine(dst, -f.coeffs[0]) for f in lin}
         if g.degree < 5:
@@ -436,7 +436,7 @@ def test_galois_signature_split_and_rational():
 def test_galois_signature_irreducible_quintic():
     P = random_smooth_pencil(GF(5), random.Random(10))
     g = affine_quintic(P)
-    assert [f.degree for f, _ in factor(g)] == [5]
+    assert [f.degree for f in factor(g)] == [5]
     sig = galois_signature(P)
     assert len(sig.cycles) == 1 and sig.cycles[0][0] == 5
     assert sig.cycles[0][1] in (1, -1)
@@ -463,7 +463,7 @@ def test_ruling_sign_is_the_same_at_every_conjugate_root():
             g = affine_quintic(P)
             # the same pencil with its first rational degenerate point moved
             # to infinity, which covers the sign there
-            lin = [f for f, _ in factor(g) if f.degree == 1]
+            lin = [f for f in factor(g) if f.degree == 1]
             moved = []
             if lin:
                 r = -lin[0].coeffs[0]
@@ -475,14 +475,14 @@ def test_ruling_sign_is_the_same_at_every_conjugate_root():
                 if g.degree < 5:
                     expected.append((1, _reference_sign([[-x for x in row] for row in Pm.B],
                                                         GF(p))))
-                for irr, _ in factor(g):
+                for irr in factor(g):
                     k = irr.degree
                     K = GF(p, k)
                     AK = [[embed(x, K) for x in row] for row in Pm.A]
                     BK = [[embed(x, K) for x in row] for row in Pm.B]
                     signs = {_reference_sign([[a - r * b for a, b in zip(ra, rb)]
                                               for ra, rb in zip(AK, BK)], K)
-                             for r in (-f.coeffs[0] for f, _ in factor(embed_poly(irr, K)))}
+                             for r in (-f.coeffs[0] for f in factor(embed_poly(irr, K)))}
                     assert len(signs) == 1
                     expected.append((k, signs.pop()))
                 assert galois_signature(Pm) == CycleSignature(tuple(expected))
@@ -714,7 +714,7 @@ def test_signature_lengths_are_factor_degrees():
         for _ in range(8):
             P = random_smooth_pencil(field, rng)
             g = affine_quintic(P)
-            degrees = sorted(f.degree for f, _ in factor(g))
+            degrees = sorted(f.degree for f in factor(g))
             if g.degree < 5:
                 degrees = sorted(degrees + [1])  # the point at infinity
             sig = galois_signature(P)
