@@ -523,13 +523,6 @@ class Poly:
     def __floordiv__(self, other):
         return divmod(self, other)[0]
 
-    def __truediv__(self, other):
-        """Exact quotient; raises ArithmeticError on a nonzero remainder."""
-        quo, rem = divmod(self, other)
-        if not rem.is_zero():
-            raise ArithmeticError("inexact polynomial division")
-        return quo
-
     def __mod__(self, other):
         return divmod(self, other)[1]
 
@@ -775,10 +768,15 @@ def rational_roots(f: Poly):
     den = lcm(*[c.denominator for c in s.coeffs])
     cs = [int(c * den) for c in s.coeffs]
     ds = [i * c for i, c in enumerate(cs)][1:]
-    p = 3
-    while not (cs[-1] % p and _is_prime(p) and squarefree(Poly.from_ints(GF(p), cs))):
+    p, hs = 1, None
+    while hs is None:  # factor tests each reduction for squarefreeness once
         p += 2
-    for h in factor(Poly.from_ints(GF(p), cs)):
+        if cs[-1] % p and _is_prime(p):
+            try:
+                hs = factor(Poly.from_ints(GF(p), cs))
+            except DegenerateInputError:
+                pass
+    for h in hs:
         if h.degree > 1:
             break
         r, N = -h.coeffs[0].coeffs[0] % p, p

@@ -11,7 +11,10 @@ import numpy as np
 
 from .hyperoct import CycleSignature, SignedPerm
 from .linalg import frac_inverse, mat_mul, rank, transpose
+from .pencil import ResourceLimitError
 from .picard import K_CLASS, intersect, pair_of, pair_representatives
+
+GRAM_POINTS_GUARD = 500  # most weight-2 points wpl_gram takes: (n + 2)^2 entries
 
 
 class DegenerateFormError(ValueError):
@@ -149,6 +152,9 @@ def wpl_gram(n: int):
     with n weight-2 points."""
     if n < 1:
         raise ValueError("need at least one weighted point")
+    if n > GRAM_POINTS_GUARD:
+        raise ResourceLimitError(
+            f"{n} weighted points exceed the Gram guard {GRAM_POINTS_GUARD}")
     size = 2 + n
     G = [[0] * size for _ in range(size)]
     G[0][0] = 1

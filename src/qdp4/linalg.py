@@ -1,5 +1,5 @@
-"""Small exact linear algebra over any field, the integers and F[z]: one
-Bareiss elimination behind the rank, the determinant, kernels and inverses."""
+"""Small exact linear algebra over any field and the integers: one Bareiss
+elimination behind the rank, the determinant, kernels and inverses."""
 
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ def congruence(m, a):
 
 def _exact_div(a, b):
     """a / b where b divides a: `//` on ints, with the remainder checked, and
-    `/` otherwise (`Poly` division refuses a remainder)."""
+    field division otherwise."""
     if isinstance(a, int):
         q, rem = divmod(a, b)
         if rem:
@@ -44,8 +44,8 @@ def _echelon(mat):
 
     Returns (rows, pivots, swaps): row r < len(pivots) has its pivot in
     column pivots[r], and every entry right of it is a minor of mat, so
-    each division is exact and the entries may be integers, field elements
-    or polynomials.  Entries left of a pivot are stale; a column without a
+    each division is exact and the entries may be integers or field
+    elements.  Entries left of a pivot are stale; a column without a
     pivot is zero from row len(pivots) down.  A square matrix of full rank
     has determinant (-1)^swaps times the last pivot.
     """

@@ -7,7 +7,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import factorial, lcm
 
 import numpy as np
 
@@ -146,8 +146,75 @@ def discriminant_quintic(P: QuadricPencil):
 
 
 def _pencil_minor(P: QuadricPencil, idx):
-    """det(A - zB) on the rows and columns idx, in F[z]."""
-    return det([[Poly(P.field, (P.A[i][j], -P.B[i][j])) for j in idx] for i in idx])
+    """det(A - zB) on the rows and columns idx, in F[z]: integer determinants
+    of the lifted n x n blocks at z = 0..n, interpolated exactly and mapped
+    back (von zur Gathen-Gerhard, Modern Computer Algebra, ch. 5 and 8).
+    One path serves every field; F_3 has too few points to interpolate in."""
+    field, n = P.field, len(idx)
+    lift, unlift = _integer_lift(field, P.A + P.B, n)
+    A = [[lift(P.A[i][j]) for j in idx] for i in idx]
+    B = [[lift(P.B[i][j]) for j in idx] for i in idx]
+    values = [det([[a - z * b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)])
+              for z in range(n + 1)]
+    return Poly(field, [unlift(c) for c in _interpolate(values)])
+
+
+def _integer_lift(field, rows, n: int):
+    """(lift, unlift) for n x n blocks of the matrices rows: lift maps an
+    entry to an integer, and unlift maps a z-coefficient of det(A - zB) on
+    lifted blocks back to the field.
+
+    - Q: multiply by the lcm D of the denominators; unlift divides by D^n.
+    - F_p: residues in [0, p); unlift reduces mod p.
+    - F_{p^k}: the coefficient vector packed into one integer at t = 2^w
+      (Kronecker substitution).  An entry of A - zB, z <= n, has
+      t-coefficients below (n + 1) p, so each t-coefficient of the
+      determinant, and of its z^i coefficient, is below n! (k (n + 1) p)^n
+      in absolute value; 2^w exceeds twice that, so unlift reads the
+      coefficients as balanced base-2^w digits and reduces x^j, j >= k,
+      with x^k = _red[0].
+    """
+    if field.is_rational:
+        D = lcm(*(x.denominator for row in rows for x in row))
+        return (lambda x: x.numerator * (D // x.denominator),
+                lambda c: Fraction(c, D ** n))
+    if field.k == 1:
+        return (lambda x: x.coeffs[0]), field
+    p, k = field.p, field.k
+    w = (2 * factorial(n) * (k * (n + 1) * p) ** n).bit_length()
+    half, mask = 1 << (w - 1), (1 << w) - 1
+
+    def unlift(c):
+        digits = []
+        while c:
+            d = c & mask
+            if d >= half:
+                d -= 1 << w
+            digits.append(d)
+            c = (c - d) >> w
+        digits += [0] * (k - len(digits))
+        for j in range(len(digits) - 1, k - 1, -1):  # x^j = x^(j-k) x^k
+            top = digits.pop() % p
+            for i, r in enumerate(field._red[0]):
+                digits[j - k + i] += top * r
+        return field(digits)
+
+    return (lambda x: sum(c << (w * j) for j, c in enumerate(x.coeffs))), unlift
+
+
+def _interpolate(values):
+    """Integer coefficients, low degree first, of the integer polynomial with
+    the given values at z = 0, 1, ...: the m-th forward difference at 0 is
+    m! times its coefficient on the falling factorial z(z-1)...(z-m+1)."""
+    diffs, row = [], list(values)
+    while row:
+        diffs.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    coeffs = []
+    for m in reversed(range(len(diffs))):  # Horner: coeffs (z - m) + d_m
+        coeffs = [s - m * c for s, c in zip([0] + coeffs, coeffs + [0])]
+        coeffs[0] += diffs[m] // factorial(m)
+    return coeffs
 
 
 def is_smooth(P: QuadricPencil) -> bool:
@@ -380,14 +447,15 @@ def _principal_minor(P: QuadricPencil, i: int) -> Poly:
 
 
 def _norm(D: Poly, f: Poly):
-    """Res(f, D) for monic f: det of multiplication by D on F[z]/(f)."""
-    zero, m = f.field.zero, f.degree
-    z = Poly(f.field, [zero, f.field.one])
+    """Res(f, D) for monic f over F_p: det of multiplication by D on
+    F_p[z]/(f), taken over Z on residues in [0, p) and reduced mod p."""
+    m = f.degree
+    z = Poly(f.field, [f.field.zero, f.field.one])
     rows, h = [], D % f
     for _ in range(m):
-        rows.append(list(h.coeffs) + [zero] * (m - len(h.coeffs)))
+        rows.append([c.coeffs[0] for c in h.coeffs] + [0] * (m - len(h.coeffs)))
         h = (h * z) % f
-    return det(rows)
+    return f.field(det(rows))
 
 
 def _ruling_sign(values) -> int:

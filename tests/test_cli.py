@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from qdp4 import cli, pencil
+from qdp4 import cli, kgroups, pencil
 from qdp4.fields import GF, QQ, Poly, factor
 from qdp4.groupoids import group_groupoid
 from qdp4.pencil import QuadricPencil, discriminant_quintic, reconstruct
@@ -561,6 +561,23 @@ def test_kgroups_ranks_refuses_inexact_cycle_data(capsys, signature):
     code, out, err = run_cli(capsys, "kgroups", "ranks", "--signature", signature)
     assert code == 2 and out == ""
     assert "not an exact integer" in err
+
+
+@pytest.mark.parametrize("points", [kgroups.GRAM_POINTS_GUARD + 1, 10 ** 12])
+def test_kgroups_gram_points_beyond_the_guard_exit_1(capsys, points):
+    # checked before the (points + 2)^2 matrix is allocated
+    code, out, err = _exit_code(capsys, "kgroups", "gram", "--space", "wpl",
+                                "--points", str(points))
+    assert code == 1 and out == ""
+    assert f"guard {kgroups.GRAM_POINTS_GUARD}" in err and "Traceback" not in err
+
+
+def test_kgroups_gram_at_the_guard_succeeds(capsys):
+    n = kgroups.GRAM_POINTS_GUARD
+    code, out, _ = run_cli(capsys, "kgroups", "gram", "--space", "wpl", "--points", str(n))
+    assert code == 0
+    payload = json.loads(out)
+    assert len(payload["basis"]) == len(payload["gram"]) == n + 2
 
 
 def test_analysis_report_finds_the_degenerate_points_once(monkeypatch):

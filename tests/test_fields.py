@@ -220,15 +220,16 @@ def test_split_root_finds_a_root_of_split_polynomials():
                 split_root(f)
 
 
-def test_poly_true_division_is_exact():
+def test_poly_divmod_gives_quotient_and_remainder():
     F7 = GF(7)
     f = Poly.from_ints(F7, [1, 1])
     g = Poly.from_ints(F7, [3, 0, 2])
-    assert (f * g) / f == g
-    with pytest.raises(ArithmeticError):
-        (f * g + Poly.from_ints(F7, [1])) / f
+    one = Poly.from_ints(F7, [1])
+    assert divmod(f * g, f) == (g, Poly(F7, []))
+    assert divmod(f * g + one, f) == (g, one)
+    assert divmod(f, g) == (Poly(F7, []), f)
     with pytest.raises(ZeroDivisionError):
-        g / Poly(F7, [])
+        divmod(g, Poly(F7, []))
 
 
 def test_factor_detects_multiplicity_and_frobenius_powers():
@@ -392,21 +393,29 @@ def _poly_with_rational_roots(roots):
 
 def test_rational_roots_reduce_modulo_the_smallest_good_prime(monkeypatch):
     # 1 and 1 + 4849845 (= 3*5*7*11*13*17*19) meet modulo every odd prime
-    # below 23, and a leading 3*5*7*11 rules out 3, 5, 7 and 11
-    primes = []
-    real_factor = fields.factor
+    # below 23, and a leading 3*5*7*11 rules out 3, 5, 7 and 11; each
+    # reduction tried is tested for squarefreeness once, inside factor
+    primes, tested = [], []
+    real_factor, real_squarefree = fields.factor, fields.squarefree
 
     def recording_factor(f):
+        out = real_factor(f)
         primes.append(f.field.p)
-        return real_factor(f)
+        return out
+
+    def recording_squarefree(f):
+        tested.append(f.field.p)
+        return real_squarefree(f)
 
     monkeypatch.setattr(fields, "factor", recording_factor)
+    monkeypatch.setattr(fields, "squarefree", recording_squarefree)
     f = _poly_with_rational_roots([1, 2, 1 + 4849845])
     assert rational_roots(f) == [Fraction(r) for r in (1, 2, 4849846)]
     g = Poly.from_ints(QQ, [1155]) * _poly_with_rational_roots([Fraction(1, 1155), 2, -3])
     assert g.leading() == 1155
     assert rational_roots(g) == [Fraction(-3), Fraction(1, 1155), Fraction(2)]
     assert primes == [23, 13]
+    assert tested == [0, 3, 5, 7, 11, 13, 17, 19, 23, 0, 13]  # 0: the test over Q
     # (x^2 - 2)(x^2 - 3)(x^2 - 6) has a root modulo every prime, none over Q
     h = Poly.from_ints(QQ, [-2, 0, 1]) * Poly.from_ints(QQ, [-3, 0, 1]) * \
         Poly.from_ints(QQ, [-6, 0, 1])

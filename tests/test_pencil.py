@@ -12,7 +12,7 @@ from qdp4 import _accel, pencil
 from qdp4.fields import (GF, QQ, FieldMismatchError, Poly, embed, embed_poly,
                          factor, is_square, scalar_key, squarefree)
 from qdp4.hyperoct import CycleSignature
-from qdp4.linalg import congruence, kernel_vector
+from qdp4.linalg import congruence, det, kernel_vector
 from qdp4.pencil import (DegeneratePencilError, InvalidNormalFormError,
                          NormalForm, NotSmoothError, QuadricPencil,
                          ResourceLimitError, UnsupportedFieldError,
@@ -131,6 +131,87 @@ def test_discriminant_oracle_on_random_pencils():
     assert len(checked) >= 100
     assert any(c == "degree < 5" and cs[5] == 0 and any(cs) for c, cs in checked)
     assert any(c == "common kernel" and not any(cs) for c, cs in checked)
+
+
+def oracle_minor(P, i):
+    idx = [j for j in range(5) if j != i]
+    return Poly(P.field, _cofactor_det([[[P.A[a][b], -P.B[a][b]] for b in idx]
+                                        for a in idx], P.field))
+
+
+def test_integer_lift_matches_the_oracle_at_its_bounds():
+    # the quintic and the five 4x4 principal minors are integer determinants
+    # at z = 0..n, interpolated; these fields and entries strain the
+    # Kronecker width w and the cleared denominators
+    rng = random.Random(22)
+    checked = []
+    for field in (GF(3, 12), GF(1009, 5), GF(1099511627689), QQ):
+        def sym(case):
+            if field.is_rational:  # denominators of 31 to 35 digits
+                M = [[Fraction(0)] * 5 for _ in range(5)]
+                for i in range(5):
+                    for j in range(i, 5):
+                        M[i][j] = M[j][i] = Fraction(rng.randint(-10 ** 6, 10 ** 6),
+                                                     rng.randrange(10 ** 30, 10 ** 35))
+                return M
+            if case == "random":
+                return random_symmetric(field, rng)
+            top = field([field.p - 1] * field.k) if field.k > 1 else field(field.p - 1)
+            return [[top] * 5 for _ in range(5)]  # every coefficient p - 1
+        for case in ("random", "top A", "top B"):
+            for _ in range(2):
+                A = sym("random" if case == "top B" else case)
+                B = sym("random" if case == "top A" else case)
+                P = QuadricPencil(field, A, B)
+                assert discriminant_quintic(P) == oracle_quintic(P)
+                for i in range(5):
+                    assert pencil._principal_minor(P, i) == oracle_minor(P, i)
+                checked.append(case)
+    assert len(checked) == 24
+
+
+def test_kronecker_unlift_reads_balanced_digits():
+    # real determinants stay far below the bound on w, so the decoder is
+    # also checked on its own: digits up to 2^(w-1) - 1 in absolute value,
+    # either sign, in every position up to the degree n (k - 1) of a
+    # determinant, with x^j for j >= k reduced by the modulus
+    rng = random.Random(24)
+    for field in (GF(3, 2), GF(3, 12), GF(1009, 5)):
+        lift, unlift = pencil._integer_lift(field, [[field.one]], 5)
+        w = lift(field.gen()).bit_length() - 1
+        x = field.gen()
+        for _ in range(20):
+            digits = [rng.choice([-1, 1]) * rng.choice([rng.randrange(2 ** (w - 1)),
+                                                        2 ** (w - 1) - 1])
+                      for _ in range(5 * (field.k - 1) + 1)]
+            expect = sum((field(d) * x ** j for j, d in enumerate(digits)), field.zero)
+            assert unlift(sum(d << (w * j) for j, d in enumerate(digits))) == expect
+
+
+def test_linalg_sees_integers_only(monkeypatch):
+    # the quintic, the principal minors and the norms reach det as integer
+    # matrices; no elimination over F[z] or over field elements remains
+    # (pencil binds linalg.det by name, so the patch goes there)
+    seen = []
+
+    def int_det(mat):
+        seen.append(mat)
+        assert all(type(x) is int for row in mat for x in row), mat
+        return det(mat)
+
+    monkeypatch.setattr(pencil, "det", int_det)
+    rng = random.Random(23)
+    for field in (GF(3), GF(7), GF(3, 2), GF(1009, 5)):
+        discriminant_quintic(QuadricPencil(field, random_symmetric(field, rng),
+                                           random_symmetric(field, rng)))
+    discriminant_quintic(QuadricPencil(QQ, _random_rational_symmetric(rng),
+                                       _random_rational_symmetric(rng)))
+    lengths = set()
+    for p in (3, 5, 7):
+        for _ in range(4):
+            lengths |= {n for n, _ in galois_signature(random_smooth_pencil(GF(p), rng)).cycles}
+    assert max(lengths) >= 3  # the norms ran on orbits of degree > 1
+    assert {len(m) for m in seen} >= {2, 3, 4, 5}
 
 
 def test_degenerate_pencil_rejected():
