@@ -12,9 +12,8 @@ from .pencil import (DegeneratePencilError, NormalForm, NotSmoothError,
                      canonical_invariant, count_points, discriminant_quintic,
                      galois_signature, is_smooth, isomorphic, normal_form,
                      predicted_count, reconstruct, simultaneous_diagonalize)
-from .picard import (canonical_class, intersect, invariant_rank, is_minimal,
-                     pair_of, reflect, roots, to_signed_perm, weyl_group,
-                     zero_classes)
+from .picard import (canonical_class, intersect, is_minimal, pair_of, reflect,
+                     roots, to_signed_perm, weyl_group, zero_classes)
 from .wpline import (Moebius, PointConfiguration, ProjPoint, aut_group,
                      pgl2_match)
 

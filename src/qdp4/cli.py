@@ -106,12 +106,8 @@ def analysis_report(P: QuadricPencil) -> dict:
     invariant = canonical_invariant(P)
     report["splitting_field"] = splitting_field(P).descriptor()
     report["canonical_invariant"] = [nf.to_json() for nf in invariant]
-    config = point_configuration(P)
-    full_aut = aut_group(config)
-    base_aut = defined_over(full_aut, field)
-    report["aut_p_order"] = len(base_aut)
-    report["aut_p_geometric_order"] = len(full_aut)
-    report["aut_x_order"] = 16 * len(base_aut)
+    full_aut = aut_group(point_configuration(P))
+    report.update(_aut_orders(full_aut, defined_over(full_aut, field)))
     try:
         sig = galois_signature(P)
     except UnsupportedFieldError:
@@ -125,6 +121,13 @@ def analysis_report(P: QuadricPencil) -> dict:
         report["minimal"] = picard.is_minimal(sig)
         report["ranks"] = _ranks(sig)
     return report
+
+
+def _aut_orders(full, base) -> dict:
+    """The orders of Aut(P^1, points) over the base field and over its
+    closure, and of the surface's automorphisms, 16 per base element."""
+    return {"aut_p_order": len(base), "aut_p_geometric_order": len(full),
+            "aut_x_order": 16 * len(base)}
 
 
 def _ranks(sig: CycleSignature) -> dict:
@@ -180,9 +183,7 @@ def cmd_aut(args) -> int:
     base = defined_over(full, field)
     elements = [{"moebius": m.to_json(), "permutation": [i + 1 for i in perm],
                  "base_rational": (m, perm) in base} for m, perm in full]
-    _emit({"aut_p_order": len(base),
-           "aut_p_geometric_order": len(full),
-           "aut_x_order": 16 * len(base),
+    _emit({**_aut_orders(full, base),
            "fiber_product_order": len(fiber_product(full)),
            "elements": elements})
     return EXIT_OK
@@ -192,7 +193,7 @@ def cmd_minimal(args) -> int:
     P = _load_pencil(args.pencil)
     sig = galois_signature(P)
     _emit({"signature": sig.to_json(),
-           "picard_invariant_rank": picard.invariant_rank(sig),
+           "picard_invariant_rank": kgroups.g_invariant_rank(sig, "picard"),
            "minimal": picard.is_minimal(sig)})
     return EXIT_OK
 
@@ -220,10 +221,9 @@ def cmd_reconstruct(args) -> int:
 def cmd_kgroups_ranks(args) -> int:
     with _parsing("signature"):
         sig = CycleSignature.from_json(json.loads(args.signature))
-    minimal = sig.plus_cycles() == 0
     _emit({"signature": sig.to_json(), "points": sig.total(), **_ranks(sig),
-           "minimal": minimal,
-           "conic_bundle": kgroups.conic_bundle_ranks(sig.total(), sig, minimal)})
+           "minimal": picard.is_minimal(sig),
+           "conic_bundle": kgroups.conic_bundle_ranks(sig)})
     return EXIT_OK
 
 

@@ -242,38 +242,30 @@ class FiniteField:
         self.characteristic = p
         if k > 1:
             self.modulus = _canonical_modulus(p, k)  # length k+1, monic
-            # reduction table: x^(k+j) mod modulus for j = 0..k-2
-            self._red = []
-            rep = [(-c) % p for c in self.modulus[:k]]  # x^k = rep
-            self._red.append(tuple(rep))
-            for _ in range(k - 2):
-                rep = self._shift_reduce(rep)
-                self._red.append(tuple(rep))
+            self.xk = tuple((-c) % p for c in self.modulus[:k])  # x^k mod modulus
         else:
             self.modulus = None
 
-    def _shift_reduce(self, rep):
-        p = self.p
-        shifted = [0] + list(rep[:-1])
-        top = rep[-1]
-        x_k = self._red[0]
-        return [(shifted[i] + top * x_k[i]) % p for i in range(self.k)]
+    def reduce(self, cs: list) -> tuple:
+        """The coefficient vector of sum cs[j] x^j (integers, low degree
+        first, any length) modulo p and the modulus: from the top down,
+        x^j = x^(j-k) x^k.  Consumes cs."""
+        p, k, xk = self.p, self.k, self.xk
+        for j in range(len(cs) - 1, k - 1, -1):
+            c = cs.pop() % p
+            if c:
+                for i, r in enumerate(xk, j - k):
+                    cs[i] += c * r
+        cs += [0] * (k - len(cs))
+        return tuple([c % p for c in cs])
 
     def _mul_vec(self, a: tuple, b: tuple) -> tuple:
-        p, k = self.p, self.k
-        prod = [0] * (2 * k - 1)
+        prod = [0] * (2 * self.k - 1)
         for i, ai in enumerate(a):
             if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] += ai * bj
-        out = [c % p for c in prod[:k]]
-        for j in range(k, 2 * k - 1):
-            c = prod[j] % p
-            if c:
-                red = self._red[j - k]
-                for i in range(k):
-                    out[i] = (out[i] + c * red[i]) % p
-        return tuple(out)
+                for j, bj in enumerate(b, i):
+                    prod[j] += ai * bj
+        return self.reduce(prod)
 
     def __call__(self, value) -> FFElem:
         if isinstance(value, FFElem):
@@ -374,7 +366,10 @@ def field_from_descriptor(desc: dict):
     if kind == "prime-field":
         return described_field(_exact_int(desc.get("p")), 1)
     if kind == "extension-field":
-        f = described_field(_exact_int(desc.get("p")), _exact_int(desc.get("degree")))
+        k = _exact_int(desc.get("degree"))
+        if k < 2:
+            raise ValueError(f"an extension-field descriptor needs degree >= 2, not {k}")
+        f = described_field(_exact_int(desc.get("p")), k)
         if "modulus" in desc and desc["modulus"] != list(f.modulus):
             raise UnsupportedFieldError(
                 "non-canonical modulus; this library fixes the lexicographically "
@@ -410,6 +405,9 @@ def _exact_int(obj) -> int:
 def scalar_from_json(field, obj):
     if field.is_rational:
         if isinstance(obj, str):
+            if "e" in obj.lower():  # Fraction would expand 1e1000000 digit by digit
+                raise ValueError(f"exponent notation in the rational {obj!r}; "
+                                 "write an integer or a/b")
             try:
                 return Fraction(obj)
             except ZeroDivisionError as exc:
@@ -499,9 +497,6 @@ class Poly:
             return Poly(self.field, out)
         return Poly(self.field, [c * other for c in self.coeffs])
 
-    def scale(self, s):
-        return Poly(self.field, [c * s for c in self.coeffs])
-
     def __divmod__(self, other):
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
@@ -529,7 +524,7 @@ class Poly:
     def monic(self) -> "Poly":
         if self.is_zero():
             return self
-        return self.scale(_inv(self.leading()))
+        return self * _inv(self.leading())
 
     def derivative(self) -> "Poly":
         return Poly(self.field, [c * self.field(i) for i, c in
@@ -835,16 +830,13 @@ def _canonical_modulus(p: int, k: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _embedding_image(src_key, dst_key) -> FFElem:
+def _embedding_image(src: FiniteField, dst: FiniteField) -> FFElem:
     """Canonical image of the generator of src in dst (src degree divides dst
     degree): the smallest root of src's modulus in the fixed scalar order.
     The roots are one root and its p-power conjugates."""
-    p, ks = src_key
-    _, kd = dst_key
-    dst = GF(p, kd)
-    conjugates = [split_root(Poly(dst, [dst(c) for c in GF(p, ks).modulus]))]
-    while len(conjugates) < ks:
-        conjugates.append(conjugates[-1] ** p)
+    conjugates = [split_root(Poly(dst, [dst(c) for c in src.modulus]))]
+    while len(conjugates) < src.k:
+        conjugates.append(conjugates[-1] ** src.p)
     return min(conjugates)
 
 
@@ -863,7 +855,7 @@ def embed(a, dst):
         raise FieldMismatchError(f"no embedding {src!r} -> {dst!r}")
     if src.k == 1:
         return dst(a.coeffs[0])
-    img = _embedding_image((src.p, src.k), (dst.p, dst.k))
+    img = _embedding_image(src, dst)
     acc = dst.zero
     for c in reversed(a.coeffs):
         acc = acc * img + dst(c)

@@ -47,24 +47,15 @@ class SignedPerm:
         """self after other."""
         sigma, eps = self.perm, self.signs
         tau, delta = other.perm, other.signs
-        n = len(sigma)
-        perm = tuple(sigma[tau[i]] for i in range(n))
-        inv_sigma = [0] * n
-        for i, im in enumerate(sigma):
-            inv_sigma[im] = i
-        signs = tuple(eps[j] * delta[inv_sigma[j]] for j in range(n))
+        perm = tuple(sigma[t] for t in tau)
+        signs = tuple(e * delta[i] for e, i in zip(eps, _inverse(sigma)))
         return SignedPerm(perm, signs)
 
     def __mul__(self, other):
         return self.compose(other)
 
     def inverse(self) -> "SignedPerm":
-        n = len(self.perm)
-        inv = [0] * n
-        for i, im in enumerate(self.perm):
-            inv[im] = i
-        signs = tuple(self.signs[self.perm[j]] for j in range(n))
-        return SignedPerm(tuple(inv), signs)
+        return SignedPerm(_inverse(self.perm), tuple(self.signs[i] for i in self.perm))
 
     def is_even(self) -> bool:
         """Parity of the induced permutation of the 10-element doubled set."""
@@ -78,6 +69,11 @@ class SignedPerm:
         return cls(tuple(i - 1 for i in obj["perm"]), tuple(obj["signs"]))
 
 
+def _inverse(perm) -> tuple:
+    """The inverse of a permutation given by its image tuple."""
+    return tuple(sorted(range(len(perm)), key=perm.__getitem__))
+
+
 def retract(a: SignedPerm) -> SignedPerm:
     """Projection B5 -> D5 killing the central flip: a if even, c*a otherwise."""
     if a.is_even():
@@ -87,7 +83,9 @@ def retract(a: SignedPerm) -> SignedPerm:
 
 @lru_cache(maxsize=None)
 def all_signed_perms():
-    """All 2^5 * 5! signed permutations, in a fixed deterministic order."""
+    """All 2^5 * 5! signed permutations: the permutations in lexicographic
+    order, each with its sign vectors by mask (bit j set: sign j is -1), so
+    the first 32 lie over the identity."""
     out = []
     for perm in itertools.permutations(range(5)):
         for mask in range(2 ** 5):
@@ -155,7 +153,11 @@ class CycleSignature:
 
     @classmethod
     def from_json(cls, obj):
-        """[length, sign] pairs of exact integers: floats and bools raise ValueError."""
+        """A list of [length, sign] pairs of exact integers; any other JSON
+        (objects, strings, floats, bools) raises ValueError."""
+        if not isinstance(obj, list) or any(
+                not isinstance(c, list) or len(c) != 2 for c in obj):
+            raise ValueError(f"a cycle signature is a list of [length, sign] pairs, not {obj!r}")
         return cls(tuple((_exact_int(a), _exact_int(b)) for a, b in obj))
 
 
@@ -175,14 +177,6 @@ class FiberElement:
             raise FiberMismatchError("fiber elements carry even signed permutations")
 
 
-def _even_sign_vectors():
-    out = []
-    for mask in range(2 ** 5):
-        if bin(mask).count("1") % 2 == 0:
-            out.append(tuple(-1 if (mask >> j) & 1 else 1 for j in range(5)))
-    return out
-
-
 def fiber_product(aut_p):
     """All pairs (even signed perm over rho, moebius with image rho).
 
@@ -200,12 +194,9 @@ def fiber_product(aut_p):
             if tuple(p1[p2[i]] for i in range(5)) not in perm_set:
                 raise InvalidGroupInputError(
                     "aut_p is not a group: S5 images not closed under composition")
-    out = []
-    for moebius, perm in aut_p:
-        for signs in _even_sign_vectors():
-            out.append(FiberElement(SignedPerm(tuple(perm), signs), moebius,
-                                    tuple(perm)))
-    return out
+    evens = [a.signs for a in even_signed_perms()[:16]]  # those over the identity
+    return [FiberElement(SignedPerm(tuple(perm), signs), moebius, tuple(perm))
+            for moebius, perm in aut_p for signs in evens]
 
 
 def retract_fiber(signed: SignedPerm, moebius: Moebius, perm) -> FiberElement:
@@ -217,12 +208,9 @@ def retract_fiber(signed: SignedPerm, moebius: Moebius, perm) -> FiberElement:
 
 def aut0_matrices():
     """The 16 diagonal +-1 matrices modulo global sign (first entry +1)."""
-    out = []
-    for mask in range(2 ** 4):
-        diag = [1] + [(-1 if (mask >> j) & 1 else 1) for j in range(4)]
-        out.append(tuple(tuple(diag[i] if i == j else 0 for j in range(5))
-                         for i in range(5)))
-    return out
+    diags = [a.signs for a in all_signed_perms()[:32] if a.signs[0] == 1]
+    return [tuple(tuple(d[i] if i == j else 0 for j in range(5)) for i in range(5))
+            for d in diags]
 
 
 # --- integer encodings for the exhaustive suites ----------------------------
@@ -239,9 +227,7 @@ def index_tables():
     perms = list(itertools.permutations(range(5)))
     mask_apply = np.zeros((120, 32), dtype=np.int64)
     for a, pa in enumerate(perms):
-        inv = [0] * 5
-        for i, im in enumerate(pa):
-            inv[im] = i
+        inv = _inverse(pa)
         for m in range(32):
             out = 0
             for j in range(5):

@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 
 from .hyperoct import CycleSignature, SignedPerm
-from .linalg import frac_inverse, mat_mul, rank, transpose
+from .linalg import congruence, frac_solve, rank, transpose
 from .pencil import ResourceLimitError
 from .picard import K_CLASS, intersect, pair_of, pair_representatives
 
@@ -77,13 +77,11 @@ def tensor_k_matrix():
 
 
 def serre_from_gram(E):
-    """The operator S with chi(x, y) = chi(y, Sx) for all x, y: S = E^-1 E^T."""
-    Ef = [[Fraction(x) for x in row] for row in E]
+    """The operator S with chi(x, y) = chi(y, Sx) for all x, y: E S = E^T."""
     try:
-        Einv = frac_inverse(Ef)
+        return frac_solve(E, transpose(E))
     except ZeroDivisionError as exc:
         raise DegenerateFormError("Euler form is degenerate") from exc
-    return mat_mul(Einv, transpose(Ef))
 
 
 # ---------------------------------------------------------------------------
@@ -170,25 +168,12 @@ def wpl_gram(n: int):
 def wpl_pair_gram(n: int):
     """Euler Gram on the 2n simples ordered (S_1, S_1', ..., S_n, S_n'),
     with [S_i'] = [O_pt] - [S_i], derived from wpl_gram(n)."""
-    G = wpl_gram(n)
-    size = 2 + n
-
-    def vec(i, primed):
-        v = [0] * size
-        if primed:
-            v[1] = 1
-            v[2 + i] = -1
-        else:
-            v[2 + i] = 1
-        return v
-
     basis = []
     for i in range(n):
-        basis.append(vec(i, False))
-        basis.append(vec(i, True))
-    out = [[sum(a[x] * G[x][y] * b[y] for x in range(size) for y in range(size))
-            for b in basis] for a in basis]
-    return out
+        simple = [0] * (2 + n)
+        simple[2 + i] = 1
+        basis += [simple, [0, 1] + [-x for x in simple[2:]]]
+    return congruence(transpose(basis), wpl_gram(n))
 
 
 # ---------------------------------------------------------------------------
@@ -242,12 +227,9 @@ def g_invariant_rank(sig: CycleSignature, space: str) -> int:
     return before + after + sig.plus_cycles()
 
 
-def conic_bundle_ranks(n: int, sig: CycleSignature, relatively_minimal: bool):
-    """Invariant-rank bookkeeping for a conic bundle with n degenerate fibres:
-    the curve contributes rank 2 and the fibre simples 2 + #plus-cycles."""
-    if sig.total() != n:
-        raise ValueError("signature cycles must sum to the number of degenerate fibres")
-    if relatively_minimal and sig.plus_cycles() > 0:
-        raise ValueError("a relatively minimal action admits no +1 cycles on the fibres")
+def conic_bundle_ranks(sig: CycleSignature):
+    """Invariant-rank bookkeeping for a conic bundle whose degenerate fibres
+    the signature's cycles permute: the curve contributes rank 2 and the
+    fibre simples 2 + #plus-cycles."""
     atom_rank = g_invariant_rank(sig, "wpl")
     return {"k0x_rank": atom_rank + 2, "atom_rank": atom_rank}

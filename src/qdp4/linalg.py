@@ -1,5 +1,5 @@
 """Small exact linear algebra over any field and the integers: one Bareiss
-elimination behind the rank, the determinant, kernels and inverses."""
+elimination behind the rank, the determinant, kernels and linear solves."""
 
 from __future__ import annotations
 
@@ -106,16 +106,16 @@ def kernel_vector(mat, field):
     return _back_substitute(rows, pivots, v)
 
 
-def frac_inverse(mat):
-    """Inverse of a square matrix over Q; raises ZeroDivisionError on singular
-    input.  Column j solves the echelon form of [mat | I] against -e_j."""
-    n = len(mat)
-    rows, pivots, _ = _echelon([[Fraction(mat[i][j]) for j in range(n)] +
-                                [Fraction(int(i == j)) for j in range(n)]
-                                for i in range(n)])
+def frac_solve(mat, rhs):
+    """X with mat X = rhs, for a square mat over Q; raises ZeroDivisionError
+    on singular mat.  Column j of X solves the echelon form of [mat | rhs]
+    against -e_j on the rhs side."""
+    n, m = len(mat), len(rhs[0])
+    rows, pivots, _ = _echelon([[Fraction(x) for x in (*row, *rrow)]
+                                for row, rrow in zip(mat, rhs)])
     if pivots != list(range(n)):
         raise ZeroDivisionError("singular matrix")
     cols = [_back_substitute(rows, pivots, [Fraction(0)] * n +
-                             [Fraction(-int(i == j)) for i in range(n)])[:n]
-            for j in range(n)]
+                             [Fraction(-int(i == j)) for i in range(m)])[:n]
+            for j in range(m)]
     return transpose(cols)

@@ -171,8 +171,8 @@ def _integer_lift(field, rows, n: int):
       t-coefficients below (n + 1) p, so each t-coefficient of the
       determinant, and of its z^i coefficient, is below n! (k (n + 1) p)^n
       in absolute value; 2^w exceeds twice that, so unlift reads the
-      coefficients as balanced base-2^w digits and reduces x^j, j >= k,
-      with x^k = _red[0].
+      coefficients as balanced base-2^w digits and hands them to the
+      field's reduction.
     """
     if field.is_rational:
         D = lcm(*(x.denominator for row in rows for x in row))
@@ -192,12 +192,7 @@ def _integer_lift(field, rows, n: int):
                 d -= 1 << w
             digits.append(d)
             c = (c - d) >> w
-        digits += [0] * (k - len(digits))
-        for j in range(len(digits) - 1, k - 1, -1):  # x^j = x^(j-k) x^k
-            top = digits.pop() % p
-            for i, r in enumerate(field._red[0]):
-                digits[j - k + i] += top * r
-        return field(digits)
+        return FFElem(field, field.reduce(digits))
 
     return (lambda x: sum(c << (w * j) for j, c in enumerate(x.coeffs))), unlift
 
@@ -497,14 +492,14 @@ def _encoded_tables(p: int, k: int):
     (element sum c_i x^i encoded as sum c_i p^i).
 
     With digits[b] the coefficient vector of b and shifts[i][b] that of
-    x^i b, reduced by x^k = -(modulus[:k]), a b = sum_i a_i x^i b."""
+    x^i b, reduced by the field's x^k, a b = sum_i a_i x^i b."""
     q = p ** k
     digits = np.arange(q)[:, None] // p ** np.arange(k) % p
     shifts = [digits]
     for _ in range(k - 1):
         s = shifts[-1]
         shifts.append((np.pad(s[:, :-1], ((0, 0), (1, 0)))
-                       - s[:, -1:] * np.array(GF(p, k).modulus[:k])) % p)
+                       + s[:, -1:] * np.array(GF(p, k).xk)) % p)
     weights = p ** np.arange(k)
     add = ((digits[:, None, :] + digits[None, :, :]) % p) @ weights
     mul = (np.einsum("ai,ibj->abj", digits, np.stack(shifts)) % p) @ weights
@@ -527,6 +522,8 @@ def count_points(P: QuadricPencil, k: int) -> int:
     field = P.field
     if field.is_rational or field.k != 1:
         raise UnsupportedFieldError("count_points expects a prime-field pencil")
+    if k < 1:
+        raise ValueError(f"extension degree k = {k} must be at least 1")
     degenerate_orbits(P)  # point counts are certified for smooth pencils only
     p = field.p
     q = p ** k

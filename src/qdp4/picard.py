@@ -164,13 +164,7 @@ def to_signed_perm(w: np.ndarray) -> SignedPerm:
     return SignedPerm(tuple(perm), tuple(signs))
 
 
-def invariant_rank(sig: CycleSignature) -> int:
-    """rank Pic^G = 1 + number of +1 cycles."""
-    if sig.total() != 5:
-        raise ValueError("Picard signatures act on 5 pairs")
-    return 1 + sig.plus_cycles()
-
-
 def is_minimal(sig: CycleSignature) -> bool:
     """rank Pic^G = 1, i.e. every Frobenius cycle carries sign -1."""
-    return invariant_rank(sig) == 1
+    from .kgroups import g_invariant_rank  # kgroups builds on this module
+    return g_invariant_rank(sig, "picard") == 1

@@ -165,11 +165,11 @@ def test_criterion_09_conic_bundle_numerology():
     for sig in (CycleSignature(((5, -1),)),
                 CycleSignature(((4, -1), (1, -1),)),
                 CycleSignature(((2, -1), (2, -1), (1, -1)))):
-        assert kgroups.conic_bundle_ranks(5, sig, True) == \
+        assert kgroups.conic_bundle_ranks(sig) == \
             {"k0x_rank": 4, "atom_rank": 2}
     for sig in (CycleSignature(((4, -1),)),
                 CycleSignature(((2, -1), (2, -1)))):
-        assert kgroups.conic_bundle_ranks(4, sig, True) == \
+        assert kgroups.conic_bundle_ranks(sig) == \
             {"k0x_rank": 4, "atom_rank": 2}
     ok(9, "minimal conic bundles at n = 4, 5 give rank(K0^G) = 2 + 2 = 4, "
           "atom rank 2")

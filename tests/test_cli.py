@@ -176,8 +176,13 @@ def test_large_height_rational_pencil_end_to_end(capsys, tmp_path):
 
 
 _big = st.integers(-10 ** 40, 10 ** 40)
+# exponent notation, which no scalar grammar allows; Fraction would expand it
+_exponents = st.one_of(
+    st.builds(lambda m, e, c: f"{m}{c}{e}", st.integers(-9, 9), st.integers(-400, 400),
+              st.sampled_from("eE")),
+    st.sampled_from(["1e400", "2.5e-1", "1E3", "1/1e3"]))
 _normal_form_args = st.one_of(
-    _big.map(str),
+    _big.map(str), _exponents,
     st.builds(lambda a, b: f"{a}/{b}", _big, st.integers(1, 10 ** 40)),
     st.lists(st.integers(-5, 10 ** 6), min_size=1, max_size=5).map(str),  # F_{p^k}
     st.sampled_from(["1/0", "2.7", "", "0", "1", "-1", "1/2", "-3/4", " 5 ", "[1, 2]", "x"]))
@@ -197,12 +202,15 @@ _field_args = st.one_of(
 @example(lam="10000000000000000000000000000000000000007/3", mu="-5/2", equal=False, field="Q")
 @example(lam="2", mu="-1", equal=False, field="1009")
 @example(lam="[0, 1]", mu="[1, 1]", equal=False, field="3^2")
+@example(lam="1e400", mu="3", equal=False, field="Q")
 def test_reconstruct_arguments_get_a_documented_exit_code(capsys, tmp_path, lam, mu,
                                                           equal, field):
+    mu = lam if equal else mu
     # the attached "--lambda=VALUE" form, which main makes of "--lambda VALUE"
     code, out, err = run_cli(capsys, "reconstruct", f"--lambda={lam}",
-                             f"--mu={lam if equal else mu}", f"--field={field}")
+                             f"--mu={mu}", f"--field={field}")
     assert code in {0, 2, 4}, err
+    assert code or "e" not in (lam + mu).lower(), "exponent notation accepted"
     if code:
         assert err.startswith("error: ") and out == "", err
         return
@@ -307,7 +315,8 @@ _descriptors = st.one_of(
     # small degrees only: the canonical-modulus search is exponential in the degree
     st.fixed_dictionaries({"kind": st.just("extension-field"),
                            "p": st.sampled_from([3, 5, 7, 4]),
-                           "degree": st.integers(-1, 3)}),
+                           "degree": st.integers(-1, 3)},
+                          optional={"modulus": st.lists(st.integers(0, 6), max_size=4)}),
 )
 _coords = st.one_of(st.integers(-6, 6), _json_scalars, st.lists(st.integers(-3, 3), max_size=3))
 _points = st.one_of(
@@ -324,12 +333,25 @@ _configuration_files = st.one_of(
 @settings(max_examples=300, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(obj=_configuration_files)
+@example(obj={"field": {"kind": "extension-field", "p": 7, "degree": 1},
+              "points": [[1, 0], [0, 1], [1, 1], [2, 1], [3, 1]]})
+@example(obj={"field": {"kind": "extension-field", "p": 7, "degree": 1, "modulus": [0, 1]},
+              "points": [[1, 0], [0, 1], [1, 1], [2, 1], [3, 1]]})
 def test_aut_configuration_files_get_a_documented_exit_code(capsys, tmp_path, obj):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(obj))
     code, _, err = run_cli(capsys, "aut", str(path))
     assert code in {0, 1, 2, 3, 4}
     assert "Traceback" not in err
+    if _low_degree_extension(obj):
+        assert code == 2 and "degree >= 2" in err, err
+
+
+def _low_degree_extension(obj) -> bool:
+    """True when a file's field descriptor names an extension of integer degree below 2."""
+    desc = obj.get("field") if isinstance(obj, dict) else None
+    return (isinstance(desc, dict) and desc.get("kind") == "extension-field"
+            and type(desc.get("degree")) is int and desc["degree"] < 2)
 
 
 def _symmetric(upper):
@@ -348,7 +370,8 @@ def _diagonal(d):
 
 _small = st.integers(-3, 3)
 _entries = st.one_of(_small, st.floats(allow_nan=False, allow_infinity=False),
-                     st.booleans(), st.sampled_from(["1/2", "x", "[1, 2]", "[0,1]", "1/0"]))
+                     st.booleans(), _exponents,
+                     st.sampled_from(["1/2", "x", "[1, 2]", "[0,1]", "1/0"]))
 _symmetric_ints = st.lists(_small, min_size=15, max_size=15).map(_symmetric)
 _good_matrices = st.one_of(
     _symmetric_ints,
@@ -363,16 +386,36 @@ _bad_matrices = st.one_of(
 )
 # small fields only: the splitting field of a pencil over F_{p^k} has degree
 # up to 6k, and every example runs five commands
-_good_fields = st.sampled_from([
+_GOOD_FIELDS = [
     {"kind": "rationals"}, {"kind": "prime-field", "p": 3},
     {"kind": "prime-field", "p": 5}, {"kind": "prime-field", "p": 13},
-    {"kind": "extension-field", "p": 3, "degree": 2}])
+    {"kind": "extension-field", "p": 3, "degree": 2}]
+_good_fields = st.sampled_from(_GOOD_FIELDS)
 _bad_fields = st.one_of(_json_values, st.sampled_from([
     {"kind": "prime-field", "p": 9}, {"kind": "prime-field", "p": 5.0},
     {"kind": "prime-field", "p": True}, {"kind": "prime-field"},
     {"kind": "extension-field", "p": 3, "degree": 0},
+    {"kind": "extension-field", "p": 7, "degree": 1},
+    {"kind": "extension-field", "p": 7, "degree": 1, "modulus": [0, 1]},
     {"kind": "extension-field", "p": 4, "degree": 2},
     {"kind": "extension-field", "p": 3, "degree": 2, "modulus": [2, 0, 1]}]))
+
+
+def _with_entry(field, A, B, entry):
+    """An integer pencil file with A[3][3] replaced by entry."""
+    obj = _encoded(field, A, B)
+    obj["A"][3][3] = entry
+    return obj
+
+
+def _exponent_entry(obj) -> bool:
+    """True when a pencil file over a supported field has a string matrix
+    entry in exponent notation (no string with an e is a scalar)."""
+    if not isinstance(obj, dict) or obj.get("field") not in _GOOD_FIELDS:
+        return False
+    rows = [r for M in (obj.get("A"), obj.get("B")) if isinstance(M, list)
+            for r in M if isinstance(r, list)]
+    return any(isinstance(x, str) and "e" in x.lower() for r in rows for x in r)
 
 
 def _encoded(field, *mats):
@@ -389,6 +432,7 @@ _malformed_pencil_files = st.one_of(
     st.fixed_dictionaries({"field": _bad_fields, "A": _good_matrices, "B": _good_matrices}),
     st.builds(lambda field, A, c: _encoded(field, A, [[c * x for x in row] for row in A]),
               _good_fields, _symmetric_ints, _small),  # proportional
+    st.builds(_with_entry, _good_fields, _symmetric_ints, _symmetric_ints, _exponents),
     _json_values)
 # half well-formed (smooth, singular, non-split over Q), half malformed
 _pencil_files = st.booleans().flatmap(lambda well_formed: st.builds(
@@ -398,12 +442,21 @@ _pencil_files = st.booleans().flatmap(lambda well_formed: st.builds(
 
 @settings(max_examples=200, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(obj=_pencil_files)
-def test_pencil_files_get_a_documented_exit_code(capsys, tmp_path, obj):
+@given(obj=_pencil_files, ext=st.integers(-2, 3))
+@example(obj=reconstruct((2, 3), GF(7)).to_json(), ext=0)
+@example(obj=reconstruct((2, 3), GF(7)).to_json(), ext=-1)
+@example(obj=_with_entry({"kind": "rationals"}, _diagonal([1, 0, 1, 2, 3]),
+                         _diagonal([0, 1, 1, 1, 1]), "1e400"), ext=1)
+@example(obj=dict(reconstruct((2, 3), GF(7)).to_json(),
+                  field={"kind": "extension-field", "p": 7, "degree": 1}), ext=1)
+def test_pencil_files_get_a_documented_exit_code(capsys, tmp_path, obj, ext):
     path = tmp_path / "pencil.json"
     path.write_text(json.dumps(obj))
+    refused = _exponent_entry(obj) or _low_degree_extension(obj)
     for command in ("analyze", "iso", "aut", "minimal", "count-points"):
         files = [str(path)] * (2 if command == "iso" else 1)
+        if command == "count-points":
+            files.append(f"--ext={ext}")
         code, out, err = run_cli(capsys, command, *files)
         assert code in {0, 1, 2, 3, 4}, (command, err)
         assert "Traceback" not in err
@@ -411,6 +464,8 @@ def test_pencil_files_get_a_documented_exit_code(capsys, tmp_path, obj):
             json.loads(out)
         if code in {2, 3, 4}:
             assert err.startswith("error: "), (command, err)
+        if refused:
+            assert code == 2, (command, err)
 
 
 def _exit_code(capsys, *argv):
@@ -536,6 +591,10 @@ def test_functor_into_a_non_groupoid_is_a_negative_verdict(capsys, tmp_path):
 _signature_args = st.one_of(
     st.lists(st.lists(st.one_of(st.integers(-3, 6), _json_scalars), max_size=3),
              max_size=6).map(json.dumps),
+    # cycles given as an object's keys or as strings
+    st.dictionaries(st.sampled_from(["51", "11", "5", "2-"]), st.integers(-1, 1),
+                    max_size=3).map(json.dumps),
+    st.lists(st.sampled_from(["11", "51", "2-", "5"]), max_size=6).map(json.dumps),
     _json_values.map(json.dumps), st.text(max_size=8))
 
 
@@ -546,6 +605,8 @@ _signature_args = st.one_of(
        points=st.integers(-3, 12).map(str) | st.sampled_from(["", "x", "2.5"]))
 @example(signature="[[2.5,-1],[3,-1]]", space="wpl", points="5")
 @example(signature="[[true,1]]", space="wpl", points="5")
+@example(signature='{"51": 0}', space="wpl", points="5")
+@example(signature='["11","11","11","11","11"]', space="wpl", points="5")
 def test_kgroups_arguments_get_a_documented_exit_code(capsys, signature, space, points):
     for argv in (["ranks", f"--signature={signature}"],
                  ["gram", f"--space={space}", f"--points={points}"]):
@@ -554,13 +615,19 @@ def test_kgroups_arguments_get_a_documented_exit_code(capsys, signature, space, 
         assert "Traceback" not in err
         if code == 0:
             json.loads(out)
+        if code == 0 and argv[0] == "ranks":  # only a list of [length, sign] pairs is one
+            cycles = json.loads(signature)
+            assert isinstance(cycles, list)
+            assert all(isinstance(c, list) and len(c) == 2 for c in cycles)
 
 
-@pytest.mark.parametrize("signature", ["[[2.5,-1],[3,-1]]", "[[true,1]]", "[[5,-1.0]]"])
+@pytest.mark.parametrize("signature", ["[[2.5,-1],[3,-1]]", "[[true,1]]", "[[5,-1.0]]",
+                                       '{"51": 0}', '["11","11","11","11","11"]'])
 def test_kgroups_ranks_refuses_inexact_cycle_data(capsys, signature):
     code, out, err = run_cli(capsys, "kgroups", "ranks", "--signature", signature)
     assert code == 2 and out == ""
-    assert "not an exact integer" in err
+    pairs = signature.startswith("[[")  # a list of pairs, with an inexact entry
+    assert ("not an exact integer" if pairs else "list of [length, sign] pairs") in err
 
 
 @pytest.mark.parametrize("points", [kgroups.GRAM_POINTS_GUARD + 1, 10 ** 12])
@@ -736,6 +803,40 @@ def test_count_points_command(capsys, tmp_path):
     code, _, err = run_cli(capsys, "count-points", str(path), "--ext", "4")  # 625 > 250
     assert code == 1
     assert "guard" in err
+
+
+@pytest.mark.parametrize("ext", ["0", "-1"])
+def test_count_points_below_degree_1_exits_2(capsys, tmp_path, ext):
+    path = tmp_path / "f7.json"
+    path.write_text(json.dumps(reconstruct((2, 3), GF(7)).to_json()))
+    code, out, err = run_cli(capsys, "count-points", str(path), f"--ext={ext}")
+    assert code == 2 and out == ""
+    assert err == f"error: extension degree k = {ext} must be at least 1\n"
+
+
+def test_exponent_notation_over_q_exits_2(capsys, tmp_path):
+    # Fraction reads "1e1000000" as a million-digit integer
+    obj = reconstruct((2, 3), QQ).to_json()
+    obj["A"][3][3] = "1e400"
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(obj))
+    for argv, entry in ((["analyze", str(path)], "1e400"),
+                        (["reconstruct", "--lambda", "1e400", "--mu", "3"], "1e400"),
+                        (["reconstruct", "--lambda", "2", "--mu", "3E2"], "3E2")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert f"exponent notation in the rational '{entry}'" in err, err
+
+
+@pytest.mark.parametrize("desc", [
+    {"kind": "extension-field", "p": 7, "degree": 1},
+    {"kind": "extension-field", "p": 7, "degree": 1, "modulus": [0, 1]}])
+def test_extension_descriptor_of_degree_1_exits_2(capsys, tmp_path, desc):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(dict(reconstruct((2, 3), GF(7)).to_json(), field=desc)))
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert code == 2 and out == ""
+    assert "needs degree >= 2, not 1" in err
 
 
 def test_reconstruct_command(capsys):

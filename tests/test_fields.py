@@ -361,14 +361,14 @@ def _random_rational_poly(rng):
         elif kind == "quadratic" and room >= 2:
             b, c = rng.randint(-20, 20), rng.randint(-20, 20)
             if b * b - 4 * c < 0 or isqrt(b * b - 4 * c) ** 2 != b * b - 4 * c:
-                f = f * Poly.from_ints(QQ, [c, b, 1]).scale(Fraction(rng.randint(1, 5)))
+                f = f * (Poly.from_ints(QQ, [c, b, 1]) * Fraction(rng.randint(1, 5)))
         elif kind == "cubic" and room >= 3:
             d = rng.choice([-1, 1]) * rng.randint(2, 50)
             if round(abs(d) ** (1 / 3)) ** 3 != abs(d):
                 f = f * Poly.from_ints(QQ, [-d, 0, 0, 1])
     scale = rng.choice([Fraction(1), Fraction(105), Fraction(-105, 11),
                         Fraction(rng.randint(1, 9), rng.randint(2, 9))])
-    return f.scale(scale), sorted(roots)
+    return f * scale, sorted(roots)
 
 
 def test_rational_roots_match_the_divisor_enumeration():
@@ -433,7 +433,7 @@ def test_rational_roots_of_large_height():
             return rng.randrange(10 ** (digits - 1), 10 ** digits)
 
         roots = sorted({Fraction(rng.choice((-1, 1)) * number(), number()) for _ in range(5)})
-        f = _poly_with_rational_roots(roots).scale(Fraction(3, 7))
+        f = _poly_with_rational_roots(roots) * Fraction(3, 7)
         assert rational_roots(f) == roots
         g = f * Poly.from_ints(QQ, [0, -2, 0, 1])  # x (x^2 - 2)
         assert rational_roots(g) == sorted([Fraction(0)] + roots)

@@ -183,16 +183,12 @@ def test_labeled_actions_match_closed_forms():
 
 
 def test_conic_bundle_examples():
-    assert conic_bundle_ranks(5, MINIMAL, True) == {"k0x_rank": 4, "atom_rank": 2}
+    assert conic_bundle_ranks(MINIMAL) == {"k0x_rank": 4, "atom_rank": 2}
     four = CycleSignature(((4, -1),))
-    assert conic_bundle_ranks(4, four, True) == {"k0x_rank": 4, "atom_rank": 2}
+    assert conic_bundle_ranks(four) == {"k0x_rank": 4, "atom_rank": 2}
     four2 = CycleSignature(((2, -1), (2, -1)))
-    assert conic_bundle_ranks(4, four2, True) == {"k0x_rank": 4, "atom_rank": 2}
-    assert conic_bundle_ranks(5, TRIVIAL, False) == {"k0x_rank": 9, "atom_rank": 7}
-    with pytest.raises(ValueError):
-        conic_bundle_ranks(5, TRIVIAL, True)
-    with pytest.raises(ValueError):
-        conic_bundle_ranks(4, MINIMAL, True)
+    assert conic_bundle_ranks(four2) == {"k0x_rank": 4, "atom_rank": 2}
+    assert conic_bundle_ranks(TRIVIAL) == {"k0x_rank": 9, "atom_rank": 7}
 
 
 def test_torsion_positivity():

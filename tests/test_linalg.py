@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from qdp4.fields import GF, QQ, random_element
-from qdp4.linalg import det, frac_inverse, kernel_vector, mat_mul, mat_vec, rank
+from qdp4.linalg import det, frac_solve, kernel_vector, mat_mul, mat_vec, rank
 
 
 def _random_of_rank(field, rng, n, r):
@@ -48,13 +48,16 @@ def test_integer_rank_matches_the_rank_over_q():
         assert rank(M) == rank([[Fraction(x) for x in row] for row in M]) == r
 
 
-def test_frac_inverse():
+def test_frac_solve():
     M = [[2, 1, 0], [1, 3, 1], [0, 1, 4]]
-    inv = frac_inverse(M)
     eye = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
+    inv = frac_solve(M, eye)
     assert mat_mul(M, inv) == eye
+    B = [[1, -2], [0, 5], [7, 3]]
+    assert mat_mul(M, frac_solve(M, B)) == B
+    assert frac_solve(M, B) == mat_mul(inv, B)
     with pytest.raises(ZeroDivisionError):
-        frac_inverse([[1, 2], [2, 4]])
+        frac_solve([[1, 2], [2, 4]], [[1, 0], [0, 1]])
 
 
 def _cofactor(M):
