@@ -76,8 +76,8 @@ def parse_field_spec(spec: str):
         return QQ
     if "^" in spec:
         p, k = spec.split("^", 1)
-        return described_field(int(p), int(k))
-    return described_field(int(spec), 1)
+        return field_from_descriptor({"kind": "extension-field", "p": p, "degree": k})
+    return field_from_descriptor({"kind": "prime-field", "p": spec})
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import re
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -52,7 +53,6 @@ class RationalField:
     is_rational = True
     p = 0
     k = 1
-    characteristic = 0
 
     def __call__(self, value) -> Fraction:
         if isinstance(value, FFElem):
@@ -118,9 +118,6 @@ class FFElem:
         p = self.field.p
         return FFElem(self.field, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         other = self._check(other)
         f = self.field
@@ -177,10 +174,6 @@ class FFElem:
         # fixed total order: lexicographic on coefficient vectors
         other = self._check(other)
         return self.coeffs < other.coeffs
-
-    def __le__(self, other):
-        other = self._check(other)
-        return self.coeffs <= other.coeffs
 
     def __repr__(self):
         if self.field.k == 1:
@@ -239,7 +232,6 @@ class FiniteField:
         self.p = p
         self.k = k
         self.order = p ** k
-        self.characteristic = p
         if k > 1:
             self.modulus = _canonical_modulus(p, k)  # length k+1, monic
             self.xk = tuple((-c) % p for c in self.modulus[:k])  # x^k mod modulus
@@ -402,12 +394,15 @@ def _exact_int(obj) -> int:
     return obj
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def scalar_from_json(field, obj):
     if field.is_rational:
         if isinstance(obj, str):
-            if "e" in obj.lower():  # Fraction would expand 1e1000000 digit by digit
-                raise ValueError(f"exponent notation in the rational {obj!r}; "
-                                 "write an integer or a/b")
+            if not _RATIONAL.fullmatch(obj):  # Fraction also reads 2.7, 1_000, 1e1000000
+                problem = "exponent notation" if "e" in obj.lower() else "bad syntax"
+                raise ValueError(f"{problem} in the rational {obj!r}; write an integer or a/b")
             try:
                 return Fraction(obj)
             except ZeroDivisionError as exc:

@@ -4,7 +4,6 @@ construction/verification of composition-compatible left inverses on hom-sets.""
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 
 
@@ -227,9 +226,9 @@ def build_psi(phi: GroupoidFunctor, psi_by_base: dict, base_objects: dict,
     base_objects[X]: the chosen base object of X's isomorphism class;
     isos[X]: a chosen isomorphism base_objects[X] -> X (identity at the base).
 
-    Psi_{X,Y}(u) = y o psi(phi(y)^{-1} o u o phi(x)) o x^{-1}.
+    Psi_{X,Y} is the _psi_table of isos[X] and isos[Y].
     """
-    C, D = phi.source, phi.target
+    C = phi.source
     if not injective_on_iso_classes(phi):
         raise InvalidSplittingError("functor is not injective on isomorphism classes")
     for x0, psi in psi_by_base.items():
@@ -242,23 +241,18 @@ def build_psi(phi: GroupoidFunctor, psi_by_base: dict, base_objects: dict,
             raise InvalidSplittingError(f"no splitting supplied for base object {x0!r}")
         if C.morphisms[isos[x]] != (x0, x):
             raise InvalidSplittingError(f"iso for {x!r} is not a morphism {x0!r} -> {x!r}")
-    out = {}
-    for x in C.objects:
-        for y in C.objects:
-            if base_objects[x] != base_objects[y]:
-                continue
-            x0 = base_objects[x]
-            psi = psi_by_base[x0]
-            ix, iy = isos[x], isos[y]
-            phix, phiy = phi.mor(ix), phi.mor(iy)
-            phiy_inv = D.inverse(phiy)
-            ix_inv = C.inverse(ix)
-            table = {}
-            for u in D.hom(phi.ob(x), phi.ob(y)):
-                inner = D.compose(phiy_inv, D.compose(u, phix))
-                table[u] = C.compose(iy, C.compose(psi[inner], ix_inv))
-            out[(x, y)] = table
-    return out
+    return {(x, y): _psi_table(phi, psi_by_base[base_objects[x]], isos[x], isos[y])
+            for x in C.objects for y in C.objects if base_objects[x] == base_objects[y]}
+
+
+def _psi_table(phi: GroupoidFunctor, psi: dict, ix, iy):
+    """Psi_{X,Y} from the splitting psi at a base object x0 and isomorphisms
+    ix: x0 -> X, iy: x0 -> Y, as {u: iy o psi(phi(iy)^{-1} o u o phi(ix)) o ix^{-1}}
+    over u in Hom_D(phi(X), phi(Y))."""
+    C, D = phi.source, phi.target
+    phix, phiy_inv, ix_inv = phi.mor(ix), D.inverse(phi.mor(iy)), C.inverse(ix)
+    return {u: C.compose(iy, C.compose(psi[D.compose(phiy_inv, D.compose(u, phix))], ix_inv))
+            for u in D.hom(phi.ob(C.tgt(ix)), phi.ob(C.tgt(iy)))}
 
 
 def verify_heavy_separability(phi: GroupoidFunctor, Psi: dict):
@@ -305,104 +299,75 @@ def family_compatible(phi: GroupoidFunctor, psi_all: dict):
     return None
 
 
-def independence_check(phi: GroupoidFunctor, psi_all: dict,
-                       max_choices: int = 20000, rng=None) -> bool:
+def independence_check(phi: GroupoidFunctor, psi_all: dict) -> bool:
     """Under a compatible family, the Psi built from any admissible choice of
     base objects and isomorphisms coincide.
 
-    Enumerates all choices when their number is at most max_choices, otherwise
-    samples max_choices of them (seeded rng for determinism).
+    A choice's Psi_{X,Y} is the _psi_table of its base x0 and its isomorphisms
+    ix: x0 -> X, iy: x0 -> Y, so comparing the table of every such triple in
+    every class with the standard choice's Psi covers every choice: about
+    n^3 g^2 tables for a class of n objects with automorphism groups of order g.
     """
     C = phi.source
     witness = family_compatible(phi, psi_all)
     if witness:
         raise IncompatibleFamilyError(witness)
-    classes = C.iso_classes()
-
-    def choices_for_class(cls):
-        for x0 in cls:
-            iso_lists = [C.hom(x0, x) for x in cls]
-            for combo in itertools.product(*iso_lists):
-                yield x0, dict(zip(cls, combo))
-
-    per_class = [list(choices_for_class(cls)) for cls in classes]
-    total = 1
-    for ch in per_class:
-        total *= len(ch)
-    if rng is None:
-        rng = random.Random(0)
-    if total <= max_choices:
-        combos = itertools.product(*per_class)
-    else:
-        combos = (tuple(rng.choice(ch) for ch in per_class)
-                  for _ in range(max_choices))
-    reference = None
-    for combo in combos:
-        base_objects = {}
-        isos = {}
-        for cls, (x0, iso_map) in zip(classes, combo):
-            for x in cls:
-                base_objects[x] = x0
-                isos[x] = iso_map[x]
-        psi_by_base = {base_objects[cls[0]]: psi_all[base_objects[cls[0]]]
-                       for cls in classes}
-        built = build_psi(phi, psi_by_base, base_objects, isos)
-        if reference is None:
-            reference = built
-        elif built != reference:
-            return False
-    return True
+    base_objects, isos = standard_choice(C)
+    reference = build_psi(phi, {x0: psi_all[x0] for x0 in base_objects.values()},
+                          base_objects, isos)
+    return all(_psi_table(phi, psi_all[x0], ix, iy) == reference[(x, y)]
+               for cls in C.iso_classes() for x0 in cls for x in cls for y in cls
+               for ix in C.hom(x0, x) for iy in C.hom(x0, y))
 
 
 def find_splitting(phi: GroupoidFunctor, x0):
-    """Brute-force left-inverse homomorphism Aut_D(phi(x0)) -> Aut_C(x0), or None."""
+    """A left-inverse homomorphism psi: Aut_D(phi(x0)) -> Aut_C(x0), or None.
+
+    psi(phi(g)) = g is forced: generators are picked greedily, those of
+    phi(Aut_C) first, and psi grows one generator at a time, so only the at
+    most log2(|Aut_D| / |Aut_C|) generators outside phi(Aut_C) have images
+    to try (at most 2^16 combinations under MAX_SPLITTING_GROUP_ORDER)."""
     C, D = phi.source, phi.target
     aut_d = D.aut(phi.ob(x0))
     aut_c = C.aut(x0)
     if len(aut_d) > MAX_SPLITTING_GROUP_ORDER:
         raise InvalidGroupError("automorphism group exceeds the search bound")
-    e_d = D.identities[phi.ob(x0)]
-    e_c = C.identities[x0]
-    image = {phi.mor(g) for g in aut_c}
-    if len(image) != len(aut_c):
+    forced = {phi.mor(g): g for g in aut_c}
+    if len(forced) != len(aut_c):
         return None  # phi not injective on Aut, no left inverse can exist
-    # greedy generating set for Aut_D
-    gens = []
-    span = {e_d}
-    for g in aut_d:
-        if g in span:
-            continue
-        gens.append(g)
-        frontier = list(span)
-        span = set(span)
-        while frontier:
-            a = frontier.pop()
-            for h in gens:
-                for prod in (D.compose(a, h), D.compose(h, a)):
-                    if prod not in span:
-                        span.add(prod)
-                        frontier.append(prod)
-        if len(span) == len(aut_d):
-            break
-    for images in itertools.product(aut_c, repeat=len(gens)):
-        mapping = {e_d: e_c}
-        frontier = [e_d]
-        ok = True
-        while frontier and ok:
-            a = frontier.pop()
-            for g, h in zip(gens, images):
-                prod = D.compose(g, a)
-                val = C.compose(h, mapping[a])
-                if prod in mapping:
-                    if mapping[prod] != val:
-                        ok = False
-                        break
-                else:
-                    mapping[prod] = val
-                    frontier.append(prod)
-        if ok and _check_splitting(phi, x0, mapping) is None:
-            return mapping
-    return None
+    order = sorted(aut_d, key=lambda u: u not in forced)
+
+    def extend(psi, gens):
+        g = next((u for u in order if u not in psi), None)
+        if g is None:
+            return psi
+        for h in [forced[g]] if g in forced else aut_c:
+            grown = _closure(phi, psi, gens + [(g, h)])
+            found = grown and extend(grown, gens + [(g, h)])
+            if found:
+                return found
+        return None
+
+    return extend({D.identities[phi.ob(x0)]: C.identities[x0]}, [])
+
+
+def _closure(phi: GroupoidFunctor, psi: dict, gens):
+    """psi closed under psi(a o g) = psi(a) o h for the pairs (g, h) in gens,
+    which makes it a homomorphism on the group the g generate, or None when
+    that contradicts a value already set."""
+    C, D = phi.source, phi.target
+    psi = dict(psi)
+    frontier = list(psi)
+    while frontier:
+        a = frontier.pop()
+        for g, h in gens:
+            prod, val = D.compose(a, g), C.compose(psi[a], h)
+            if prod not in psi:
+                psi[prod] = val
+                frontier.append(prod)
+            elif psi[prod] != val:
+                return None
+    return psi
 
 
 # ---------------------------------------------------------------------------

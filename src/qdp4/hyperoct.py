@@ -51,9 +51,6 @@ class SignedPerm:
         signs = tuple(e * delta[i] for e, i in zip(eps, _inverse(sigma)))
         return SignedPerm(perm, signs)
 
-    def __mul__(self, other):
-        return self.compose(other)
-
     def inverse(self) -> "SignedPerm":
         return SignedPerm(_inverse(self.perm), tuple(self.signs[i] for i in self.perm))
 
@@ -153,11 +150,12 @@ class CycleSignature:
 
     @classmethod
     def from_json(cls, obj):
-        """A list of [length, sign] pairs of exact integers; any other JSON
-        (objects, strings, floats, bools) raises ValueError."""
-        if not isinstance(obj, list) or any(
+        """A non-empty list of [length, sign] pairs of exact integers; any
+        other JSON (objects, strings, floats, bools, []) raises ValueError."""
+        if not isinstance(obj, list) or not obj or any(
                 not isinstance(c, list) or len(c) != 2 for c in obj):
-            raise ValueError(f"a cycle signature is a list of [length, sign] pairs, not {obj!r}")
+            raise ValueError(
+                f"a cycle signature is a non-empty list of [length, sign] pairs, not {obj!r}")
         return cls(tuple((_exact_int(a), _exact_int(b)) for a, b in obj))
 
 

@@ -163,7 +163,7 @@ def suite_heavy_separability():
         ok, witness = verify_heavy_separability(phi, Psi)
         if not ok:
             return False, witness
-        if not independence_check(phi, psi_all, max_choices=2000, rng=random.Random(i)):
+        if not independence_check(phi, psi_all):
             return False, f"independence fails on instance {i}"
     return True, "10 random instances verified"
 

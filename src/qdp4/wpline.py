@@ -120,9 +120,6 @@ class Moebius:
     def __hash__(self):
         return hash(self.entries())
 
-    def sort_key(self):
-        return tuple(scalar_key(x) for x in self.entries())
-
     def __repr__(self):
         return f"Moebius[{self.a!r},{self.b!r};{self.c!r},{self.d!r}]"
 

@@ -2,6 +2,7 @@ import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -185,14 +186,17 @@ _normal_form_args = st.one_of(
     _big.map(str), _exponents,
     st.builds(lambda a, b: f"{a}/{b}", _big, st.integers(1, 10 ** 40)),
     st.lists(st.integers(-5, 10 ** 6), min_size=1, max_size=5).map(str),  # F_{p^k}
-    st.sampled_from(["1/0", "2.7", "", "0", "1", "-1", "1/2", "-3/4", " 5 ", "[1, 2]", "x"]))
+    st.sampled_from(["1/0", "2.7", "", "0", "1", "-1", "1/2", "-3/4", " 5 ", "[1, 2]", "x",
+                     "+3", "1_000", "1/-2", "007/003"]))
+# the documented grammar of a rational: an integer or "a/b"
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 _field_args = st.one_of(
     st.just("Q"),
     st.sampled_from(["q", "QQ", "rationals", "3", "5", "13", "1009", "1000000007",
                      "1099511627689", "3^2", "5^3", "7^2", "3^5", "1009^2",
                      "1099511627609^3"]),
     st.sampled_from(["1", "2", "4", "0", "-3", "9", "3^0", "3^-1", "3^17", "3^100",
-                     str(2 ** 40 + 15), "", "x", "3^", "^2"]))
+                     str(2 ** 40 + 15), "", "x", "3^", "^2", "7^1", "3^1"]))
 
 
 @settings(max_examples=200, derandomize=True, deadline=None,
@@ -203,6 +207,8 @@ _field_args = st.one_of(
 @example(lam="2", mu="-1", equal=False, field="1009")
 @example(lam="[0, 1]", mu="[1, 1]", equal=False, field="3^2")
 @example(lam="1e400", mu="3", equal=False, field="Q")
+@example(lam="2.7", mu="3", equal=False, field="Q")
+@example(lam="2", mu="3", equal=False, field="7^1")
 def test_reconstruct_arguments_get_a_documented_exit_code(capsys, tmp_path, lam, mu,
                                                           equal, field):
     mu = lam if equal else mu
@@ -211,6 +217,9 @@ def test_reconstruct_arguments_get_a_documented_exit_code(capsys, tmp_path, lam,
                              f"--mu={mu}", f"--field={field}")
     assert code in {0, 2, 4}, err
     assert code or "e" not in (lam + mu).lower(), "exponent notation accepted"
+    assert code or not field.endswith("^1"), "an extension of degree 1 accepted"
+    assert code or field not in ("Q", "q", "QQ", "rationals") or all(
+        _RATIONAL.fullmatch(x) for x in (lam, mu)), "a rational outside the grammar accepted"
     if code:
         assert err.startswith("error: ") and out == "", err
         return
@@ -369,8 +378,10 @@ def _diagonal(d):
 
 
 _small = st.integers(-3, 3)
+# strings outside the rational grammar, which Fraction reads
+_off_grammar = _exponents | st.sampled_from(["2.7", "+3", "1_000", " 5 ", "-.5"])
 _entries = st.one_of(_small, st.floats(allow_nan=False, allow_infinity=False),
-                     st.booleans(), _exponents,
+                     st.booleans(), _off_grammar,
                      st.sampled_from(["1/2", "x", "[1, 2]", "[0,1]", "1/0"]))
 _symmetric_ints = st.lists(_small, min_size=15, max_size=15).map(_symmetric)
 _good_matrices = st.one_of(
@@ -408,14 +419,18 @@ def _with_entry(field, A, B, entry):
     return obj
 
 
-def _exponent_entry(obj) -> bool:
+def _refused_entry(obj) -> bool:
     """True when a pencil file over a supported field has a string matrix
-    entry in exponent notation (no string with an e is a scalar)."""
+    entry in exponent notation (no string with an e is a scalar), or over Q
+    one outside the rational grammar."""
     if not isinstance(obj, dict) or obj.get("field") not in _GOOD_FIELDS:
         return False
+    rational = obj["field"] == {"kind": "rationals"}
     rows = [r for M in (obj.get("A"), obj.get("B")) if isinstance(M, list)
             for r in M if isinstance(r, list)]
-    return any(isinstance(x, str) and "e" in x.lower() for r in rows for x in r)
+    return any(isinstance(x, str) and ("e" in x.lower() or
+                                       rational and not _RATIONAL.fullmatch(x))
+               for r in rows for x in r)
 
 
 def _encoded(field, *mats):
@@ -432,7 +447,7 @@ _malformed_pencil_files = st.one_of(
     st.fixed_dictionaries({"field": _bad_fields, "A": _good_matrices, "B": _good_matrices}),
     st.builds(lambda field, A, c: _encoded(field, A, [[c * x for x in row] for row in A]),
               _good_fields, _symmetric_ints, _small),  # proportional
-    st.builds(_with_entry, _good_fields, _symmetric_ints, _symmetric_ints, _exponents),
+    st.builds(_with_entry, _good_fields, _symmetric_ints, _symmetric_ints, _off_grammar),
     _json_values)
 # half well-formed (smooth, singular, non-split over Q), half malformed
 _pencil_files = st.booleans().flatmap(lambda well_formed: st.builds(
@@ -447,12 +462,14 @@ _pencil_files = st.booleans().flatmap(lambda well_formed: st.builds(
 @example(obj=reconstruct((2, 3), GF(7)).to_json(), ext=-1)
 @example(obj=_with_entry({"kind": "rationals"}, _diagonal([1, 0, 1, 2, 3]),
                          _diagonal([0, 1, 1, 1, 1]), "1e400"), ext=1)
+@example(obj=_with_entry({"kind": "rationals"}, _diagonal([1, 0, 1, 2, 3]),
+                         _diagonal([0, 1, 1, 1, 1]), "2.7"), ext=1)
 @example(obj=dict(reconstruct((2, 3), GF(7)).to_json(),
                   field={"kind": "extension-field", "p": 7, "degree": 1}), ext=1)
 def test_pencil_files_get_a_documented_exit_code(capsys, tmp_path, obj, ext):
     path = tmp_path / "pencil.json"
     path.write_text(json.dumps(obj))
-    refused = _exponent_entry(obj) or _low_degree_extension(obj)
+    refused = _refused_entry(obj) or _low_degree_extension(obj)
     for command in ("analyze", "iso", "aut", "minimal", "count-points"):
         files = [str(path)] * (2 if command == "iso" else 1)
         if command == "count-points":
@@ -607,6 +624,7 @@ _signature_args = st.one_of(
 @example(signature="[[true,1]]", space="wpl", points="5")
 @example(signature='{"51": 0}', space="wpl", points="5")
 @example(signature='["11","11","11","11","11"]', space="wpl", points="5")
+@example(signature="[]", space="wpl", points="5")
 def test_kgroups_arguments_get_a_documented_exit_code(capsys, signature, space, points):
     for argv in (["ranks", f"--signature={signature}"],
                  ["gram", f"--space={space}", f"--points={points}"]):
@@ -615,14 +633,14 @@ def test_kgroups_arguments_get_a_documented_exit_code(capsys, signature, space, 
         assert "Traceback" not in err
         if code == 0:
             json.loads(out)
-        if code == 0 and argv[0] == "ranks":  # only a list of [length, sign] pairs is one
+        if code == 0 and argv[0] == "ranks":  # only non-empty lists of [length, sign] pairs pass
             cycles = json.loads(signature)
-            assert isinstance(cycles, list)
+            assert isinstance(cycles, list) and cycles
             assert all(isinstance(c, list) and len(c) == 2 for c in cycles)
 
 
 @pytest.mark.parametrize("signature", ["[[2.5,-1],[3,-1]]", "[[true,1]]", "[[5,-1.0]]",
-                                       '{"51": 0}', '["11","11","11","11","11"]'])
+                                       '{"51": 0}', '["11","11","11","11","11"]', "[]"])
 def test_kgroups_ranks_refuses_inexact_cycle_data(capsys, signature):
     code, out, err = run_cli(capsys, "kgroups", "ranks", "--signature", signature)
     assert code == 2 and out == ""
@@ -828,6 +846,19 @@ def test_exponent_notation_over_q_exits_2(capsys, tmp_path):
         assert f"exponent notation in the rational '{entry}'" in err, err
 
 
+@pytest.mark.parametrize("entry", ["2.7", "1_000", " 5 ", "+3"])
+def test_rational_outside_the_grammar_exits_2(capsys, tmp_path, entry):
+    # Fraction reads all of these; a rational is an integer or "a/b"
+    obj = reconstruct((2, 3), QQ).to_json()
+    obj["A"][3][3] = entry
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(obj))
+    for argv in (["analyze", str(path)], ["reconstruct", f"--lambda={entry}", "--mu", "3"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert f"bad syntax in the rational {entry!r}" in err, err
+
+
 @pytest.mark.parametrize("desc", [
     {"kind": "extension-field", "p": 7, "degree": 1},
     {"kind": "extension-field", "p": 7, "degree": 1, "modulus": [0, 1]}])
@@ -922,6 +953,35 @@ def test_groupoid_verify_command(capsys, tmp_path):
     assert code == 1
     payload = json.loads(out)
     assert payload["splitting_found"] is False
+
+
+@pytest.mark.parametrize("target,image,split", [
+    ((2,) * 6, lambda g: (0, 0, 0) + g, True),               # C2^3 -> C2^6
+    ((4,) * 3, lambda g: tuple(2 * x for x in g), False)],   # C2^3 -> C4^3, doubling
+    ids=["split", "not-split"])
+def test_groupoid_verify_searches_splittings_of_vector_groups_quickly(tmp_path, target,
+                                                                       image, split):
+    # |Aut_C|^(generators of Aut_D) candidate splittings would be 8^6 here;
+    # with psi(phi(g)) = g forced, only the generators outside phi(Aut_C) vary
+    def vectors(tag, orders):
+        elements = tuple(itertools.product(*map(range, orders)))
+        return group_groupoid(tag, ["*"], elements, lambda a, b: tuple(
+            (x + y) % n for x, y, n in zip(a, b, orders)))
+
+    C, cname = vectors("C", (2,) * 3)
+    D, dname = vectors("D", target)
+    paths = [tmp_path / "groupoid.json", tmp_path / "functor.json"]
+    paths[0].write_text(json.dumps(C.to_json()))
+    paths[1].write_text(json.dumps({
+        "target": D.to_json(), "objects": {"*": "*"},
+        "morphisms": {n: dname[("*", "*", image(g))] for (_, _, g), n in cname.items()}}))
+    proc = subprocess.run([sys.executable, "-m", "qdp4.cli", "groupoid", "verify",
+                           str(paths[0]), "--functor", str(paths[1])],
+                          capture_output=True, text=True, timeout=10)
+    assert proc.returncode == (0 if split else 1), proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["functor_valid"] and report["injective_on_iso_classes"]
+    assert report["splitting_found"] is split and report["heavily_separable"] is split
 
 
 def test_console_script_runs():
