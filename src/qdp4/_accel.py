@@ -101,7 +101,9 @@ def retract_homomorphism_violations(mask_apply, retract_mask):
     """Count of pairs (a, b) in B5 x B5 with retract(ab) != retract(a) retract(b).
     For a = (pa, ma), b = (pb, mb) both sides have the permutation pa pb, and
     their masks do not involve pb: each failing (pa, ma, mb) counts 120 times."""
-    ma = np.arange(32)[None, :, None]
-    lhs = retract_mask[ma ^ mask_apply[:, None, :]]
-    rhs = retract_mask[ma] ^ mask_apply[:, retract_mask][:, None, :]
-    return len(mask_apply) * int(np.count_nonzero(lhs != rhs))
+    ma = np.arange(32)[:, None]
+    failing = 0
+    for apply in mask_apply:  # one pa at a time, so the temporaries are 32 x 32
+        lhs = retract_mask[ma ^ apply]
+        failing += np.count_nonzero(lhs != retract_mask[ma] ^ apply[retract_mask])
+    return len(mask_apply) * failing

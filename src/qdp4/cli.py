@@ -71,7 +71,6 @@ def _load_pencil(path: str) -> QuadricPencil:
 
 
 def parse_field_spec(spec: str):
-    spec = spec.strip()
     if spec in ("Q", "q", "QQ", "rationals"):
         return QQ
     if "^" in spec:

@@ -384,10 +384,16 @@ def scalar_to_json(x):
     raise TypeError(f"not a scalar: {x!r}")
 
 
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
 def _exact_int(obj) -> int:
-    """An integer given as int or decimal string; floats and bools are refused
-    rather than truncated."""
+    """An integer given as int or as a string of the grammar -?[0-9]+; floats
+    and bools are refused rather than truncated, and so are the strings int()
+    would also read ("1_000", " 5 ", "+3")."""
     if isinstance(obj, str):
+        if not _INTEGER.fullmatch(obj):
+            raise ValueError(f"bad syntax in the integer {obj!r}")
         return int(obj)
     if isinstance(obj, bool) or not isinstance(obj, int):
         raise ValueError(f"not an exact integer: {obj!r}")
@@ -414,8 +420,7 @@ def scalar_from_json(field, obj):
         obj = obj.strip()
         if not (obj.startswith("[") and obj.endswith("]")):
             raise ValueError(f"bad extension-field scalar {obj!r}")
-        parts = [s for s in obj[1:-1].split(",") if s.strip()]
-        return field([int(s) for s in parts])
+        return field([_exact_int(s.strip()) for s in obj[1:-1].split(",")])
     if isinstance(obj, (list, tuple)):
         return field([_exact_int(v) for v in obj])
     raise ValueError(f"bad extension-field scalar {obj!r}")

@@ -6,6 +6,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 
 MAX_SPLITTING_GROUP_ORDER = 256  # find_splitting's brute-force bound on |Aut_D|
 
@@ -99,34 +101,42 @@ def check_groupoid(G: FiniteGroupoid):
         if s not in G.objects or t not in G.objects:
             return f"morphism {n!r} has unknown endpoints"
     names = list(G.morphisms)
-    for g in names:
-        for f in names:
-            composable = G.src(g) == G.tgt(f)
-            present = (g, f) in G.compose_table
-            if composable != present:
-                return f"composition table wrong on pair ({g!r}, {f!r})"
-            if present:
-                gf = G.compose_table[(g, f)]
-                if G.morphisms.get(gf) != (G.src(f), G.tgt(g)):
-                    return f"composite {g!r} o {f!r} = {gf!r} is mistyped"
-    for f in names:
-        x, y = G.morphisms[f]
-        if G.compose(f, G.identities[x]) != f or G.compose(G.identities[y], f) != f:
-            return f"identity law fails at {f!r}"
-    for h in names:
-        for g in names:
-            if G.src(h) != G.tgt(g):
-                continue
-            for f in names:
-                if G.src(g) != G.tgt(f):
-                    continue
-                if G.compose(G.compose(h, g), f) != G.compose(h, G.compose(g, f)):
-                    return f"associativity fails on ({h!r}, {g!r}, {f!r})"
-    for f in names:
-        x, y = G.morphisms[f]
-        if not any(G.compose(g, f) == G.identities[x] and G.compose(f, g) == G.identities[y]
-                   for g in G.hom(y, x)):
-            return f"morphism {f!r} is not invertible"
+    m = len(names)
+    index = {n: i for i, n in enumerate(names)}
+    objects = {x: i for i, x in enumerate(G.objects)}
+    src = np.array([objects[s] for s, _ in G.morphisms.values()], dtype=np.int64)
+    tgt = np.array([objects[t] for _, t in G.morphisms.values()], dtype=np.int64)
+    # table[g, f]: the index of g o f; -1 without an entry, m for a composite
+    # that is no morphism.  Every check reads it in (h, g, f) name order, so
+    # each witness is the first failing one in that order.
+    table = np.full((m, m), -1, dtype=np.int64)
+    for (g, f), gf in G.compose_table.items():
+        if g in index and f in index:
+            table[index[g], index[f]] = index.get(gf, m)
+    composable = src[:, None] == tgt
+    present = table >= 0
+    typed = (np.append(src, -1)[table] == src) & (np.append(tgt, -1)[table] == tgt[:, None])
+    wrong = (composable != present) | (present & ~typed)
+    if wrong.any():
+        i, j = divmod(int(wrong.argmax()), m)
+        g, f = names[i], names[j]
+        if composable[i, j] != present[i, j]:
+            return f"composition table wrong on pair ({g!r}, {f!r})"
+        return f"composite {g!r} o {f!r} = {G.compose_table[(g, f)]!r} is mistyped"
+    ident = np.array([index[G.identities[x]] for x in G.objects], dtype=np.int64)
+    each = np.arange(m)
+    unit = (table[each, ident[src]] == each) & (table[ident[tgt], each] == each)
+    if not unit.all():
+        return f"identity law fails at {names[int(unit.argmin())]!r}"
+    for h, hg in enumerate(table):  # hg[g] = h o g, one m x m step per h
+        fails = (hg >= 0)[:, None] & present & (table[hg] != hg[table])
+        if fails.any():
+            g, f = divmod(int(fails.argmax()), m)
+            return f"associativity fails on ({names[h]!r}, {names[g]!r}, {names[f]!r})"
+    inverse = (table.T == ident[src][:, None]) & (table == ident[tgt][:, None])
+    invertible = inverse.any(axis=1)
+    if not invertible.all():
+        return f"morphism {names[int(invertible.argmin())]!r} is not invertible"
     return None
 
 

@@ -9,12 +9,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .hyperoct import CycleSignature, SignedPerm
-from .linalg import congruence, frac_solve, rank, transpose
+from .hyperoct import CycleSignature, all_signed_perms
+from .linalg import congruence, frac_solve, transpose
 from .pencil import ResourceLimitError
 from .picard import K_CLASS, intersect, pair_of, pair_representatives
 
 GRAM_POINTS_GUARD = 500  # most weight-2 points wpl_gram takes: (n + 2)^2 entries
+_BURNSIDE_CHUNK = 960  # matrices per pass of burnside_ranks, bounding its powers
 
 
 class DegenerateFormError(ValueError):
@@ -197,32 +198,56 @@ def _layout(space: str):
     return _LAYOUTS[space]
 
 
-def _action_matrix(sp: SignedPerm, space: str):
-    """Integer matrix of the signature action on the chosen lattice: the
+def action_matrices(space: str) -> np.ndarray:
+    """The realized action of every signed permutation on the chosen lattice,
+    one int8 matrix per element in the order of all_signed_perms(): the
     fixed classes stay, simple i goes to +-simple perm[i] with the sign of
     its target, and a -1 sign also adds the flip row's class."""
     before, after, flip_row = _layout(space)
-    n = len(sp.perm)
-    M = np.eye(before + n + after, dtype=np.int64)
-    M[before:before + n, before:before + n] = 0
-    for i, j in enumerate(sp.perm):
-        M[before + j, before + i] = sp.signs[j]
-        if sp.signs[j] == -1 and flip_row is not None:
-            M[flip_row, before + i] = 1
+    elements = all_signed_perms()
+    perms = np.array([sp.perm for sp in elements])
+    target_signs = np.take_along_axis(np.array([sp.signs for sp in elements]), perms, axis=1)
+    count, n = perms.shape
+    size = before + n + after
+    M = np.zeros((count, size, size), dtype=np.int8)
+    fixed = [*range(before), *range(before + n, size)]
+    M[:, fixed, fixed] = 1
+    simples = before + np.arange(n)
+    M[np.arange(count)[:, None], before + perms, simples] = target_signs
+    if flip_row is not None:
+        M[:, flip_row, simples] = target_signs == -1
     return M
 
 
-def invariant_rank_of_action(sp: SignedPerm, space: str) -> int:
-    """dim ker(M - I) for the realized action (exact integer linear algebra)."""
-    M = _action_matrix(sp, space)
-    n = M.shape[0]
-    return n - rank((M - np.eye(n, dtype=np.int64)).tolist())
+def burnside_ranks(stack: np.ndarray) -> np.ndarray:
+    """dim V^<g> for each matrix g of a stack that holds a whole finite group:
+    by Burnside's lemma on the cyclic group <g>, the average of tr(g^j) over
+    j < ord g.  The orders are read off the powers, in chunks of
+    _BURNSIDE_CHUNK matrices; no order exceeds the group's, len(stack)."""
+    ranks = np.empty(len(stack), dtype=np.int64)
+    for start in range(0, len(stack), _BURNSIDE_CHUNK):
+        M = stack[start:start + _BURNSIDE_CHUNK]
+        ident = np.eye(M.shape[1], dtype=M.dtype)
+        power = np.broadcast_to(ident, M.shape)
+        trace_sum = np.zeros(len(M), dtype=np.int64)
+        order = np.zeros(len(M), dtype=np.int64)
+        for j in range(1, len(stack) + 1):
+            pending = order == 0
+            trace_sum += np.where(pending, np.trace(power, axis1=1, axis2=2), 0)
+            power = power @ M
+            order[pending & (power == ident).all(axis=(1, 2))] = j
+            if order.all():
+                break
+        else:
+            raise ValueError("a matrix of the stack has order beyond the stack's length")
+        ranks[start:start + len(M)] = trace_sum // order
+    return ranks
 
 
 def g_invariant_rank(sig: CycleSignature, space: str) -> int:
     """Rank of the G-invariant part of the chosen lattice: the fixed classes
-    and one class per +1 cycle (`invariant_rank_of_action` computes it from
-    the realized action, and the rank-formulas suite checks the two agree)."""
+    and one class per +1 cycle (`burnside_ranks` computes it from the
+    realized action, and the rank-formulas suite checks the two agree)."""
     before, after, _ = _layout(space)
     return before + after + sig.plus_cycles()
 

@@ -11,6 +11,9 @@ import numpy as np
 from .hyperoct import CycleSignature, SignedPerm
 
 
+_CLOSURE_CHUNK = 256  # frontier matrices per batched product in weyl_group
+
+
 class InvalidClassError(ValueError):
     pass
 
@@ -84,12 +87,15 @@ def roots():
 
 def brute_force_classes(square: int, k_pairing: int):
     """All classes in the coefficient box [-3, 3]^6 with the given
-    self-intersection and K-pairing (completeness oracle for the lists above)."""
-    rng = range(-3, 4)
+    self-intersection and K-pairing (completeness oracle for the lists above),
+    searched one value of the first coordinate at a time."""
+    form, k = np.array(_FORM, dtype=np.int8), np.array(K_CLASS, dtype=np.int8)
+    rest = (np.indices((7,) * 5, dtype=np.int8) - 3).reshape(5, -1)
     out = []
-    for v in itertools.product(rng, repeat=6):
-        if intersect(v, v) == square and intersect(v, K_CLASS) == k_pairing:
-            out.append(v)
+    for first in range(-3, 4):  # entries stay within int8: |v.v| <= 54, |v.K| <= 24
+        box = np.vstack([np.full((1, rest.shape[1]), first, dtype=np.int8), rest])
+        hit = ((form @ (box * box) == square) & ((form * k) @ box == k_pairing))
+        out += map(tuple, box[:, hit].T.tolist())
     return tuple(sorted(out))
 
 
@@ -111,29 +117,30 @@ def reflection_matrix(r) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def weyl_group():
-    """Closure of the 40 root reflections under composition (order 1920)."""
-    gens = [reflection_matrix(r) for r in roots()]
-    ident = np.eye(6, dtype=np.int64)
-    seen = {ident.tobytes(): ident}
-    frontier = [ident]
-    while frontier:
-        new = []
-        for w in frontier:
-            for g in gens:
-                m = g @ w
-                key = m.tobytes()
+    """Closure of the 40 root reflections under composition (order 1920),
+    sorted by the bytes of the int64 matrices.  Each breadth-first level is
+    one batched product of the generators with the frontier, _CLOSURE_CHUNK
+    frontier matrices at a time, deduplicated on the int8 entries' bytes."""
+    gens = np.array([reflection_matrix(r) for r in roots()], dtype=np.int8)
+    seen = {np.eye(6, dtype=np.int8).tobytes()}
+    level = list(seen)
+    while level:
+        frontier = np.frombuffer(b"".join(level), dtype=np.int8).reshape(-1, 6, 6)
+        level = []
+        for start in range(0, len(frontier), _CLOSURE_CHUNK):
+            products = gens[:, None] @ frontier[None, start:start + _CLOSURE_CHUNK]
+            for key in map(bytes, products.reshape(-1, 36)):
                 if key not in seen:
-                    seen[key] = m
-                    new.append(m)
-        frontier = new
-    return tuple(sorted(seen.values(), key=lambda m: m.tobytes()))
+                    seen.add(key)
+                    level.append(key)
+    group = np.frombuffer(b"".join(seen), dtype=np.int8).reshape(-1, 6, 6).astype(np.int64)
+    return tuple(sorted(group, key=lambda m: m.tobytes()))
 
 
-def _check_lattice_aut(w: np.ndarray):
-    if tuple(w @ np.array(K_CLASS)) != K_CLASS:
+def _check_lattice_auts(ws: np.ndarray):
+    if (ws @ np.array(K_CLASS) != K_CLASS).any():
         raise InvalidAutError("automorphism must fix K")
-    F = np.diag(np.array(_FORM, dtype=np.int64))
-    if not np.array_equal(w.T @ F @ w, F):
+    if (np.einsum("nki,k,nkj->nij", ws, np.array(_FORM), ws) != np.diag(_FORM)).any():
         raise InvalidAutError("automorphism must preserve the intersection form")
 
 
@@ -144,24 +151,27 @@ def _doubled_hbar():
                  for h in pair_representatives())
 
 
+def to_signed_perms(ws: np.ndarray):
+    """The signed permutations of (hbar_1..hbar_5) induced by a stack of
+    lattice automorphisms, one per matrix; any matrix that is not one raises."""
+    ws = np.asarray(ws)
+    _check_lattice_auts(ws)
+    hbars = np.array(_doubled_hbar())
+    images = np.einsum("nkl,il->nik", ws, hbars)  # [w, i]: w applied to 2*hbar_i
+    # [w, i, j]: image i is +2*hbar_j, or -2*hbar_j
+    plus = (images[:, :, None] == hbars).all(axis=3)
+    minus = (images[:, :, None] == -hbars).all(axis=3)
+    hit = plus | minus
+    if (hit.sum(axis=2) != 1).any():
+        raise InvalidAutError("automorphism does not permute the zero-class pairs")
+    perms = hit.argmax(axis=2)
+    signs = np.where(plus.any(axis=1), 1, -1)  # the sign of the image landing on each target
+    return [SignedPerm(tuple(p), tuple(s)) for p, s in zip(perms.tolist(), signs.tolist())]
+
+
 def to_signed_perm(w: np.ndarray) -> SignedPerm:
     """The signed permutation of (hbar_1..hbar_5) induced by a Weyl element."""
-    _check_lattice_aut(w)
-    hbars = _doubled_hbar()
-    index = {}
-    for i, hb in enumerate(hbars):
-        index[hb] = (i, 1)
-        index[tuple(-x for x in hb)] = (i, -1)
-    perm = [0] * 5
-    signs = [1] * 5
-    for i, hb in enumerate(hbars):
-        img = tuple(int(x) for x in (w @ np.array(hb)))
-        if img not in index:
-            raise InvalidAutError("automorphism does not permute the zero-class pairs")
-        j, s = index[img]
-        perm[i] = j
-        signs[j] = s
-    return SignedPerm(tuple(perm), tuple(signs))
+    return to_signed_perms(np.asarray(w)[None])[0]
 
 
 def is_minimal(sig: CycleSignature) -> bool:

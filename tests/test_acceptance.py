@@ -22,6 +22,7 @@ from qdp4.sampling import (random_gl2, random_invertible, random_smooth_pencil,
 from qdp4.wpline import PointConfiguration, ProjPoint, aut_group
 from test_groupoids import verify_naturality
 from test_hyperoct import all_pairs_retract_violations
+from test_kgroups import invariant_rank_of_action
 
 
 def ok(criterion, detail):
@@ -144,7 +145,7 @@ def test_criterion_08_rank_bookkeeping():
     for sp in all_signed_perms():
         sig = CycleSignature.from_signed_perm(sp)
         for space in spaces:
-            assert kgroups.invariant_rank_of_action(sp, space) == \
+            assert invariant_rank_of_action(sp, space) == \
                 kgroups.g_invariant_rank(sig, space)
     minimal = CycleSignature(((5, -1),))
     triple = (kgroups.g_invariant_rank(minimal, "picard"),

@@ -1,5 +1,9 @@
+import collections
 import itertools
+import json
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -245,3 +249,137 @@ def test_groupoid_json_round_trip():
     assert G2.compose_table == G.compose_table
     assert G2.identities == G.identities
     assert check_groupoid(G2) is None
+
+
+def check_groupoid_by_loops(G: FiniteGroupoid):
+    """Oracle: the groupoid axioms checked one pair and one triple at a time,
+    in the (h, g, f) name order whose first failure check_groupoid reports."""
+    for x in G.objects:
+        e = G.identities.get(x)
+        if e is None or G.morphisms.get(e) != (x, x):
+            return f"missing or mistyped identity at object {x!r}"
+    for n, (s, t) in G.morphisms.items():
+        if s not in G.objects or t not in G.objects:
+            return f"morphism {n!r} has unknown endpoints"
+    names = list(G.morphisms)
+    for g in names:
+        for f in names:
+            composable = G.src(g) == G.tgt(f)
+            present = (g, f) in G.compose_table
+            if composable != present:
+                return f"composition table wrong on pair ({g!r}, {f!r})"
+            if present:
+                gf = G.compose_table[(g, f)]
+                if G.morphisms.get(gf) != (G.src(f), G.tgt(g)):
+                    return f"composite {g!r} o {f!r} = {gf!r} is mistyped"
+    for f in names:
+        x, y = G.morphisms[f]
+        if G.compose(f, G.identities[x]) != f or G.compose(G.identities[y], f) != f:
+            return f"identity law fails at {f!r}"
+    for h in names:
+        for g in names:
+            if G.src(h) != G.tgt(g):
+                continue
+            for f in names:
+                if G.src(g) != G.tgt(f):
+                    continue
+                if G.compose(G.compose(h, g), f) != G.compose(h, G.compose(g, f)):
+                    return f"associativity fails on ({h!r}, {g!r}, {f!r})"
+    for f in names:
+        x, y = G.morphisms[f]
+        if not any(G.compose(g, f) == G.identities[x] and G.compose(f, g) == G.identities[y]
+                   for g in G.hom(y, x)):
+            return f"morphism {f!r} is not invertible"
+    return None
+
+
+def _with(G, compose=None, identities=None, morphisms=None):
+    return FiniteGroupoid(G.objects, G.morphisms if morphisms is None else morphisms,
+                          G.compose_table if compose is None else compose,
+                          G.identities if identities is None else identities)
+
+
+# a loop of order 5: 0 is a two-sided unit and every element is its own
+# inverse, but (1 * 1) * 2 = 2 while 1 * (1 * 2) = 4
+_LOOP5 = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3), (3, 2, 4, 0, 1), (4, 3, 1, 2, 0))
+
+
+def _corruptions():
+    """(kind, groupoid): one corrupted table per witness kind."""
+    c3, mul3 = cyclic(3)
+    G, name = group_groupoid("G", ["X", "Y"], c3, mul3)
+    a, b = name[("X", "Y", 1)], name[("Y", "X", 2)]
+    compose = dict(G.compose_table)
+    del compose[(b, a)]
+    yield "composition table wrong", _with(G, compose=compose)
+    yield "composition table wrong", _with(G, compose={**G.compose_table, (a, a): a})
+    yield "is mistyped", _with(G, compose={**G.compose_table, (b, a): "nowhere"})
+    yield "is mistyped", _with(G, compose={**G.compose_table, (b, a): name[("Y", "Y", 0)]})
+    yield "identity law fails", _with(G, identities={**G.identities, "Y": name[("Y", "Y", 1)]})
+    yield "missing or mistyped identity", _with(G, identities={"X": a, "Y": name[("Y", "Y", 0)]})
+    yield "unknown endpoints", _with(G, morphisms={**G.morphisms, a: ("X", "Z")})
+    loop, _ = group_groupoid("L", ["*"], range(5), lambda h, g: _LOOP5[h][g])
+    yield "associativity fails", loop
+    monoid, _ = group_groupoid("M", ["*"], (0, 1), lambda h, g: h * g)
+    yield "is not invertible", monoid
+
+
+@pytest.mark.parametrize("kind,G", list(_corruptions()))
+def test_check_groupoid_witness_matches_the_loops(kind, G):
+    witness = check_groupoid(G)
+    assert witness == check_groupoid_by_loops(G)
+    assert kind in witness
+
+
+def test_check_groupoid_matches_the_loops_on_random_corruptions():
+    rng = random.Random(5)
+    c3, mul3 = cyclic(3)
+    G, _ = group_groupoid("G", ["X", "Y", "Z"], c3, mul3)
+    names, pairs = list(G.morphisms), list(G.compose_table)
+    kinds = collections.Counter()
+    for _ in range(400):
+        compose = dict(G.compose_table)
+        for _ in range(rng.randrange(1, 3)):
+            draw = rng.random()
+            if draw < 0.1:
+                compose.pop(rng.choice(pairs))
+            elif draw < 0.2:
+                compose[(rng.choice(names), rng.choice(names))] = rng.choice(names)
+            else:  # a composable pair, mostly given a composite of the right type
+                g, f = rng.choice(pairs)
+                right_type = G.hom(G.src(f), G.tgt(g))
+                compose[(g, f)] = rng.choice(right_type if draw < 0.9 else names)
+        bad = _with(G, compose=compose)
+        witness = check_groupoid(bad)
+        assert witness == check_groupoid_by_loops(bad)
+        kinds[witness.split(" ")[0] if witness else None] += 1
+    # the draws reach every witness kind a table can cause
+    assert set(kinds) >= {"composition", "composite", "identity", "associativity", None}, kinds
+
+
+def _c4_power(rank):
+    elements = tuple(itertools.product(range(4), repeat=rank))
+    return group_groupoid("D", ["*"], elements, lambda a, b: tuple(
+        (x + y) % 4 for x, y in zip(a, b)))
+
+
+@pytest.mark.parametrize("corrupt", [False, True], ids=["valid", "corrupted"])
+def test_groupoid_verify_checks_c4_to_the_fourth_quickly(tmp_path, corrupt):
+    # 256 morphisms, the splitting search's bound; a triple loop takes minutes
+    G, name = _c4_power(4)
+    if corrupt:
+        compose = dict(G.compose_table)
+        g, f = name[("*", "*", (1, 2, 3, 0))], name[("*", "*", (0, 3, 3, 1))]
+        compose[(g, f)] = name[("*", "*", (1, 1, 1, 1))]
+        G = _with(G, compose=compose)
+    path = tmp_path / "groupoid.json"
+    path.write_text(json.dumps(G.to_json()))
+    proc = subprocess.run([sys.executable, "-m", "qdp4.cli", "groupoid", "verify", str(path)],
+                          capture_output=True, text=True, timeout=10)
+    report = json.loads(proc.stdout)
+    assert proc.returncode == (1 if corrupt else 0), proc.stderr
+    if corrupt:  # the loops meet the failing triple early, at the second h
+        assert report == {"valid": False, "witness": check_groupoid_by_loops(G)}
+        assert report["witness"].startswith("associativity fails")
+    else:
+        assert report == {"valid": True, "witness": None}

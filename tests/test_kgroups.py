@@ -1,23 +1,40 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 
+import numpy as np
 import pytest
 import sympy
 
 from qdp4.hyperoct import CycleSignature, all_signed_perms
 from qdp4.kgroups import (DegenerateFormError, K0ClassX, STRUCTURE_SHEAF,
-                          atom_basis, atom_class, atom_coords, atom_functional,
-                          atom_gram, atom_serre, class_of,
-                          conic_bundle_ranks, euler_x, full_k0_gram,
-                          g_invariant_rank, invariant_rank_of_action,
-                          serre_from_gram, surface_zero_class_gram,
-                          tensor_k_matrix, wpl_gram, wpl_pair_gram)
+                          action_matrices, atom_basis, atom_class, atom_coords,
+                          atom_functional, atom_gram, atom_serre,
+                          burnside_ranks, class_of, conic_bundle_ranks, euler_x,
+                          full_k0_gram, g_invariant_rank, serre_from_gram,
+                          surface_zero_class_gram, tensor_k_matrix, wpl_gram,
+                          wpl_pair_gram)
 from qdp4.linalg import mat_vec, rank
 from qdp4.picard import K_CLASS, intersect, pair_of, zero_classes
 
 O = STRUCTURE_SHEAF
 MINIMAL = CycleSignature(((5, -1),))
 TRIVIAL = CycleSignature.trivial()
+SPACES = ("picard", "wpl", "torsion", "surface-k0")
+_POSITION = {sp: i for i, sp in enumerate(all_signed_perms())}
+
+
+@lru_cache(maxsize=None)
+def _actions(space):
+    return action_matrices(space).astype(np.int64)
+
+
+def invariant_rank_of_action(sp, space) -> int:
+    """Kernel oracle: dim ker(M - I) for the realized action, by exact integer
+    elimination on the element's row of the action stack."""
+    M = _actions(space)[_POSITION[sp]]
+    n = M.shape[0]
+    return n - rank((M - np.eye(n, dtype=np.int64)).tolist())
 
 
 def oracle_chi_line_bundle(D):
@@ -177,9 +194,40 @@ def test_labeled_actions_match_closed_forms():
     for _ in range(400):
         sp = rng.choice(B5)
         sig = CycleSignature.from_signed_perm(sp)
-        for space in ("picard", "wpl", "torsion", "surface-k0"):
+        for space in SPACES:
             assert invariant_rank_of_action(sp, space) == \
                 g_invariant_rank(sig, space)
+
+
+def test_action_stacks_are_representations():
+    # one row per element of all_signed_perms(); rows multiply as the elements compose
+    rng = random.Random(4)
+    B5 = all_signed_perms()
+    for space in SPACES:
+        M = _actions(space)
+        size = {"picard": 6, "wpl": 7, "torsion": 6, "surface-k0": 8}[space]
+        assert M.shape == (3840, size, size)
+        assert np.array_equal(M[_POSITION[B5[0]]], np.eye(size, dtype=np.int64))
+        for _ in range(200):
+            a, b = rng.choice(B5), rng.choice(B5)
+            assert np.array_equal(M[_POSITION[a]] @ M[_POSITION[b]],
+                                  M[_POSITION[a.compose(b)]])
+
+
+def test_burnside_ranks_match_the_kernel_oracle_exhaustively():
+    # both read only the realized matrices: the trace average over <g> against
+    # dim ker(M - I), on all 3840 elements of every space
+    for space in SPACES:
+        burnside = burnside_ranks(action_matrices(space)).tolist()
+        assert burnside == [invariant_rank_of_action(sp, space) for sp in all_signed_perms()]
+
+
+def test_burnside_ranks_refuse_a_matrix_of_infinite_order():
+    shear = np.array([[1, 1], [0, 1]], dtype=np.int8)
+    stack = np.stack([np.eye(2, dtype=np.int8), shear, -np.eye(2, dtype=np.int8)])
+    with pytest.raises(ValueError, match="order"):
+        burnside_ranks(stack)
+    assert burnside_ranks(stack[[0, 2]]).tolist() == [2, 0]
 
 
 def test_conic_bundle_examples():

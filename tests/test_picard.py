@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -11,7 +12,8 @@ from qdp4.picard import (InvalidAutError, InvalidClassError, InvalidRootError,
                          K_CLASS, brute_force_classes, canonical_class,
                          intersect, is_minimal, pair_of,
                          pair_representatives, reflect, reflection_matrix,
-                         roots, to_signed_perm, weyl_group, zero_classes)
+                         roots, to_signed_perm, to_signed_perms, weyl_group,
+                         zero_classes)
 from qdp4.picard import _doubled_hbar
 
 H = (1, 0, 0, 0, 0, 0)
@@ -49,6 +51,37 @@ def matrix_on_standard_basis(sp: SignedPerm):
     return mat_mul(C, mat_mul(P, frac_solve(C, eye)))
 
 
+def dict_closure():
+    """The 40 reflections closed one product at a time, keyed on the int64
+    bytes, sorted by those bytes."""
+    gens = [reflection_matrix(r) for r in roots()]
+    ident = np.eye(6, dtype=np.int64)
+    seen = {ident.tobytes(): ident}
+    frontier = [ident]
+    while frontier:
+        new = []
+        for w in frontier:
+            for g in gens:
+                m = g @ w
+                if m.tobytes() not in seen:
+                    seen[m.tobytes()] = m
+                    new.append(m)
+        frontier = new
+    return [seen[key] for key in sorted(seen)]
+
+
+def signed_perm_by_lookup(w) -> SignedPerm:
+    """Where w sends each 2*hbar_i, looked up among the +-2*hbar_j."""
+    hbars = _doubled_hbar()
+    index = {hb: (j, 1) for j, hb in enumerate(hbars)}
+    index.update({neg(hb): (j, -1) for j, hb in enumerate(hbars)})
+    perm, signs = [0] * 5, [1] * 5
+    for i, hb in enumerate(hbars):
+        j, s = index[tuple(int(x) for x in w @ np.array(hb))]
+        perm[i], signs[j] = j, s
+    return SignedPerm(tuple(perm), tuple(signs))
+
+
 def test_intersection_form_examples():
     assert intersect(H, H) == 1
     assert intersect(K_CLASS, K_CLASS) == 4
@@ -68,6 +101,14 @@ def test_zero_classes_census():
     for h in zc:
         assert intersect(h, h) == 0
         assert intersect(h, K_CLASS) == -2
+
+
+def test_brute_force_classes_match_a_product_loop():
+    by_invariants = {}
+    for v in itertools.product(range(-3, 4), repeat=6):
+        by_invariants.setdefault((intersect(v, v), intersect(v, K_CLASS)), []).append(v)
+    for key in ((0, -2), (-2, 0), (-1, -1), (1, -3), (4, -4), (-2, -2), (0, 0), (60, 0)):
+        assert brute_force_classes(*key) == tuple(by_invariants.get(key, ())), key
 
 
 def test_pairing_structure():
@@ -116,6 +157,32 @@ def test_weyl_group_order_and_invariance():
     for w in rng.sample(list(W), 100):
         assert np.array_equal(w.T @ F @ w, F)
         assert np.array_equal(w @ K, K)
+
+
+def test_weyl_group_equals_the_dict_closure_in_order():
+    W = weyl_group()
+    reference = dict_closure()
+    assert len(W) == len(reference) == 1920
+    for w, ref in zip(W, reference):
+        assert w.dtype == np.int64 and w.shape == (6, 6)
+        assert np.array_equal(w, ref)
+
+
+def test_to_signed_perms_matches_the_lookup_on_every_element():
+    W = weyl_group()
+    assert to_signed_perms(np.stack(W)) == [signed_perm_by_lookup(w) for w in W]
+
+
+@pytest.mark.parametrize("bad,message", [
+    (2 * np.eye(6, dtype=np.int64), "fix K"),
+    (np.diag([-1, 1, 1, 1, 1, 1]) @ reflection_matrix((0, 1, -1, 0, 0, 0)), "fix K"),
+    (np.eye(6, dtype=np.int64) + np.outer(K_CLASS, [0, 1, -1, 0, 0, 0]), "intersection form")])
+def test_a_stack_with_one_non_automorphism_raises(bad, message):
+    W = list(weyl_group())
+    for position in (0, 700, 1920):
+        stack = np.stack(W[:position] + [bad] + W[position:])
+        with pytest.raises(InvalidAutError, match=message):
+            to_signed_perms(stack)
 
 
 def test_to_signed_perm_is_isomorphism_onto_evens():

@@ -1,0 +1,40 @@
+"""Each rewritten suite of `qdp4 selftest` fails when the closed form, the
+list or the group it checks is wrong."""
+
+import numpy as np
+import pytest
+
+from qdp4 import kgroups, picard, selftest
+
+
+@pytest.fixture
+def fresh_weyl_group():
+    picard.weyl_group.cache_clear()
+    yield
+    picard.weyl_group.cache_clear()
+
+
+@pytest.mark.parametrize("space", ["picard", "wpl", "torsion", "surface-k0"])
+def test_rank_formulas_fail_when_one_closed_form_is_off_by_one(monkeypatch, space):
+    closed_form = kgroups.g_invariant_rank
+    monkeypatch.setattr(kgroups, "g_invariant_rank",
+                        lambda sig, where: closed_form(sig, where) + (where == space))
+    ok, detail = selftest.suite_rank_formulas()
+    assert not ok and detail.startswith("mismatch at") and detail.endswith(f"on {space}")
+
+
+def test_zero_class_census_fails_when_a_class_is_missing(monkeypatch):
+    listed = picard.zero_classes()
+    monkeypatch.setattr(picard, "zero_classes", lambda: listed[:4] + listed[5:])
+    ok, detail = selftest.suite_zero_class_census()
+    assert not ok and detail.startswith("9 classes")
+
+
+def test_weyl_order_fails_with_a_non_root_generator(monkeypatch, fresh_weyl_group):
+    # -I in place of the reflection in one root: the closure doubles to W x {+-I}
+    reflection = picard.reflection_matrix
+    first = picard.roots()[0]
+    monkeypatch.setattr(picard, "reflection_matrix", lambda r: -np.eye(6, dtype=np.int64)
+                        if r == first else reflection(r))
+    ok, detail = selftest.suite_weyl_order()
+    assert not ok and detail.startswith("closure order 3840")
