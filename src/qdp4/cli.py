@@ -14,7 +14,7 @@ from contextlib import contextmanager
 from functools import lru_cache
 
 from . import kgroups, picard, selftest
-from .fields import (QQ, FieldMismatchError, UnsupportedFieldError,
+from .fields import (QQ, FieldMismatchError, UnsupportedFieldError, _exact_int,
                      described_field, field_from_descriptor, scalar_from_json,
                      scalar_to_json)
 from .groupoids import (FiniteGroupoid, GroupoidFunctor, build_psi, check_functor,
@@ -198,8 +198,8 @@ def cmd_minimal(args) -> int:
 
 
 def cmd_count_points(args) -> int:
+    k = _exact_int(args.ext)
     P = _load_pencil(args.pencil)
-    k = args.ext
     n = count_points(P, k)
     sig = galois_signature(P)
     predicted = predicted_count(sig, P.field.p, k)
@@ -227,9 +227,10 @@ def cmd_kgroups_ranks(args) -> int:
 
 
 def cmd_kgroups_gram(args) -> int:
+    points = _exact_int(args.points)
     if args.space == "wpl":
-        gram = kgroups.wpl_gram(args.points)
-        basis = ["O", "O_pt"] + [f"S{i + 1}" for i in range(args.points)]
+        gram = kgroups.wpl_gram(points)
+        basis = ["O", "O_pt"] + [f"S{i + 1}" for i in range(points)]
     elif args.space == "surface":
         gram = kgroups.full_k0_gram()
         basis = ["rank"] + ["H", "E1", "E2", "E3", "E4", "E5"] + ["s2"]
@@ -316,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count-points", help="exact point count over F_{p^k}")
     p.add_argument("pencil")
-    p.add_argument("--ext", type=int, default=1, metavar="K")
+    p.add_argument("--ext", default=1, metavar="K")
     p.set_defaults(fn=cmd_count_points)
 
     p = sub.add_parser("reconstruct", help="diagonal pencil from (lambda, mu)")
@@ -333,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     kr.set_defaults(fn=cmd_kgroups_ranks)
     kg = ksub.add_parser("gram", help="Euler-form Gram matrices as JSON")
     kg.add_argument("--space", choices=("wpl", "surface", "atom"), default="wpl")
-    kg.add_argument("--points", type=int, default=5,
+    kg.add_argument("--points", default=5,
                     help="number of weight-2 points (wpl space only)")
     kg.set_defaults(fn=cmd_kgroups_gram)
 

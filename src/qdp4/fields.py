@@ -746,12 +746,12 @@ def rational_roots(f: Poly):
     DegenerateInputError naming gcd(f, f').
 
     s = c_n x^n + ... + c_0, f without its root 0 and cleared of denominators,
-    is reduced modulo the smallest odd prime p that keeps its degree and its
-    squarefreeness.  Each root mod p (a linear factor from `factor`) is
-    Newton-lifted to a modulus N > 2 |c_n c_0|.  A root a/b has a | c_0 and
-    b | c_n, so c_n a/b is the symmetric residue of c_n r mod N; every
-    candidate is checked exactly (von zur Gathen-Gerhard, Modern Computer
-    Algebra, ch. 15).
+    is evaluated at 0..p-1 for the smallest odd prime p not dividing c_n at
+    which every root r of s mod p is simple; each prime dividing neither c_n
+    nor disc(s) is such a p.  A root a/b has a | c_0 and b | c_n, so it reduces
+    to some r, which Newton lifting carries to a modulus N > 2 |c_n c_0|: c_n
+    a/b is the symmetric residue of c_n r mod N.  Every candidate is checked
+    exactly (von zur Gathen-Gerhard, Modern Computer Algebra, ch. 15).
     """
     if not f.field.is_rational:
         raise UnsupportedFieldError("rational_roots expects a polynomial over Q")
@@ -763,18 +763,15 @@ def rational_roots(f: Poly):
     den = lcm(*[c.denominator for c in s.coeffs])
     cs = [int(c * den) for c in s.coeffs]
     ds = [i * c for i, c in enumerate(cs)][1:]
-    p, hs = 1, None
-    while hs is None:  # factor tests each reduction for squarefreeness once
+    p = 1
+    while True:
         p += 2
         if cs[-1] % p and _is_prime(p):
-            try:
-                hs = factor(Poly.from_ints(GF(p), cs))
-            except DegenerateInputError:
-                pass
-    for h in hs:
-        if h.degree > 1:
-            break
-        r, N = -h.coeffs[0].coeffs[0] % p, p
+            rs = [r for r in range(p) if _eval_mod(cs, r, p) == 0]
+            if all(_eval_mod(ds, r, p) for r in rs):
+                break
+    for r in rs:
+        N = p
         while N <= 2 * abs(cs[-1] * cs[0]):
             N *= N
             r = (r - _eval_mod(cs, r, N) * pow(_eval_mod(ds, r, N), -1, N)) % N

@@ -11,7 +11,8 @@ import numpy as np
 from .hyperoct import CycleSignature, SignedPerm
 
 
-_CLOSURE_CHUNK = 256  # frontier matrices per batched product in weyl_group
+_CLOSURE_CHUNK = 32  # frontier matrices per batched product in weyl_group (369 KB of int64)
+_CLOSURE_BOUND = 3840  # 2^5 5!: every signed permutation of the five zero-class pairs
 
 
 class InvalidClassError(ValueError):
@@ -120,19 +121,26 @@ def weyl_group():
     """Closure of the 40 root reflections under composition (order 1920),
     sorted by the bytes of the int64 matrices.  Each breadth-first level is
     one batched product of the generators with the frontier, _CLOSURE_CHUNK
-    frontier matrices at a time, deduplicated on the int8 entries' bytes."""
-    gens = np.array([reflection_matrix(r) for r in roots()], dtype=np.int8)
+    frontier matrices at a time, deduplicated on the int8 entries' bytes.
+    A closure beyond _CLOSURE_BOUND elements, or an entry outside int8,
+    raises InvalidAutError: some generator is not a reflection in a root."""
+    # int64: the first level's products are the generators, so no later product wraps
+    gens = np.array([reflection_matrix(r) for r in roots()], dtype=np.int64)
     seen = {np.eye(6, dtype=np.int8).tobytes()}
     level = list(seen)
     while level:
-        frontier = np.frombuffer(b"".join(level), dtype=np.int8).reshape(-1, 6, 6)
+        frontier = np.frombuffer(b"".join(level), dtype=np.int8).reshape(-1, 6, 6).astype(np.int64)
         level = []
         for start in range(0, len(frontier), _CLOSURE_CHUNK):
             products = gens[:, None] @ frontier[None, start:start + _CLOSURE_CHUNK]
-            for key in map(bytes, products.reshape(-1, 36)):
+            if not -128 <= products.min() <= products.max() <= 127:
+                raise InvalidAutError("the reflection closure has an entry outside int8")
+            for key in map(bytes, products.astype(np.int8).reshape(-1, 36)):
                 if key not in seen:
                     seen.add(key)
                     level.append(key)
+            if len(seen) > _CLOSURE_BOUND:
+                raise InvalidAutError(f"the reflection closure exceeds {_CLOSURE_BOUND} elements")
     group = np.frombuffer(b"".join(seen), dtype=np.int8).reshape(-1, 6, 6).astype(np.int64)
     return tuple(sorted(group, key=lambda m: m.tobytes()))
 

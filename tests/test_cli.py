@@ -644,7 +644,8 @@ _signature_args = st.one_of(
 @settings(max_examples=200, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(signature=_signature_args, space=st.sampled_from(["wpl", "surface", "atom", "x"]),
-       points=st.integers(-3, 12).map(str) | st.sampled_from(["", "x", "2.5"]))
+       points=st.integers(-3, 12).map(str) | st.sampled_from(["", "x", "2.5", " 3", "1_0",
+                                                              "+3", "\uff13"]))
 @example(signature="[[2.5,-1],[3,-1]]", space="wpl", points="5")
 @example(signature="[[true,1]]", space="wpl", points="5")
 @example(signature='{"51": 0}', space="wpl", points="5")
@@ -660,6 +661,8 @@ def test_kgroups_arguments_get_a_documented_exit_code(capsys, signature, space, 
         assert "Traceback" not in err
         if code == 0:
             json.loads(out)
+        if code == 0 and argv[0] == "gram":
+            assert _INTEGER.fullmatch(points)
         if code == 0 and argv[0] == "ranks":  # only non-empty lists of [length, sign] pairs pass
             cycles = json.loads(signature)
             assert isinstance(cycles, list) and cycles
@@ -910,10 +913,18 @@ _F7_PENCIL = reconstruct((2, 3), GF(7)).to_json()
     (["analyze", _with_entry({"kind": "prime-field", "p": 7}, _diagonal([1, 0, 1, 2, 3]),
                              _diagonal([0, 1, 1, 1, 1]), "1_000")], "1_000"),
     (["kgroups", "ranks", '--signature=[["1_0", -1]]'], "1_0"),
-    (["kgroups", "ranks", '--signature=[[5, "+1"]]'], "+1")],
+    (["kgroups", "ranks", '--signature=[[5, "+1"]]'], "+1"),
+    (["count-points", _F7_PENCIL, "--ext", " 2"], " 2"),
+    (["count-points", _F7_PENCIL, "--ext", "0_2"], "0_2"),
+    (["count-points", _F7_PENCIL, "--ext", "+2"], "+2"),
+    (["count-points", _F7_PENCIL, "--ext", "\uff12"], "\uff12"),  # a full-width 2
+    (["kgroups", "gram", "--points", " 3"], " 3"),
+    (["kgroups", "gram", "--points", "1_0"], "1_0")],
     ids=["lambda-underscore", "lambda-spaces", "lambda-plus", "field-p", "field-spaces",
          "coefficient", "empty-coefficient",
-         "descriptor-p", "descriptor-degree", "matrix-entry", "cycle-length", "cycle-sign"])
+         "descriptor-p", "descriptor-degree", "matrix-entry", "cycle-length", "cycle-sign",
+         "ext-space", "ext-underscore", "ext-plus", "ext-full-width",
+         "points-space", "points-underscore"])
 def test_integers_outside_the_grammar_exit_2(capsys, tmp_path, argv, entry):
     # int() reads all of these; an integer is -?[0-9]+ as in the rational grammar
     argv = [_pencil_file(tmp_path, a) if isinstance(a, dict) else a for a in argv]

@@ -393,34 +393,49 @@ def _poly_with_rational_roots(roots):
 
 def test_rational_roots_reduce_modulo_the_smallest_good_prime(monkeypatch):
     # 1 and 1 + 4849845 (= 3*5*7*11*13*17*19) meet modulo every odd prime
-    # below 23, and a leading 3*5*7*11 rules out 3, 5, 7 and 11; each
-    # reduction tried is tested for squarefreeness once, inside factor
-    primes, tested = [], []
-    real_factor, real_squarefree = fields.factor, fields.squarefree
+    # below 23, and a leading 3*5*7*11 rules out 3, 5, 7 and 11.  The roots
+    # mod p come from evaluating s, so factor and GF raise here; every modulus
+    # passed to _eval_mod is a prime tried or a square power of the last one
+    moduli = []
+    real_eval = fields._eval_mod
 
-    def recording_factor(f):
-        out = real_factor(f)
-        primes.append(f.field.p)
-        return out
+    def recording_eval(cs, x, m):
+        moduli.append(m)
+        return real_eval(cs, x, m)
 
-    def recording_squarefree(f):
-        tested.append(f.field.p)
-        return real_squarefree(f)
+    def refuse(*args):
+        raise AssertionError("rational_roots works over Q and Z/p^e only")
 
-    monkeypatch.setattr(fields, "factor", recording_factor)
-    monkeypatch.setattr(fields, "squarefree", recording_squarefree)
+    monkeypatch.setattr(fields, "_eval_mod", recording_eval)
+    monkeypatch.setattr(fields, "factor", refuse)
+    monkeypatch.setattr(fields, "GF", refuse)
+
+    def primes_tried(poly, roots):
+        moduli.clear()
+        assert rational_roots(poly) == [Fraction(r) for r in roots]
+        tried = list(dict.fromkeys(m for m in moduli if _is_prime(m)))
+        lifts = {m for m in moduli if not _is_prime(m)}
+        assert lifts <= {tried[-1] ** 2 ** e for e in range(1, 16)}
+        return tried
+
     f = _poly_with_rational_roots([1, 2, 1 + 4849845])
-    assert rational_roots(f) == [Fraction(r) for r in (1, 2, 4849846)]
+    assert primes_tried(f, (1, 2, 4849846)) == [3, 5, 7, 11, 13, 17, 19, 23]
     g = Poly.from_ints(QQ, [1155]) * _poly_with_rational_roots([Fraction(1, 1155), 2, -3])
     assert g.leading() == 1155
-    assert rational_roots(g) == [Fraction(-3), Fraction(1, 1155), Fraction(2)]
-    assert primes == [23, 13]
-    assert tested == [0, 3, 5, 7, 11, 13, 17, 19, 23, 0, 13]  # 0: the test over Q
-    # (x^2 - 2)(x^2 - 3)(x^2 - 6) has a root modulo every prime, none over Q
+    assert primes_tried(g, (-3, Fraction(1, 1155), 2)) == [13]
+    # (x^2 - 2)(x^2 - 3)(x^2 - 6) has a root modulo every prime, none over Q;
+    # mod 3 its root 0 is double
     h = Poly.from_ints(QQ, [-2, 0, 1]) * Poly.from_ints(QQ, [-3, 0, 1]) * \
         Poly.from_ints(QQ, [-6, 0, 1])
-    assert rational_roots(h) == []
-    for poly in (f, g, h):
+    assert primes_tried(h, ()) == [3, 5]
+    # (x - 5)(x^2 + 1)(x^2 + 4) is (x - 2)(x^2 + 1)^2 mod 3: not squarefree,
+    # but its one root mod 3 is simple, so 3 serves (a squarefree reduction
+    # would need 5)
+    e = _poly_with_rational_roots([5]) * Poly.from_ints(QQ, [1, 0, 1]) * \
+        Poly.from_ints(QQ, [4, 0, 1])
+    assert not squarefree(Poly.from_ints(GF(3), [int(c) for c in e.coeffs]))
+    assert primes_tried(e, (5,)) == [3]
+    for poly in (f, g, h, e):
         assert rational_roots(poly) == rational_roots(poly)
 
 

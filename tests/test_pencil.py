@@ -662,12 +662,13 @@ def test_predicted_count_examples():
 
 def brute_force_count(A, B, F):
     """Points of P^4(F) where x^T A x and x^T B x both vanish, testing every
-    point with F's own element arithmetic, tabulated on its element list."""
+    point with F's own element arithmetic, tabulated on its element list; the
+    points with the same first nonzero coordinate are tested as one array."""
     elems = list(F.elements())
     idx = {x: i for i, x in enumerate(elems)}
-    add = [[idx[x + y] for y in elems] for x in elems]
-    mul = [[idx[x * y] for y in elems] for x in elems]
-    zero, one = idx[F.zero], idx[F.one]
+    add = np.array([[idx[x + y] for y in elems] for x in elems])
+    mul = np.array([[idx[x * y] for y in elems] for x in elems])
+    zero, one, q = idx[F.zero], idx[F.one], len(elems)
 
     def coeffs(M):  # coefficient of x_i x_j, i <= j
         M = [[embed(x, F) for x in row] for row in M]
@@ -675,18 +676,18 @@ def brute_force_count(A, B, F):
                 for i in range(5) for j in range(i, 5)]
 
     def value(c, x):
-        acc = zero
+        acc = np.full(x.shape[1], zero)
         for i, j, cij in c:
-            acc = add[acc][mul[cij][mul[x[i]][x[j]]]]
+            acc = add[acc, mul[cij][mul[x[i], x[j]]]]
         return acc
 
     cA, cB = coeffs(A), coeffs(B)
     count = 0
-    for m in range(5):  # first nonzero coordinate x_m = 1
-        for rest in itertools.product(range(len(elems)), repeat=4 - m):
-            x = (zero,) * m + (one,) + rest
-            if value(cA, x) == zero and value(cB, x) == zero:
-                count += 1
+    for m in range(5):  # first nonzero coordinate x_m = 1, the rest all of F^(4-m)
+        rest = np.indices((q,) * (4 - m)).reshape(4 - m, q ** (4 - m))
+        lead = np.repeat([[zero]] * m + [[one]], q ** (4 - m), axis=1)
+        x = np.vstack([lead, rest])
+        count += int(((value(cA, x) == zero) & (value(cB, x) == zero)).sum())
     return count
 
 

@@ -1,6 +1,8 @@
 """Each rewritten suite of `qdp4 selftest` fails when the closed form, the
 list or the group it checks is wrong."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -38,3 +40,23 @@ def test_weyl_order_fails_with_a_non_root_generator(monkeypatch, fresh_weyl_grou
                         if r == first else reflection(r))
     ok, detail = selftest.suite_weyl_order()
     assert not ok and detail.startswith("closure order 3840")
+
+
+_E1_PLUS_E2 = np.array([0, 1, 1, 0, 0, 0])
+
+
+@pytest.mark.parametrize("generator,detail", [
+    # the reflection in E1 + E2: square -2 but K-pairing -2, not a root; it
+    # has infinite order together with the others, and entries grow slowly
+    (np.eye(6, dtype=np.int64) + np.outer(_E1_PLUS_E2, _E1_PLUS_E2 * picard._FORM),
+     f"the reflection closure exceeds {picard._CLOSURE_BOUND} elements"),
+    (200 * np.eye(6, dtype=np.int64), "the reflection closure has an entry outside int8")])
+def test_weyl_order_fails_with_a_generator_of_infinite_order(monkeypatch, fresh_weyl_group,
+                                                             generator, detail):
+    reflection = picard.reflection_matrix
+    first = picard.roots()[0]
+    monkeypatch.setattr(picard, "reflection_matrix",
+                        lambda r: generator if r == first else reflection(r))
+    start = time.perf_counter()
+    assert selftest.suite_weyl_order() == (False, detail)
+    assert time.perf_counter() - start < 10
