@@ -1,8 +1,9 @@
 """Exact arithmetic over Q, F_p and F_{p^k}, plus univariate polynomial operations.
 
 Rational scalars are `fractions.Fraction`; finite-field scalars are `FFElem`
-(coefficient vectors modulo a canonical irreducible modulus).  All values are
-immutable and all operations are pure.
+(coefficient vectors modulo a canonical irreducible modulus).  Both answer
+the same scalar protocol: `not x` tests for zero, `x == 1` for one, and
+`1 / x` is the inverse.  All values are immutable and all operations are pure.
 """
 
 from __future__ import annotations
@@ -57,6 +58,8 @@ class RationalField:
     def __call__(self, value) -> Fraction:
         if isinstance(value, FFElem):
             raise FieldMismatchError("cannot coerce a finite-field element into Q")
+        if not isinstance(value, (int, Fraction)):  # Fraction() also reads floats, strings
+            raise TypeError(f"cannot coerce {value!r} into {self!r}")
         return Fraction(value)
 
     @property
@@ -129,7 +132,7 @@ class FFElem:
 
     def inverse(self) -> "FFElem":
         f = self.field
-        if self.is_zero():
+        if not self:
             raise ZeroDivisionError("inverse of zero in " + repr(f))
         if f.k == 1:
             return FFElem(f, (pow(self.coeffs[0], f.p - 2, f.p),))
@@ -140,7 +143,9 @@ class FFElem:
         return self * other.inverse()
 
     def __rtruediv__(self, other):
-        return self.field(other) / self
+        if type(other) is int and other == 1:  # 1 / x: the inverse, with no product
+            return self.inverse()
+        return self._check(other) * self.inverse()
 
     def __pow__(self, n: int):
         f = self.field
@@ -157,8 +162,8 @@ class FFElem:
             n >>= 1
         return result
 
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coeffs)
+    def __bool__(self):
+        return any(self.coeffs)
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -276,7 +281,7 @@ class FiniteField:
 
     @property
     def zero(self) -> FFElem:
-        return self((0,) * self.k if self.k > 1 else 0)
+        return self(0)
 
     @property
     def one(self) -> FFElem:
@@ -445,7 +450,7 @@ class Poly:
     def __init__(self, field, coeffs):
         self.field = field
         cs = list(coeffs)
-        while cs and _iszero(cs[-1]):
+        while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
 
@@ -490,7 +495,7 @@ class Poly:
             z = self.field.zero
             out = [z] * (len(self.coeffs) + len(other.coeffs) - 1)
             for i, a in enumerate(self.coeffs):
-                if _iszero(a):
+                if not a:
                     continue
                 for j, b in enumerate(other.coeffs):
                     out[i + j] = out[i + j] + a * b
@@ -506,11 +511,11 @@ class Poly:
         rem = list(self.coeffs)
         dq = self.degree - other.degree
         quo = [z] * (dq + 1)
-        inv_lead = _inv(other.leading())
+        inv_lead = 1 / other.leading()
         for i in range(dq, -1, -1):
             c = rem[other.degree + i] * inv_lead
             quo[i] = c
-            if not _iszero(c):
+            if c:
                 for j, b in enumerate(other.coeffs):
                     rem[i + j] = rem[i + j] - c * b
         return Poly(self.field, quo), Poly(self.field, rem[:other.degree])
@@ -524,7 +529,7 @@ class Poly:
     def monic(self) -> "Poly":
         if self.is_zero():
             return self
-        return self * _inv(self.leading())
+        return self * (1 / self.leading())
 
     def derivative(self) -> "Poly":
         return Poly(self.field, [c * self.field(i) for i, c in
@@ -540,20 +545,6 @@ class Poly:
         if self.is_zero():
             return "Poly(0)"
         return "Poly[" + ", ".join(repr(c) for c in self.coeffs) + "]"
-
-
-def _iszero(c) -> bool:
-    if isinstance(c, (int, Fraction)):
-        return c == 0
-    return c.is_zero()
-
-
-def _inv(c):
-    if isinstance(c, Fraction):
-        if c == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return 1 / c
-    return c.inverse()
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -661,8 +652,6 @@ def _distinct_degree(f: Poly, frob: _Frobenius):
 
 def random_element(field, rng: random.Random) -> FFElem:
     """A uniform element of the finite field, drawn from rng."""
-    if field.k == 1:
-        return field(rng.randrange(field.p))
     return field(tuple(rng.randrange(field.p) for _ in range(field.k)))
 
 
@@ -788,7 +777,7 @@ def is_square(a: FFElem) -> bool:
     """Euler criterion in F_{p^k}: a^((q-1)/2) == 1."""
     if not isinstance(a, FFElem):
         raise UnsupportedFieldError("is_square is defined over finite fields")
-    if a.is_zero():
+    if not a:
         raise DegenerateInputError("is_square(0) is undefined")
     return a ** ((a.field.order - 1) // 2) == a.field.one
 

@@ -5,8 +5,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .fields import _iszero
-
 
 def mat_mul(a, b):
     n, m, r = len(a), len(b[0]), len(b)
@@ -56,7 +54,7 @@ def _echelon(mat):
         r = len(pivots)
         if r == len(rows):
             break
-        pivot = next((i for i in range(r, len(rows)) if not _iszero(rows[i][col])), None)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
         if pivot is None:
             continue
         if pivot != r:

@@ -12,16 +12,18 @@ from math import factorial, lcm
 import numpy as np
 
 from . import _accel
-from .fields import (GF, QQ, FFElem, FieldMismatchError, Poly, _iszero,
-                     UnsupportedFieldError, embed, embed_poly, factor,
-                     field_from_descriptor, is_square, poly_gcd, rational_roots,
-                     scalar_from_json, scalar_key, scalar_to_json, split_root,
-                     squarefree)
+from .fields import (GF, QQ, FFElem, FieldMismatchError, Poly, UnsupportedFieldError,
+                     embed, embed_poly, factor, field_from_descriptor, is_square,
+                     poly_gcd, rational_roots, scalar_from_json, scalar_key,
+                     scalar_to_json, split_root, squarefree)
 from .hyperoct import CycleSignature
 from .linalg import congruence, det, kernel_vector, rank
 from .wpline import Moebius, PointConfiguration, ProjPoint, pgl2_match
 
 POINTCOUNT_GUARD = 250  # largest p^k that count_points enumerates
+# Largest degree over F_p of a splitting field or an `iso` common field:
+# lcm(5, 6), the most that two prime-field pencils imply.
+MAX_IMPLIED_DEGREE = 30
 
 
 class DegeneratePencilError(ValueError):
@@ -108,10 +110,9 @@ class NormalForm:
     mu: object
 
     def __post_init__(self):
-        if _iszero(self.lam) or _iszero(self.mu):
+        if not self.lam or not self.mu:
             raise InvalidNormalFormError("lambda, mu must avoid 0")
-        one = _one_like(self.lam)
-        if self.lam == one or self.mu == one:
+        if self.lam == 1 or self.mu == 1:
             raise InvalidNormalFormError("lambda, mu must avoid 1")
         if self.lam == self.mu:
             raise InvalidNormalFormError("lambda and mu must differ")
@@ -124,10 +125,6 @@ class NormalForm:
 
     def to_json(self):
         return [scalar_to_json(self.lam), scalar_to_json(self.mu)]
-
-
-def _one_like(x):
-    return Fraction(1) if isinstance(x, Fraction) else x.field.one
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +273,18 @@ def splitting_field(P: QuadricPencil):
     """Smallest field over which all five degenerate points are rational."""
     _, orbits = degenerate_orbits(P)
     m = lcm(*(f.degree for f in orbits))
-    return P.field if m == 1 else GF(P.field.p, P.field.k * m)
+    return P.field if m == 1 else _implied_field(P.field.p, P.field.k * m)
+
+
+def _implied_field(p: int, k: int):
+    """GF(p, k) for a field the computation implies: beyond
+    MAX_IMPLIED_DEGREE it raises UnsupportedSplittingError before any
+    modulus search."""
+    if k > MAX_IMPLIED_DEGREE:
+        raise UnsupportedSplittingError(
+            f"the implied field GF({p}^{k}) has degree {k} over F_{p}, beyond "
+            f"the bound {MAX_IMPLIED_DEGREE}")
+    return GF(p, k)
 
 
 def _orbit_root(f: Poly, dst):
@@ -349,12 +357,12 @@ def simultaneous_diagonalize(P: QuadricPencil):
     MB = congruence(M, B)
     for i in range(5):
         for j in range(5):
-            if i != j and (not _iszero(MA[i][j]) or not _iszero(MB[i][j])):
+            if i != j and (MA[i][j] or MB[i][j]):
                 raise NotSmoothError("simultaneous diagonalization failed")
     pairs = [(MA[i][i], MB[i][i]) for i in range(5)]
     for i, p in enumerate(pts):
         a, b = pairs[i]
-        if not _iszero(a * p.v - b * p.u):
+        if a * p.v - b * p.u:
             raise NotSmoothError("diagonal pair does not match its degenerate point")
     return M, pairs, pts
 
@@ -395,30 +403,20 @@ def isomorphic(P1: QuadricPencil, P2: QuadricPencil):
     ordering of P2's cross-ratio table has P1's identity values, which is
     the test `pgl2_match` makes, so the match alone decides."""
     f1, f2 = P1.field, P2.field
-    if f1.is_rational != f2.is_rational:
+    if f1.p != f2.p:
         raise FieldMismatchError("pencils live over different characteristics")
-    if f1.is_rational:
-        common = QQ
-    else:
-        if f1.p != f2.p:
-            raise FieldMismatchError("pencils live over different characteristics")
-        s1, s2 = splitting_field(P1), splitting_field(P2)
-        common = GF(f1.p, lcm(s1.k, s2.k))
+    common = QQ if f1.is_rational else _implied_field(
+        f1.p, lcm(splitting_field(P1).k, splitting_field(P2).k))
     m = pgl2_match(point_configuration(P1, common), point_configuration(P2, common))
     if m is None:
         return None
-    if common.is_rational:
-        base_rational = True
-    else:
-        base_rational = m.entries_in_subfield(min(f1.k, f2.k))
-    return IsoCertificate(m, base_rational)
+    return IsoCertificate(m, common.is_rational or m.entries_in_subfield(min(f1.k, f2.k)))
 
 
 def reconstruct(nf, field) -> QuadricPencil:
     """The diagonal pencil with degenerate points infinity, 0, 1, lambda, mu."""
     lam, mu = nf.pair() if isinstance(nf, NormalForm) else nf
-    lam = field(lam) if isinstance(lam, int) else lam
-    mu = field(mu) if isinstance(mu, int) else mu
+    lam, mu = field(lam), field(mu)
     NormalForm(lam, mu)  # validates the constraints
     one, zero = field.one, field.zero
     A = [[zero] * 5 for _ in range(5)]
@@ -456,7 +454,7 @@ def _norm(D: Poly, f: Poly):
 def _ruling_sign(values) -> int:
     """Quadratic character of the first nonzero value; a corank-1 member
     (every degenerate member of a smooth pencil) always has one."""
-    return 1 if is_square(next(v for v in values if not _iszero(v))) else -1
+    return 1 if is_square(next(v for v in values if v)) else -1
 
 
 def galois_signature(P: QuadricPencil) -> CycleSignature:
@@ -525,11 +523,11 @@ def count_points(P: QuadricPencil, k: int) -> int:
     if k < 1:
         raise ValueError(f"extension degree k = {k} must be at least 1")
     degenerate_orbits(P)  # point counts are certified for smooth pencils only
-    p = field.p
-    q = p ** k
-    if q > POINTCOUNT_GUARD:
+    p = field.p  # p >= 3: a k past the guard's bit length is past the guard
+    if k > POINTCOUNT_GUARD.bit_length() or p ** k > POINTCOUNT_GUARD:
         raise ResourceLimitError(
-            f"p^k = {q} exceeds the enumeration guard {POINTCOUNT_GUARD}")
+            f"p^k = {p}^{k} exceeds the enumeration guard {POINTCOUNT_GUARD}")
+    q = p ** k
     add, mul = _encoded_tables(p, k)
     CA = _encode_form(P.A, p)
     CB = _encode_form(P.B, p)

@@ -61,7 +61,7 @@ def random_split_pencil(p: int, rng: random.Random) -> QuadricPencil:
     B = [[field.zero] * 5 for _ in range(5)]
     for i, pt in enumerate(pts):
         c = random_element(field, rng)
-        while c.is_zero():
+        while not c:
             c = random_element(field, rng)
         A[i][i] = pt.u * c   # (t0 : t1) = (b_i : a_i) = (pt.v : pt.u)
         B[i][i] = pt.v * c

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import itertools
 
-from .fields import (FieldMismatchError, _iszero, in_subfield, scalar_from_json,
-                     scalar_key, scalar_to_json)
+from .fields import (FieldMismatchError, in_subfield, scalar_from_json, scalar_key,
+                     scalar_to_json)
 
 
 class ProjPoint:
@@ -17,9 +17,9 @@ class ProjPoint:
     __slots__ = ("field", "u", "v")
 
     def __init__(self, field, u, v):
-        if _iszero(u) and _iszero(v):
+        if not u and not v:
             raise ValueError("(0 : 0) is not a projective point")
-        if _iszero(v):
+        if not v:
             u, v = field.one, field.zero
         else:
             u, v = u / v, field.one
@@ -33,10 +33,10 @@ class ProjPoint:
 
     @classmethod
     def affine(cls, field, x):
-        return cls(field, field(x) if isinstance(x, int) else x, field.one)
+        return cls(field, field(x), field.one)
 
     def is_infinity(self) -> bool:
-        return _iszero(self.v)
+        return not self.v
 
     def sort_key(self):
         # infinity first, then affine points in scalar order
@@ -74,11 +74,11 @@ class Moebius:
 
     def __init__(self, field, a, b, c, d):
         det = a * d - b * c
-        if _iszero(det):
+        if not det:
             raise ValueError("Moebius matrix must be invertible")
         for x in (a, b, c, d):
-            if not _iszero(x):
-                inv = field.one / x
+            if x:
+                inv = 1 / x
                 a, b, c, d = a * inv, b * inv, c * inv, d * inv
                 break
         self.field = field
@@ -111,7 +111,7 @@ class Moebius:
 
     def entries_in_subfield(self, m: int) -> bool:
         """True iff all entries lie in F_{p^m} (finite fields only)."""
-        return all(_iszero(x) or in_subfield(x, m) for x in self.entries())
+        return all(not x or in_subfield(x, m) for x in self.entries())
 
     def __eq__(self, other):
         return (isinstance(other, Moebius) and self.field == other.field

@@ -7,15 +7,17 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from qdp4 import cli, kgroups, pencil
-from qdp4.fields import GF, QQ, Poly, factor
+from qdp4 import cli, fields, kgroups, pencil
+from qdp4.fields import GF, QQ, Poly, _canonical_modulus, embed_poly, factor
 from qdp4.groupoids import group_groupoid
-from qdp4.pencil import QuadricPencil, discriminant_quintic, reconstruct
+from qdp4.pencil import (MAX_IMPLIED_DEGREE, QuadricPencil, discriminant_quintic,
+                         reconstruct, splitting_field)
 from qdp4.linalg import congruence, mat_mul, transpose
 from qdp4.sampling import random_invertible, random_smooth_pencil
 
@@ -795,6 +797,67 @@ def test_pencils_over_a_large_prime_field_end_to_end(capsys, tmp_path):
         assert code == 0 and json.loads(out)["isomorphic"] is True
 
 
+def _orbit_pencil(field, *degrees):
+    """A smooth block-diagonal pencil over F_{p^k} whose affine degenerate
+    points form Galois orbits of the given degrees d (summing to 5).  Orbit
+    f is the first factor over the field of an irreducible of degree m over
+    F_p with lcm(m, k) = dk.  Its block is the Hankel pencil
+    (c_{i+j+1}) - z (c_{i+j}), c_n = Tr(t^n / f'(t)): c_n = 0 for n < d - 1,
+    c_{d-1} = 1, then the recurrence of f, so the determinant is a unit
+    times f(z)."""
+    A = [[field.zero] * 5 for _ in range(5)]
+    B = [[field.zero] * 5 for _ in range(5)]
+    at = 0
+    for d in degrees:
+        m = min(m for m in range(1, d * field.k + 1)
+                if lcm(m, field.k) == d * field.k)
+        f = factor(embed_poly(Poly.from_ints(GF(field.p), _canonical_modulus(field.p, m)),
+                              field))[0]
+        c = [field.zero] * (d - 1) + [field.one]
+        while len(c) < 2 * d:
+            c.append(-sum((a * x for a, x in zip(f.coeffs, c[-d:])), field.zero))
+        for i, j in itertools.product(range(d), repeat=2):
+            A[at + i][at + j], B[at + i][at + j] = c[i + j + 1], c[i + j]
+        at += d
+    return QuadricPencil(field, A, B)
+
+
+def test_implied_fields_beyond_the_bound_exit_4(capsys, tmp_path, monkeypatch):
+    # orbits of degree 2 and 3 over F_{3^6}: the splitting field has degree 36
+    path = _pencil_file(tmp_path, _orbit_pencil(GF(3, 6), 2, 3).to_json())
+    code, out, err = run_cli(capsys, "analyze", path)
+    assert code == 4 and out == ""
+    assert f"GF(3^36) has degree 36 over F_3, beyond the bound {MAX_IMPLIED_DEGREE}" in err
+    # over F_9 the splitting fields have degrees 10 and 12, the common field 60
+    pencils = [_orbit_pencil(GF(3, 2), 5), _orbit_pencil(GF(3, 2), 2, 3)]
+    assert [splitting_field(P).k for P in pencils] == [10, 12]
+    paths = []
+    for i, P in enumerate(pencils):
+        paths.append(str(tmp_path / f"f9_{i}.json"))
+        with open(paths[-1], "w") as fh:
+            json.dump(P.to_json(), fh)
+
+    def no_search(p, k):
+        raise AssertionError(f"modulus search for GF({p}^{k})")
+    monkeypatch.setattr(fields, "_canonical_modulus", no_search)
+    code, out, err = run_cli(capsys, "iso", *paths)
+    assert code == 4 and out == ""
+    assert f"GF(3^60) has degree 60 over F_3, beyond the bound {MAX_IMPLIED_DEGREE}" in err
+
+
+def test_implied_field_at_the_bound_is_built(capsys, tmp_path):
+    # the same orbit degrees over F_3 imply F_{3^5}, F_{3^6} and, for iso, F_{3^30}
+    paths = []
+    for i, degrees in enumerate(((5,), (2, 3))):
+        paths.append(str(tmp_path / f"f3_{i}.json"))
+        with open(paths[-1], "w") as fh:
+            json.dump(_orbit_pencil(GF(3), *degrees).to_json(), fh)
+        code, out, _ = run_cli(capsys, "analyze", paths[-1])
+        assert code == 0 and json.loads(out)["splitting_field"]["degree"] == 5 + i
+    code, out, _ = run_cli(capsys, "iso", *paths)
+    assert code == 1 and json.loads(out)["isomorphic"] is False
+
+
 def test_iso_mismatched_characteristics_exit_4(capsys, tmp_path, p23):
     path = tmp_path / "f7.json"
     path.write_text(json.dumps(reconstruct((3, 4), GF(7)).to_json()))
@@ -852,6 +915,11 @@ def test_count_points_command(capsys, tmp_path):
     code, _, err = run_cli(capsys, "count-points", str(path), "--ext", "4")  # 625 > 250
     assert code == 1
     assert "guard" in err
+    start = time.perf_counter()  # refused before 5^k is built
+    code, out, err = run_cli(capsys, "count-points", str(path), "--ext", "100000000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert err == "error: p^k = 5^100000000 exceeds the enumeration guard 250\n"
 
 
 @pytest.mark.parametrize("ext", ["0", "-1"])

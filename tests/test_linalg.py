@@ -30,8 +30,8 @@ def test_rank_and_kernel_vector_share_one_elimination():
             if r == 5:
                 assert v is None
                 continue
-            assert any(not x.is_zero() for x in v)
-            assert all(x.is_zero() for x in mat_vec(M, v))
+            assert any(v)
+            assert not any(mat_vec(M, v))
     assert rank([]) == 0
     # of the two free columns, the first is set to one
     M = [[Fraction(i * j) for j in (1, 2, 3)] for i in (1, 2, 3)]
@@ -79,7 +79,7 @@ def test_det_matches_cofactor_expansion_on_scalars():
                 M = _random_of_rank(field, rng, n, r)
                 d = det(M)
                 assert d == _cofactor(M)
-                assert d.is_zero() == (r < n)
+                assert (not d) == (r < n)
     for n in range(1, 6):
         M = [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
              for _ in range(n)]

@@ -311,7 +311,7 @@ def test_simultaneous_diagonalize_identity_plus_symmetric():
         for i in range(5):
             for j in range(5):
                 if i != j:
-                    assert At[i][j].is_zero() and Bt[i][j].is_zero()
+                    assert not At[i][j] and not Bt[i][j]
 
 
 def test_normal_form_orderings():
@@ -451,6 +451,10 @@ def test_reconstruct_examples():
     assert [[int(x) for x in row] for row in P.B] == expectB
     with pytest.raises(InvalidNormalFormError):
         reconstruct((0, 3), QQ)
+    for field in (QQ, GF(7)):
+        for bad in (2.5, "2"):  # refused, not read as 5/2 or 2
+            with pytest.raises(TypeError):
+                reconstruct((bad, 3), field)
     nf = canonical_invariant(P)
     assert any(n.pair() == (Fraction(2), Fraction(3)) for n in nf)
 
@@ -527,7 +531,7 @@ def _reference_sign(Q, field):
     """The ruling sign at one corank-1 member Q: the quadratic character of
     the 4x4 minor of Q off the first nonzero entry of a kernel vector."""
     v = kernel_vector(Q, field)
-    i0 = next(i for i in range(5) if not v[i].is_zero())
+    i0 = next(i for i in range(5) if v[i])
     idx = [j for j in range(5) if j != i0]
     (d,) = _cofactor_det([[[Q[a][b]] for b in idx] for a in idx], field)
     return 1 if is_square(d) else -1
@@ -703,13 +707,13 @@ def test_count_matches_brute_force():
         field = GF(p)
         P = random_smooth_pencil(field, rng)
         A, B = P.A, P.B
-        if B[4][4].is_zero():
+        if not B[4][4]:
             A, B = B, A
         else:
             c = A[4][4] / B[4][4]
             A = [[x - c * y for x, y in zip(ra, rb)] for ra, rb in zip(A, B)]
         P0 = QuadricPencil(field, A, B)
-        assert P0.A[4][4].is_zero() and is_smooth(P0)
+        assert not P0.A[4][4] and is_smooth(P0)
         half = field(1) / field(2)
         X34 = [[half if {i, j} == {3, 4} else field.zero for j in range(5)]
                for i in range(5)]
