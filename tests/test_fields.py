@@ -14,7 +14,7 @@ from qdp4.fields import (GF, MAX_DEGREE, QQ, DegenerateInputError,
                          FieldMismatchError, Poly, UnsupportedFieldError,
                          _canonical_modulus, _Frobenius, _is_prime, embed,
                          embed_poly, factor, field_from_descriptor, is_square,
-                         poly_gcd, poly_pow_mod, random_element, rational_roots,
+                         poly_gcd, random_element, rational_roots,
                          scalar_from_json, scalar_to_json, split_root,
                          squarefree)
 
@@ -539,6 +539,18 @@ def test_field_descriptor_round_trip():
 BIG_PRIME = 10 ** 30 + 57  # the least prime above 10^30
 
 
+def poly_pow_mod(base, n, mod):
+    """base^n mod mod by left-to-right square-and-multiply in tuple arithmetic:
+    the reference for the vector arithmetic of _Frobenius."""
+    result = Poly(base.field, [base.field.one])
+    base = base % mod
+    for bit in bin(n)[2:]:
+        result = (result * result) % mod
+        if bit == "1":
+            result = (result * base) % mod
+    return result
+
+
 def rabin_irreducible(f):
     """Rabin's test: f of degree n is irreducible over F_q iff x^(q^n) = x
     mod f and gcd(f, x^(q^(n/l)) - x) = 1 for each prime l dividing n."""
@@ -559,6 +571,16 @@ def test_canonical_modulus_is_the_rabin_choice():
                                  for n in range(p ** k))
                      if rabin_irreducible(Poly.from_ints(GF(p), c)))
         assert _canonical_modulus(p, k) == first, (p, k)
+    # the corpus fields the Rabin sweep does not reach, pinned to the moduli
+    # the full distinct-degree search chose before it stopped at a first factor
+    pinned = {(3, 12): (2, 0, 1) + (0,) * 9, (5, 10): (3, 1, 1) + (0,) * 7,
+              (5, 12): (4, 1) + (0,) * 10, (7, 6): (2,) + (0,) * 5,
+              (11, 5): (2,) + (0,) * 4, (11, 6): (2, 1) + (0,) * 4,
+              (13, 5): (2, 4) + (0,) * 3, (13, 6): (2,) + (0,) * 5,
+              (1009, 2): (11, 0), (1009, 3): (2, 0, 0), (1009, 4): (11, 0, 0, 0),
+              (1009, 5): (8, 1, 0, 0, 0), (1009, 6): (11,) + (0,) * 5}
+    for (p, k), low in pinned.items():
+        assert _canonical_modulus(p, k) == low + (1,), (p, k)
 
 
 def test_modulus_search_skips_the_binomials_when_none_is_irreducible():
@@ -624,13 +646,34 @@ def test_poly_gcd_monic():
     assert d == t + one
 
 
+def _vector(frob, h):
+    """h, of degree below deg f, as a vector of frob's V = K[x]/(f)."""
+    n, d = frob.field.k, frob.f.degree
+    cs = [c.coeffs for c in h.coeffs]
+    return np.array(cs + [(0,) * n] * (d - len(cs)), dtype=frob.dtype).ravel()
+
+
+def _check_vector_arithmetic(f):
+    # the product and the power in V against tuple arithmetic, on operands
+    # whose every coefficient is p - 1: the largest sums the dtype must hold
+    frob, field, rng = _Frobenius(f), f.field, random.Random(f.degree)
+    top = Poly(field, [field([field.p - 1] * field.k)] * f.degree)
+    h = Poly(field, [random_element(field, rng) for _ in range(f.degree)])
+    a, b = _vector(frob, top), _vector(frob, h)
+    assert frob.poly(frob.mul(a, a)) == top * top % f
+    assert frob.poly(frob.mul(a, b)) == top * h % f
+    for e in (field.p, (field.p - 1) // 2):
+        assert frob.poly(frob.power(a, e)) == poly_pow_mod(top, e, f)
+
+
 def test_frobenius_matrix_is_the_p_power_map():
     # the oracle raises h to p^m by repeated squaring in tuple arithmetic
     rng = random.Random(17)
     for field, d, dtype in ((GF(3), 4, np.int64), (GF(5, 3), 3, np.int64),
                             (GF(11, 4), 2, np.int64), (GF(10 ** 9 + 7, 3), 3, np.int64),
                             (GF(10 ** 9 + 7, 2), 5, object),
-                            (GF(1099511627689), 3, object)):
+                            (GF(1099511627689), 3, object),
+                            (GF(3, 12), 5, np.int64), (GF(11, 12), 5, np.int64)):
         p = field.p
         g = Poly(field, [random_element(field, rng) for _ in range(2)] + [field.one])
         f = g * Poly(field, [random_element(field, rng) for _ in range(d - 2)] + [field.one])
@@ -639,10 +682,14 @@ def test_frobenius_matrix_is_the_p_power_map():
         for _ in range(3):
             h = Poly(field, [random_element(field, rng) for _ in range(d)])
             powers = [poly_pow_mod(h, p ** i, f) for i in range(4)]
-            assert frob.iterate(h, 3) == (powers[3], (powers[0] + powers[1] + powers[2]) % f)
-            assert frob.iterate(h, 1) == (powers[1], powers[0])
+            v3, s3 = frob.iterate(_vector(frob, h), 3)
+            assert frob.poly(v3) == powers[3]
+            assert frob.poly(s3) == (powers[0] + powers[1] + powers[2]) % f
+            v1, s1 = frob.iterate(_vector(frob, h), 1)
+            assert (frob.poly(v1), frob.poly(s1)) == (powers[1], powers[0])
             # reduction modulo a factor of the modulus commutes with the map
-            assert frob.iterate(h, 1)[0] % g == poly_pow_mod(h, p, g)
+            assert frob.poly(v1) % g == poly_pow_mod(h, p, g)
+        _check_vector_arithmetic(f)
 
 
 def _check_factorization(f, fs):
@@ -663,6 +710,7 @@ def test_split_root_and_factor_on_both_element_types():
         roots = _distinct_elements(field, d, rng)
         f = _with_roots(field, roots, lead=3)
         assert _Frobenius(f).dtype is dtype
+        _check_vector_arithmetic(f.monic())
         root = split_root(f)
         assert root in roots and not f.evaluate(root)
         g = Poly(field, [random_element(field, rng) for _ in range(d)] + [field(5)])
