@@ -8,7 +8,6 @@ the same scalar protocol: `not x` tests for zero, `x == 1` for one, and
 
 from __future__ import annotations
 
-import hashlib
 import random
 import re
 from fractions import Fraction
@@ -120,6 +119,9 @@ class FFElem:
         other = self._check(other)
         p = self.field.p
         return FFElem(self.field, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
+
+    def __rsub__(self, other):
+        return self._check(other) - self
 
     def __mul__(self, other):
         other = self._check(other)
@@ -330,7 +332,9 @@ def _gf_cached(p: int, k: int) -> FiniteField:
 
 
 def GF(p: int, k: int = 1) -> FiniteField:
-    return _gf_cached(int(p), int(k))
+    if type(p) is not int or type(k) is not int:  # int() would read 7.9 as 7
+        raise TypeError(f"GF needs int p and k, not {p!r}, {k!r}")
+    return _gf_cached(p, k)
 
 
 # The largest characteristic and extension degree that input may name.  On a
@@ -686,11 +690,6 @@ def random_element(field, rng: random.Random) -> FFElem:
     return field(tuple(rng.randrange(field.p) for _ in range(field.k)))
 
 
-def _poly_seed(f: Poly, tag: str) -> int:
-    payload = repr((tag, f.field.p, f.field.k, tuple(c.coeffs for c in f.coeffs)))
-    return int.from_bytes(hashlib.sha256(payload.encode()).digest()[:8], "big")
-
-
 def _split(f: Poly, d: int, frob: _Frobenius, rng: random.Random) -> Poly:
     """A proper monic factor of f, a squarefree product of at least two degree-d
     irreducibles over F_{p^k} (p odd) dividing frob's modulus: T(r) = sum_{i<kd}
@@ -727,7 +726,7 @@ def split_root(f: Poly):
     frob = _Frobenius(f)
     if not np.array_equal(frob.iterate(frob.x, f.field.k)[0], frob.x):
         raise DegenerateInputError("not a product of distinct linear factors")
-    rng = random.Random(_poly_seed(f, "root"))
+    rng = random.Random(0)
     while f.degree > 1:
         g = _split(f, 1, frob, rng)
         f = min(g, f // g, key=lambda h: h.degree)
@@ -744,7 +743,7 @@ def factor(f: Poly):
     _require_squarefree(f)
     if f.degree == 0:
         return []
-    rng = random.Random(_poly_seed(f, "edf"))
+    rng = random.Random(0)
     f = f.monic()
     frob = _Frobenius(f)
     out = [irr.monic() for h, d in _distinct_degree(f, frob)
@@ -873,11 +872,7 @@ def embed(a, dst):
         raise FieldMismatchError(f"no embedding {src!r} -> {dst!r}")
     if src.k == 1:
         return dst(a.coeffs[0])
-    img = _embedding_image(src, dst)
-    acc = dst.zero
-    for c in reversed(a.coeffs):
-        acc = acc * img + dst(c)
-    return acc
+    return Poly(dst, [dst(c) for c in a.coeffs]).evaluate(_embedding_image(src, dst))
 
 
 def embed_poly(f: Poly, dst) -> Poly:

@@ -88,12 +88,9 @@ class Moebius:
     def identity(cls, field):
         return cls(field, field.one, field.zero, field.zero, field.one)
 
-    def apply(self, p: ProjPoint) -> ProjPoint:
+    def __call__(self, p: ProjPoint) -> ProjPoint:
         return ProjPoint(self.field, self.a * p.u + self.b * p.v,
                          self.c * p.u + self.d * p.v)
-
-    def __call__(self, p: ProjPoint) -> ProjPoint:
-        return self.apply(p)
 
     def compose(self, other: "Moebius") -> "Moebius":
         # self after other
@@ -138,12 +135,6 @@ def moebius_to_inf_zero_one(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint) -> Moeb
     den = a0 * p3.u + b0 * p3.v
     t = num / den
     return Moebius(field, a0 * t, b0 * t, c, d)
-
-
-def moebius_between_triples(src, dst) -> Moebius:
-    """The unique Moebius map with src[i] -> dst[i] for an ordered triple."""
-    return moebius_to_inf_zero_one(*dst).inverse().compose(
-        moebius_to_inf_zero_one(*src))
 
 
 class PointConfiguration:
@@ -209,31 +200,32 @@ class PointConfiguration:
         return f"PointConfiguration{list(self.points)!r}"
 
 
-def pgl2_match(c1: PointConfiguration, c2: PointConfiguration):
-    """A Moebius map with m(c1) == c2 as sets, or None.
-
-    The map sending points 0..4 of c1 to an ordering of c2 exists exactly when
-    c2's table values at that ordering are c1's at the identity; the first
-    such ordering in permutation order wins, and only its map is built.
-    """
-    if c1.field != c2.field:
-        raise FieldMismatchError("configurations live over different fields")
-    ref = c1.cross_ratios()[0][1]
+def _matches(c1: PointConfiguration, c2: PointConfiguration):
+    """(m, ordering) for each ordering of c2, in permutation order, whose table
+    values are c1's at the identity: m is the Moebius map sending points 0..4
+    of c1 to c2's points in that order.  c1's identity values are the images
+    of its points 3, 4 under its map to infinity, 0, 1, so c1's table is never
+    built, and each m is built only when it is asked for."""
+    src = moebius_to_inf_zero_one(*c1.points[:3])
+    ref = tuple(src(p).u for p in c1.points[3:])
     for ordering, values in c2.cross_ratios():
         if values == ref:
-            return moebius_between_triples(
-                c1.points[:3], [c2.points[x] for x in ordering[:3]])
-    return None
+            dst = moebius_to_inf_zero_one(*(c2.points[x] for x in ordering[:3]))
+            yield dst.inverse().compose(src), ordering
+
+
+def pgl2_match(c1: PointConfiguration, c2: PointConfiguration):
+    """The first of `_matches(c1, c2)`: a Moebius map with m(c1) == c2 as sets,
+    or None."""
+    if c1.field != c2.field:
+        raise FieldMismatchError("configurations live over different fields")
+    return next((m for m, _ in _matches(c1, c2)), None)
 
 
 def aut_group(c: PointConfiguration):
     """Full PGL2 stabilizer of the point set, as (Moebius, induced permutation)
-    pairs sorted by permutation: the orderings whose table values are those
-    of the identity, with a map built for each of them only."""
-    table = c.cross_ratios()
-    ref = table[0][1]
-    return [(moebius_between_triples(c.points[:3], [c.points[x] for x in ordering[:3]]),
-             ordering) for ordering, values in table if values == ref]
+    pairs sorted by permutation."""
+    return list(_matches(c, c))
 
 
 def defined_over(auts, field):

@@ -629,6 +629,17 @@ def test_even_characteristic_rejected():
         GF(9)
 
 
+def test_gf_refuses_non_integer_p_and_k():
+    for p, k in ((7.9, 1), (3, 2.5), (3, True), (True, 1), (Fraction(7), 1), ("7", 1)):
+        with pytest.raises(TypeError):  # refused, not read as GF(7), GF(3^2), GF(3)
+            GF(p, k)
+
+
+def test_integer_minus_scalar():
+    for x in (QQ(3), GF(7)(3), GF(3, 2).gen()):
+        assert 1 - x == -(x - 1)
+
+
 def test_scalar_total_order():
     F9 = GF(3, 2)
     elems = sorted(F9.elements())

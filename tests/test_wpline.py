@@ -6,16 +6,21 @@ import pytest
 
 from qdp4 import wpline
 from qdp4.fields import GF, QQ, FieldMismatchError, scalar_key
-from qdp4.pencil import QuadricPencil, canonical_invariant, point_configuration, reconstruct
+from qdp4.pencil import (QuadricPencil, canonical_invariant, isomorphic, point_configuration,
+                         reconstruct)
 from qdp4.wpline import (Moebius, PointConfiguration, ProjPoint, aut_group,
-                         moebius_between_triples, moebius_to_inf_zero_one,
-                         pgl2_match)
+                         moebius_to_inf_zero_one, pgl2_match)
 
 
 def config(field, affine, infinity=True):
     pts = [ProjPoint.infinity(field)] if infinity else []
     pts += [ProjPoint.affine(field, c) for c in affine]
     return PointConfiguration(field, pts)
+
+
+def moebius_between_triples(src, dst):
+    """The unique Moebius map with src[i] -> dst[i] for an ordered triple."""
+    return moebius_to_inf_zero_one(*dst).inverse().compose(moebius_to_inf_zero_one(*src))
 
 
 def image(c, m):
@@ -281,24 +286,34 @@ def test_cross_ratio_table_agrees_with_the_60_map_enumeration():
 
 
 def test_aut_group_and_match_build_only_the_maps_they_return(monkeypatch):
+    # one map to infinity, 0, 1 for c's first three points, one per map returned
     built = []
-    real = wpline.moebius_between_triples
+    real = wpline.moebius_to_inf_zero_one
 
-    def counted(src, dst):
-        built.append(dst)
-        return real(src, dst)
+    def counted(*triple):
+        built.append(triple)
+        return real(*triple)
 
-    monkeypatch.setattr(wpline, "moebius_between_triples", counted)
+    monkeypatch.setattr(wpline, "moebius_to_inf_zero_one", counted)
     rng = random.Random(3)
     configs = oracle_configurations()
     for c, other in zip(configs, configs[1:] + configs[:1]):
         built.clear()
         G = aut_group(c)
-        assert len(built) == len(G)
+        assert len(built) == 1 + len(G)
         built.clear()
         assert pgl2_match(c, image(c, random_moebius(c.field, rng))) is not None
-        assert len(built) == 1
+        assert len(built) == 2
         if other.field == c.field:
             built.clear()
             found = pgl2_match(c, other)
-            assert len(built) == (found is not None)
+            assert len(built) == 1 + (found is not None)
+
+
+def test_isomorphic_builds_only_the_second_pencils_table():
+    for field, nf1, nf2 in ((QQ, (2, 3), (3, 2)), (QQ, (2, 3), (2, 5)),
+                            (GF(11), (2, 3), (3, 2)), (GF(11), (2, 3), (2, 5))):
+        P1, P2 = reconstruct(nf1, field), reconstruct(nf2, field)
+        isomorphic(P1, P2)  # the common field is the base field: all points are rational
+        assert point_configuration(P1, field)._table is None
+        assert point_configuration(P2, field)._table is not None
