@@ -12,10 +12,10 @@ from math import factorial, lcm
 import numpy as np
 
 from . import _accel
-from .fields import (GF, QQ, FFElem, FieldMismatchError, Poly, UnsupportedFieldError,
-                     embed, embed_poly, factor, field_from_descriptor, is_square,
-                     poly_gcd, rational_roots, scalar_from_json, scalar_key,
-                     scalar_to_json, split_root, squarefree)
+from .fields import (GF, QQ, DegenerateInputError, FFElem, FieldMismatchError, Poly,
+                     UnsupportedFieldError, embed, embed_poly, factor,
+                     field_from_descriptor, is_square, poly_gcd, rational_roots,
+                     scalar_from_json, scalar_to_json, split_root)
 from .hyperoct import CycleSignature
 from .linalg import congruence, det, kernel_vector, rank
 from .wpline import Moebius, PointConfiguration, ProjPoint, pgl2_match
@@ -120,9 +120,6 @@ class NormalForm:
     def pair(self):
         return (self.lam, self.mu)
 
-    def sort_key(self):
-        return (scalar_key(self.lam), scalar_key(self.mu))
-
     def to_json(self):
         return [scalar_to_json(self.lam), scalar_to_json(self.mu)]
 
@@ -210,15 +207,18 @@ def _interpolate(values):
 
 
 def is_smooth(P: QuadricPencil) -> bool:
-    """Squarefreeness of the binary quintic: its affine chart g(z) = F(1, z)
-    is squarefree, and infinity, a root of multiplicity 5 - deg g, is at
-    most simple."""
-    cached = P._cache.get("smooth")
-    if cached is None:
+    """Squarefreeness of the binary quintic: infinity, a root of multiplicity
+    5 - deg g of its affine chart g(z) = F(1, z), is at most simple, and the
+    base-field root finder accepts g (it refuses g with gcd(g, g') != 1).  Its
+    roots, or None, are kept for degenerate_orbits: one gcd per pencil."""
+    if "roots" not in P._cache:
         g = Poly(P.field, discriminant_quintic(P))
-        cached = not g.is_zero() and g.degree >= 4 and squarefree(g)
-        P._cache["smooth"] = cached
-    return cached
+        find = rational_roots if P.field.is_rational else factor
+        try:
+            P._cache["roots"] = find(g) if g.degree >= 4 else None
+        except DegenerateInputError:
+            P._cache["roots"] = None
+    return P._cache["roots"] is not None
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +230,8 @@ def degenerate_orbits(P: QuadricPencil):
     points as monic irreducibles over the base field, in `factor` order (over
     Q the linear factors z - r, in root order).
 
-    The quintic is factored here, once per pencil, and nowhere else; every
-    other degenerate-point computation reads this record.
+    The quintic is factored once per pencil, by is_smooth; every other
+    degenerate-point computation reads this record.
     """
     cached = P._cache.get("orbits")
     if cached is not None:
@@ -239,8 +239,8 @@ def degenerate_orbits(P: QuadricPencil):
     g = Poly(P.field, discriminant_quintic(P))
     if not is_smooth(P):
         raise NotSmoothError(_repeated_point(g))
+    roots = P._cache["roots"]
     if P.field.is_rational:
-        roots = rational_roots(g)
         if len(roots) != g.degree:
             raise UnsupportedSplittingError(
                 f"quintic does not split over Q: it has {len(roots)} rational "
@@ -249,7 +249,7 @@ def degenerate_orbits(P: QuadricPencil):
                 "over a finite field")
         orbits = tuple(Poly(QQ, [-r, Fraction(1)]) for r in roots)
     else:
-        orbits = tuple(factor(g))
+        orbits = tuple(roots)
     out = (g.degree < 5, orbits)
     P._cache["orbits"] = out
     return out
@@ -377,16 +377,16 @@ def normal_form(P: QuadricPencil, ordering=(0, 1, 2, 3, 4)) -> NormalForm:
     the cross-ratio table's entry at that ordering."""
     if sorted(ordering) != [0, 1, 2, 3, 4]:
         raise ValueError("ordering must be a permutation of 0..4")
-    return NormalForm(*dict(point_configuration(P).cross_ratios())[tuple(ordering)])
+    values, table = point_configuration(P).cross_ratios()
+    return NormalForm(*(values[i] for i in dict(table)[tuple(ordering)]))
 
 
 def canonical_invariant(P: QuadricPencil):
     """The sorted orbit of (lambda, mu) over all 120 orderings (the values
     of the cross-ratio table); a complete isomorphism invariant of the
-    underlying five-point configuration."""
-    pairs = {values for _, values in point_configuration(P).cross_ratios()}
-    return tuple(sorted((NormalForm(lam, mu) for lam, mu in pairs),
-                        key=NormalForm.sort_key))
+    underlying five-point configuration (indices follow `scalar_key`)."""
+    values, table = point_configuration(P).cross_ratios()
+    return tuple(NormalForm(values[a], values[b]) for a, b in sorted({ab for _, ab in table}))
 
 
 @dataclass(frozen=True)

@@ -137,6 +137,18 @@ def moebius_to_inf_zero_one(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint) -> Moeb
     return Moebius(field, a0 * t, b0 * t, c, d)
 
 
+def _klein_class(i, j, k, m):
+    """The least tuple of the Klein four-group orbit of (i, j, k, m): one cross-ratio."""
+    return min((i, j, k, m), (j, i, m, k), (k, m, i, j), (m, k, j, i))
+
+
+# the 30 classes, and (ordering, class of lam, class of mu) per ordering
+_CR_CLASSES = tuple(sorted({_klein_class(*t) for t in itertools.permutations(range(5), 4)}))
+_CR_LAYOUT = tuple((o, _CR_CLASSES.index(_klein_class(*o[:4])),
+                    _CR_CLASSES.index(_klein_class(*o[:3], o[4])))
+                   for o in itertools.permutations(range(5)))
+
+
 class PointConfiguration:
     """Five distinct points of P^1 over a common field, kept in canonical order."""
 
@@ -153,14 +165,14 @@ class PointConfiguration:
         self._table = None
 
     def cross_ratios(self):
-        """The cross-ratio table, built on first use and kept on the object.
-
-        One entry (ordering, (lam, mu)) per ordering of the point indices, in
-        `itertools.permutations` order: lam, mu are the images of points
+        """(values, table), built on first use and kept on the object: one
+        entry (ordering, (a, b)) per ordering, in `itertools.permutations`
+        order, where lam, mu = values[a], values[b] are the images of points
         ordering[3], ordering[4] under the Moebius map sending the first three
         to infinity, 0, 1.  With D(a, b) = u_a v_b - u_b v_a, the image of m
-        under the map for (i, j, k) is D(k, i) D(m, j) / (D(k, j) D(m, i)).
-        """
+        under the map for (i, j, k) is D(k, i) D(m, j) / (D(k, j) D(m, i)),
+        constant on the classes of _CR_CLASSES; `values` holds their distinct
+        values sorted by `scalar_key`."""
         if self._table is not None:
             return self._table
         pts = self.points
@@ -169,16 +181,14 @@ class PointConfiguration:
             d = pts[a].u * pts[b].v - pts[b].u * pts[a].v
             e = 1 / d
             D[a, b], D[b, a], inv[a, b], inv[b, a] = d, -d, e, -e
-        # r(x; i, j) = D(x, i) / D(x, j); the image is r(k; i, j) r(m; j, i)
-        r = {(x, i, j): D[x, i] * inv[x, j]
-             for i, j in itertools.permutations(range(5), 2)
-             for x in range(5) if x != i and x != j}
-        table = []
-        for i, j, k in itertools.permutations(range(5), 3):
-            m, n = (x for x in range(5) if x not in (i, j, k))
-            lam, mu = r[k, i, j] * r[m, j, i], r[k, i, j] * r[n, j, i]
-            table += [((i, j, k, m, n), (lam, mu)), ((i, j, k, n, m), (mu, lam))]
-        self._table = tuple(table)
+        cr = [D[k, i] * D[m, j] * inv[k, j] * inv[m, i] for i, j, k, m in _CR_CLASSES]
+        values, ranks = [], [0] * len(cr)
+        for c in sorted(range(len(cr)), key=lambda c: scalar_key(cr[c])):
+            if not values or cr[c] != values[-1]:
+                values.append(cr[c])
+            ranks[c] = len(values) - 1
+        self._table = tuple(values), tuple((ordering, (ranks[a], ranks[b]))
+                                           for ordering, a, b in _CR_LAYOUT)
         return self._table
 
     def to_json(self):
@@ -207,9 +217,13 @@ def _matches(c1: PointConfiguration, c2: PointConfiguration):
     of its points 3, 4 under its map to infinity, 0, 1, so c1's table is never
     built, and each m is built only when it is asked for."""
     src = moebius_to_inf_zero_one(*c1.points[:3])
-    ref = tuple(src(p).u for p in c1.points[3:])
-    for ordering, values in c2.cross_ratios():
-        if values == ref:
+    values, table = c2.cross_ratios()
+    rank = {v: n for n, v in enumerate(values)}
+    ref = tuple(rank.get(src(p).u) for p in c1.points[3:])
+    if None in ref:
+        return
+    for ordering, ab in table:
+        if ab == ref:
             dst = moebius_to_inf_zero_one(*(c2.points[x] for x in ordering[:3]))
             yield dst.inverse().compose(src), ordering
 

@@ -55,6 +55,29 @@ def test_analyze_eq_pencil(capsys, p23):
     assert report["ranks"]["picard"] == 6
 
 
+def test_analyze_takes_the_gcd_of_the_quintic_once(capsys, tmp_path, monkeypatch):
+    # is_smooth reads the base-field root finder's verdict, so gcd(g, g') is
+    # taken once; a singular pencil still exits 3 naming its repeated point
+    calls = []
+    real = fields.squarefree
+    monkeypatch.setattr(fields, "squarefree", lambda f: calls.append(f) or real(f))
+    rng = random.Random(11)
+    singular = QuadricPencil(GF(7), *([[d[i] if i == j else 0 for j in range(5)]
+                                       for i in range(5)]
+                                      for d in ((1, 0, 1, 1, 3), (0, 1, 1, 1, 1))))
+    path = tmp_path / "p.json"
+    for P in (reconstruct((2, 3), QQ), random_smooth_pencil(GF(7), rng),
+              random_smooth_pencil(GF(3, 2), rng), singular):
+        path.write_text(json.dumps(P.to_json()))
+        calls.clear()
+        code, out, err = run_cli(capsys, "analyze", str(path))
+        assert len(calls) == 1
+        if P is singular:
+            assert code == 3 and "repeated degenerate point z = 1" in err
+        else:
+            assert code == 0 and json.loads(out)["smooth"] is True
+
+
 def test_analyze_byte_stable(capsys, p23):
     _, out1, _ = run_cli(capsys, "analyze", p23)
     _, out2, _ = run_cli(capsys, "analyze", p23)
@@ -699,7 +722,9 @@ def test_kgroups_gram_at_the_guard_succeeds(capsys):
 
 
 def test_analysis_report_finds_the_degenerate_points_once(monkeypatch):
-    P7 = random_smooth_pencil(GF(7), random.Random(12))
+    sampled = random_smooth_pencil(GF(7), random.Random(12))
+    # a fresh copy: the sampler's is_smooth has already factored its quintic
+    P7 = QuadricPencil(sampled.field, sampled.A, sampled.B)
     g = Poly(P7.field, discriminant_quintic(P7))
     assert g.degree == 5 and [f.degree for f in factor(g)] == [2, 3]
     calls = {"factor": 0, "rational_roots": 0}

@@ -400,7 +400,8 @@ def test_normal_form_is_the_moebius_value():
 def invariant_over(P, field):
     """The canonical invariant over field: the sorted values of that
     configuration's cross-ratio table."""
-    return sorted({values for _, values in point_configuration(P, field).cross_ratios()},
+    values, table = point_configuration(P, field).cross_ratios()
+    return sorted({(values[a], values[b]) for _, (a, b) in table},
                   key=lambda lm: (scalar_key(lm[0]), scalar_key(lm[1])))
 
 

@@ -209,13 +209,17 @@ def reference_match(c1, c2):
     return None
 
 
+def reference_pair(c, ordering):
+    """(lambda, mu) at an ordering, through the explicit map sending the
+    ordering's first three points to infinity, 0, 1."""
+    pts = [c.points[i] for i in ordering]
+    m = moebius_to_inf_zero_one(*pts[:3])
+    return m(pts[3]).u, m(pts[4]).u  # affine: v = 1
+
+
 def reference_invariant(c):
-    """The sorted (lambda, mu) pairs of the 120 orderings, each through the
-    explicit map sending the first three points to infinity, 0, 1."""
-    pairs = set()
-    for ordering in itertools.permutations(c.points):
-        m = moebius_to_inf_zero_one(*ordering[:3])
-        pairs.add((m(ordering[3]).u, m(ordering[4]).u))  # affine: v = 1
+    """The sorted (lambda, mu) pairs of the 120 orderings."""
+    pairs = {reference_pair(c, o) for o in itertools.permutations(range(5))}
     return sorted(pairs, key=lambda lm: (scalar_key(lm[0]), scalar_key(lm[1])))
 
 
@@ -254,9 +258,10 @@ def random_moebius(field, rng):
 def oracle_configurations():
     rng = random.Random(2024)
     out = []
-    for field in (QQ, GF(7), GF(3, 2), GF(5, 2)):
+    for field in (QQ, GF(7), GF(3, 2), GF(5, 2), GF(3, 3), GF(7, 2)):
         for infinity in (True, False):
             out += [random_configuration(field, rng, infinity) for _ in range(3)]
+    out.append(config(QQ, (-1, 0, 1, 5)))          # harmonic quadruple, |Aut| = 1
     out.append(config(GF(5), range(5), infinity=False))              # |Aut| = 20
     out.append(config(GF(11), (1, 3, 4, 5, 9), infinity=False))      # fifth roots of 1
     out.append(config(QQ, (0, 1, 2, 3)))                             # |Aut| = 2
@@ -285,6 +290,22 @@ def test_cross_ratio_table_agrees_with_the_60_map_enumeration():
     assert negatives >= 10
 
 
+def test_cross_ratio_values_are_ranked_and_index_the_explicit_maps():
+    configs = oracle_configurations()
+    for c in configs:
+        values, table = c.cross_ratios()
+        keys = [scalar_key(v) for v in values]
+        assert len(values) <= 30 and all(x < y for x, y in zip(keys, keys[1:]))
+        assert [o for o, _ in table] == list(itertools.permutations(range(5)))
+        assert {i for _, ab in table for i in ab} == set(range(len(values)))
+        for ordering, (a, b) in table:
+            assert (values[a], values[b]) == reference_pair(c, ordering)
+    # (-1, 0, 1, 5) with infinity: CR(oo, 0, 1, -1) = CR(oo, 0, -1, 1) = -1
+    # in two Klein classes, with no automorphism to account for it
+    harmonic = configs[-4]
+    assert len(aut_group(harmonic)) == 1 and len(harmonic.cross_ratios()[0]) < 30
+
+
 def test_aut_group_and_match_build_only_the_maps_they_return(monkeypatch):
     # one map to infinity, 0, 1 for c's first three points, one per map returned
     built = []
@@ -308,6 +329,11 @@ def test_aut_group_and_match_build_only_the_maps_they_return(monkeypatch):
             built.clear()
             found = pgl2_match(c, other)
             assert len(built) == 1 + (found is not None)
+    # c1's identity value 3 is not among c2's values: only src is built
+    c1, c2 = config(QQ, (0, 1, 2, 3)), config(QQ, (0, 1, 2, 5))
+    assert Fraction(3) not in c2.cross_ratios()[0]
+    built.clear()
+    assert pgl2_match(c1, c2) is None and len(built) == 1
 
 
 def test_isomorphic_builds_only_the_second_pencils_table():
