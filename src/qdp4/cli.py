@@ -20,7 +20,7 @@ from .fields import (QQ, FieldMismatchError, UnsupportedFieldError, _exact_int,
 from .groupoids import (FiniteGroupoid, GroupoidFunctor, build_psi, check_functor,
                         check_groupoid, find_splitting, injective_on_iso_classes,
                         standard_choice, verify_heavy_separability)
-from .hyperoct import CycleSignature, fiber_product
+from .hyperoct import CycleSignature, fiber_product_order
 from .pencil import (NotSmoothError, QuadricPencil, ResourceLimitError,
                      canonical_invariant, count_points, degenerate_orbits,
                      discriminant_quintic, galois_signature, is_smooth,
@@ -124,9 +124,9 @@ def analysis_report(P: QuadricPencil) -> dict:
 
 def _aut_orders(full, base) -> dict:
     """The orders of Aut(P^1, points) over the base field and over its
-    closure, and of the surface's automorphisms, 16 per base element."""
+    closure, and of the surface's automorphisms over the base field."""
     return {"aut_p_order": len(base), "aut_p_geometric_order": len(full),
-            "aut_x_order": 16 * len(base)}
+            "aut_x_order": fiber_product_order(base)}
 
 
 def _ranks(sig: CycleSignature) -> dict:
@@ -183,7 +183,7 @@ def cmd_aut(args) -> int:
     elements = [{"moebius": m.to_json(), "permutation": [i + 1 for i in perm],
                  "base_rational": (m, perm) in base} for m, perm in full]
     _emit({**_aut_orders(full, base),
-           "fiber_product_order": len(fiber_product(full)),
+           "fiber_product_order": fiber_product_order(full),
            "elements": elements})
     return EXIT_OK
 

@@ -8,6 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .pencil import ResourceLimitError
+
 
 MAX_SPLITTING_GROUP_ORDER = 256  # find_splitting's brute-force bound on |Aut_D|
 
@@ -341,7 +343,8 @@ def find_splitting(phi: GroupoidFunctor, x0):
     aut_d = D.aut(phi.ob(x0))
     aut_c = C.aut(x0)
     if len(aut_d) > MAX_SPLITTING_GROUP_ORDER:
-        raise InvalidGroupError("automorphism group exceeds the search bound")
+        raise ResourceLimitError(f"|Aut_D| = {len(aut_d)} exceeds the splitting search "
+                                 f"bound {MAX_SPLITTING_GROUP_ORDER}")
     forced = {phi.mor(g): g for g in aut_c}
     if len(forced) != len(aut_c):
         return None  # phi not injective on Aut, no left inverse can exist

@@ -1,5 +1,6 @@
 """Signed permutations on 5 pairs: the hyperoctahedral group, its even subgroup,
-the central splitting, cycle signatures, and the automorphism fiber product."""
+the central splitting, cycle signatures, and the order of the automorphism
+fiber product."""
 
 from __future__ import annotations
 
@@ -10,11 +11,6 @@ from functools import lru_cache
 import numpy as np
 
 from .fields import _exact_int
-from .wpline import Moebius
-
-
-class FiberMismatchError(ValueError):
-    """Signed permutation and Moebius part induce different permutations."""
 
 
 class InvalidGroupInputError(ValueError):
@@ -57,13 +53,6 @@ class SignedPerm:
     def is_even(self) -> bool:
         """Parity of the induced permutation of the 10-element doubled set."""
         return self.signs.count(-1) % 2 == 0
-
-    def to_json(self):
-        return {"perm": [i + 1 for i in self.perm], "signs": list(self.signs)}
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(tuple(i - 1 for i in obj["perm"]), tuple(obj["signs"]))
 
 
 def _inverse(perm) -> tuple:
@@ -159,28 +148,11 @@ class CycleSignature:
         return cls(tuple((_exact_int(a), _exact_int(b)) for a, b in obj))
 
 
-@dataclass(frozen=True)
-class FiberElement:
-    """An automorphism datum: even signed permutation over the same S5 image as
-    a Moebius stabilizer element."""
-
-    signed: SignedPerm
-    moebius: Moebius
-    perm: tuple  # common S5 image
-
-    def __post_init__(self):
-        if self.signed.perm != tuple(self.perm):
-            raise FiberMismatchError("signed part does not lie over the S5 image")
-        if not self.signed.is_even():
-            raise FiberMismatchError("fiber elements carry even signed permutations")
-
-
-def fiber_product(aut_p):
-    """All pairs (even signed perm over rho, moebius with image rho).
-
-    aut_p is a list of (Moebius, S5 image) pairs as produced by
-    wpline.aut_group; the result has exactly 16 * len(aut_p) elements.
-    """
+def fiber_product_order(aut_p) -> int:
+    """|Aut(X)| = 16 |Aut(P)|: the fiber product pairs each (Moebius, S5
+    image) element of aut_p, as produced by wpline.aut_group, with the 16 even
+    signed permutations over its image.  aut_p must be a group: its S5 images
+    contain the identity, are distinct and are closed under composition."""
     perms = [tuple(perm) for _, perm in aut_p]
     if tuple(range(5)) not in perms:
         raise InvalidGroupInputError("aut_p is not a group: identity missing")
@@ -192,23 +164,7 @@ def fiber_product(aut_p):
             if tuple(p1[p2[i]] for i in range(5)) not in perm_set:
                 raise InvalidGroupInputError(
                     "aut_p is not a group: S5 images not closed under composition")
-    evens = [a.signs for a in even_signed_perms()[:16]]  # those over the identity
-    return [FiberElement(SignedPerm(tuple(perm), signs), moebius, tuple(perm))
-            for moebius, perm in aut_p for signs in evens]
-
-
-def retract_fiber(signed: SignedPerm, moebius: Moebius, perm) -> FiberElement:
-    """Even-part projection on the signed coordinate, same Moebius part."""
-    if signed.perm != tuple(perm):
-        raise FiberMismatchError("incompatible pair: underlying permutations differ")
-    return FiberElement(retract(signed), moebius, tuple(perm))
-
-
-def aut0_matrices():
-    """The 16 diagonal +-1 matrices modulo global sign (first entry +1)."""
-    diags = [a.signs for a in all_signed_perms()[:32] if a.signs[0] == 1]
-    return [tuple(tuple(d[i] if i == j else 0 for j in range(5)) for i in range(5))
-            for d in diags]
+    return 16 * len(perms)
 
 
 # --- integer encodings for the exhaustive suites ----------------------------

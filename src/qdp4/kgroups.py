@@ -94,21 +94,9 @@ def atom_functional(v: K0ClassX) -> Fraction:
     return euler_x(STRUCTURE_SHEAF, v)
 
 
-def atom_basis():
-    """Integral basis (columns, as 8-vectors) of {v : chi([O], v) = 0}; rank 7.
-
-    b0 = (1, 0, -2) and b_i = (0, e_i, K.e_i): coordinates of (r, D, s2) in
-    this basis are simply (r, D), with s2 = K.D - 2r forced.
-    """
-    cols = [(1, 0, 0, 0, 0, 0, 0, -2)]
-    for i in range(6):
-        e = tuple(1 if j == i else 0 for j in range(6))
-        cols.append((0,) + e + (intersect(e, K_CLASS),))
-    return cols
-
-
 def atom_coords(v: K0ClassX):
-    """Coordinates in the atom_basis; raises if v is not in the sublattice."""
+    """Coordinates (r, D) in the sublattice's basis b0 = (1, 0, -2), b_i =
+    (0, e_i, K.e_i); raises if v is not in the sublattice."""
     if atom_functional(v) != 0:
         raise ValueError("class does not pair to zero against [O]")
     return (v.r,) + tuple(v.c1)
@@ -121,7 +109,7 @@ def atom_class(coords) -> K0ClassX:
 
 
 def atom_gram():
-    """7x7 Euler Gram of the sublattice in atom_basis coordinates."""
+    """7x7 Euler Gram of the sublattice in atom basis coordinates."""
     basis = [atom_class(tuple(1 if i == j else 0 for j in range(7)))
              for i in range(7)]
     return [[euler_x(a, b) for b in basis] for a in basis]

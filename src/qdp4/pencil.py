@@ -7,7 +7,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
 import numpy as np
 
@@ -371,16 +371,6 @@ def simultaneous_diagonalize(P: QuadricPencil):
 # Normal forms and the canonical invariant
 # ---------------------------------------------------------------------------
 
-def normal_form(P: QuadricPencil, ordering=(0, 1, 2, 3, 4)) -> NormalForm:
-    """Images of points 4, 5 under the Moebius map sending points 1, 2, 3 to
-    infinity, 0, 1 (points indexed by `ordering` into the sorted point list):
-    the cross-ratio table's entry at that ordering."""
-    if sorted(ordering) != [0, 1, 2, 3, 4]:
-        raise ValueError("ordering must be a permutation of 0..4")
-    values, table = point_configuration(P).cross_ratios()
-    return NormalForm(*(values[i] for i in dict(table)[tuple(ordering)]))
-
-
 def canonical_invariant(P: QuadricPencil):
     """The sorted orbit of (lambda, mu) over all 120 orderings (the values
     of the cross-ratio table); a complete isomorphism invariant of the
@@ -392,7 +382,7 @@ def canonical_invariant(P: QuadricPencil):
 @dataclass(frozen=True)
 class IsoCertificate:
     moebius: Moebius
-    base_rational: bool  # entries lie in the common base field
+    base_rational: bool  # entries lie in F_{p^gcd(k1, k2)}, the common base field
 
 
 def isomorphic(P1: QuadricPencil, P2: QuadricPencil):
@@ -410,7 +400,7 @@ def isomorphic(P1: QuadricPencil, P2: QuadricPencil):
     m = pgl2_match(point_configuration(P1, common), point_configuration(P2, common))
     if m is None:
         return None
-    return IsoCertificate(m, common.is_rational or m.entries_in_subfield(min(f1.k, f2.k)))
+    return IsoCertificate(m, common.is_rational or m.entries_in_subfield(gcd(f1.k, f2.k)))
 
 
 def reconstruct(nf, field) -> QuadricPencil:

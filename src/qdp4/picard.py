@@ -38,10 +38,6 @@ def intersect(a, b) -> int:
     return sum(f * x * y for f, x, y in zip(_FORM, a, b))
 
 
-def canonical_class():
-    return K_CLASS
-
-
 @lru_cache(maxsize=None)
 def zero_classes():
     """The ten classes h with h^2 = 0 and h.K = -2, in lexicographic order."""
@@ -175,11 +171,6 @@ def to_signed_perms(ws: np.ndarray):
     perms = hit.argmax(axis=2)
     signs = np.where(plus.any(axis=1), 1, -1)  # the sign of the image landing on each target
     return [SignedPerm(tuple(p), tuple(s)) for p, s in zip(perms.tolist(), signs.tolist())]
-
-
-def to_signed_perm(w: np.ndarray) -> SignedPerm:
-    """The signed permutation of (hbar_1..hbar_5) induced by a Weyl element."""
-    return to_signed_perms(np.asarray(w)[None])[0]
 
 
 def is_minimal(sig: CycleSignature) -> bool:

@@ -30,10 +30,6 @@ def random_invertible(field, rng: random.Random, n: int = 5):
             return M
 
 
-def random_gl2(field, rng: random.Random):
-    return random_invertible(field, rng, n=2)
-
-
 def random_smooth_pencil(field, rng: random.Random) -> QuadricPencil:
     """Rejection sampling of smooth pencils over a finite field (400 tries)."""
     for _ in range(400):
@@ -68,7 +64,7 @@ def random_split_pencil(p: int, rng: random.Random) -> QuadricPencil:
     M = random_invertible(field, rng)
     A = congruence(M, A)
     B = congruence(M, B)
-    (a, b), (c, d) = random_gl2(field, rng)
+    (a, b), (c, d) = random_invertible(field, rng, 2)
     A, B = ([[a * A[i][j] + b * B[i][j] for j in range(5)] for i in range(5)],
             [[c * A[i][j] + d * B[i][j] for j in range(5)] for i in range(5)])
     P = QuadricPencil(field, A, B)

@@ -52,11 +52,6 @@ class ProjPoint:
     def __repr__(self):
         return "oo" if self.is_infinity() else f"({self.u!r})"
 
-    def to_json(self):
-        if self.is_infinity():
-            return [1, 0]
-        return [scalar_to_json(self.u), scalar_to_json(self.v)]
-
     @classmethod
     def from_json(cls, field, obj):
         if not (isinstance(obj, list) and len(obj) == 2):
@@ -190,9 +185,6 @@ class PointConfiguration:
         self._table = tuple(values), tuple((ordering, (ranks[a], ranks[b]))
                                            for ordering, a, b in _CR_LAYOUT)
         return self._table
-
-    def to_json(self):
-        return [p.to_json() for p in self.points]
 
     @classmethod
     def from_json(cls, field, obj):

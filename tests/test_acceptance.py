@@ -7,17 +7,19 @@ exact, no tolerances.
 import random
 from fractions import Fraction
 
+import numpy as np
+
 from qdp4 import _accel, kgroups, picard
 from qdp4.fields import GF, QQ
 from qdp4.groupoids import (build_psi, independence_check, standard_choice,
                             verify_heavy_separability)
 from qdp4.hyperoct import (CycleSignature, all_signed_perms, even_signed_perms,
-                           fiber_product, index_tables, retract)
+                           fiber_product_order, index_tables, retract)
 from qdp4.linalg import congruence, mat_vec
 from qdp4.pencil import (canonical_invariant, count_points,
                          degenerate_parameter_points, galois_signature,
                          isomorphic, predicted_count, reconstruct)
-from qdp4.sampling import (random_gl2, random_invertible, random_smooth_pencil,
+from qdp4.sampling import (random_invertible, random_smooth_pencil,
                            random_split_functor, random_split_pencil)
 from qdp4.wpline import PointConfiguration, ProjPoint, aut_group
 from test_groupoids import verify_naturality
@@ -32,7 +34,7 @@ def ok(criterion, detail):
 def test_criterion_01_weyl_closure():
     W = picard.weyl_group()
     assert len(W) == 1920
-    images = [picard.to_signed_perm(w) for w in W]
+    images = picard.to_signed_perms(np.stack(W))
     assert len(set(images)) == 1920           # injective
     assert set(images) == set(even_signed_perms())  # onto the even subgroup
     ok(1, "40 reflections generate order 1920, bijective onto even signed perms")
@@ -108,7 +110,7 @@ def test_criterion_06_invariance():
         M = random_invertible(field, rng)
         from qdp4.pencil import QuadricPencil
         P_cong = QuadricPencil(field, congruence(M, P.A), congruence(M, P.B))
-        (a, b), (c, d) = random_gl2(field, rng)
+        (a, b), (c, d) = random_invertible(field, rng, 2)
         A2 = [[a * P_cong.A[i][j] + b * P_cong.B[i][j] for j in range(5)]
               for i in range(5)]
         B2 = [[c * P_cong.A[i][j] + d * P_cong.B[i][j] for j in range(5)]
@@ -215,8 +217,9 @@ def test_criterion_11_fiber_product_order_law():
     orders = []
     for config in configs:
         ap = aut_group(config)
-        fp = fiber_product(ap)
-        assert len(fp) == 16 * len(ap)
+        images = {perm for _, perm in ap}
+        pairs = sum(a.perm in images for a in even_signed_perms())  # the fiber product's size
+        assert fiber_product_order(ap) == pairs == 16 * len(ap)
         orders.append(len(ap))
     assert orders[0] == 2 and orders[1] == 1 and orders[2] == 1
     ok(11, f"|Aut(X)| = 16 |Aut(P)| on {len(configs)} configurations "

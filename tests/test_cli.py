@@ -774,6 +774,29 @@ def test_iso_exit_codes(capsys, p23, p25):
     assert json.loads(out)["isomorphic"] is False
 
 
+def test_iso_judges_base_rational_over_the_common_base_field(capsys, tmp_path):
+    # F_9 points oo, 0, t, -t, 1 - t (t^2 = -1) and F_27 points oo, 0, 1 and the
+    # roots of z^2 + 1: z -> z + t carries one set onto the other, and t lies in
+    # F_9 but not in F_3 = F_9 ∩ F_27, so no certificate is base-rational
+    F9, F27 = GF(3, 2), GF(3, 3)
+    t = F9.gen()
+    assert t * t == -1
+    diag = [[F9.zero] * 5 for _ in range(5)], [[F9.zero] * 5 for _ in range(5)]
+    for i, (a, b) in enumerate(((1, 0), (0, 1), (t, 1), (-t, 1), (1 - t, 1))):
+        diag[0][i][i], diag[1][i][i] = F9(a), F9(b)
+    A = [[1, 0, 0, 0, 0], [0, 0, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 1], [0, 0, 0, 1, -1]]
+    B = [[0, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]]
+    paths = [tmp_path / "f9.json", tmp_path / "f27.json"]
+    paths[0].write_text(json.dumps(QuadricPencil(F9, *diag).to_json()))
+    paths[1].write_text(json.dumps(QuadricPencil(F27, A, B).to_json()))
+    code, out, _ = run_cli(capsys, "iso", *map(str, paths))
+    assert code == 0
+    assert json.loads(out)["certificate"]["base_rational"] is False
+    for path in paths:
+        code, out, _ = run_cli(capsys, "iso", str(path), str(path))
+        assert code == 0 and json.loads(out)["certificate"]["base_rational"] is True
+
+
 def test_one_parser_serves_every_call_of_a_process(capsys, tmp_path, p23, p25):
     # analyze, a malformed file (exit 2) and iso through main() in one
     # process give the exit codes and stdout bytes of fresh processes
@@ -1120,6 +1143,24 @@ def test_groupoid_verify_command(capsys, tmp_path):
     assert code == 1
     payload = json.loads(out)
     assert payload["splitting_found"] is False
+
+
+@pytest.mark.parametrize("order,code", [(256, 0), (257, 1)])
+def test_groupoid_verify_past_the_splitting_search_bound_exits_1(capsys, tmp_path, order,
+                                                                 code):
+    # C_1 -> C_n: a valid functor; past |Aut_D| = 256 the search is refused
+    paths = [tmp_path / "groupoid.json", tmp_path / "functor.json"]
+    paths[0].write_text(json.dumps(_cyclic_groupoid("C", ["X"], 1)))
+    paths[1].write_text(json.dumps({
+        "target": _cyclic_groupoid("D", ["Y"], order), "objects": {"X": "Y"},
+        "morphisms": {"C:X>X:0": "D:Y>Y:0"}}))
+    got, out, err = run_cli(capsys, "groupoid", "verify", str(paths[0]),
+                            "--functor", str(paths[1]))
+    assert got == code
+    if code == 0:
+        assert json.loads(out)["heavily_separable"] is True
+    else:
+        assert out == "" and "257" in err and "256" in err
 
 
 @pytest.mark.parametrize("target,image,split", [

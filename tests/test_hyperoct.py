@@ -6,10 +6,9 @@ import pytest
 
 from qdp4 import _accel
 from qdp4.fields import QQ
-from qdp4.hyperoct import (CycleSignature, FiberMismatchError,
-                           SignedPerm, all_signed_perms, aut0_matrices,
-                           even_signed_perms, fiber_product, index_tables,
-                           retract, retract_fiber)
+from qdp4.hyperoct import (CycleSignature, InvalidGroupInputError, SignedPerm,
+                           all_signed_perms, even_signed_perms, fiber_product_order,
+                           index_tables, retract)
 from qdp4.wpline import Moebius
 
 E = SignedPerm.identity()
@@ -227,90 +226,41 @@ def test_retract_violation_count_matches_the_all_pairs_oracle():
     assert bad == all_pairs_retract_violations(perms, mask_apply, faulty) == 2557440
 
 
+def fiber_pairs(aut_p):
+    """The fiber product built pair by pair: each element of aut_p with every
+    even signed permutation over its S5 image."""
+    return [(a, m) for m, perm in aut_p for a in even_signed_perms() if a.perm == perm]
+
+
 def test_fiber_product_sizes():
     mid = Moebius.identity(QQ)
-    trivial = fiber_product([(mid, tuple(range(5)))])
-    assert len(trivial) == 16
-    assert all(f.signed.is_even() and f.signed.perm == tuple(range(5))
-               for f in trivial)
+    trivial = [(mid, tuple(range(5)))]
+    assert fiber_product_order(trivial) == len(fiber_pairs(trivial)) == 16
     swap = Moebius(QQ, QQ(-1), QQ(3), QQ(0), QQ(1))
-    order2 = fiber_product([(mid, (0, 1, 2, 3, 4)), (swap, (0, 4, 3, 2, 1))])
-    assert len(order2) == 32
+    order2 = [(mid, (0, 1, 2, 3, 4)), (swap, (0, 4, 3, 2, 1))]
+    assert fiber_product_order(order2) == len(fiber_pairs(order2)) == 32
 
 
 def test_fiber_product_closed_under_composition():
     mid = Moebius.identity(QQ)
     swap = Moebius(QQ, QQ(-1), QQ(3), QQ(0), QQ(1))
-    fp = fiber_product([(mid, (0, 1, 2, 3, 4)), (swap, (0, 4, 3, 2, 1))])
-    keys = {(f.signed, f.moebius) for f in fp}
-    for f in fp:
-        for g in fp:
-            prod = (f.signed.compose(g.signed), f.moebius.compose(g.moebius))
-            assert prod in keys
+    aut = [(mid, (0, 1, 2, 3, 4)), (swap, (0, 4, 3, 2, 1))]
+    fp = fiber_pairs(aut)
+    keys = set(fp)
+    assert len(keys) == fiber_product_order(aut)
+    for a, m in fp:
+        for b, n in fp:
+            assert (a.compose(b), m.compose(n)) in keys
 
 
 def test_fiber_product_requires_identity():
     swap = Moebius(QQ, QQ(-1), QQ(3), QQ(0), QQ(1))
     with pytest.raises(ValueError):
-        fiber_product([(swap, (0, 4, 3, 2, 1))])
-
-
-def test_retract_fiber():
-    mid = Moebius.identity(QQ)
-    out = retract_fiber(C, mid, tuple(range(5)))
-    assert out.signed == E and out.moebius == mid
-    even = SignedPerm((1, 0, 2, 3, 4), (-1, -1, 1, 1, 1))
-    swap01 = Moebius(QQ, QQ(-1), QQ(1), QQ(0), QQ(1))  # z -> 1 - z, any image
-    kept = retract_fiber(even, swap01, (1, 0, 2, 3, 4))
-    assert kept.signed == even
-    with pytest.raises(FiberMismatchError):
-        retract_fiber(even, mid, tuple(range(5)))
-
-
-def test_retract_fiber_homomorphism_on_random_compatible_pairs():
-    rng = random.Random(6)
-    mid = Moebius.identity(QQ)
-    B5 = all_signed_perms()
-    # compatible pairs over the identity permutation: signs arbitrary
-    sign_only = [a for a in B5 if a.perm == tuple(range(5))]
-    for _ in range(2000):
-        a, b = rng.choice(sign_only), rng.choice(sign_only)
-        ra = retract_fiber(a, mid, a.perm)
-        rb = retract_fiber(b, mid, b.perm)
-        rab = retract_fiber(a.compose(b), mid, (a.compose(b)).perm)
-        assert rab.signed == ra.signed.compose(rb.signed)
-
-
-def test_aut0_matrices():
-    mats = aut0_matrices()
-    assert len(mats) == 16
-    ident = tuple(tuple(1 if i == j else 0 for j in range(5)) for i in range(5))
-    assert ident in mats
-    # projectively diag(1,1,1,1,-1) equals diag(-1,-1,-1,-1,1): both normalize
-    # to the first-entry-positive representative
-    rep = tuple(tuple((1 if i < 4 else -1) if i == j else 0 for j in range(5))
-                for i in range(5))
-    assert rep in mats
-    # every matrix preserves every diagonal quadratic form: M^T A M = A
-    diag = (1, 0, 1, 2, 3)
-    for M in mats:
-        for i in range(5):
-            for j in range(5):
-                s = sum(M[k][i] * (diag[k] if k == l else 0) * M[l][j]
-                        for k in range(5) for l in range(5))
-                assert s == (diag[i] if i == j else 0)
-
-
-def test_signed_perm_json_round_trip():
-    a = SignedPerm((1, 2, 0, 4, 3), (-1, 1, -1, 1, 1))
-    js = a.to_json()
-    assert js == {"perm": [2, 3, 1, 5, 4], "signs": [-1, 1, -1, 1, 1]}
-    assert SignedPerm.from_json(js) == a
+        fiber_product_order([(swap, (0, 4, 3, 2, 1))])
 
 
 def test_fiber_product_rejects_non_closed_input():
-    from qdp4.hyperoct import InvalidGroupInputError
     mid = Moebius.identity(QQ)
     cyc = Moebius(QQ, QQ(1), QQ(1), QQ(0), QQ(1))  # arbitrary carriers
     with pytest.raises(InvalidGroupInputError):
-        fiber_product([(mid, (0, 1, 2, 3, 4)), (cyc, (1, 2, 0, 3, 4))])
+        fiber_product_order([(mid, (0, 1, 2, 3, 4)), (cyc, (1, 2, 0, 3, 4))])

@@ -8,7 +8,7 @@ import sympy
 
 from qdp4.hyperoct import CycleSignature, all_signed_perms
 from qdp4.kgroups import (DegenerateFormError, K0ClassX, STRUCTURE_SHEAF,
-                          action_matrices, atom_basis, atom_class, atom_coords,
+                          action_matrices, atom_class, atom_coords,
                           atom_functional, atom_gram, atom_serre,
                           burnside_ranks, class_of, conic_bundle_ranks, euler_x,
                           full_k0_gram, g_invariant_rank, serre_from_gram,
@@ -82,7 +82,9 @@ def test_atom_sublattice():
     for h in zero_classes():
         assert atom_functional(class_of(tuple(-x for x in h))) == 0
     assert atom_functional(O) == 1
-    basis = atom_basis()
+    # b0 = (1, 0, -2) and b_i = (0, e_i, K.e_i): the classes with coordinates (r, D)
+    units = [tuple(int(i == j) for j in range(6)) for i in range(6)]
+    basis = [(1,) + (0,) * 6 + (-2,)] + [(0,) + e + (intersect(e, K_CLASS),) for e in units]
     assert len(basis) == 7
     assert rank([list(b) for b in basis]) == 7
     for b in basis:

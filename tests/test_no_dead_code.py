@@ -41,10 +41,7 @@ TEST_ONLY = {
 
 # Defaults that no call passes, kept on purpose as public API.  An entry
 # whose parameter becomes passed, or goes, must leave this table.
-DEFAULTS_KEPT = {
-    ("normal_form", "ordering"): "public API: the normal form at any of the 120 "
-                                 "orderings; the default is the sorted point order",
-}
+DEFAULTS_KEPT = {}
 
 
 def _sources():

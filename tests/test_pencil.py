@@ -20,10 +20,10 @@ from qdp4.pencil import (DegeneratePencilError, InvalidNormalFormError,
                          _encoded_tables, canonical_invariant,
                          count_points, degenerate_parameter_points,
                          discriminant_quintic,
-                         galois_signature, is_smooth, isomorphic, normal_form,
+                         galois_signature, is_smooth, isomorphic,
                          point_configuration, predicted_count, reconstruct,
                          simultaneous_diagonalize, splitting_field)
-from qdp4.sampling import (random_gl2, random_invertible, random_smooth_pencil,
+from qdp4.sampling import (random_invertible, random_smooth_pencil,
                            random_split_pencil, random_symmetric)
 from qdp4.wpline import Moebius, ProjPoint, moebius_to_inf_zero_one
 from test_fields import has_square_factor
@@ -314,18 +314,19 @@ def test_simultaneous_diagonalize_identity_plus_symmetric():
                     assert not At[i][j] and not Bt[i][j]
 
 
+def normal_form(P, ordering=(0, 1, 2, 3, 4)):
+    """(lambda, mu) from the cross-ratio table's entry at that ordering."""
+    values, table = point_configuration(P).cross_ratios()
+    return tuple(values[i] for i in dict(table)[tuple(ordering)])
+
+
 def test_normal_form_orderings():
     P = reconstruct((2, 3), QQ)
-    nf = normal_form(P)
-    assert (nf.lam, nf.mu) == (Fraction(2), Fraction(3))
-    nf_swapped = normal_form(P, (0, 1, 2, 4, 3))
-    assert (nf_swapped.lam, nf_swapped.mu) == (Fraction(3), Fraction(2))
-    inv = canonical_invariant(P)
-    pairs = {n.pair() for n in inv}
-    import itertools
+    assert normal_form(P) == (Fraction(2), Fraction(3))
+    assert normal_form(P, (0, 1, 2, 4, 3)) == (Fraction(3), Fraction(2))
+    pairs = {n.pair() for n in canonical_invariant(P)}
     for ordering in itertools.permutations(range(5)):
-        out = normal_form(P, ordering)
-        assert out.pair() in pairs
+        assert normal_form(P, ordering) in pairs
 
 
 def test_normal_form_constraints():
@@ -353,7 +354,7 @@ def test_canonical_invariant_congruence_and_basis_change():
         M = random_invertible(field, rng)
         P_cong = QuadricPencil(field, congruence(M, P.A), congruence(M, P.B))
         assert [n.pair() for n in canonical_invariant(P_cong)] == base
-        (a, b), (c, d) = random_gl2(field, rng)
+        (a, b), (c, d) = random_invertible(field, rng, 2)
         A2 = [[a * P.A[i][j] + b * P.B[i][j] for j in range(5)] for i in range(5)]
         B2 = [[c * P.A[i][j] + d * P.B[i][j] for j in range(5)] for i in range(5)]
         assert [n.pair() for n in canonical_invariant(
@@ -394,7 +395,7 @@ def test_normal_form_is_the_moebius_value():
         for ordering in itertools.permutations(range(5)):
             ref = [pts[i] for i in ordering]
             m = moebius_to_inf_zero_one(*ref[:3])
-            assert normal_form(P, ordering).pair() == (m(ref[3]).u, m(ref[4]).u)
+            assert normal_form(P, ordering) == (m(ref[3]).u, m(ref[4]).u)
 
 
 def invariant_over(P, field):
