@@ -6,8 +6,8 @@ from .fields import (GF, QQ, DegenerateInputError, FFElem, FieldMismatchError,
 from .hyperoct import CycleSignature, SignedPerm, fiber_product_order, retract
 from .kgroups import (K0ClassX, class_of, conic_bundle_ranks, euler_x,
                       g_invariant_rank, serre_from_gram, wpl_gram)
-from .pencil import (DegeneratePencilError, NormalForm, NotSmoothError,
-                     QuadricPencil, ResourceLimitError, UnsupportedSplittingError,
+from .pencil import (DegeneratePencilError, NotSmoothError, QuadricPencil,
+                     ResourceLimitError, UnsupportedSplittingError,
                      canonical_invariant, count_points, discriminant_quintic,
                      galois_signature, is_smooth, isomorphic, predicted_count,
                      reconstruct, simultaneous_diagonalize)

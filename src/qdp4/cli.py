@@ -44,7 +44,7 @@ def _load_json(path: str):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:  # too deep to decode
         raise ParseFailure(str(exc)) from exc
 
 
@@ -60,7 +60,7 @@ def _parsing(what: str):
         yield
     except UnsupportedFieldError:
         raise
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, RecursionError) as exc:
         raise ParseFailure(f"bad {what}: {exc}") from exc
 
 
@@ -104,7 +104,7 @@ def analysis_report(P: QuadricPencil) -> dict:
     }
     invariant = canonical_invariant(P)
     report["splitting_field"] = splitting_field(P).descriptor()
-    report["canonical_invariant"] = [nf.to_json() for nf in invariant]
+    report["canonical_invariant"] = [[scalar_to_json(x) for x in pair] for pair in invariant]
     full_aut = aut_group(point_configuration(P))
     report.update(_aut_orders(full_aut, defined_over(full_aut, field)))
     try:

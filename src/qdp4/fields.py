@@ -846,15 +846,22 @@ def _canonical_modulus(p: int, k: int) -> tuple:
     raise RuntimeError("unreachable: irreducibles of every degree exist")
 
 
+def conjugate_roots(f: Poly, dst) -> list:
+    """The roots in dst of f, a monic irreducible over its field F_Q (linear
+    over Q): one root, read off a linear f or split out of f over dst, and
+    its conjugates r^(Q^j).  A dst that does not split f raises
+    DegenerateInputError."""
+    roots = [embed(-f.coeffs[0], dst) if f.degree == 1 else split_root(embed_poly(f, dst))]
+    while len(roots) < f.degree:
+        roots.append(roots[-1] ** f.field.order)
+    return roots
+
+
 @lru_cache(maxsize=None)
 def _embedding_image(src: FiniteField, dst: FiniteField) -> FFElem:
     """Canonical image of the generator of src in dst (src degree divides dst
-    degree): the smallest root of src's modulus in the fixed scalar order.
-    The roots are one root and its p-power conjugates."""
-    conjugates = [split_root(Poly(dst, [dst(c) for c in src.modulus]))]
-    while len(conjugates) < src.k:
-        conjugates.append(conjugates[-1] ** src.p)
-    return min(conjugates)
+    degree): the smallest root of src's modulus in the fixed scalar order."""
+    return min(conjugate_roots(Poly.from_ints(GF(src.p), src.modulus), dst))
 
 
 def embed(a, dst):

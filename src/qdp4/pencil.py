@@ -13,9 +13,9 @@ import numpy as np
 
 from . import _accel
 from .fields import (GF, QQ, DegenerateInputError, FFElem, FieldMismatchError, Poly,
-                     UnsupportedFieldError, embed, embed_poly, factor,
+                     UnsupportedFieldError, conjugate_roots, embed, factor,
                      field_from_descriptor, is_square, poly_gcd, rational_roots,
-                     scalar_from_json, scalar_to_json, split_root)
+                     scalar_from_json, scalar_to_json)
 from .hyperoct import CycleSignature
 from .linalg import congruence, det, kernel_vector, rank
 from .wpline import Moebius, PointConfiguration, ProjPoint, pgl2_match
@@ -100,28 +100,6 @@ def _entry(field, x):
     if isinstance(x, FFElem) and x.field is field:
         return x
     raise ValueError(f"pencil entry {x!r} is neither an integer nor an element of {field!r}")
-
-
-@dataclass(frozen=True)
-class NormalForm:
-    """The pair (lambda, mu): degenerate points at infinity, 0, 1, lambda, mu."""
-
-    lam: object
-    mu: object
-
-    def __post_init__(self):
-        if not self.lam or not self.mu:
-            raise InvalidNormalFormError("lambda, mu must avoid 0")
-        if self.lam == 1 or self.mu == 1:
-            raise InvalidNormalFormError("lambda, mu must avoid 1")
-        if self.lam == self.mu:
-            raise InvalidNormalFormError("lambda and mu must differ")
-
-    def pair(self):
-        return (self.lam, self.mu)
-
-    def to_json(self):
-        return [scalar_to_json(self.lam), scalar_to_json(self.mu)]
 
 
 # ---------------------------------------------------------------------------
@@ -287,50 +265,32 @@ def _implied_field(p: int, k: int):
     return GF(p, k)
 
 
-def _orbit_root(f: Poly, dst):
-    """One root in dst of the base-field irreducible f; dst must split f."""
-    if f.degree == 1:
-        return embed(-f.coeffs[0], dst)
-    return split_root(embed_poly(f, dst))
-
-
 def degenerate_parameter_points(P: QuadricPencil, dst=None):
     """The five degenerate parameter points over dst (default: splitting
-    field), sorted.
-
-    Each orbit gives one root r and its conjugates r^(Q^j), Q = |base field|.
-    The base factors are embedded straight into dst: canonical embeddings do
-    not compose, so points over dst never come from the splitting field.
+    field), sorted: the conjugate roots in dst of each orbit.  The base
+    factors are embedded straight into dst: canonical embeddings do not
+    compose, so points over dst never come from the splitting field.
     """
     split = splitting_field(P)
     if dst is None:
         dst = split
-    cached = P._cache.get(("points", dst))
-    if cached is not None:
-        return list(cached)
     if dst.k % split.k:  # dst does not split every orbit
         raise UnsupportedSplittingError("destination field does not split the quintic")
     includes_infinity, orbits = degenerate_orbits(P)
     out = [ProjPoint.infinity(dst)] if includes_infinity else []
-    for f in orbits:
-        conjugates = [_orbit_root(f, dst)]
-        while len(conjugates) < f.degree:
-            conjugates.append(conjugates[-1] ** P.field.order)
-        out += [ProjPoint.affine(dst, r) for r in conjugates]
+    out += [ProjPoint.affine(dst, r) for f in orbits for r in conjugate_roots(f, dst)]
     out.sort(key=ProjPoint.sort_key)
-    P._cache[("points", dst)] = tuple(out)
     return out
 
 
 def point_configuration(P: QuadricPencil, dst=None) -> PointConfiguration:
-    """The degenerate points over dst as one configuration per field, so the
-    invariant, the normal forms, `aut_group` and `pgl2_match` share its
-    cross-ratio table."""
-    pts = degenerate_parameter_points(P, dst)
-    key = ("config", pts[0].field)
-    if key not in P._cache:
-        P._cache[key] = PointConfiguration(pts[0].field, pts)
-    return P._cache[key]
+    """The degenerate points over dst (default: splitting field) as one
+    configuration per field, kept on the pencil, so the invariant, `aut_group`
+    and `pgl2_match` share its cross-ratio table."""
+    dst = dst or splitting_field(P)
+    if ("config", dst) not in P._cache:
+        P._cache["config", dst] = PointConfiguration(dst, degenerate_parameter_points(P, dst))
+    return P._cache["config", dst]
 
 
 def simultaneous_diagonalize(P: QuadricPencil):
@@ -372,11 +332,11 @@ def simultaneous_diagonalize(P: QuadricPencil):
 # ---------------------------------------------------------------------------
 
 def canonical_invariant(P: QuadricPencil):
-    """The sorted orbit of (lambda, mu) over all 120 orderings (the values
-    of the cross-ratio table); a complete isomorphism invariant of the
+    """The sorted orbit of (lambda, mu) tuples over all 120 orderings (the
+    values of the cross-ratio table); a complete isomorphism invariant of the
     underlying five-point configuration (indices follow `scalar_key`)."""
     values, table = point_configuration(P).cross_ratios()
-    return tuple(NormalForm(values[a], values[b]) for a, b in sorted({ab for _, ab in table}))
+    return tuple((values[a], values[b]) for a, b in sorted({ab for _, ab in table}))
 
 
 @dataclass(frozen=True)
@@ -403,11 +363,15 @@ def isomorphic(P1: QuadricPencil, P2: QuadricPencil):
     return IsoCertificate(m, common.is_rational or m.entries_in_subfield(gcd(f1.k, f2.k)))
 
 
-def reconstruct(nf, field) -> QuadricPencil:
+def reconstruct(pair, field) -> QuadricPencil:
     """The diagonal pencil with degenerate points infinity, 0, 1, lambda, mu."""
-    lam, mu = nf.pair() if isinstance(nf, NormalForm) else nf
-    lam, mu = field(lam), field(mu)
-    NormalForm(lam, mu)  # validates the constraints
+    lam, mu = map(field, pair)
+    if not lam or not mu:
+        raise InvalidNormalFormError("lambda, mu must avoid 0")
+    if lam == 1 or mu == 1:
+        raise InvalidNormalFormError("lambda, mu must avoid 1")
+    if lam == mu:
+        raise InvalidNormalFormError("lambda and mu must differ")
     one, zero = field.one, field.zero
     A = [[zero] * 5 for _ in range(5)]
     B = [[zero] * 5 for _ in range(5)]

@@ -304,6 +304,25 @@ def test_malformed_input_exits_2(capsys, tmp_path, name, command):
     assert out == "" and err.startswith("error: ")
 
 
+_DEEP = "[" * 100_000 + "]" * 100_000  # too deep for the JSON decoder
+
+
+@pytest.mark.parametrize("command", ["analyze", "iso", "aut", "minimal", "count-points",
+                                     "groupoid", "functor", "signature"])
+def test_json_nested_too_deep_exits_2(capsys, tmp_path, command):
+    deep, good = tmp_path / "deep.json", tmp_path / "groupoid.json"
+    deep.write_text(_DEEP if command != "groupoid" else '{"objects": ' + _DEEP + "}")
+    good.write_text(json.dumps(group_groupoid("C", ["X"], (0,), lambda a, b: 0)[0].to_json()))
+    argv = {"iso": ["iso", str(deep), str(deep)],
+            "groupoid": ["groupoid", "verify", str(deep)],
+            "functor": ["groupoid", "verify", str(good), "--functor", str(deep)],
+            "signature": ["kgroups", "ranks", "--signature", _DEEP]}.get(
+                command, [command, str(deep)])
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2, err
+    assert out == "" and err.startswith("error: ") and "Traceback" not in err
+
+
 # descriptors beyond the field limits: without them, trial division of p and
 # the degree-100 modulus search would not finish
 _OVER_LIMIT = {

@@ -12,8 +12,8 @@ import pytest
 from qdp4 import fields
 from qdp4.fields import (GF, MAX_DEGREE, QQ, DegenerateInputError,
                          FieldMismatchError, Poly, UnsupportedFieldError,
-                         _canonical_modulus, _Frobenius, _is_prime, embed,
-                         embed_poly, factor, field_from_descriptor, is_square,
+                         _canonical_modulus, _Frobenius, _is_prime,
+                         conjugate_roots, embed, embed_poly, factor, field_from_descriptor, is_square,
                          poly_gcd, random_element, rational_roots,
                          scalar_from_json, scalar_to_json, split_root,
                          squarefree)
@@ -483,6 +483,28 @@ def test_embedding_image_is_the_smallest_root_of_the_modulus():
         mod = Poly(dst, [dst(c) for c in src.modulus])
         smallest = min(-g.coeffs[0] for g in factor(mod))
         assert embed(src.gen(), dst) == smallest, (p, ks, kd)
+
+
+def test_conjugate_roots_are_the_roots_factor_finds():
+    # the oracle factors f over its splitting field and negates the constant
+    # terms of the linear factors
+    rng = random.Random(23)
+    for base in (GF(3), GF(7), GF(3, 2)):
+        for d in range(1, 6):
+            while True:  # a random monic irreducible of degree d
+                f = Poly(base, [random_element(base, rng) for _ in range(d)] + [base.one])
+                if squarefree(f) and factor(f) == [f]:
+                    break
+            dst = GF(base.p, base.k * d)
+            roots = conjugate_roots(f, dst)
+            assert len(set(roots)) == d, (base, d)
+            assert sorted(roots) == sorted(-g.coeffs[0] for g in factor(embed_poly(f, dst)))
+            if d > 1:  # the base field itself splits no irreducible of degree > 1
+                with pytest.raises(DegenerateInputError):
+                    conjugate_roots(f, base)
+    assert conjugate_roots(Poly(QQ, [Fraction(5, 3), Fraction(1)]), QQ) == [Fraction(-5, 3)]
+    with pytest.raises(DegenerateInputError):  # the cubic's roots lie in F_27
+        conjugate_roots(Poly.from_ints(GF(3), [1, 2, 0, 1]), GF(3, 2))
 
 
 def test_embed_poly_roots_cover_factors():
