@@ -8,6 +8,8 @@ the same scalar protocol: `not x` tests for zero, `x == 1` for one, and
 
 from __future__ import annotations
 
+import itertools
+import operator
 import random
 import re
 from fractions import Fraction
@@ -23,7 +25,8 @@ class FieldMismatchError(ValueError):
 
 class DegenerateInputError(ValueError):
     """Input outside a function's domain: zero where a nonzero value is
-    required, or a polynomial that is not squarefree."""
+    required, or a polynomial f that is not squarefree."""
+    gcd = None  # gcd(f, f') for an f that is not squarefree
 
 
 class UnsupportedFieldError(ValueError):
@@ -177,10 +180,8 @@ class FFElem:
     def __hash__(self):
         return hash((id(self.field), self.coeffs))
 
-    def __lt__(self, other):
-        # fixed total order: lexicographic on coefficient vectors
-        other = self._check(other)
-        return self.coeffs < other.coeffs
+    def __lt__(self, other):  # the fixed scalar order: lexicographic on coefficient vectors
+        return self.coeffs < self._check(other).coeffs
 
     def __repr__(self):
         if self.field.k == 1:
@@ -272,13 +273,14 @@ class FiniteField:
                 return value
             raise FieldMismatchError(f"element of {value.field!r} used in {self!r}")
         if isinstance(value, int):
-            coeffs = [0] * self.k
-            coeffs[0] = value % self.p
-            return FFElem(self, tuple(coeffs))
+            return FFElem(self, (value % self.p,) + (0,) * (self.k - 1))
         if isinstance(value, (tuple, list)):
             if len(value) != self.k:
                 raise ValueError(f"coefficient vector must have length {self.k}")
-            return FFElem(self, tuple(int(v) % self.p for v in value))
+            for v in value:  # int() would read 2.7 as 2 and "1" as 1
+                if not hasattr(type(v), "__index__"):
+                    raise TypeError(f"coefficient {v!r} of {value!r} is not an integer")
+            return FFElem(self, tuple(operator.index(v) % self.p for v in value))
         raise TypeError(f"cannot coerce {value!r} into {self!r}")
 
     @property
@@ -297,13 +299,7 @@ class FiniteField:
 
     def elements(self):
         """All p^k elements, in the fixed scalar order (lex on coefficient vectors)."""
-        for idx in range(self.order):
-            digits = []
-            n = idx
-            for _ in range(self.k):
-                digits.append(n % self.p)
-                n //= self.p
-            yield FFElem(self, tuple(reversed(digits)))
+        return (FFElem(self, cs) for cs in itertools.product(range(self.p), repeat=self.k))
 
     def descriptor(self) -> dict:
         if self.k == 1:
@@ -435,13 +431,6 @@ def scalar_from_json(field, obj):
     raise ValueError(f"bad extension-field scalar {obj!r}")
 
 
-def scalar_key(x):
-    """Sort key realizing the fixed total order on scalars of one field."""
-    if isinstance(x, Fraction):
-        return x
-    return x.coeffs
-
-
 # ---------------------------------------------------------------------------
 # Polynomials (dense, low degree first)
 # ---------------------------------------------------------------------------
@@ -567,10 +556,13 @@ def squarefree(f: Poly) -> bool:
 
 
 def _require_squarefree(f: Poly) -> None:
-    """Raise DegenerateInputError, naming gcd(f, f'), unless f is squarefree."""
-    if not squarefree(f):
-        rep = [scalar_to_json(c) for c in poly_gcd(f, f.derivative()).coeffs]
-        raise DegenerateInputError(f"not squarefree: gcd(f, f') = {rep} (low degree first)")
+    """Unless f is squarefree, raise DegenerateInputError naming gcd(f, f')."""
+    rep = poly_gcd(f, f.derivative())
+    if rep.degree:
+        exc = DegenerateInputError("not squarefree: gcd(f, f') = "
+                                   f"{[scalar_to_json(c) for c in rep.coeffs]} (low degree first)")
+        exc.gcd = rep
+        raise exc
 
 
 # --- factorization over finite fields --------------------------------------
@@ -748,7 +740,7 @@ def factor(f: Poly):
     frob = _Frobenius(f)
     out = [irr.monic() for h, d in _distinct_degree(f, frob)
            for irr in _equal_degree(h, d, frob, rng)]
-    out.sort(key=lambda g: (g.degree, [c.coeffs for c in g.coeffs]))
+    out.sort(key=lambda g: (g.degree, g.coeffs))
     return out
 
 

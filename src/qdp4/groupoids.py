@@ -78,7 +78,12 @@ class FiniteGroupoid:
 
     @classmethod
     def from_json(cls, obj):
-        """Every name must be a string, as the keys of a functor's maps are."""
+        """The shape README gives; every name is a string, as a functor's map keys are."""
+        lists = obj["objects"], obj["morphisms"], obj["compose"], *obj["compose"]
+        if (any(type(x) is not list for x in lists) or any(len(c) != 3 for c in lists[3:])
+                or not isinstance(obj["identities"], dict)):
+            raise ValueError("objects, morphisms and compose must be lists, each compose entry "
+                             "[g, f, g o f], and identities an object")
         morphisms = {m["name"]: (m["src"], m["tgt"]) for m in obj["morphisms"]}
         compose = {(g, f): gf for g, f, gf in obj["compose"]}
         G = cls(tuple(obj["objects"]), morphisms, compose, dict(obj["identities"]))

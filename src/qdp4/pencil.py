@@ -188,14 +188,14 @@ def is_smooth(P: QuadricPencil) -> bool:
     """Squarefreeness of the binary quintic: infinity, a root of multiplicity
     5 - deg g of its affine chart g(z) = F(1, z), is at most simple, and the
     base-field root finder accepts g (it refuses g with gcd(g, g') != 1).  Its
-    roots, or None, are kept for degenerate_orbits: one gcd per pencil."""
+    roots, or None and that gcd, are kept for degenerate_orbits: one gcd."""
     if "roots" not in P._cache:
         g = Poly(P.field, discriminant_quintic(P))
         find = rational_roots if P.field.is_rational else factor
         try:
             P._cache["roots"] = find(g) if g.degree >= 4 else None
-        except DegenerateInputError:
-            P._cache["roots"] = None
+        except DegenerateInputError as exc:
+            P._cache["roots"], P._cache["gcd"] = None, exc.gcd
     return P._cache["roots"] is not None
 
 
@@ -216,7 +216,7 @@ def degenerate_orbits(P: QuadricPencil):
         return cached
     g = Poly(P.field, discriminant_quintic(P))
     if not is_smooth(P):
-        raise NotSmoothError(_repeated_point(g))
+        raise NotSmoothError(_repeated_point(g, P._cache.get("gcd")))
     roots = P._cache["roots"]
     if P.field.is_rational:
         if len(roots) != g.degree:
@@ -233,12 +233,12 @@ def degenerate_orbits(P: QuadricPencil):
     return out
 
 
-def _repeated_point(g: Poly) -> str:
+def _repeated_point(g: Poly, rep) -> str:
     """The repeated degenerate point of a pencil with affine quintic g: the
-    root of gcd(g, g'), that factor if it has several roots, or infinity."""
+    root of rep = gcd(g, g') (or None), that factor if it has several roots, or infinity."""
     if g.is_zero():
         return "every member of the pencil is singular"
-    rep = poly_gcd(g, g.derivative())
+    rep = rep or poly_gcd(g, g.derivative())
     if rep.degree == 1:
         return f"pencil has a repeated degenerate point z = {scalar_to_json(-rep.coeffs[0])}"
     if rep.degree > 1:
@@ -279,7 +279,7 @@ def degenerate_parameter_points(P: QuadricPencil, dst=None):
     includes_infinity, orbits = degenerate_orbits(P)
     out = [ProjPoint.infinity(dst)] if includes_infinity else []
     out += [ProjPoint.affine(dst, r) for f in orbits for r in conjugate_roots(f, dst)]
-    out.sort(key=ProjPoint.sort_key)
+    out.sort()
     return out
 
 
@@ -334,7 +334,7 @@ def simultaneous_diagonalize(P: QuadricPencil):
 def canonical_invariant(P: QuadricPencil):
     """The sorted orbit of (lambda, mu) tuples over all 120 orderings (the
     values of the cross-ratio table); a complete isomorphism invariant of the
-    underlying five-point configuration (indices follow `scalar_key`)."""
+    underlying five-point configuration (indices follow the scalar order)."""
     values, table = point_configuration(P).cross_ratios()
     return tuple((values[a], values[b]) for a, b in sorted({ab for _, ab in table}))
 

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import itertools
 
-from .fields import (FieldMismatchError, in_subfield, scalar_from_json, scalar_key,
-                     scalar_to_json)
+from .fields import FieldMismatchError, in_subfield, scalar_from_json, scalar_to_json
 
 
 class ProjPoint:
@@ -38,9 +37,10 @@ class ProjPoint:
     def is_infinity(self) -> bool:
         return not self.v
 
-    def sort_key(self):
-        # infinity first, then affine points in scalar order
-        return (0,) if self.is_infinity() else (1, scalar_key(self.u))
+    def __lt__(self, other):  # the fixed order: infinity first, then the affine points by u
+        if other.field != self.field:
+            raise FieldMismatchError(f"cannot order points of {self.field!r} and {other.field!r}")
+        return not other.is_infinity() and (self.is_infinity() or self.u < other.u)
 
     def __eq__(self, other):
         return (isinstance(other, ProjPoint) and self.field == other.field
@@ -150,7 +150,7 @@ class PointConfiguration:
     __slots__ = ("field", "points", "_table")
 
     def __init__(self, field, points):
-        pts = sorted(points, key=lambda p: p.sort_key())
+        pts = sorted(points)
         if len(pts) != 5:
             raise ValueError("a configuration has exactly 5 points")
         if len(set(pts)) != 5:
@@ -167,7 +167,7 @@ class PointConfiguration:
         to infinity, 0, 1.  With D(a, b) = u_a v_b - u_b v_a, the image of m
         under the map for (i, j, k) is D(k, i) D(m, j) / (D(k, j) D(m, i)),
         constant on the classes of _CR_CLASSES; `values` holds their distinct
-        values sorted by `scalar_key`."""
+        values in the fixed scalar order."""
         if self._table is not None:
             return self._table
         pts = self.points
@@ -178,7 +178,7 @@ class PointConfiguration:
             D[a, b], D[b, a], inv[a, b], inv[b, a] = d, -d, e, -e
         cr = [D[k, i] * D[m, j] * inv[k, j] * inv[m, i] for i, j, k, m in _CR_CLASSES]
         values, ranks = [], [0] * len(cr)
-        for c in sorted(range(len(cr)), key=lambda c: scalar_key(cr[c])):
+        for c in sorted(range(len(cr)), key=cr.__getitem__):
             if not values or cr[c] != values[-1]:
                 values.append(cr[c])
             ranks[c] = len(values) - 1

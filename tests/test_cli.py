@@ -56,11 +56,18 @@ def test_analyze_eq_pencil(capsys, p23):
 
 
 def test_analyze_takes_the_gcd_of_the_quintic_once(capsys, tmp_path, monkeypatch):
-    # is_smooth reads the base-field root finder's verdict, so gcd(g, g') is
-    # taken once; a singular pencil still exits 3 naming its repeated point
+    # is_smooth reads the base-field root finder's verdict, and a singular
+    # pencil's error names the gcd that finder took, so gcd(g, g') is taken
+    # once; a singular pencil still exits 3 naming its repeated point
     calls = []
-    real = fields.squarefree
-    monkeypatch.setattr(fields, "squarefree", lambda f: calls.append(f) or real(f))
+    real = fields.poly_gcd
+
+    def counted(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    for module in (fields, pencil):
+        monkeypatch.setattr(module, "poly_gcd", counted)
     rng = random.Random(11)
     singular = QuadricPencil(GF(7), *([[d[i] if i == j else 0 for j in range(5)]
                                        for i in range(5)]
@@ -71,7 +78,8 @@ def test_analyze_takes_the_gcd_of_the_quintic_once(capsys, tmp_path, monkeypatch
         path.write_text(json.dumps(P.to_json()))
         calls.clear()
         code, out, err = run_cli(capsys, "analyze", str(path))
-        assert len(calls) == 1
+        g = Poly(P.field, discriminant_quintic(P))
+        assert calls.count((g, g.derivative())) == 1
         if P is singular:
             assert code == 3 and "repeated degenerate point z = 1" in err
         else:
@@ -589,6 +597,45 @@ _groupoid_files = st.one_of(
     _json_values)
 
 
+def _breaks_groupoid_shape(obj):
+    """Whether obj leaves README's groupoid grammar: objects, morphisms and
+    compose lists, morphisms {"name", "src", "tgt"}, compose entries
+    [g, f, "g o f"], identities an object, and every name a string."""
+    keys = ("objects", "morphisms", "compose", "identities")
+    if not (isinstance(obj, dict) and all(key in obj for key in keys)):
+        return True
+    objects, morphisms, compose, identities = (obj[key] for key in keys)
+    if not (all(isinstance(x, list) for x in (objects, morphisms, compose))
+            and isinstance(identities, dict)
+            and all(isinstance(m, dict) and {"name", "src", "tgt"} <= m.keys() for m in morphisms)
+            and all(isinstance(c, list) and len(c) == 3 for c in compose)):
+        return True
+    names = [*objects, *(m[key] for m in morphisms for key in ("name", "src", "tgt")),
+             *(n for c in compose for n in c), *identities.values()]
+    return not all(isinstance(n, str) for n in names)
+
+
+def _breaks_functor_shape(obj):
+    """Whether obj leaves README's functor grammar: a groupoid target and
+    object and morphism maps from names to names."""
+    keys = ("target", "objects", "morphisms")
+    if not (isinstance(obj, dict) and all(key in obj for key in keys)):
+        return True
+    maps = obj["objects"], obj["morphisms"]
+    return (not all(isinstance(m, dict) and all(isinstance(n, str) for n in m.values())
+                    for m in maps) or _breaks_groupoid_shape(obj["target"]))
+
+
+# two trivial groups with one-letter names, and files of other shapes that
+# read as that groupoid until the shape was checked
+_TWO_POINTS = {"objects": ["X", "Y"], "morphisms": [{"name": "e", "src": "X", "tgt": "X"},
+                                                    {"name": "f", "src": "Y", "tgt": "Y"}],
+               "compose": [["e", "e", "e"], ["f", "f", "f"]], "identities": {"X": "e", "Y": "f"}}
+_MISSHAPEN = [dict(_TWO_POINTS, **{key: value}) for key, value in
+              (("objects", "XY"), ("objects", {"X": 0, "Y": 0}), ("compose", ["eee", "fff"]),
+               ("compose", {"eee": 0, "fff": 0}), ("identities", ["Xe", "Yf"]))]
+
+
 def _strings(obj):
     """Every string in a JSON value."""
     if isinstance(obj, str):
@@ -625,6 +672,11 @@ def _functor_files(draw):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(obj=_groupoid_files)
 @example(obj={"objects": [[1]], "morphisms": [], "compose": [], "identities": {}})
+@example(obj=_MISSHAPEN[0])
+@example(obj=_MISSHAPEN[1])
+@example(obj=_MISSHAPEN[2])
+@example(obj=_MISSHAPEN[3])
+@example(obj=_MISSHAPEN[4])
 def test_groupoid_files_get_a_documented_exit_code(capsys, tmp_path, obj):
     path = tmp_path / "groupoid.json"
     path.write_text(json.dumps(obj))
@@ -633,11 +685,18 @@ def test_groupoid_files_get_a_documented_exit_code(capsys, tmp_path, obj):
     assert "Traceback" not in err
     if code == 2:
         assert out == "" and err.startswith("error: "), err
+    assert (code == 2) == _breaks_groupoid_shape(obj), err  # exit 2 exactly off the grammar
 
 
 @settings(max_examples=200, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(files=_functor_files())
+@example(files=(_TWO_POINTS, {"target": _MISSHAPEN[0], "objects": {"X": "X", "Y": "Y"},
+                              "morphisms": {"e": "e", "f": "f"}}))
+@example(files=(_TWO_POINTS, {"target": _MISSHAPEN[3], "objects": {"X": "X", "Y": "Y"},
+                              "morphisms": {"e": "e", "f": "f"}}))
+@example(files=(_TWO_POINTS, {"target": _MISSHAPEN[4], "objects": {"X": "X", "Y": "Y"},
+                              "morphisms": {"e": "e", "f": "f"}}))
 def test_functor_files_get_a_documented_exit_code(capsys, tmp_path, files):
     paths = [tmp_path / "groupoid.json", tmp_path / "functor.json"]
     for path, obj in zip(paths, files):
@@ -648,6 +707,28 @@ def test_functor_files_get_a_documented_exit_code(capsys, tmp_path, files):
     assert "Traceback" not in err
     if code == 2:
         assert out == "" and err.startswith("error: "), err
+    assert (code == 2) == _breaks_functor_shape(files[1]), err  # exit 2 exactly off the grammar
+
+
+def test_misshapen_groupoid_files_exit_2(capsys, tmp_path):
+    path, functor = tmp_path / "groupoid.json", tmp_path / "functor.json"
+    for obj in (_TWO_POINTS, _cyclic_groupoid("G", ["X", "Y"], 3)):
+        path.write_text(json.dumps(obj))
+        code, out, _ = run_cli(capsys, "groupoid", "verify", str(path))
+        assert code == 0 and json.loads(out)["valid"] is True
+    for obj in _MISSHAPEN:
+        path.write_text(json.dumps(obj))
+        code, out, err = run_cli(capsys, "groupoid", "verify", str(path))
+        assert code == 2 and out == "", obj
+        assert err.startswith("error: bad groupoid file") and "Traceback" not in err, err
+        # the same file as a functor's target
+        path.write_text(json.dumps(_TWO_POINTS))
+        functor.write_text(json.dumps({"target": obj, "objects": {"X": "X", "Y": "Y"},
+                                       "morphisms": {"e": "e", "f": "f"}}))
+        code, out, err = run_cli(capsys, "groupoid", "verify", str(path),
+                                 "--functor", str(functor))
+        assert code == 2 and out == "", obj
+        assert err.startswith("error: bad functor file") and "Traceback" not in err, err
 
 
 def test_groupoid_verify_refuses_names_that_are_not_strings(capsys, tmp_path):

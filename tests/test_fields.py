@@ -667,6 +667,18 @@ def test_scalar_total_order():
     elems = sorted(F9.elements())
     assert not elems[0]
     assert [e.coeffs for e in elems[:4]] == [(0, 0), (0, 1), (0, 2), (1, 0)]
+    for F in (GF(5), F9, GF(3, 3)):  # elements() enumerates in the scalar order
+        assert list(F.elements()) == sorted(F.elements())
+
+
+def test_coefficient_vectors_take_exact_integers_only():
+    F9 = GF(3, 2)
+    assert F9((2, 4)).coeffs == (2, 1)
+    assert F9([np.int64(5), np.int8(-1)]).coeffs == (2, 2)
+    for bad in ((2.7, 1), ("1", "2"), (1, 2.0), (Fraction(1), 0)):
+        with pytest.raises(TypeError, match=re.escape(repr(next(
+                v for v in bad if type(v) is not int)))):
+            F9(bad)
 
 
 def test_poly_gcd_monic():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from qdp4 import wpline
-from qdp4.fields import GF, QQ, FieldMismatchError, scalar_key, scalar_to_json
+from qdp4.fields import GF, QQ, FieldMismatchError, scalar_to_json
 from qdp4.pencil import (QuadricPencil, canonical_invariant, isomorphic, point_configuration,
                          reconstruct)
 from qdp4.wpline import (Moebius, PointConfiguration, ProjPoint, aut_group,
@@ -163,6 +163,35 @@ def test_configuration_validation():
         PointConfiguration(QQ, [ProjPoint.affine(QQ, 0)] * 5)
 
 
+def test_points_sort_with_infinity_first_then_by_scalar():
+    rng = random.Random(5)
+    for field, scalars in ((QQ, [Fraction(n, d) for n in range(-4, 5) for d in (1, 2, 3)]),
+                           (GF(3, 2), list(GF(3, 2).elements()))):
+        scalars = sorted(set(scalars))
+        pts = [ProjPoint.infinity(field)] + [ProjPoint.affine(field, x) for x in scalars]
+        for _ in range(20):
+            assert sorted(rng.sample(pts, len(pts))) == pts
+        assert not pts[0] < pts[0] and pts[0] < pts[1] and not pts[1] < pts[0]
+    F9 = GF(3, 2)
+    # the (u : v) with v != 1 normalize before they are ordered
+    assert sorted([ProjPoint(F9, F9((1, 1)), F9(2)), ProjPoint(F9, F9(1), F9.zero)]) == \
+        [ProjPoint.infinity(F9), ProjPoint.affine(F9, F9((2, 2)))]
+
+
+def test_order_between_two_fields_is_refused():
+    F5, F7, F9 = GF(5), GF(7), GF(3, 2)
+    for a, b in ((F5(1), F7(2)), (F7(2), F5(1)), (F9.gen(), GF(3)(1)), (F5(0), F9.zero)):
+        with pytest.raises(FieldMismatchError):
+            a < b
+    for f1, f2 in ((F5, F7), (F9, GF(3)), (QQ, F5), (F5, QQ)):
+        for p, q in itertools.product((ProjPoint.infinity(f1), ProjPoint.affine(f1, 1)),
+                                      (ProjPoint.infinity(f2), ProjPoint.affine(f2, 1))):
+            with pytest.raises(FieldMismatchError):
+                p < q
+        with pytest.raises(FieldMismatchError):
+            sorted([ProjPoint.affine(f1, 0), ProjPoint.affine(f2, 1)])
+
+
 def test_configuration_json_round_trip():
     C = config(QQ, (0, 1, 2, 3))
     js = [[1, 0]] + [[str(c), "1"] for c in (0, 1, 2, 3)]  # infinity is [1, 0]
@@ -219,7 +248,7 @@ def reference_pair(c, ordering):
 def reference_invariant(c):
     """The sorted (lambda, mu) pairs of the 120 orderings."""
     pairs = {reference_pair(c, o) for o in itertools.permutations(range(5))}
-    return sorted(pairs, key=lambda lm: (scalar_key(lm[0]), scalar_key(lm[1])))
+    return sorted(pairs)
 
 
 def diagonal_pencil(c):
@@ -239,7 +268,7 @@ def random_configuration(field, rng, infinity):
             values.add(Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
     else:
         values = rng.sample(list(field.elements()), 5 - infinity)
-    return config(field, sorted(values, key=scalar_key), infinity)
+    return config(field, sorted(values), infinity)
 
 
 def random_moebius(field, rng):
@@ -292,8 +321,7 @@ def test_cross_ratio_values_are_ranked_and_index_the_explicit_maps():
     configs = oracle_configurations()
     for c in configs:
         values, table = c.cross_ratios()
-        keys = [scalar_key(v) for v in values]
-        assert len(values) <= 30 and all(x < y for x, y in zip(keys, keys[1:]))
+        assert len(values) <= 30 and list(values) == sorted(set(values))
         assert [o for o, _ in table] == list(itertools.permutations(range(5)))
         assert {i for _, ab in table for i in ab} == set(range(len(values)))
         for ordering, (a, b) in table:
