@@ -1,9 +1,12 @@
 """Exact arithmetic over Q, F_p and F_{p^k}, plus univariate polynomial operations.
 
-Rational scalars are `fractions.Fraction`; finite-field scalars are `FFElem`
-(coefficient vectors modulo a canonical irreducible modulus).  Both answer
-the same scalar protocol: `not x` tests for zero, `x == 1` for one, and
-`1 / x` is the inverse.  All values are immutable and all operations are pure.
+Rational scalars are `fractions.Fraction`; finite-field scalars are `FFElem`,
+each one Python int: the residue over F_p, and over F_{p^k} its coefficient
+vector modulo a canonical irreducible modulus, packed as base-2^w digits.
+Both answer the same scalar protocol: `not x` tests for zero, `x == 1` for
+one, and `1 / x` is the inverse.  Each field also supplies `mul` and `sub`
+on raw values (Fractions, or the ints), on which `Poly.__divmod__` runs one
+loop for every field.  All values are immutable and all operations are pure.
 """
 
 from __future__ import annotations
@@ -51,26 +54,26 @@ def _is_prime(n: int) -> bool:
 # ---------------------------------------------------------------------------
 
 class RationalField:
-    """The field Q.  Elements are fractions.Fraction."""
+    """The field Q.  Elements are fractions.Fraction, and so are their raw
+    values: `mul`, `sub`, `to_values` and `from_values` are Fraction's own
+    operators and plain lists."""
 
     is_rational = True
     p = 0
     k = 1
+    zero = Fraction(0)
+    one = Fraction(1)
+    mul, sub = operator.mul, operator.sub
+    to_values = from_values = list
 
     def __call__(self, value) -> Fraction:
         if isinstance(value, FFElem):
             raise FieldMismatchError("cannot coerce a finite-field element into Q")
-        if not isinstance(value, (int, Fraction)):  # Fraction() also reads floats, strings
-            raise TypeError(f"cannot coerce {value!r} into {self!r}")
-        return Fraction(value)
-
-    @property
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    @property
-    def one(self) -> Fraction:
-        return Fraction(1)
+        if isinstance(value, Fraction):
+            return value
+        if hasattr(type(value), "__index__"):  # Fraction() also reads floats, strings
+            return Fraction(operator.index(value))
+        raise TypeError(f"cannot coerce {value!r} into {self!r}")
 
     def descriptor(self) -> dict:
         return {"kind": "rationals"}
@@ -89,13 +92,22 @@ QQ = RationalField()
 
 
 class FFElem:
-    """Element of F_{p^k}, stored as a length-k coefficient tuple (low degree first)."""
+    """Element of F_{p^k}, stored as one int, its raw value: over F_p the
+    residue, over F_{p^k} the coefficients of 1, t, ..., t^(k-1) as base-2^w
+    digits with the coefficient of 1 in the top digit, so that integer order
+    is the lexicographic order of the coefficient vectors.  `.coeffs` is that
+    vector (low degree first), derived on each read."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "value")
 
-    def __init__(self, field: "FiniteField", coeffs: tuple):
+    def __init__(self, field: "FiniteField", value: int):
         self.field = field
-        self.coeffs = coeffs
+        self.value = value
+
+    @property
+    def coeffs(self) -> tuple:
+        v, mask = self.value, self.field.mask
+        return tuple(v >> s & mask for s in self.field.shifts)
 
     def _check(self, other) -> "FFElem":
         if not isinstance(other, FFElem):
@@ -107,41 +119,49 @@ class FFElem:
                 f"descriptor mismatch: {self.field!r} vs {other.field!r}")
         return other
 
+    # Prime fields compute inline: a call into the field adds about a quarter
+    # to the time of a product.
     def __add__(self, other):
-        other = self._check(other)
-        p = self.field.p
-        return FFElem(self.field, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        f = self.field
+        if type(other) is not FFElem or other.field is not f:
+            other = self._check(other)
+        if f.k == 1:
+            return FFElem(f, (self.value + other.value) % f.p)
+        return FFElem(f, f._add(self.value, other.value))
 
     __radd__ = __add__
 
     def __neg__(self):
-        p = self.field.p
-        return FFElem(self.field, tuple((-a) % p for a in self.coeffs))
+        return FFElem(self.field, self.field.sub(0, self.value))
 
     def __sub__(self, other):
-        other = self._check(other)
-        p = self.field.p
-        return FFElem(self.field, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        f = self.field
+        if type(other) is not FFElem or other.field is not f:
+            other = self._check(other)
+        if f.k == 1:
+            return FFElem(f, (self.value - other.value) % f.p)
+        return FFElem(f, f._sub(self.value, other.value))
 
     def __rsub__(self, other):
         return self._check(other) - self
 
     def __mul__(self, other):
-        other = self._check(other)
         f = self.field
+        if type(other) is not FFElem or other.field is not f:
+            other = self._check(other)
         if f.k == 1:
-            return FFElem(f, ((self.coeffs[0] * other.coeffs[0]) % f.p,))
-        return FFElem(f, f._mul_vec(self.coeffs, other.coeffs))
+            return FFElem(f, self.value * other.value % f.p)
+        return FFElem(f, f._mul(self.value, other.value))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FFElem":
         f = self.field
-        if not self:
+        if not self.value:
             raise ZeroDivisionError("inverse of zero in " + repr(f))
         if f.k == 1:
-            return FFElem(f, (pow(self.coeffs[0], f.p - 2, f.p),))
-        return FFElem(f, _ext_euclid_inverse(self.coeffs, f.modulus, f.p, f.k))
+            return FFElem(f, pow(self.value, f.p - 2, f.p))
+        return FFElem(f, f.pack(_ext_euclid_inverse(self.coeffs, f.modulus, f.p, f.k)))
 
     def __truediv__(self, other):
         other = self._check(other)
@@ -157,35 +177,41 @@ class FFElem:
         if n < 0:
             return self.inverse() ** (-n)
         if f.k == 1:
-            return FFElem(f, (pow(self.coeffs[0], n, f.p),))
-        result = f.one
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+            return FFElem(f, pow(self.value, n, f.p))
+        if n == 0:
+            return f.one
+        mul, v = f._mul, self.value
+        r = v
+        for bit in bin(n)[3:]:  # left to right
+            r = mul(r, r)
+            if bit == "1":
+                r = mul(r, v)
+        return FFElem(f, r)
 
     def __bool__(self):
-        return any(self.coeffs)
+        return self.value != 0
 
     def __eq__(self, other):
         if isinstance(other, int):
             other = self.field(other)
         if not isinstance(other, FFElem) or other.field is not self.field:
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.value == other.value
 
     def __hash__(self):
-        return hash((id(self.field), self.coeffs))
+        return hash(self.value)
 
-    def __lt__(self, other):  # the fixed scalar order: lexicographic on coefficient vectors
-        return self.coeffs < self._check(other).coeffs
+    # The fixed scalar order.  `__gt__` serves a reflected `<`, so that a
+    # rational on either side raises FieldMismatchError.
+    def __lt__(self, other):
+        return self.value < self._check(other).value
+
+    def __gt__(self, other):
+        return self._check(other).value < self.value
 
     def __repr__(self):
         if self.field.k == 1:
-            return f"{self.coeffs[0]}"
+            return f"{self.value}"
         return f"{list(self.coeffs)}"
 
 
@@ -230,7 +256,15 @@ def _ext_euclid_inverse(a, modulus, p: int, k: int) -> tuple:
 
 
 class FiniteField:
-    """F_{p^k} with the canonical modulus (lexicographically smallest monic irreducible)."""
+    """F_{p^k} with the canonical modulus (lexicographically smallest monic
+    irreducible), and its arithmetic on raw values (see FFElem).
+
+    Each digit has width w, 2^(w-1) > 2k p^2.  A product of two raw values
+    has digits at most k (p-1)^2; folding its k - 1 low digits, each first
+    reduced mod p, adds at most (k-1) (p-1)^2 to each of the k high ones, so
+    no digit ever carries into the next.  Sums and differences stay packed:
+    a digit below 2p, biased by 2^(w-1) - p, reaches its top bit exactly
+    when it reaches p (SWAR)."""
 
     is_rational = False
 
@@ -240,66 +274,91 @@ class FiniteField:
         self.p = p
         self.k = k
         self.order = p ** k
-        if k > 1:
-            self.modulus = _canonical_modulus(p, k)  # length k+1, monic
-            self.xk = tuple((-c) % p for c in self.modulus[:k])  # x^k mod modulus
-        else:
+        w = self.w = (2 * k * p * p).bit_length() + 1
+        self.mask = (1 << w) - 1
+        self.shifts = tuple(w * (k - 1 - i) for i in range(k))  # of coefficient i
+        ones = sum(1 << s for s in self.shifts)
+        self._ps, self._bias = p * ones, ((1 << (w - 1)) - p) * ones
+        self._tops = ones << (w - 1)
+        self.zero, self.one = FFElem(self, 0), FFElem(self, 1 << self.shifts[0])
+        if k == 1:
             self.modulus = None
+            self.sub = lambda a, b: (a - b) % p
+            self.mul = lambda a, b: a * b % p
+            return
+        self.modulus = _canonical_modulus(p, k)  # length k+1, monic
+        self.xk = tuple((-c) % p for c in self.modulus[:k])  # x^k mod modulus
+        # product digit d < k - 1 holds t^(2k-2-d); rows[d] is that power reduced
+        self._rows = [self.reduce([0] * (2 * k - 2 - d) + [1]).value for d in range(k - 1)]
+        self.sub, self.mul = self._sub, self._mul
 
-    def reduce(self, cs: list) -> tuple:
-        """The coefficient vector of sum cs[j] x^j (integers, low degree
-        first, any length) modulo p and the modulus: from the top down,
-        x^j = x^(j-k) x^k.  Consumes cs."""
+    # a + b and a + p - b have digits below 2p: p comes off each that reaches p
+    def _add(self, a: int, b: int) -> int:
+        s = a + b
+        return s - (((s + self._bias) & self._tops) >> (self.w - 1)) * self.p
+
+    def _sub(self, a: int, b: int) -> int:
+        s = a + self._ps - b
+        return s - (((s + self._bias) & self._tops) >> (self.w - 1)) * self.p
+
+    def _mul(self, a: int, b: int) -> int:
+        p, w, mask, top = self.p, self.w, self.mask, self.shifts[0]
+        c = a * b
+        low, c = c & ((1 << top) - 1), c >> top
+        for row in self._rows:
+            c += (low & mask) % p * row
+            low >>= w
+        out = 0
+        for s in self.shifts:
+            out |= (c >> s & mask) % p << s
+        return out
+
+    def pack(self, cs) -> int:
+        """The raw value of the coefficient vector cs (entries in [0, p))."""
+        return sum(c << s for c, s in zip(cs, self.shifts))
+
+    def to_values(self, elems) -> list:
+        return [x.value for x in elems]
+
+    def from_values(self, values) -> list:
+        return [FFElem(self, v) for v in values]
+
+    def reduce(self, cs: list) -> FFElem:
+        """The element sum cs[j] t^j (integers, low degree first, any length):
+        from the top down, t^j = t^(j-k) t^k, then each coefficient mod p.
+        Consumes cs."""
         p, k, xk = self.p, self.k, self.xk
         for j in range(len(cs) - 1, k - 1, -1):
             c = cs.pop() % p
             if c:
                 for i, r in enumerate(xk, j - k):
                     cs[i] += c * r
-        cs += [0] * (k - len(cs))
-        return tuple([c % p for c in cs])
-
-    def _mul_vec(self, a: tuple, b: tuple) -> tuple:
-        prod = [0] * (2 * self.k - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b, i):
-                    prod[j] += ai * bj
-        return self.reduce(prod)
+        return FFElem(self, self.pack([c % p for c in cs]))
 
     def __call__(self, value) -> FFElem:
         if isinstance(value, FFElem):
             if value.field is self:
                 return value
             raise FieldMismatchError(f"element of {value.field!r} used in {self!r}")
-        if isinstance(value, int):
-            return FFElem(self, (value % self.p,) + (0,) * (self.k - 1))
+        if hasattr(type(value), "__index__"):  # int() would read 2.7 as 2 and "1" as 1
+            return FFElem(self, operator.index(value) % self.p << self.shifts[0])
         if isinstance(value, (tuple, list)):
             if len(value) != self.k:
                 raise ValueError(f"coefficient vector must have length {self.k}")
-            for v in value:  # int() would read 2.7 as 2 and "1" as 1
+            for v in value:
                 if not hasattr(type(v), "__index__"):
                     raise TypeError(f"coefficient {v!r} of {value!r} is not an integer")
-            return FFElem(self, tuple(operator.index(v) % self.p for v in value))
+            return FFElem(self, self.pack([operator.index(v) % self.p for v in value]))
         raise TypeError(f"cannot coerce {value!r} into {self!r}")
-
-    @property
-    def zero(self) -> FFElem:
-        return self(0)
-
-    @property
-    def one(self) -> FFElem:
-        return self(1)
 
     def gen(self) -> FFElem:
         """The residue class of x (only meaningful for k > 1)."""
-        coeffs = [0] * self.k
-        coeffs[min(1, self.k - 1)] = 1
-        return FFElem(self, tuple(coeffs))
+        return FFElem(self, 1 << self.shifts[min(1, self.k - 1)])
 
     def elements(self):
         """All p^k elements, in the fixed scalar order (lex on coefficient vectors)."""
-        return (FFElem(self, cs) for cs in itertools.product(range(self.p), repeat=self.k))
+        return (FFElem(self, self.pack(cs))
+                for cs in itertools.product(range(self.p), repeat=self.k))
 
     def descriptor(self) -> dict:
         if self.k == 1:
@@ -384,7 +443,7 @@ def scalar_to_json(x):
         return str(x)
     if isinstance(x, FFElem):
         if x.field.k == 1:
-            return x.coeffs[0]
+            return x.value
         return str(list(x.coeffs))
     raise TypeError(f"not a scalar: {x!r}")
 
@@ -496,22 +555,21 @@ class Poly:
         return Poly(self.field, [c * other for c in self.coeffs])
 
     def __divmod__(self, other):
+        """Long division on the field's raw values and its raw `mul` and `sub`."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        if self.degree < other.degree:
-            return Poly(self.field, []), self
-        z = self.field.zero
-        rem = list(self.coeffs)
-        dq = self.degree - other.degree
-        quo = [z] * (dq + 1)
-        inv_lead = 1 / other.leading()
-        for i in range(dq, -1, -1):
-            c = rem[other.degree + i] * inv_lead
-            quo[i] = c
-            if c:
-                for j, b in enumerate(other.coeffs):
-                    rem[i + j] = rem[i + j] - c * b
-        return Poly(self.field, quo), Poly(self.field, rem[:other.degree])
+        field, n = self.field, other.degree
+        if self.degree < n:
+            return Poly(field, []), self
+        mul, sub = field.mul, field.sub
+        rem = field.to_values(self.coeffs)
+        inv_lead, *b = field.to_values([1 / other.leading(), *other.coeffs[:-1]])
+        quo = [0] * (self.degree - n + 1)
+        for i in reversed(range(len(quo))):
+            c = quo[i] = mul(rem[n + i], inv_lead)
+            if c:  # rem[n + i] cancels and is never read again
+                rem[i:n + i] = [sub(r, mul(c, bj)) for r, bj in zip(rem[i:n + i], b)]
+        return Poly(field, field.from_values(quo)), Poly(field, field.from_values(rem[:n]))
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -575,7 +633,7 @@ def _field_tables(field) -> tuple:
     while len(twists) < n:
         twists.append(twists[-1] * t ** field.p)
     G = np.array([[(t ** m * s).coeffs for s in twists] for m in range(n)], dtype=np.int64)
-    H = np.array([field.reduce([0] * m + [1]) for m in range(n, 2 * n - 1)], dtype=np.int64)
+    H = np.array([(t ** m).coeffs for m in range(n, 2 * n - 1)], dtype=np.int64)
     G.flags.writeable = H.flags.writeable = False
     return G, H.reshape(n - 1, n)
 
@@ -649,8 +707,8 @@ class _Frobenius:
         return r
 
     def poly(self, v) -> Poly:
-        n = self.field.k
-        return Poly(self.field, [FFElem(self.field, tuple(c)) for c in v.reshape(-1, n).tolist()])
+        field = self.field
+        return Poly(field, [FFElem(field, field.pack(c)) for c in v.reshape(-1, field.k).tolist()])
 
     def iterate(self, v, m: int):
         """(v^(p^m), sum_{i<m} v^(p^i)) for a vector v of V."""
@@ -870,7 +928,7 @@ def embed(a, dst):
     if src.p != dst.p or dst.k % src.k != 0:
         raise FieldMismatchError(f"no embedding {src!r} -> {dst!r}")
     if src.k == 1:
-        return dst(a.coeffs[0])
+        return dst(a.value)
     return Poly(dst, [dst(c) for c in a.coeffs]).evaluate(_embedding_image(src, dst))
 
 

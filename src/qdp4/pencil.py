@@ -151,7 +151,7 @@ def _integer_lift(field, rows, n: int):
         return (lambda x: x.numerator * (D // x.denominator),
                 lambda c: Fraction(c, D ** n))
     if field.k == 1:
-        return (lambda x: x.coeffs[0]), field
+        return (lambda x: x.value), field
     p, k = field.p, field.k
     w = (2 * factorial(n) * (k * (n + 1) * p) ** n).bit_length()
     half, mask = 1 << (w - 1), (1 << w) - 1
@@ -164,7 +164,7 @@ def _integer_lift(field, rows, n: int):
                 d -= 1 << w
             digits.append(d)
             c = (c - d) >> w
-        return FFElem(field, field.reduce(digits))
+        return field.reduce(digits)
 
     return (lambda x: sum(c << (w * j) for j, c in enumerate(x.coeffs))), unlift
 
@@ -400,7 +400,7 @@ def _norm(D: Poly, f: Poly):
     z = Poly(f.field, [f.field.zero, f.field.one])
     rows, h = [], D % f
     for _ in range(m):
-        rows.append([c.coeffs[0] for c in h.coeffs] + [0] * (m - len(h.coeffs)))
+        rows.append([c.value for c in h.coeffs] + [0] * (m - len(h.coeffs)))
         h = (h * z) % f
     return f.field(det(rows))
 
@@ -462,9 +462,9 @@ def _encode_form(M, p: int) -> np.ndarray:
     """Upper-triangular encoded coefficients of x^T M x over F_p."""
     C = np.zeros((5, 5), dtype=np.int64)
     for i in range(5):
-        C[i, i] = M[i][i].coeffs[0] % p
+        C[i, i] = M[i][i].value
         for j in range(i + 1, 5):
-            C[i, j] = (2 * M[i][j].coeffs[0]) % p
+            C[i, j] = (2 * M[i][j].value) % p
     return C
 
 

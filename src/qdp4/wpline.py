@@ -20,7 +20,7 @@ class ProjPoint:
             raise ValueError("(0 : 0) is not a projective point")
         if not v:
             u, v = field.one, field.zero
-        else:
+        elif v != field.one:
             u, v = u / v, field.one
         self.field = field
         self.u = u

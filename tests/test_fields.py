@@ -236,6 +236,19 @@ def test_poly_divmod_gives_quotient_and_remainder():
     assert divmod(f, g) == (Poly(F7, []), f)
     with pytest.raises(ZeroDivisionError):
         divmod(g, Poly(F7, []))
+    # one division routine for Q, F_p, F_{p^k} and p near 2^40: q b + r = a
+    rng = random.Random(29)
+    for field in (QQ, F7, GF(3, 16), GF(11, 12), GF(1099511627689), GF(1099511627689, 2)):
+        def scalar():
+            if field.is_rational:
+                return Fraction(rng.randrange(-50, 50), rng.randrange(1, 9))
+            return random_element(field, rng)
+        for da, db in ((0, 0), (3, 5), (5, 5), (6, 1), (9, 4)):
+            a = Poly(field, [scalar() for _ in range(da)] + [field(rng.randrange(1, 7))])
+            b = Poly(field, [scalar() for _ in range(db)] + [field(rng.randrange(2, 7))])
+            q, r = divmod(a, b)
+            assert q * b + r == a and r.degree < b.degree
+            assert (a // b, a % b) == (q, r)
 
 
 def test_factor_detects_multiplicity_and_frobenius_powers():
@@ -541,7 +554,7 @@ def test_scalar_json_rejects_inexact_numbers():
 
 
 def test_pickled_fields_and_elements_combine_with_live_ones():
-    for field in (GF(7), GF(3, 2)):
+    for field in (GF(7), GF(3, 2), GF(3, 16), GF(1099511627689, 2)):
         x = field.gen() + field.one
         assert pickle.loads(pickle.dumps(field)) is field
         y = pickle.loads(pickle.dumps(x))
@@ -669,6 +682,28 @@ def test_scalar_total_order():
     assert [e.coeffs for e in elems[:4]] == [(0, 0), (0, 1), (0, 2), (1, 0)]
     for F in (GF(5), F9, GF(3, 3)):  # elements() enumerates in the scalar order
         assert list(F.elements()) == sorted(F.elements())
+
+
+def test_order_between_a_rational_and_a_finite_field_scalar_is_refused():
+    for x in (GF(5)(1), GF(3, 2).gen()):
+        for r in (Fraction(1), Fraction(1, 2)):
+            for a, b in ((x, r), (r, x)):
+                with pytest.raises(FieldMismatchError):
+                    a < b
+                with pytest.raises(FieldMismatchError):
+                    a > b
+    # an int is read into the field on either side
+    assert 3 < GF(5)(4) and not 4 < GF(5)(3) and GF(5)(4) > 3 and 2 > GF(3, 2).gen()
+
+
+def test_integer_scalars_are_read_through_their_index():
+    F7, F9 = GF(7), GF(3, 2)
+    assert F7(np.int64(10)) == F7(3) and F9(np.int8(-1)) == F9(2)
+    assert QQ(np.int64(3)) == Fraction(3) and type(QQ(np.int64(3)).numerator) is int
+    for field, bad in ((F7, 2.0), (F7, np.float64(3)), (F7, "3"), (F7, Fraction(3)),
+                       (F9, Fraction(1, 2)), (QQ, 2.5), (QQ, "1"), (QQ, np.float64(1))):
+        with pytest.raises(TypeError, match="cannot coerce"):
+            field(bad)
 
 
 def test_coefficient_vectors_take_exact_integers_only():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from qdp4 import wpline
-from qdp4.fields import GF, QQ, FieldMismatchError, scalar_to_json
+from qdp4.fields import GF, QQ, FFElem, FieldMismatchError, scalar_to_json
 from qdp4.pencil import (QuadricPencil, canonical_invariant, isomorphic, point_configuration,
                          reconstruct)
 from qdp4.wpline import (Moebius, PointConfiguration, ProjPoint, aut_group,
@@ -176,6 +176,17 @@ def test_points_sort_with_infinity_first_then_by_scalar():
     # the (u : v) with v != 1 normalize before they are ordered
     assert sorted([ProjPoint(F9, F9((1, 1)), F9(2)), ProjPoint(F9, F9(1), F9.zero)]) == \
         [ProjPoint.infinity(F9), ProjPoint.affine(F9, F9((2, 2)))]
+
+
+def test_an_affine_point_makes_no_inversion(monkeypatch):
+    F9 = GF(3, 2)
+    inversions = []
+    inverse = FFElem.inverse
+    monkeypatch.setattr(FFElem, "inverse", lambda x: inversions.append(x) or inverse(x))
+    pts = [ProjPoint.affine(F9, x) for x in F9.elements()]
+    assert not inversions and [p.u for p in pts] == list(F9.elements())
+    assert ProjPoint(F9, F9.gen(), F9(2)) == ProjPoint.affine(F9, F9.gen() * F9(2))
+    assert inversions == [F9(2)]
 
 
 def test_order_between_two_fields_is_refused():
