@@ -21,6 +21,8 @@ from math import lcm
 
 import numpy as np
 
+from .linalg import det
+
 
 class FieldMismatchError(ValueError):
     """Operands belong to different fields."""
@@ -464,17 +466,18 @@ def _exact_int(obj) -> int:
     return obj
 
 
-_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def scalar_from_json(field, obj):
     if field.is_rational:
         if isinstance(obj, str):
-            if not _RATIONAL.fullmatch(obj):  # Fraction also reads 2.7, 1_000, 1e1000000
+            match = _RATIONAL.fullmatch(obj)  # Fraction also reads 2.7, 1_000, 1e1000000
+            if not match:
                 problem = "exponent notation" if "e" in obj.lower() else "bad syntax"
                 raise ValueError(f"{problem} in the rational {obj!r}; write an integer or a/b")
             try:
-                return Fraction(obj)
+                return Fraction(int(match[1]), int(match[2] or 1))
             except ZeroDivisionError as exc:
                 raise ValueError(f"zero denominator in {obj!r}") from exc
         return Fraction(_exact_int(obj))
@@ -810,27 +813,39 @@ def _eval_mod(cs, x: int, m: int) -> int:
     return acc
 
 
+def _sylvester(cs) -> list:
+    """The Sylvester matrix of s and s', cs the coefficients of s (low degree
+    first, degree n >= 1); its determinant is Res(s, s'), zero exactly when s
+    has a repeated root."""
+    n = len(cs) - 1
+    ds = [i * c for i, c in enumerate(cs)][:0:-1]
+    return ([[0] * i + cs[::-1] + [0] * (n - 2 - i) for i in range(n - 1)]
+            + [[0] * i + ds + [0] * (n - 1 - i) for i in range(n)])
+
+
 def rational_roots(f: Poly):
     """The rational roots of a squarefree f over Q, sorted; any other f raises
     DegenerateInputError naming gcd(f, f').
 
-    s = c_n x^n + ... + c_0, f without its root 0 and cleared of denominators,
-    is evaluated at 0..p-1 for the smallest odd prime p not dividing c_n at
-    which every root r of s mod p is simple; each prime dividing neither c_n
-    nor disc(s) is such a p.  A root a/b has a | c_0 and b | c_n, so it reduces
-    to some r, which Newton lifting carries to a modulus N > 2 |c_n c_0|: c_n
-    a/b is the symmetric residue of c_n r mod N.  Every candidate is checked
-    exactly (von zur Gathen-Gerhard, Modern Computer Algebra, ch. 15).
+    f cleared of denominators is squarefree when Res(f, f') != 0, and only
+    otherwise is gcd(f, f') taken.  s = c_n x^n + ... + c_0, f without its root
+    0, is evaluated at 0..p-1 for the smallest odd prime p not dividing c_n at
+    which every root r of s mod p is simple, as each prime dividing neither c_n
+    nor disc(s) is.  A root a/b has a | c_0 and b | c_n, so it reduces to some
+    r, which Newton lifting carries to a modulus N > 2 |c_n c_0|: c_n a/b is
+    the symmetric residue of c_n r mod N.  Each candidate is checked exactly,
+    sum c_i a^i b^(n-i) = 0 (von zur Gathen-Gerhard, ch. 6 and 15).
     """
     if not f.field.is_rational:
         raise UnsupportedFieldError("rational_roots expects a polynomial over Q")
-    _require_squarefree(f)
+    den = lcm(*[c.denominator for c in f.coeffs])
+    cs = [c.numerator * (den // c.denominator) for c in f.coeffs]
+    if f.degree < 1 or not det(_sylvester(cs)):
+        _require_squarefree(f)
     out = [Fraction(0)] if f.coeffs[0] == 0 else []
-    s = Poly(QQ, f.coeffs[len(out):])
-    if s.degree < 1:
+    cs = cs[len(out):]
+    if len(cs) < 2:
         return out
-    den = lcm(*[c.denominator for c in s.coeffs])
-    cs = [int(c * den) for c in s.coeffs]
     ds = [i * c for i, c in enumerate(cs)][1:]
     p = 1
     while True:
@@ -846,7 +861,8 @@ def rational_roots(f: Poly):
             r = (r - _eval_mod(cs, r, N) * pow(_eval_mod(ds, r, N), -1, N)) % N
         v = cs[-1] * r % N
         root = Fraction(v - N if 2 * v > N else v, cs[-1])
-        if s.evaluate(root) == 0:
+        a, b, n = root.numerator, root.denominator, len(cs) - 1
+        if not sum(c * a ** i * b ** (n - i) for i, c in enumerate(cs)):
             out.append(root)
     return sorted(out)
 

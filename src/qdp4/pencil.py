@@ -63,6 +63,9 @@ class QuadricPencil:
                         raise ValueError("pencil matrices must be symmetric")
         flat = [list(itertools.chain.from_iterable(A)),
                 list(itertools.chain.from_iterable(B))]
+        if field.is_rational:  # the same rank on the integer lift
+            lift = _integer_lift(field, flat, 1)[0]
+            flat = [[lift(x) for x in row] for row in flat]
         if rank(flat) < 2:
             raise DegeneratePencilError("matrices are proportional")
         self.field = field
@@ -188,7 +191,7 @@ def is_smooth(P: QuadricPencil) -> bool:
     """Squarefreeness of the binary quintic: infinity, a root of multiplicity
     5 - deg g of its affine chart g(z) = F(1, z), is at most simple, and the
     base-field root finder accepts g (it refuses g with gcd(g, g') != 1).  Its
-    roots, or None and that gcd, are kept for degenerate_orbits: one gcd."""
+    roots, or None and that gcd, are kept for degenerate_orbits: at most one gcd."""
     if "roots" not in P._cache:
         g = Poly(P.field, discriminant_quintic(P))
         find = rational_roots if P.field.is_rational else factor

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 from .fields import FieldMismatchError, in_subfield, scalar_from_json, scalar_to_json
 
@@ -167,16 +168,24 @@ class PointConfiguration:
         to infinity, 0, 1.  With D(a, b) = u_a v_b - u_b v_a, the image of m
         under the map for (i, j, k) is D(k, i) D(m, j) / (D(k, j) D(m, i)),
         constant on the classes of _CR_CLASSES; `values` holds their distinct
-        values in the fixed scalar order."""
+        values in the fixed scalar order.  Over Q the points are integer pairs
+        (n : d), so each value is one Fraction of integer products."""
         if self._table is not None:
             return self._table
-        pts = self.points
+        rational = self.field.is_rational
+        xy = [(p.u.numerator, p.u.denominator if p.v else 0) if rational else (p.u, p.v)
+              for p in self.points]
         D, inv = {}, {}
         for a, b in itertools.combinations(range(5), 2):
-            d = pts[a].u * pts[b].v - pts[b].u * pts[a].v
-            e = 1 / d
-            D[a, b], D[b, a], inv[a, b], inv[b, a] = d, -d, e, -e
-        cr = [D[k, i] * D[m, j] * inv[k, j] * inv[m, i] for i, j, k, m in _CR_CLASSES]
+            d = xy[a][0] * xy[b][1] - xy[b][0] * xy[a][1]
+            D[a, b], D[b, a] = d, -d
+            if not rational:
+                e = 1 / d
+                inv[a, b], inv[b, a] = e, -e
+        if rational:
+            cr = [Fraction(D[k, i] * D[m, j], D[k, j] * D[m, i]) for i, j, k, m in _CR_CLASSES]
+        else:
+            cr = [D[k, i] * D[m, j] * inv[k, j] * inv[m, i] for i, j, k, m in _CR_CLASSES]
         values, ranks = [], [0] * len(cr)
         for c in sorted(range(len(cr)), key=cr.__getitem__):
             if not values or cr[c] != values[-1]:

@@ -20,6 +20,7 @@ from qdp4.pencil import (MAX_IMPLIED_DEGREE, QuadricPencil, discriminant_quintic
                          reconstruct, splitting_field)
 from qdp4.linalg import congruence, mat_mul, transpose
 from qdp4.sampling import random_invertible, random_smooth_pencil
+from test_pencil import _mixed_denominator_pair
 
 
 @pytest.fixture
@@ -58,7 +59,9 @@ def test_analyze_eq_pencil(capsys, p23):
 def test_analyze_takes_the_gcd_of_the_quintic_once(capsys, tmp_path, monkeypatch):
     # is_smooth reads the base-field root finder's verdict, and a singular
     # pencil's error names the gcd that finder took, so gcd(g, g') is taken
-    # once; a singular pencil still exits 3 naming its repeated point
+    # once over F_q; over Q an integer resultant certifies a smooth pencil
+    # and the gcd is taken only for a singular one, which still exits 3
+    # naming its repeated point
     calls = []
     real = fields.poly_gcd
 
@@ -69,21 +72,40 @@ def test_analyze_takes_the_gcd_of_the_quintic_once(capsys, tmp_path, monkeypatch
     for module in (fields, pencil):
         monkeypatch.setattr(module, "poly_gcd", counted)
     rng = random.Random(11)
-    singular = QuadricPencil(GF(7), *([[d[i] if i == j else 0 for j in range(5)]
+
+    def singular(field):
+        return QuadricPencil(field, *([[d[i] if i == j else 0 for j in range(5)]
                                        for i in range(5)]
                                       for d in ((1, 0, 1, 1, 3), (0, 1, 1, 1, 1))))
+
     path = tmp_path / "p.json"
-    for P in (reconstruct((2, 3), QQ), random_smooth_pencil(GF(7), rng),
-              random_smooth_pencil(GF(3, 2), rng), singular):
+    for P, gcds, smooth in ((reconstruct((2, 3), QQ), 0, True),
+                            (random_smooth_pencil(GF(7), rng), 1, True),
+                            (random_smooth_pencil(GF(3, 2), rng), 1, True),
+                            (singular(GF(7)), 1, False), (singular(QQ), 1, False)):
         path.write_text(json.dumps(P.to_json()))
         calls.clear()
         code, out, err = run_cli(capsys, "analyze", str(path))
         g = Poly(P.field, discriminant_quintic(P))
-        assert calls.count((g, g.derivative())) == 1
-        if P is singular:
+        assert calls.count((g, g.derivative())) == gcds
+        if not smooth:
             assert code == 3 and "repeated degenerate point z = 1" in err
         else:
             assert code == 0 and json.loads(out)["smooth"] is True
+
+
+def test_proportional_and_oversized_q_entries_exit_2(capsys, tmp_path):
+    A, B = _mixed_denominator_pair()  # B = (-7/3) A
+    obj = {"field": QQ.descriptor(), "A": [[str(x) for x in row] for row in A],
+           "B": [[str(x) for x in row] for row in B]}
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert code == 2 and out == "" and "proportional" in err
+    obj["A"][0][0] = "1" * 5000  # past CPython's int/str limit of 4300 digits
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert code == 2 and out == "" and "4300 digits" in err
 
 
 def test_analyze_byte_stable(capsys, p23):

@@ -458,6 +458,34 @@ def test_rational_roots_reduce_modulo_the_smallest_good_prime(monkeypatch):
         assert rational_roots(poly) == rational_roots(poly)
 
 
+def test_rational_roots_refuse_a_repeated_factor_with_its_gcd():
+    # the integer resultant fails, and the gcd witness is Euclid's
+    sq = Poly.from_ints(QQ, [-2, 0, 1])  # x^2 - 2
+    twice = _poly_with_rational_roots([Fraction(-3, 4), Fraction(-3, 4), 2, 5])
+    cases = [(twice * Fraction(7, 3), ["3/4", "1"]),
+             (sq * sq * _poly_with_rational_roots([Fraction(1, 3)]), ["-2", "0", "1"]),
+             (_poly_with_rational_roots([0, 0, 1]), ["0", "1"])]
+    for f, gcd in cases:
+        with pytest.raises(DegenerateInputError) as err:
+            rational_roots(f)
+        assert err.value.gcd == poly_gcd(f, f.derivative()) == Poly(QQ, map(Fraction, gcd))
+        assert str(err.value) == f"not squarefree: gcd(f, f') = {gcd} (low degree first)"
+
+
+def test_rational_roots_of_a_squarefree_quintic_of_large_height():
+    # the resultant of f and f' is an integer of thousands of digits here
+    rng = random.Random(47)
+
+    def number():
+        return rng.randrange(10 ** 99, 10 ** 100)
+
+    roots = sorted({Fraction(rng.choice((-1, 1)) * number(), number()) for _ in range(5)})
+    f = _poly_with_rational_roots(roots) * Fraction(-11, number())
+    assert f.degree == 5 and rational_roots(f) == roots
+    near = f + Poly(QQ, [Fraction(1, number())])  # no rational root survives a tiny shift
+    assert rational_roots(near) == []
+
+
 def test_rational_roots_of_large_height():
     # five roots with 7-digit and with 100-digit numerators and denominators;
     # the divisor enumeration did not finish the 7-digit case in 300 s
@@ -530,6 +558,23 @@ def test_embed_poly_roots_cover_factors():
     big = GF(3, m)
     fb = embed_poly(f, big)
     assert all(g.degree == 1 for g in factor(fb))
+
+
+def test_rational_scalars_parse_to_the_fraction_of_their_string():
+    rng = random.Random(5)
+    long = [str(rng.randrange(10 ** 199, 10 ** 200)) for _ in range(3)]
+    for text in ["007/21", "-0", "0/9", "-12/18", "0", "5", "-3", "22/7", "-0/3",
+                 long[0], f"-{long[1]}/{long[2]}", f"{long[0]}/{long[0]}", f"1/{long[1]}"]:
+        value = scalar_from_json(QQ, text)
+        assert type(value) is Fraction and value == Fraction(text), text
+    for text, message in [("2.7", "bad syntax"), ("1_000", "bad syntax"),
+                          ("1e5", "exponent notation"), ("+3", "bad syntax"),
+                          (" 5", "bad syntax"), ("3/-4", "bad syntax")]:
+        with pytest.raises(ValueError, match=re.escape(
+                f"{message} in the rational {text!r}; write an integer or a/b")):
+            scalar_from_json(QQ, text)
+    with pytest.raises(ValueError, match=re.escape("zero denominator in '3/0'")):
+        scalar_from_json(QQ, "3/0")
 
 
 def test_scalar_json_round_trip():

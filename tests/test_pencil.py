@@ -224,6 +224,25 @@ def test_degenerate_pencil_rejected():
                                 for i in range(5)])
 
 
+def _mixed_denominator_pair():
+    """A symmetric A with entries such as 1/2, -5/6, 7/6, -1/9 and -3/35, and
+    B = (-7/3) A."""
+    A = [[Fraction(0)] * 5 for _ in range(5)]
+    for n, (i, j) in enumerate(itertools.combinations_with_replacement(range(5), 2)):
+        A[i][j] = A[j][i] = Fraction((-1) ** n * (n % 7 + 1), (2, 6, 9, 1, 35)[n % 5])
+    return A, [[Fraction(-7, 3) * x for x in row] for row in A]
+
+
+def test_proportionality_over_q_with_mixed_denominators():
+    A, B = _mixed_denominator_pair()
+    with pytest.raises(DegeneratePencilError):
+        QuadricPencil(QQ, A, B)
+    for i, j in ((0, 0), (1, 3), (4, 4)):
+        C = [row[:] for row in B]
+        C[i][j] = C[j][i] = C[i][j] + Fraction(1, 10 ** 20)
+        QuadricPencil(QQ, A, C)  # one entry off the line: a pencil
+
+
 def test_asymmetric_rejected():
     M = [[0] * 5 for _ in range(5)]
     M[0][1] = 1

@@ -328,6 +328,32 @@ def test_cross_ratio_table_agrees_with_the_60_map_enumeration():
     assert negatives >= 10
 
 
+def test_rational_cross_ratios_of_large_height_match_the_explicit_maps():
+    # over Q the table runs on integer coordinates (n : d); the points here mix
+    # signs, denominators and heights up to 10^30, with and without infinity
+    rng = random.Random(30)
+
+    def height(h):
+        return rng.randint(1, 10 ** h)
+
+    configs = []
+    for h in (1, 3, 12, 30):
+        for infinity in (True, False):
+            values = set()
+            while len(values) < 5 - infinity:
+                values.add(Fraction(rng.choice((-1, 1)) * height(h), height(rng.randint(0, h))))
+            configs.append(config(QQ, sorted(values), infinity))
+    configs.append(config(QQ, [Fraction(-10 ** 30, 7), Fraction(-1, 3), 0,
+                               Fraction(10 ** 30 - 1, 10 ** 30)]))
+    for c in configs:
+        values, table = c.cross_ratios()
+        assert list(values) == sorted(set(values))
+        for ordering, (a, b) in table:
+            assert (values[a], values[b]) == reference_pair(c, ordering)
+    assert any(p.u < 0 for c in configs for p in c.points if not p.is_infinity())
+    assert max(abs(p.u.numerator) for c in configs for p in c.points) > 10 ** 29
+
+
 def test_cross_ratio_values_are_ranked_and_index_the_explicit_maps():
     configs = oracle_configurations()
     for c in configs:
