@@ -5,8 +5,9 @@ each one Python int: the residue over F_p, and over F_{p^k} its coefficient
 vector modulo a canonical irreducible modulus, packed as base-2^w digits.
 Both answer the same scalar protocol: `not x` tests for zero, `x == 1` for
 one, and `1 / x` is the inverse.  Each field also supplies `mul` and `sub`
-on raw values (Fractions, or the ints), on which `Poly.__divmod__` runs one
-loop for every field.  All values are immutable and all operations are pure.
+on raw values (Fractions, or the ints), on which `_divide` runs one division
+loop for every field, for `Poly.__divmod__` and `poly_gcd`.  All values are
+immutable and all operations are pure.
 """
 
 from __future__ import annotations
@@ -193,15 +194,17 @@ class FFElem:
     def __bool__(self):
         return self.value != 0
 
+    # An int in [0, p) equals that element of F_p, which hashes as the int.
     def __eq__(self, other):
         if isinstance(other, int):
-            other = self.field(other)
+            return 0 <= other < self.field.p and self.value == other << self.field.shifts[0]
         if not isinstance(other, FFElem) or other.field is not self.field:
             return NotImplemented
         return self.value == other.value
 
     def __hash__(self):
-        return hash(self.value)
+        v, top = self.value, self.field.shifts[0]
+        return hash(v if v & ((1 << top) - 1) else v >> top)
 
     # The fixed scalar order.  `__gt__` serves a reflected `<`, so that a
     # rational on either side raises FieldMismatchError.
@@ -558,20 +561,15 @@ class Poly:
         return Poly(self.field, [c * other for c in self.coeffs])
 
     def __divmod__(self, other):
-        """Long division on the field's raw values and its raw `mul` and `sub`."""
+        """Long division on raw values (`_divide`); no inverse if other is monic."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         field, n = self.field, other.degree
         if self.degree < n:
             return Poly(field, []), self
-        mul, sub = field.mul, field.sub
-        rem = field.to_values(self.coeffs)
-        inv_lead, *b = field.to_values([1 / other.leading(), *other.coeffs[:-1]])
-        quo = [0] * (self.degree - n + 1)
-        for i in reversed(range(len(quo))):
-            c = quo[i] = mul(rem[n + i], inv_lead)
-            if c:  # rem[n + i] cancels and is never read again
-                rem[i:n + i] = [sub(r, mul(c, bj)) for r, bj in zip(rem[i:n + i], b)]
+        lead, rem = other.leading(), field.to_values(self.coeffs)
+        inv_lead = None if lead == field.one else field.to_values([1 / lead])[0]
+        quo = _divide(rem, field.to_values(other.coeffs), inv_lead, field.mul, field.sub)
         return Poly(field, field.from_values(quo)), Poly(field, field.from_values(rem[:n]))
 
     def __floordiv__(self, other):
@@ -581,7 +579,7 @@ class Poly:
         return divmod(self, other)[1]
 
     def monic(self) -> "Poly":
-        if self.is_zero():
+        if self.is_zero() or self.leading() == self.field.one:
             return self
         return self * (1 / self.leading())
 
@@ -601,12 +599,35 @@ class Poly:
         return "Poly[" + ", ".join(repr(c) for c in self.coeffs) + "]"
 
 
+def _divide(rem: list, b: list, inv_lead, mul, sub) -> list:
+    """The quotient of rem by b, raw values low degree first, with the field's
+    `mul` and `sub`; rem[:deg b] becomes the remainder.  inv_lead inverts b's
+    leading coefficient, and is None when that is one."""
+    n = len(b) - 1
+    quo = [0] * (len(rem) - n)
+    for i in reversed(range(len(quo))):
+        c = quo[i] = rem[n + i] if inv_lead is None else mul(rem[n + i], inv_lead)
+        if c:  # rem[n + i] cancels and is never read again
+            rem[i:n + i] = [sub(r, mul(c, bj)) for r, bj in zip(rem[i:n + i], b)]
+    return quo
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    while not b.is_zero():
-        a, b = b, a % b
-    if a.is_zero():
-        return a
-    return a.monic()
+    """The monic gcd of a and b, zero when both are: Euclid on raw values,
+    each remainder made monic (one inversion), so that every divisor is; a
+    constant remainder means gcd 1 (von zur Gathen-Gerhard, ch. 3)."""
+    field = a.field
+    one, = field.to_values([field.one])
+    a, b = field.to_values(a.coeffs), field.to_values(b.coeffs)
+    while len(b) > 1:
+        if b[-1] != one:
+            inv, = field.to_values([1 / field.from_values(b[-1:])[0]])
+            b = [field.mul(c, inv) for c in b[:-1]] + [one]
+        _divide(a, b, None, field.mul, field.sub)
+        a, b = b, a[:len(b) - 1]
+        while b and not b[-1]:
+            b.pop()
+    return Poly(field, [field.one] if b else field.from_values(a)).monic()  # a alone if b = 0
 
 
 def squarefree(f: Poly) -> bool:

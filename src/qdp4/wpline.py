@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 
 from .fields import FieldMismatchError, in_subfield, scalar_from_json, scalar_to_json
@@ -88,13 +89,12 @@ class Moebius:
         return ProjPoint(self.field, self.a * p.u + self.b * p.v,
                          self.c * p.u + self.d * p.v)
 
-    def compose(self, other: "Moebius") -> "Moebius":
-        # self after other
-        return Moebius(self.field,
-                       self.a * other.a + self.b * other.c,
-                       self.a * other.b + self.b * other.d,
-                       self.c * other.a + self.d * other.c,
-                       self.c * other.b + self.d * other.d)
+    def compose(self, other: "Moebius", invert: bool = False) -> "Moebius":
+        """self after other, or self^-1 after other when invert is set, with
+        self's adjugate for its inverse: one normalisation either way."""
+        a, b, c, d = (self.d, -self.b, -self.c, self.a) if invert else self.entries()
+        return Moebius(self.field, a * other.a + b * other.c, a * other.b + b * other.d,
+                       c * other.a + d * other.c, c * other.b + d * other.d)
 
     def inverse(self) -> "Moebius":
         return Moebius(self.field, self.d, -self.b, -self.c, self.a)
@@ -122,15 +122,13 @@ class Moebius:
 
 
 def moebius_to_inf_zero_one(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint) -> Moebius:
-    """The unique Moebius map sending p1, p2, p3 to infinity, 0, 1."""
-    field = p1.field
-    # rows: (c, d) kills p1; (a, b) kills p2; scaling fixed by m(p3) = 1
+    """The Moebius map sending p1, p2, p3 to infinity, 0, 1; coincident points raise."""
+    # rows: (c, d) kills p1, (a, b) kills p2, each times the other at p3: m(p3) = 1
     c, d = p1.v, -p1.u
-    a0, b0 = p2.v, -p2.u
+    a, b = p2.v, -p2.u
     num = c * p3.u + d * p3.v
-    den = a0 * p3.u + b0 * p3.v
-    t = num / den
-    return Moebius(field, a0 * t, b0 * t, c, d)
+    den = a * p3.u + b * p3.v
+    return Moebius(p1.field, a * num, b * num, c * den, d * den)
 
 
 def _klein_class(i, j, k, m):
@@ -179,12 +177,17 @@ class PointConfiguration:
         for a, b in itertools.combinations(range(5), 2):
             d = xy[a][0] * xy[b][1] - xy[b][0] * xy[a][1]
             D[a, b], D[b, a] = d, -d
-            if not rational:
-                e = 1 / d
-                inv[a, b], inv[b, a] = e, -e
         if rational:
             cr = [Fraction(D[k, i] * D[m, j], D[k, j] * D[m, i]) for i, j, k, m in _CR_CLASSES]
         else:
+            # Montgomery: from e = (D_0..D_n)^-1, D_n^-1 = e D_0..D_(n-1) and the next e is e D_n
+            pairs = list(D)[::2]
+            prefix = list(itertools.accumulate([D[ab] for ab in pairs], operator.mul))
+            e = 1 / prefix[-1]
+            for ab, before in zip(pairs[:0:-1], prefix[-2::-1]):
+                inv[ab], e = e * before, e * D[ab]
+            inv[pairs[0]] = e
+            inv.update([((b, a), -e) for (a, b), e in inv.items()])
             cr = [D[k, i] * D[m, j] * inv[k, j] * inv[m, i] for i, j, k, m in _CR_CLASSES]
         values, ranks = [], [0] * len(cr)
         for c in sorted(range(len(cr)), key=cr.__getitem__):
@@ -226,7 +229,7 @@ def _matches(c1: PointConfiguration, c2: PointConfiguration):
     for ordering, ab in table:
         if ab == ref:
             dst = moebius_to_inf_zero_one(*(c2.points[x] for x in ordering[:3]))
-            yield dst.inverse().compose(src), ordering
+            yield dst.compose(src, invert=True), ordering
 
 
 def pgl2_match(c1: PointConfiguration, c2: PointConfiguration):

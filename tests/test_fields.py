@@ -8,9 +8,11 @@ from math import gcd, isqrt, lcm
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qdp4 import fields
-from qdp4.fields import (GF, MAX_DEGREE, QQ, DegenerateInputError,
+from qdp4.fields import (GF, MAX_DEGREE, QQ, DegenerateInputError, FFElem,
                          FieldMismatchError, Poly, UnsupportedFieldError,
                          _canonical_modulus, _Frobenius, _is_prime,
                          conjugate_roots, embed, embed_poly, factor, field_from_descriptor, is_square,
@@ -21,6 +23,18 @@ from qdp4.fields import (GF, MAX_DEGREE, QQ, DegenerateInputError,
 
 def test_rational_arithmetic():
     assert QQ(1) / QQ(2) + QQ(1) / QQ(3) == Fraction(5, 6)
+
+
+def test_an_int_equals_an_element_only_with_the_same_hash():
+    # an int in [0, p) is the element of F_p it names, so 3 == GF(7)(3) but
+    # 10 != GF(7)(3), and equal objects hash alike, in either operand order
+    for F in (GF(7), GF(3, 2)):
+        for x in F.elements():
+            for n in range(-2 * F.p, 2 * F.p):
+                assert (x == n) == (n == x) == (0 <= n < F.p and F(n) == x)
+                if x == n:
+                    assert hash(x) == hash(n)
+    assert GF(7)(3) in {3} and GF(7)(3) not in {10} and 1 in {GF(3, 2)(1)}
 
 
 def test_prime_field_inverse():
@@ -769,6 +783,79 @@ def test_poly_gcd_monic():
     g = (t + one) * (t + Poly.from_ints(F7, [5]))
     d = poly_gcd(f, g)
     assert d == t + one
+
+
+def _schoolbook_gcd(a, b) -> list:
+    """Euclid on coefficient lists with the field's element operators: the
+    last nonzero remainder, divided by its leading coefficient."""
+    a, b = list(a.coeffs), list(b.coeffs)
+    while b:
+        while len(a) >= len(b):
+            c, shift = a[-1] / b[-1], len(a) - len(b)
+            a = [x - c * b[i - shift] if i >= shift else x for i, x in enumerate(a)][:-1]
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return [x / a[-1] for x in a]
+
+
+_GCD_FIELDS = (QQ, GF(7), GF(3, 16), GF(1009, 6), GF(1099511627689, 2))
+_pairs = st.lists(st.tuples(st.one_of(st.integers(-2, 2), st.integers(-2 ** 90, 2 ** 90)),
+                            st.integers(1, 9)), max_size=4)
+
+
+def _poly_of_pairs(field, pairs):
+    """Coefficient i is pair i, (n, m): over Q n / m, over F_{p^k} the base-p
+    digits of n mod p^k, low degree first."""
+    if field.is_rational:
+        return Poly(field, [Fraction(n, m) for n, m in pairs])
+    return Poly(field, [field([n // field.p ** i for i in range(field.k)]) for n, _ in pairs])
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(index=st.sampled_from(range(len(_GCD_FIELDS))), g=_pairs, u=_pairs, v=_pairs)
+@example(index=1, g=[], u=[(1, 1)], v=[(2, 1)])  # both operands zero
+@example(index=1, g=[(3, 1), (5, 1)], u=[(2, 1)], v=[])  # b zero, a not monic
+@example(index=2, g=[(1, 1)], u=[(1, 1), (1, 1)], v=[(2, 1), (1, 1)])  # constant gcd
+@example(index=3, g=[(5, 1), (2018, 1), (1, 1)], u=[(3, 1), (1, 1)],
+         v=[(3, 1), (1, 1)])  # equal operands
+@example(index=4, g=[(-1, 1), (0, 1), (1, 1)], u=[(7, 1), (1, 1)], v=[(1, 1)])  # b divides a
+@example(index=4, g=[(2 ** 45, 1), (4, 1)], u=[(1, 1), (3, 1)], v=[(5, 1)])  # b | a, b not monic
+@example(index=0, g=[(1, 1), (1, 1)], u=[(2, 1), (0, 1), (1, 1)],
+         v=[(3, 1), (5, 2)])  # b not monic over Q
+def test_poly_gcd_matches_schoolbook_euclid(index, g, u, v):
+    field = _GCD_FIELDS[index]
+    g, u, v = (_poly_of_pairs(field, x) for x in (g, u, v))
+    a, b = g * u, g * v
+    d = poly_gcd(a, b)
+    assert list(d.coeffs) == _schoolbook_gcd(a, b)
+    if d.is_zero():
+        assert a.is_zero() and b.is_zero()
+    else:
+        assert d.leading() == field.one
+        assert (a % d).is_zero() and (b % d).is_zero()
+
+
+def test_poly_gcd_takes_at_most_one_inversion_per_remainder(monkeypatch):
+    # Euclid with monic remainders: each remainder of a, b (deg a >= deg b,
+    # b != 0), r_1 = b, r_2 = a mod b, ..., costs at most one inversion, and
+    # a division by the monic gcd costs none
+    F, rng = GF(11, 3), random.Random(11)
+    calls, real = [], FFElem.inverse
+    monkeypatch.setattr(FFElem, "inverse", lambda x: calls.append(x) or real(x))
+    for _ in range(30):
+        g, u, v = (Poly(F, [random_element(F, rng) for _ in range(rng.randrange(1, 5))])
+                   for _ in range(3))
+        a, b = sorted([g * u, g * v], key=lambda f: -f.degree)
+        remainders, r0, r1 = [], a, b
+        while not r1.is_zero():
+            remainders.append(r1)
+            r0, r1 = r1, r0 % r1
+        calls.clear()
+        d = poly_gcd(a, b)
+        assert len(calls) <= len(remainders)
+        calls.clear()
+        assert d.monic() is d and (a // d) * d == a and not calls
 
 
 def _vector(frob, h):

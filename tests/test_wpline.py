@@ -406,3 +406,26 @@ def test_isomorphic_builds_only_the_second_pencils_table():
         isomorphic(P1, P2)  # the common field is the base field: all points are rational
         assert point_configuration(P1, field)._table is None
         assert point_configuration(P2, field)._table is not None
+
+
+def test_cross_ratios_over_f_q_take_one_inversion(monkeypatch):
+    # the 10 determinants are inverted together (Montgomery's trick)
+    F, rng = GF(3, 4), random.Random(4)
+    calls, real = [], FFElem.inverse
+    monkeypatch.setattr(FFElem, "inverse", lambda x: calls.append(x) or real(x))
+    for infinity in (True, False, True):
+        xs = set()
+        while len(xs) < 4 + (not infinity):
+            xs.add(tuple(rng.randrange(3) for _ in range(4)))
+        c = config(F, sorted(xs), infinity)
+        calls.clear()
+        values, _ = c.cross_ratios()
+        assert len(calls) == 1 and len(values) <= 30
+
+
+def test_coincident_points_have_no_map_to_infinity_zero_one():
+    F = GF(3, 2)
+    p, q = ProjPoint.affine(F, (1, 2)), ProjPoint.infinity(F)
+    for triple in ((p, p, q), (p, q, p), (q, p, p)):
+        with pytest.raises(ValueError, match="invertible"):
+            moebius_to_inf_zero_one(*triple)
