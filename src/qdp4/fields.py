@@ -4,10 +4,11 @@ Rational scalars are `fractions.Fraction`; finite-field scalars are `FFElem`,
 each one Python int: the residue over F_p, and over F_{p^k} its coefficient
 vector modulo a canonical irreducible modulus, packed as base-2^w digits.
 Both answer the same scalar protocol: `not x` tests for zero, `x == 1` for
-one, and `1 / x` is the inverse.  Each field also supplies `mul` and `sub`
-on raw values (Fractions, or the ints), on which `_divide` runs one division
-loop for every field, for `Poly.__divmod__` and `poly_gcd`.  All values are
-immutable and all operations are pure.
+one, and `1 / x` is the inverse.  Each field owns its arithmetic on raw values
+(Fractions, or the ints): `mul`, `sub` and `inv`, and a finite field also
+`add` and `pow`, which `FFElem` calls.  On them `_divide` runs one division
+loop for every field, for `Poly.__divmod__`, `poly_gcd` and the inverse in
+F_{p^k}.  All values are immutable and all operations are pure.
 """
 
 from __future__ import annotations
@@ -58,8 +59,8 @@ def _is_prime(n: int) -> bool:
 
 class RationalField:
     """The field Q.  Elements are fractions.Fraction, and so are their raw
-    values: `mul`, `sub`, `to_values` and `from_values` are Fraction's own
-    operators and plain lists."""
+    values: `mul`, `sub`, `inv`, `to_values` and `from_values` are Fraction's
+    own operators and plain lists."""
 
     is_rational = True
     p = 0
@@ -67,6 +68,7 @@ class RationalField:
     zero = Fraction(0)
     one = Fraction(1)
     mul, sub = operator.mul, operator.sub
+    inv = staticmethod(lambda a: 1 / a)
     to_values = from_values = list
 
     def __call__(self, value) -> Fraction:
@@ -122,15 +124,11 @@ class FFElem:
                 f"descriptor mismatch: {self.field!r} vs {other.field!r}")
         return other
 
-    # Prime fields compute inline: a call into the field adds about a quarter
-    # to the time of a product.
     def __add__(self, other):
         f = self.field
         if type(other) is not FFElem or other.field is not f:
             other = self._check(other)
-        if f.k == 1:
-            return FFElem(f, (self.value + other.value) % f.p)
-        return FFElem(f, f._add(self.value, other.value))
+        return FFElem(f, f.add(self.value, other.value))
 
     __radd__ = __add__
 
@@ -141,9 +139,7 @@ class FFElem:
         f = self.field
         if type(other) is not FFElem or other.field is not f:
             other = self._check(other)
-        if f.k == 1:
-            return FFElem(f, (self.value - other.value) % f.p)
-        return FFElem(f, f._sub(self.value, other.value))
+        return FFElem(f, f.sub(self.value, other.value))
 
     def __rsub__(self, other):
         return self._check(other) - self
@@ -152,19 +148,14 @@ class FFElem:
         f = self.field
         if type(other) is not FFElem or other.field is not f:
             other = self._check(other)
-        if f.k == 1:
-            return FFElem(f, self.value * other.value % f.p)
-        return FFElem(f, f._mul(self.value, other.value))
+        return FFElem(f, f.mul(self.value, other.value))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FFElem":
-        f = self.field
         if not self.value:
-            raise ZeroDivisionError("inverse of zero in " + repr(f))
-        if f.k == 1:
-            return FFElem(f, pow(self.value, f.p - 2, f.p))
-        return FFElem(f, f.pack(_ext_euclid_inverse(self.coeffs, f.modulus, f.p, f.k)))
+            raise ZeroDivisionError("inverse of zero in " + repr(self.field))
+        return FFElem(self.field, self.field.inv(self.value))
 
     def __truediv__(self, other):
         other = self._check(other)
@@ -176,20 +167,9 @@ class FFElem:
         return self._check(other) * self.inverse()
 
     def __pow__(self, n: int):
-        f = self.field
         if n < 0:
             return self.inverse() ** (-n)
-        if f.k == 1:
-            return FFElem(f, pow(self.value, n, f.p))
-        if n == 0:
-            return f.one
-        mul, v = f._mul, self.value
-        r = v
-        for bit in bin(n)[3:]:  # left to right
-            r = mul(r, r)
-            if bit == "1":
-                r = mul(r, v)
-        return FFElem(f, r)
+        return FFElem(self.field, self.field.pow(self.value, n))
 
     def __bool__(self):
         return self.value != 0
@@ -215,54 +195,13 @@ class FFElem:
         return self._check(other).value < self.value
 
     def __repr__(self):
-        if self.field.k == 1:
-            return f"{self.value}"
-        return f"{list(self.coeffs)}"
-
-
-def _ext_euclid_inverse(a, modulus, p: int, k: int) -> tuple:
-    """Inverse of a modulo the (irreducible) modulus, by extended Euclid in F_p[x]."""
-    def strip(x):
-        while x and x[-1] % p == 0:
-            x.pop()
-        return x
-
-    r0, r1 = strip(list(modulus)), strip(list(a))
-    s0, s1 = [0], [1]
-    while len(r1) > 1:
-        # divide r0 by r1
-        inv_lead = pow(r1[-1], p - 2, p)
-        q = [0] * (len(r0) - len(r1) + 1)
-        r = list(r0)
-        for i in range(len(r0) - len(r1), -1, -1):
-            c = (r[len(r1) - 1 + i] * inv_lead) % p
-            if c:
-                q[i] = c
-                for j, b in enumerate(r1):
-                    r[i + j] = (r[i + j] - c * b) % p
-        r = strip(r)
-        # s_new = s0 - q * s1
-        qs = [0] * (len(q) + len(s1) - 1) if s1 else []
-        for i, qc in enumerate(q):
-            if qc:
-                for j, sc in enumerate(s1):
-                    qs[i + j] = (qs[i + j] + qc * sc) % p
-        n = max(len(s0), len(qs))
-        s_new = [( (s0[i] if i < len(s0) else 0) - (qs[i] if i < len(qs) else 0)) % p
-                 for i in range(n)]
-        r0, r1 = r1, r
-        s0, s1 = s1, strip(s_new)
-    if not r1:
-        raise ZeroDivisionError("element not invertible")
-    c_inv = pow(r1[0], p - 2, p)
-    out = [(x * c_inv) % p for x in s1]
-    out += [0] * (k - len(out))
-    return tuple(out[:k])
+        return str(scalar_to_json(self))
 
 
 class FiniteField:
     """F_{p^k} with the canonical modulus (lexicographically smallest monic
-    irreducible), and its arithmetic on raw values (see FFElem).
+    irreducible), and its arithmetic on raw values (see FFElem): `add`, `sub`,
+    `mul`, `inv` and `pow`, on residues for k = 1 and packed otherwise.
 
     Each digit has width w, 2^(w-1) > 2k p^2.  A product of two raw values
     has digits at most k (p-1)^2; folding its k - 1 low digits, each first
@@ -286,16 +225,21 @@ class FiniteField:
         self._ps, self._bias = p * ones, ((1 << (w - 1)) - p) * ones
         self._tops = ones << (w - 1)
         self.zero, self.one = FFElem(self, 0), FFElem(self, 1 << self.shifts[0])
-        if k == 1:
+        if k == 1:  # residues
             self.modulus = None
+            self.add = lambda a, b: (a + b) % p
             self.sub = lambda a, b: (a - b) % p
             self.mul = lambda a, b: a * b % p
+            self.inv = lambda a: pow(a, p - 2, p)
+            self.pow = lambda a, n: pow(a, n, p)
             return
         self.modulus = _canonical_modulus(p, k)  # length k+1, monic
         self.xk = tuple((-c) % p for c in self.modulus[:k])  # x^k mod modulus
         # product digit d < k - 1 holds t^(2k-2-d); rows[d] is that power reduced
         self._rows = [self.reduce([0] * (2 * k - 2 - d) + [1]).value for d in range(k - 1)]
-        self.sub, self.mul = self._sub, self._mul
+        self._base = GF(p)
+        self.add, self.sub, self.mul, self.inv = self._add, self._sub, self._mul, self._inv
+        self.pow = lambda a, n: _power(self._mul, a, n) if n else self.one.value
 
     # a + b and a + p - b have digits below 2p: p comes off each that reaches p
     def _add(self, a: int, b: int) -> int:
@@ -317,6 +261,26 @@ class FiniteField:
         for s in self.shifts:
             out |= (c >> s & mask) % p << s
         return out
+
+    def _inv(self, a: int) -> int:
+        """a^-1 by extended Euclid in F_p[t], dividing by `_divide` on F_p's raw
+        values: each remainder r is s a modulo the irreducible modulus, and the
+        last is a nonzero constant (von zur Gathen-Gerhard, ch. 3-4)."""
+        p, base = self.p, self._base
+        r0, r1 = list(self.modulus), [a >> sh & self.mask for sh in self.shifts]
+        s0, s1 = [0], [1]
+        while True:
+            while not r1[-1]:
+                r1.pop()
+            if len(r1) == 1:
+                c = base.inv(r1[0])
+                return self.pack([c * x % p for x in s1])
+            q = _divide(r0, r1, base.inv(r1[-1]), base.mul, base.sub)
+            s = s0 + [0] * (len(q) + len(s1) - 1 - len(s0))  # s0 - q s1
+            for i, c in enumerate(q):
+                for j, b in enumerate(s1):
+                    s[i + j] -= c * b
+            r0, r1, s0, s1 = r1, r0[:len(r1) - 1], s1, [c % p for c in s]
 
     def pack(self, cs) -> int:
         """The raw value of the coefficient vector cs (entries in [0, p))."""
@@ -567,9 +531,9 @@ class Poly:
         field, n = self.field, other.degree
         if self.degree < n:
             return Poly(field, []), self
-        lead, rem = other.leading(), field.to_values(self.coeffs)
-        inv_lead = None if lead == field.one else field.to_values([1 / lead])[0]
-        quo = _divide(rem, field.to_values(other.coeffs), inv_lead, field.mul, field.sub)
+        rem, b = field.to_values(self.coeffs), field.to_values(other.coeffs)
+        inv_lead = None if other.leading() == field.one else field.inv(b[-1])
+        quo = _divide(rem, b, inv_lead, field.mul, field.sub)
         return Poly(field, field.from_values(quo)), Poly(field, field.from_values(rem[:n]))
 
     def __floordiv__(self, other):
@@ -602,7 +566,8 @@ class Poly:
 def _divide(rem: list, b: list, inv_lead, mul, sub) -> list:
     """The quotient of rem by b, raw values low degree first, with the field's
     `mul` and `sub`; rem[:deg b] becomes the remainder.  inv_lead inverts b's
-    leading coefficient, and is None when that is one."""
+    leading coefficient, and is None when that is one.  The one division loop:
+    `Poly.__divmod__`, `poly_gcd` and the inverse in F_{p^k} all run it."""
     n = len(b) - 1
     quo = [0] * (len(rem) - n)
     for i in reversed(range(len(quo))):
@@ -610,6 +575,17 @@ def _divide(rem: list, b: list, inv_lead, mul, sub) -> list:
         if c:  # rem[n + i] cancels and is never read again
             rem[i:n + i] = [sub(r, mul(c, bj)) for r, bj in zip(rem[i:n + i], b)]
     return quo
+
+
+def _power(mul, v, e: int):
+    """v^e for e >= 1 with the product mul, by square-and-multiply, left to
+    right: for F_{p^k} on raw values, and for `_Frobenius` on vectors of V."""
+    r = v
+    for bit in bin(e)[3:]:
+        r = mul(r, r)
+        if bit == "1":
+            r = mul(r, v)
+    return r
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -621,7 +597,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     a, b = field.to_values(a.coeffs), field.to_values(b.coeffs)
     while len(b) > 1:
         if b[-1] != one:
-            inv, = field.to_values([1 / field.from_values(b[-1:])[0]])
+            inv = field.inv(b[-1])
             b = [field.mul(c, inv) for c in b[:-1]] + [one]
         _divide(a, b, None, field.mul, field.sub)
         a, b = b, a[:len(b) - 1]
@@ -694,7 +670,7 @@ class _Frobenius:
         one = np.zeros(n * d, dtype=self.dtype)
         one[0] = 1
         self.x = X[0][0] if d == 1 else np.roll(one, n)
-        xp = self.power(self.x, p)
+        xp = _power(self.mul, self.x, p)
         powers = [one, xp][:d]
         while len(powers) < d:
             powers.append(self.mul(powers[-1], xp))
@@ -720,15 +696,6 @@ class _Frobenius:
         u, v = w.reshape(2, d * s)[:, :(d - 1) * s + n]
         c = self._reduce_t(np.convolve(u, v).reshape(2 * d - 1, s) % p)
         return (c[:d].ravel() + c[d:].ravel() @ self.x_fold) % p
-
-    def power(self, v, e: int):
-        """v^e in V for e >= 1, left to right."""
-        r = v
-        for bit in bin(e)[3:]:
-            r = self.mul(r, r)
-            if bit == "1":
-                r = self.mul(r, v)
-        return r
 
     def poly(self, v) -> Poly:
         field = self.field
@@ -775,7 +742,7 @@ def _split(f: Poly, d: int, frob: _Frobenius, rng: random.Random) -> Poly:
         r[:f.degree] = [random_element(field, rng).coeffs for _ in range(f.degree)]
         if not r[1:].any():
             continue
-        h = frob.power(frob.iterate(r.ravel(), field.k * d)[1], (field.p - 1) // 2)
+        h = _power(frob.mul, frob.iterate(r.ravel(), field.k * d)[1], (field.p - 1) // 2)
         g = poly_gcd(f, frob.poly(h) - one)
         if 0 < g.degree < f.degree:
             return g

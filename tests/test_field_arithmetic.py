@@ -1,13 +1,16 @@
 """Finite-field arithmetic on packed ints against schoolbook arithmetic on
 coefficient tuples.  The reference below shares no code with qdp4.fields:
-it reads only each field's p, k and modulus."""
+it reads only each field's p, k and modulus, and only above degree k - 1, so
+it serves F_p (k = 1, no modulus) unchanged.  The fields run from F_3 to
+GF(1099511627689, 16), the largest field input may name (MAX_P, MAX_DEGREE)."""
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qdp4.fields import GF
 
-FIELDS = (GF(3, 16), GF(3, 30), GF(13, 12), GF(1009, 6), GF(1099511627689, 2))
+FIELDS = (GF(3, 16), GF(3, 30), GF(13, 12), GF(1009, 6), GF(1099511627689, 2),
+          GF(3), GF(1009), GF(1099511627689), GF(1099511627689, 16))
 WIDEST = max(F.k for F in FIELDS)
 
 
@@ -59,6 +62,10 @@ _top = [-1] * WIDEST  # every coefficient p - 1
 @example(index=3, a=_top, b=_top, n=1009 ** 6 - 2)
 @example(index=4, a=_top, b=_top, n=1099511627689 ** 2 - 2)
 @example(index=4, a=[0] * WIDEST, b=_top, n=1)
+@example(index=5, a=_top, b=_top, n=3 - 2)
+@example(index=6, a=_top, b=_top, n=1009 - 2)
+@example(index=7, a=_top, b=_top, n=1099511627689 - 2)
+@example(index=8, a=_top, b=_top, n=1099511627689 ** 16 - 2)
 def test_packed_arithmetic_matches_coefficient_tuples(index, a, b, n):
     F = FIELDS[index]
     ca, cb = (tuple(c % F.p for c in v[:F.k]) for v in (a, b))
