@@ -12,6 +12,7 @@ import os
 import sys
 from contextlib import contextmanager
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 
 from . import kgroups, picard, selftest
 from .fields import (QQ, FieldMismatchError, UnsupportedFieldError, _exact_int,
@@ -37,7 +38,25 @@ EXIT_UNSUPPORTED = 4
 
 def _emit(obj) -> None:
     # flushed here, so that a closed stdout raises inside main, not at exit
-    print(json.dumps(obj, indent=2), flush=True)
+    print(_dumps(obj), flush=True)
+
+
+def _dumps(obj, indent: str = "\n") -> str:
+    """json.dumps(obj, indent=2) byte for byte, without its pure-Python encoder;
+    keys must be strings, and scalars other than str, int, bool, None go to it."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    inner = indent + "  "
+    if isinstance(obj, (list, tuple)):
+        ends, items = "[]", [_dumps(v, inner) for v in obj]
+    elif isinstance(obj, dict):
+        ends, items = "{}", [f"{encode_basestring_ascii(k)}: {_dumps(v, inner)}"
+                             for k, v in obj.items()]
+    elif obj is None or obj is True or obj is False:
+        return "null" if obj is None else str(obj).lower()
+    else:
+        return int.__repr__(obj) if isinstance(obj, int) else json.dumps(obj)
+    return ends[0] + inner + ("," + inner).join(items) + indent + ends[1] if items else ends
 
 
 def _load_json(path: str):
@@ -102,9 +121,9 @@ def analysis_report(P: QuadricPencil) -> dict:
         "affine_factors": factors,
         "includes_infinity": includes_infinity,
     }
-    invariant = canonical_invariant(P)
+    invariant = canonical_invariant(P, scalar_to_json)
     report["splitting_field"] = splitting_field(P).descriptor()
-    report["canonical_invariant"] = [[scalar_to_json(x) for x in pair] for pair in invariant]
+    report["canonical_invariant"] = [list(pair) for pair in invariant]
     full_aut = aut_group(point_configuration(P))
     report.update(_aut_orders(full_aut, defined_over(full_aut, field)))
     try:

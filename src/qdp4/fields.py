@@ -348,7 +348,9 @@ _FF_TOKEN = object()
 
 @lru_cache(maxsize=None)
 def _gf_cached(p: int, k: int) -> FiniteField:
-    if not _is_prime(p) or p == 2:
+    if k != 1:  # GF(p) is cached, so p is proved prime once, not once per k
+        _gf_cached(p, 1)
+    elif not _is_prime(p) or p == 2:
         raise UnsupportedFieldError(f"p = {p} must be an odd prime")
     if k < 1:
         raise ValueError("extension degree must be >= 1")

@@ -121,17 +121,30 @@ def discriminant_quintic(P: QuadricPencil):
 
 
 def _pencil_minor(P: QuadricPencil, idx):
-    """det(A - zB) on the rows and columns idx, in F[z]: integer determinants
-    of the lifted n x n blocks at z = 0..n, interpolated exactly and mapped
-    back (von zur Gathen-Gerhard, Modern Computer Algebra, ch. 5 and 8).
-    One path serves every field; F_3 has too few points to interpolate in."""
+    """det(A - zB) on the rows and columns idx, in F[z], for every field: one
+    integer determinant of the lifted n x n blocks at z = 2^W, read back as
+    balanced base-2^W digits (Kronecker substitution, von zur Gathen-Gerhard
+    ch. 8); |c_i| <= C(n, i) n! M^n <= n! (2M)^n < 2^(W-1), M the largest entry."""
     field, n = P.field, len(idx)
     lift, unlift = _integer_lift(field, P.A + P.B, n)
     A = [[lift(P.A[i][j]) for j in idx] for i in idx]
     B = [[lift(P.B[i][j]) for j in idx] for i in idx]
-    values = [det([[a - z * b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)])
-              for z in range(n + 1)]
-    return Poly(field, [unlift(c) for c in _interpolate(values)])
+    M = max(abs(x) for row in A + B for x in row)
+    W = (factorial(n) * (2 * M) ** n).bit_length() + 1
+    c = det([[a - (b << W) for a, b in zip(ra, rb)] for ra, rb in zip(A, B)])
+    return Poly(field, [unlift(d) for d in _balanced_digits(c, W, n + 1)])
+
+
+def _balanced_digits(c: int, w: int, count: int) -> list:
+    """The digits d_j in [-2^(w-1), 2^(w-1)) of c = sum_(j < count) d_j 2^(w j),
+    low first; ArithmeticError if c needs more."""
+    half, mask, digits = 1 << (w - 1), (1 << w) - 1, []
+    for _ in range(count):
+        digits.append(((c + half) & mask) - half)
+        c = (c - digits[-1]) >> w
+    if c:
+        raise ArithmeticError(f"value needs more than {count} base-2^{w} digits")
+    return digits
 
 
 def _integer_lift(field, rows, n: int):
@@ -142,12 +155,11 @@ def _integer_lift(field, rows, n: int):
     - Q: multiply by the lcm D of the denominators; unlift divides by D^n.
     - F_p: residues in [0, p); unlift reduces mod p.
     - F_{p^k}: the coefficient vector packed into one integer at t = 2^w
-      (Kronecker substitution).  An entry of A - zB, z <= n, has
-      t-coefficients below (n + 1) p, so each t-coefficient of the
-      determinant, and of its z^i coefficient, is below n! (k (n + 1) p)^n
-      in absolute value; 2^w exceeds twice that, so unlift reads the
-      coefficients as balanced base-2^w digits and hands them to the
-      field's reduction.
+      (Kronecker substitution).  A and B are lifted apart, so entries have
+      t-coefficients in [0, p), and each t-coefficient of a z-coefficient of
+      the determinant is below n! (k (n + 1) p)^n in absolute value; 2^w
+      exceeds twice that, so unlift reads the n (k - 1) + 1 of them as
+      balanced base-2^w digits and hands them to the field's reduction.
     """
     if field.is_rational:
         D = lcm(*(x.denominator for row in rows for x in row))
@@ -157,34 +169,8 @@ def _integer_lift(field, rows, n: int):
         return (lambda x: x.value), field
     p, k = field.p, field.k
     w = (2 * factorial(n) * (k * (n + 1) * p) ** n).bit_length()
-    half, mask = 1 << (w - 1), (1 << w) - 1
-
-    def unlift(c):
-        digits = []
-        while c:
-            d = c & mask
-            if d >= half:
-                d -= 1 << w
-            digits.append(d)
-            c = (c - d) >> w
-        return field.reduce(digits)
-
-    return (lambda x: sum(c << (w * j) for j, c in enumerate(x.coeffs))), unlift
-
-
-def _interpolate(values):
-    """Integer coefficients, low degree first, of the integer polynomial with
-    the given values at z = 0, 1, ...: the m-th forward difference at 0 is
-    m! times its coefficient on the falling factorial z(z-1)...(z-m+1)."""
-    diffs, row = [], list(values)
-    while row:
-        diffs.append(row[0])
-        row = [b - a for a, b in zip(row, row[1:])]
-    coeffs = []
-    for m in reversed(range(len(diffs))):  # Horner: coeffs (z - m) + d_m
-        coeffs = [s - m * c for s, c in zip([0] + coeffs, coeffs + [0])]
-        coeffs[0] += diffs[m] // factorial(m)
-    return coeffs
+    return (lambda x: sum(c << (w * j) for j, c in enumerate(x.coeffs)),
+            lambda c: field.reduce(_balanced_digits(c, w, n * (k - 1) + 1)))
 
 
 def is_smooth(P: QuadricPencil) -> bool:
@@ -334,11 +320,13 @@ def simultaneous_diagonalize(P: QuadricPencil):
 # Normal forms and the canonical invariant
 # ---------------------------------------------------------------------------
 
-def canonical_invariant(P: QuadricPencil):
+def canonical_invariant(P: QuadricPencil, form=None):
     """The sorted orbit of (lambda, mu) tuples over all 120 orderings (the
     values of the cross-ratio table); a complete isomorphism invariant of the
-    underlying five-point configuration (indices follow the scalar order)."""
+    underlying five-point configuration (indices follow the scalar order).
+    With form, each distinct value is passed through it once."""
     values, table = point_configuration(P).cross_ratios()
+    values = values if form is None else [form(v) for v in values]
     return tuple((values[a], values[b]) for a, b in sorted({ab for _, ab in table}))
 
 

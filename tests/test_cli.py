@@ -1390,3 +1390,66 @@ def test_analyze_extension_field_pencil(capsys, tmp_path):
     assert payload["signature"] is None
     assert payload["minimal"] is None
     assert payload["canonical_invariant"]
+
+
+def test_every_report_prints_as_json_dumps_with_indent_2(capsys, tmp_path, monkeypatch,
+                                                         p23, p25):
+    # cli._dumps replaces json.dumps(obj, indent=2) and must print the same
+    # bytes for each command's report shape
+    emitted = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda obj: emitted.append(obj) or emit(obj))
+    F9 = GF(3, 2)
+    singular = reconstruct((2, 3), QQ).to_json()
+    singular["A"][3][3] = "1"
+    files = {"fp": random_smooth_pencil(GF(7), random.Random(12)).to_json(),
+             "f9": reconstruct((F9.gen(), F9.gen() + F9.one), F9).to_json(),
+             "f5": reconstruct((2, 3), GF(5)).to_json(), "singular": singular,
+             "groupoid": _cyclic_groupoid("C", ["X"], 1),
+             "functor": {"target": _cyclic_groupoid("D", ["Y"], 2), "objects": {"X": "Y"},
+                         "morphisms": {"C:X>X:0": "D:Y>Y:0"}},
+             "not-groupoid": dict(_cyclic_groupoid("H", ["Y"], 2), compose=[])}
+    path = {name: str(tmp_path / f"{name}.json") for name in files}
+    for name, obj in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+    commands = [("analyze", p23), ("analyze", path["fp"]), ("analyze", path["f9"]),
+                ("analyze", path["singular"]), ("iso", p23, p23), ("iso", p23, p25),
+                ("iso", path["f9"], path["f9"]), ("aut", p23), ("aut", path["f9"]),
+                ("minimal", path["fp"]), ("count-points", path["f5"], "--ext", "2"),
+                ("reconstruct", "--lambda", "-1/2", "--mu", "3"),
+                ("reconstruct", "--lambda", "[1,2]", "--mu", "[2,0]", "--field", "3^2"),
+                ("kgroups", "ranks", "--signature", "[[2,-1],[3,1]]"),
+                ("kgroups", "gram", "--space", "wpl", "--points", "2"),
+                ("kgroups", "gram", "--space", "surface"),
+                ("groupoid", "verify", path["groupoid"], "--functor", path["functor"]),
+                ("groupoid", "verify", path["not-groupoid"])]
+    for argv in commands:
+        emitted.clear()
+        _, out, _ = run_cli(capsys, *argv)
+        assert len(emitted) == 1, argv
+        assert out == json.dumps(emitted[0], indent=2) + "\n", argv
+    assert json.loads(out)["valid"] is False  # the last report carries a witness
+
+
+_json_trees = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.integers(-2 ** 300, 2 ** 300),
+              st.floats(), st.text(), st.text(st.characters(max_codepoint=0x7f)),
+              st.sampled_from(["\x00\x1f\x7f\"\\/", "é ퟿￾",
+                               "\U0001f600\U0010ffff", ""])),
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=24)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(obj=_json_trees)
+@example(obj={"": [[], {}, ()], "\U0001f600": {"\x00": [None, True, False, -0, -1]}})
+@example(obj=[10 ** 1000, -10 ** 1000, float("nan"), float("-inf"), -0.0, 1e300])
+def test_writer_matches_json_dumps_on_nested_values(obj):
+    assert cli._dumps(obj) == json.dumps(obj, indent=2)
+
+
+def test_writer_refuses_what_json_cannot_hold():
+    for obj in ([object()], {"a": {1, 2}}, {1: "int key"}, {(1, 2): 3}):
+        with pytest.raises(TypeError):
+            cli._dumps(obj)

@@ -723,6 +723,20 @@ def test_even_characteristic_rejected():
         GF(9)
 
 
+def test_p_is_proved_prime_once_per_p(monkeypatch):
+    # GF(p, k) goes through the cached GF(p), so trial division, tens of ms
+    # near 2^40, runs once per characteristic and not once per degree
+    p = 8589934583  # the largest prime below 2^33: no other test builds its fields
+    calls = []
+    monkeypatch.setattr(fields, "_is_prime", lambda n: calls.append(n) or _is_prime(n))
+    fields_built = [GF(p, k) for k in range(2, 6)]
+    assert [F.k for F in fields_built] == [2, 3, 4, 5]
+    assert calls.count(p) == 1
+    for k in (2, 3):  # GF(9) refuses 9, so GF(9, k) does too
+        with pytest.raises(UnsupportedFieldError, match="p = 9 must be an odd prime"):
+            GF(9, k)
+
+
 def test_gf_refuses_non_integer_p_and_k():
     for p, k in ((7.9, 1), (3, 2.5), (3, True), (True, 1), (Fraction(7), 1), ("7", 1)):
         with pytest.raises(TypeError):  # refused, not read as GF(7), GF(3^2), GF(3)

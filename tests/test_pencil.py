@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 import re
+import time
 from fractions import Fraction
 from math import lcm
 
@@ -140,19 +141,25 @@ def oracle_minor(P, i):
 
 
 def test_integer_lift_matches_the_oracle_at_its_bounds():
-    # the quintic and the five 4x4 principal minors are integer determinants
-    # at z = 0..n, interpolated; these fields and entries strain the
-    # Kronecker width w and the cleared denominators
+    # the quintic and the five 4x4 principal minors are each one integer
+    # determinant at z = 2^W, read back as base-2^W digits; these fields and
+    # entries strain the Kronecker widths w and W and the cleared
+    # denominators; over Q a "top" matrix is M (J - 2I) / d, numerators +-M
+    # over one denominator, whose determinant 48 M^5 is the largest of any
+    # 5 x 5 sign pattern, so that |c_0| or |c_5| is as large as signs allow
     rng = random.Random(22)
     checked = []
     for field in (GF(3, 12), GF(1009, 5), GF(1099511627689), QQ):
         def sym(case):
             if field.is_rational:  # denominators of 31 to 35 digits
+                d = rng.randrange(10 ** 29, 10 ** 34) * 10 + 1  # +-10^6 / d is reduced
                 M = [[Fraction(0)] * 5 for _ in range(5)]
                 for i in range(5):
                     for j in range(i, 5):
-                        M[i][j] = M[j][i] = Fraction(rng.randint(-10 ** 6, 10 ** 6),
-                                                     rng.randrange(10 ** 30, 10 ** 35))
+                        M[i][j] = M[j][i] = (
+                            Fraction(rng.randint(-10 ** 6, 10 ** 6),
+                                     rng.randrange(10 ** 30, 10 ** 35)) if case == "random"
+                            else Fraction(10 ** 6 if i != j else -10 ** 6, d))
                 return M
             if case == "random":
                 return random_symmetric(field, rng)
@@ -170,11 +177,29 @@ def test_integer_lift_matches_the_oracle_at_its_bounds():
     assert len(checked) == 24
 
 
+def test_quintic_and_minors_at_the_largest_field_input_may_name():
+    # GF(1099511627689, 16): MAX_P and MAX_DEGREE at once, with every
+    # coefficient of A p - 1, the longest integers the determinant meets.
+    # The wall-time budget is a generous stopgap until qdp4 counts its
+    # operations, which a noisy host cannot flake: then bound those.  The
+    # determinants take about 0.2 s on a 2-vCPU VM.
+    field = GF(1099511627689, 16)
+    top = field([field.p - 1] * field.k)
+    P = QuadricPencil(field, [[top] * 5 for _ in range(5)],
+                      random_symmetric(field, random.Random(28)))
+    start = time.perf_counter()
+    quintic = discriminant_quintic(P)
+    minors = [pencil._principal_minor(P, i) for i in range(5)]
+    assert time.perf_counter() - start < 10.0
+    assert quintic == oracle_quintic(P)
+    assert minors == [oracle_minor(P, i) for i in range(5)]
+
+
 def test_kronecker_unlift_reads_balanced_digits():
-    # real determinants stay far below the bound on w, so the decoder is
-    # also checked on its own: digits up to 2^(w-1) - 1 in absolute value,
-    # either sign, in every position up to the degree n (k - 1) of a
-    # determinant, with x^j for j >= k reduced by the modulus
+    # real determinants stay far below the bounds on w and W, so the digit
+    # reader is also checked on its own: digits up to 2^(w-1) - 1 in
+    # absolute value, either sign, in every position up to the degree
+    # n (k - 1) of a determinant, with x^j for j >= k reduced by the modulus
     rng = random.Random(24)
     for field in (GF(3, 2), GF(3, 12), GF(1009, 5)):
         lift, unlift = pencil._integer_lift(field, [[field.one]], 5)
@@ -186,6 +211,21 @@ def test_kronecker_unlift_reads_balanced_digits():
                       for _ in range(5 * (field.k - 1) + 1)]
             expect = sum((field(d) * x ** j for j, d in enumerate(digits)), field.zero)
             assert unlift(sum(d << (w * j) for j, d in enumerate(digits))) == expect
+    # the z-digits of det(A - zB): n + 1 coefficients below 2^(W-1) in
+    # absolute value, +-(2^(W-1) - 1) in each position in turn
+    for W, n in ((3, 4), (64, 5), (1000, 5)):
+        top = 2 ** (W - 1) - 1
+        for pos in range(n + 1):
+            for sign in (1, -1):
+                digits = [rng.randrange(-top, top + 1) for _ in range(n + 1)]
+                digits[pos] = sign * top
+                c = sum(d << (W * j) for j, d in enumerate(digits))
+                assert pencil._balanced_digits(c, W, n + 1) == digits
+                with pytest.raises(ArithmeticError):  # one digit too many
+                    pencil._balanced_digits(c + (sign << (W * (n + 1))), W, n + 1)
+        assert pencil._balanced_digits(-(1 << (W - 1)), W, 1) == [-(1 << (W - 1))]
+        with pytest.raises(ArithmeticError):
+            pencil._balanced_digits(1 << (W - 1), W, 1)
 
 
 def test_linalg_sees_integers_only(monkeypatch):
