@@ -27,33 +27,38 @@ def count_zero_pairs(CA, CB, add, mul, q):
     same common zeros whose first form has a = 0: Q_A and Q_B swapped when
     only Q_A has an x4^2 term, b Q_A - a Q_B and Q_B when both have.  So on
     every fibre Q_A is linear in t, its one root is -C / L and Q_B is tested
-    there only, whether or not the pencil has x4^2 terms.  On fibres where
-    Q_A vanishes for every t the roots of Q_B are counted instead, from a
-    square-root table.  Fibres are taken in chunks of fixed (x0, x1), so
-    every array holds at most q^2 entries.
+    there only, as t (L + b t) == -C, whether or not the pencil has x4^2
+    terms.  On fibres where Q_A vanishes for every t the roots of Q_B are
+    counted instead, from a square-root table.  Fibres are taken in chunks
+    of fixed (x0, x1), so every array holds at most q^2 entries.  A read
+    x + y of two arrays is one 1-D gather add.ravel()[x * q + y], half the
+    cost of add[x, y]; -C / L is one read of a q x q quotient table.  The
+    tables stay int64: int32, int16 and uint8 gathers are no faster.
     """
+    addf, mulf = add.ravel(), mul.ravel()
     neg = np.argmin(add, axis=1)        # add[e, neg[e]] == 0
     inv = np.argmax(mul == 1, axis=1)   # mul[e, inv[e]] == 1 for e != 0
-    e = np.arange(q)
+    quot = mulf[neg[:, None] * q + inv].ravel()  # quot[c * q + l] == -c / l, l != 0
+    e, square = np.arange(q), mul.diagonal()
     sqrt = np.full(q, -1, dtype=np.int64)  # -1 marks the non-squares
-    sqrt[mul[e, e]] = e
+    sqrt[square] = e
 
     def comb(terms, acc=0):
         """acc + sum of c * v over (c, v) with c an encoded scalar."""
         for c, v in terms:
             if c:
-                acc = add[acc, mul[c][v]]
+                acc = addf[acc * q + mul[c][v]]
         return acc
 
     def roots(a, L, C):
         """Candidate roots [(t, valid)] of a t^2 + L t + C on each fibre, and
         the mask of fibres where it vanishes for every t."""
         if a == 0:
-            return [(mul[neg[C], inv[L]], L != 0)], (L == 0) & (C == 0)
-        h = mul[inv[add[a, a]]][L]                      # L / 2a
-        s = sqrt[add[mul[h, h], neg[mul[inv[a]][C]]]]   # sqrt(h^2 - C / a)
+            return [(quot[C * q + L], L != 0)], (L == 0) & (C == 0)
+        h = mul[inv[add[a, a]]][L]                                 # L / 2a
+        s = sqrt[addf[square[h] * q + neg[mul[inv[a]][C]]]]        # sqrt(h^2 - C / a)
         ok = s >= 0
-        return ([(add[neg[h], s], ok), (add[neg[h], neg[s]], ok & (s != 0))],
+        return ([(addf[neg[h] * q + s], ok), (addf[neg[h] * q + neg[s]], ok & (s != 0))],
                 np.zeros(len(L), dtype=bool))
 
     def restrict(M, x0, x1, y2, y3, quad, lin):
@@ -69,14 +74,14 @@ def count_zero_pairs(CA, CB, add, mul, q):
     if a and not b:
         CA, CB, b = CB, CA, a
     elif a:
-        CA = add[mul[b][CA], neg[mul[a][CB]]]
+        CA = addf[mul[b][CA] * q + neg[mul[a][CB]]]
     grid = np.divmod(np.arange(q * q), q)                          # every (x2, x3)
     tail = (np.append(np.ones(q, np.int64), 0), np.append(e, 1))  # (1, *), (0, 1)
     total = int(b == 0)  # the point (0:0:0:0:1)
     for (y2, y3), prefixes in ((grid, [(1, c) for c in range(q)] + [(0, 1)]),
                                (tail, [(0, 0)])):
         zero = np.zeros_like(y2)
-        y22, y23, y33 = mul[y2, y2], mul[y2, y3], mul[y3, y3]
+        y22, y23, y33 = square[y2], mulf[y2 * q + y3], square[y3]
         quadA, quadB = (comb([(M[2, 2], y22), (M[2, 3], y23), (M[3, 3], y33)], zero)
                         for M in (CA, CB))
         linA, linB = (comb([(M[2, 4], y2), (M[3, 4], y3)], zero) for M in (CA, CB))
@@ -85,7 +90,8 @@ def count_zero_pairs(CA, CB, add, mul, q):
             CfB, LB = restrict(CB, x0, x1, y2, y3, quadB, linB)
             cands, every = roots(0, LA, CfA)
             for t, ok in cands:
-                total += np.count_nonzero(ok & (add[CfB, mul[t, add[LB, mul[b][t]]]] == 0))
+                total += np.count_nonzero(ok & (mulf[t * q + addf[LB * q + mul[b][t]]]
+                                                == neg[CfB]))
             if every.any():
                 cands, every_b = roots(b, LB[every], CfB[every])
                 total += sum(np.count_nonzero(ok) for _, ok in cands)

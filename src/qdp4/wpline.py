@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from fractions import Fraction
 
@@ -177,8 +178,10 @@ class PointConfiguration:
         for a, b in itertools.combinations(range(5), 2):
             d = xy[a][0] * xy[b][1] - xy[b][0] * xy[a][1]
             D[a, b], D[b, a] = d, -d
-        if rational:
+        if rational:  # sorted by the integer numerators over the lcm of the denominators
             cr = [Fraction(D[k, i] * D[m, j], D[k, j] * D[m, i]) for i, j, k, m in _CR_CLASSES]
+            lcm = math.lcm(*(c.denominator for c in cr))
+            key = [c.numerator * (lcm // c.denominator) for c in cr]
         else:
             # Montgomery: from e = (D_0..D_n)^-1, D_n^-1 = e D_0..D_(n-1) and the next e is e D_n
             pairs = list(D)[::2]
@@ -188,11 +191,12 @@ class PointConfiguration:
                 inv[ab], e = e * before, e * D[ab]
             inv[pairs[0]] = e
             inv.update([((b, a), -e) for (a, b), e in inv.items()])
-            cr = [D[k, i] * D[m, j] * inv[k, j] * inv[m, i] for i, j, k, m in _CR_CLASSES]
+            cr = key = [D[k, i] * D[m, j] * inv[k, j] * inv[m, i] for i, j, k, m in _CR_CLASSES]
         values, ranks = [], [0] * len(cr)
-        for c in sorted(range(len(cr)), key=cr.__getitem__):
-            if not values or cr[c] != values[-1]:
+        for c in sorted(range(len(cr)), key=key.__getitem__):
+            if not values or key[c] != top:
                 values.append(cr[c])
+                top = key[c]
             ranks[c] = len(values) - 1
         self._table = tuple(values), tuple((ordering, (ranks[a], ranks[b]))
                                            for ordering, a, b in _CR_LAYOUT)
@@ -219,11 +223,15 @@ def _matches(c1: PointConfiguration, c2: PointConfiguration):
     values are c1's at the identity: m is the Moebius map sending points 0..4
     of c1 to c2's points in that order.  c1's identity values are the images
     of its points 3, 4 under its map to infinity, 0, 1, so c1's table is never
-    built, and each m is built only when it is asked for."""
+    built, and each m is built only when it is asked for.  Neither image is
+    infinity, so the two share one inversion, as the cross ratios do."""
     src = moebius_to_inf_zero_one(*c1.points[:3])
     values, table = c2.cross_ratios()
     rank = {v: n for n, v in enumerate(values)}
-    ref = tuple(rank.get(src(p).u) for p in c1.points[3:])
+    (n3, d3), (n4, d4) = ((src.a * p.u + src.b * p.v, src.c * p.u + src.d * p.v)
+                          for p in c1.points[3:])
+    e = 1 / (d3 * d4)
+    ref = rank.get(n3 * d4 * e), rank.get(n4 * d3 * e)
     if None in ref:
         return
     for ordering, ab in table:

@@ -3,6 +3,7 @@ import json
 import random
 import re
 import time
+import tracemalloc
 from fractions import Fraction
 from math import lcm
 
@@ -14,8 +15,8 @@ from qdp4.fields import (GF, QQ, FieldMismatchError, Poly, embed, embed_poly,
                          factor, is_square, squarefree)
 from qdp4.hyperoct import CycleSignature
 from qdp4.linalg import congruence, det, kernel_vector
-from qdp4.pencil import (DegeneratePencilError, InvalidNormalFormError,
-                         NotSmoothError, QuadricPencil,
+from qdp4.pencil import (POINTCOUNT_GUARD, DegeneratePencilError,
+                         InvalidNormalFormError, NotSmoothError, QuadricPencil,
                          ResourceLimitError, UnsupportedFieldError,
                          UnsupportedSplittingError, _encode_form,
                          _encoded_tables, canonical_invariant,
@@ -709,6 +710,31 @@ def test_count_points_guard():
     P = random_smooth_pencil(GF(5), random.Random(2))
     with pytest.raises(ResourceLimitError):
         count_points(P, 4)  # 625 > 250
+
+
+def test_count_points_at_the_largest_fields_the_guard_admits():
+    # GF(3) at k = 5 (q = 243) and GF(241) at k = 1.  Each count runs under
+    # tracemalloc, with the cached tables built before: the kernel's arrays
+    # hold at most q^2 entries, about 19 int64 arrays of that size at the
+    # peak.  The wall-time budget is a generous stopgap until qdp4 counts
+    # its operations, which a noisy host cannot flake: then bound those.
+    # Each count takes about 0.6 s on a 2-vCPU VM.
+    assert 3 ** 6 > POINTCOUNT_GUARD >= 243 and 251 > POINTCOUNT_GUARD >= 241
+    for p, k in ((3, 5), (241, 1)):
+        P = random_smooth_pencil(GF(p), random.Random(p))
+        sig = galois_signature(P)
+        _encoded_tables(p, k)
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            n = count_points(P, k)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 10.0
+        assert n == predicted_count(sig, p, k)
+        assert peak <= 24 * 8 * p ** (2 * k)
 
 
 def test_count_points_requires_prime_field():

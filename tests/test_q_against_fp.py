@@ -3,7 +3,11 @@
 from `factor` and packed field arithmetic.  A split Q pencil reduced mod a
 prime p that divides no denominator, where the reduction is smooth, keeps
 its five points distinct, and cross ratios commute with reduction: so the
-F_p invariant of the reduced pencil is the Q invariant reduced mod p."""
+F_p invariant of the reduced pencil is the Q invariant reduced mod p.
+Reduction can add coincidences but not remove automorphisms, so |Aut| over
+Q divides |Aut| over F_p; the reduced pencil is split, so Frobenius fixes
+its five points, and where p is within the point-count guard its
+brute-force count is the Lefschetz prediction."""
 
 import random
 from fractions import Fraction
@@ -12,8 +16,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qdp4.fields import GF, QQ
-from qdp4.pencil import (DegeneratePencilError, QuadricPencil, canonical_invariant,
-                         is_smooth, isomorphic, reconstruct)
+from qdp4.pencil import (POINTCOUNT_GUARD, DegeneratePencilError, QuadricPencil,
+                         canonical_invariant, count_points, galois_signature,
+                         is_smooth, isomorphic, point_configuration,
+                         predicted_count, reconstruct)
+from qdp4.wpline import aut_group
 from test_cli import _hidden_rational_pencil
 
 PRIMES = (3, 5, 7, 11, 13, 101, 1009, 2 ** 31 - 1)
@@ -58,6 +65,7 @@ _basis_changes = st.tuples(*[st.integers(-3, 3)] * 4).filter(
 def test_reduction_mod_p_commutes_with_the_invariant(pair, basis_change, seed):
     hidden = _hidden_rational_pencil(reconstruct(pair, QQ), random.Random(seed), basis_change)
     invariant = canonical_invariant(hidden)
+    auts = len(aut_group(point_configuration(hidden)))
     checked = 0
     for p in PRIMES:
         reduced = _reduce(hidden, p)
@@ -67,5 +75,10 @@ def test_reduction_mod_p_commutes_with_the_invariant(pair, basis_change, seed):
         assert set(canonical_invariant(reduced)) == {(_mod(a, F), _mod(b, F))
                                                     for a, b in invariant}
         assert isomorphic(reduced, reconstruct([_mod(x, F) for x in pair], F)) is not None
+        assert len(aut_group(point_configuration(reduced))) % auts == 0
+        sig = galois_signature(reduced)
+        assert [length for length, _ in sig.cycles] == [1] * 5
+        if p <= POINTCOUNT_GUARD:
+            assert count_points(reduced, 1) == predicted_count(sig, p, 1)
         checked += 1
     assert checked  # some prime keeps the points apart, or the test checks nothing
