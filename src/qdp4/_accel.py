@@ -13,11 +13,11 @@ import numpy as np
 # ---------------------------------------------------------------------------
 # CA, CB are 5x5 int64 matrices of encoded field scalars with c[i][j] (i <= j)
 # the coefficient of x_i x_j; entries below the diagonal are unused.  add/mul
-# are q x q encoded-arithmetic tables of a field of odd characteristic; the
-# encoded zero and one are 0 and 1.
+# are the q x q encoded-arithmetic tables of a field of odd characteristic,
+# and q is read from them; the encoded zero and one are 0 and 1.
 
 
-def count_zero_pairs(CA, CB, add, mul, q):
+def count_zero_pairs(CA, CB, add, mul):
     """Number of points of P^4(F_q) where both encoded quadratic forms vanish.
 
     Every point but (0:0:0:0:1) lies on exactly one fibre: a point
@@ -28,20 +28,22 @@ def count_zero_pairs(CA, CB, add, mul, q):
     only Q_A has an x4^2 term, b Q_A - a Q_B and Q_B when both have.  So on
     every fibre Q_A is linear in t, its one root is -C / L and Q_B is tested
     there only, as t (L + b t) == -C, whether or not the pencil has x4^2
-    terms.  On fibres where Q_A vanishes for every t the roots of Q_B are
-    counted instead, from a square-root table.  Fibres are taken in chunks
-    of fixed (x0, x1), so every array holds at most q^2 entries.  A read
-    x + y of two arrays is one 1-D gather add.ravel()[x * q + y], half the
-    cost of add[x, y]; -C / L is one read of a q x q quotient table.  The
-    tables stay int64: int32, int16 and uint8 gathers are no faster.
+    terms.  On fibres where Q_A vanishes for every t the roots of
+    b t^2 + L t + C are counted: for b != 0, 2 where (L / 2b)^2 - C / b is a
+    nonzero square and 1 where it is 0; for b = 0, 1 where L != 0 and q where
+    L = C = 0.  Fibres are taken in chunks of fixed (x0, x1), so every array
+    holds at most q^2 entries.  A read x + y of two arrays is one 1-D gather
+    add.ravel()[x * q + y], half the cost of add[x, y]; -C / L is one read
+    of a q x q quotient table.  The tables stay int64: int32, int16 and
+    uint8 gathers are no faster.
     """
+    q = len(add)
     addf, mulf = add.ravel(), mul.ravel()
     neg = np.argmin(add, axis=1)        # add[e, neg[e]] == 0
     inv = np.argmax(mul == 1, axis=1)   # mul[e, inv[e]] == 1 for e != 0
     quot = mulf[neg[:, None] * q + inv].ravel()  # quot[c * q + l] == -c / l, l != 0
     e, square = np.arange(q), mul.diagonal()
-    sqrt = np.full(q, -1, dtype=np.int64)  # -1 marks the non-squares
-    sqrt[square] = e
+    is_square = np.isin(e, square)
 
     def comb(terms, acc=0):
         """acc + sum of c * v over (c, v) with c an encoded scalar."""
@@ -49,17 +51,6 @@ def count_zero_pairs(CA, CB, add, mul, q):
             if c:
                 acc = addf[acc * q + mul[c][v]]
         return acc
-
-    def roots(a, L, C):
-        """Candidate roots [(t, valid)] of a t^2 + L t + C on each fibre, and
-        the mask of fibres where it vanishes for every t."""
-        if a == 0:
-            return [(quot[C * q + L], L != 0)], (L == 0) & (C == 0)
-        h = mul[inv[add[a, a]]][L]                                 # L / 2a
-        s = sqrt[addf[square[h] * q + neg[mul[inv[a]][C]]]]        # sqrt(h^2 - C / a)
-        ok = s >= 0
-        return ([(addf[neg[h] * q + s], ok), (addf[neg[h] * q + neg[s]], ok & (s != 0))],
-                np.zeros(len(L), dtype=bool))
 
     def restrict(M, x0, x1, y2, y3, quad, lin):
         """(C, L) of the form M on the fibres over (x0, x1, y2, y3), given
@@ -88,14 +79,18 @@ def count_zero_pairs(CA, CB, add, mul, q):
         for x0, x1 in prefixes:
             CfA, LA = restrict(CA, x0, x1, y2, y3, quadA, linA)
             CfB, LB = restrict(CB, x0, x1, y2, y3, quadB, linB)
-            cands, every = roots(0, LA, CfA)
-            for t, ok in cands:
-                total += np.count_nonzero(ok & (mulf[t * q + addf[LB * q + mul[b][t]]]
-                                                == neg[CfB]))
+            t = quot[CfA * q + LA]
+            total += np.count_nonzero((LA != 0) & (mulf[t * q + addf[LB * q + mul[b][t]]]
+                                                   == neg[CfB]))
+            every = (LA == 0) & (CfA == 0)
             if every.any():
-                cands, every_b = roots(b, LB[every], CfB[every])
-                total += sum(np.count_nonzero(ok) for _, ok in cands)
-                total += q * np.count_nonzero(every_b)
+                L, C = LB[every], CfB[every]
+                if b:
+                    h = mul[inv[add[b, b]]][L]                          # L / 2b
+                    d = addf[square[h] * q + neg[mul[inv[b]][C]]]       # h^2 - C / b
+                    total += 2 * np.count_nonzero(is_square[d]) - np.count_nonzero(d == 0)
+                else:
+                    total += np.count_nonzero(L) + q * np.count_nonzero((L == 0) & (C == 0))
     return int(total)
 
 

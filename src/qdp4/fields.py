@@ -741,7 +741,7 @@ def _split(f: Poly, d: int, frob: _Frobenius, rng: random.Random) -> Poly:
     one = Poly(field, [field.one])
     while True:
         r = np.zeros((frob.f.degree, field.k), dtype=frob.dtype)
-        r[:f.degree] = [random_element(field, rng).coeffs for _ in range(f.degree)]
+        r[:f.degree] = [[rng.randrange(field.p) for _ in range(field.k)] for _ in range(f.degree)]
         if not r[1:].any():
             continue
         h = _power(frob.mul, frob.iterate(r.ravel(), field.k * d)[1], (field.p - 1) // 2)
@@ -803,14 +803,15 @@ def _eval_mod(cs, x: int, m: int) -> int:
     return acc
 
 
-def _sylvester(cs) -> list:
-    """The Sylvester matrix of s and s', cs the coefficients of s (low degree
-    first, degree n >= 1); its determinant is Res(s, s'), zero exactly when s
-    has a repeated root."""
-    n = len(cs) - 1
-    ds = [i * c for i, c in enumerate(cs)][:0:-1]
-    return ([[0] * i + cs[::-1] + [0] * (n - 2 - i) for i in range(n - 1)]
-            + [[0] * i + ds + [0] * (n - 1 - i) for i in range(n)])
+def _sylvester(a, b) -> list:
+    """The Sylvester matrix of a and b, integer coefficient lists (low degree
+    first) of formal degrees m = len(a) - 1 and n = len(b) - 1.  Its
+    determinant is Res(a, b) = a_m^n prod b(r) over the roots r of a; as a
+    resultant of binary forms it allows a_m = 0: [1, 0] has its root at
+    infinity, and Res([1, 0], b) = (-1)^n b_n."""
+    m, n = len(a) - 1, len(b) - 1
+    return ([[0] * i + a[::-1] + [0] * (n - 1 - i) for i in range(n)]
+            + [[0] * i + b[::-1] + [0] * (m - 1 - i) for i in range(m)])
 
 
 def rational_roots(f: Poly):
@@ -830,7 +831,7 @@ def rational_roots(f: Poly):
         raise UnsupportedFieldError("rational_roots expects a polynomial over Q")
     den = lcm(*[c.denominator for c in f.coeffs])
     cs = [c.numerator * (den // c.denominator) for c in f.coeffs]
-    if f.degree < 1 or not det(_sylvester(cs)):
+    if f.degree < 1 or not det(_sylvester(cs, [i * c for i, c in enumerate(cs)][1:])):
         _require_squarefree(f)
     out = [Fraction(0)] if f.coeffs[0] == 0 else []
     cs = cs[len(out):]

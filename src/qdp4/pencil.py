@@ -13,7 +13,7 @@ import numpy as np
 
 from . import _accel
 from .fields import (GF, QQ, DegenerateInputError, FFElem, FieldMismatchError, Poly,
-                     UnsupportedFieldError, conjugate_roots, embed, factor,
+                     UnsupportedFieldError, _sylvester, conjugate_roots, embed, factor,
                      field_from_descriptor, is_square, poly_gcd, rational_roots,
                      scalar_from_json, scalar_to_json)
 from .hyperoct import CycleSignature
@@ -384,18 +384,6 @@ def _principal_minor(P: QuadricPencil, i: int) -> Poly:
     return P._cache["minor", i]
 
 
-def _norm(D: Poly, f: Poly):
-    """Res(f, D) for monic f over F_p: det of multiplication by D on
-    F_p[z]/(f), taken over Z on residues in [0, p) and reduced mod p."""
-    m = f.degree
-    z = Poly(f.field, [f.field.zero, f.field.one])
-    rows, h = [], D % f
-    for _ in range(m):
-        rows.append([c.value for c in h.coeffs] + [0] * (m - len(h.coeffs)))
-        h = (h * z) % f
-    return f.field(det(rows))
-
-
 def _ruling_sign(values) -> int:
     """Quadratic character of the first nonzero value; a corank-1 member
     (every degenerate member of a smooth pencil) always has one."""
@@ -408,8 +396,10 @@ def galois_signature(P: QuadricPencil) -> CycleSignature:
 
     At a root r of an orbit f, adj(A - rB) = c v v^T, so D_i(r) = c v_i^2 and
     the sign is the character of c over F_{p^m}: the character over F_p of
-    the norm Res(f, D_i) at the first i where it is nonzero.  At infinity it
-    is the character of det(B_i), the z^4 coefficient of D_i.
+    the norm Res(f, D_i) at the first i where it is nonzero, with D_i of
+    formal degree 4.  Infinity is the root of the binary form t0, [1, 0],
+    and Res(t0, D_i) is the z^4 coefficient of D_i, det(B_i).  Each
+    resultant is one integer Sylvester determinant on residues in [0, p).
     """
     field = P.field
     includes_infinity, orbits = degenerate_orbits(P)
@@ -417,12 +407,15 @@ def galois_signature(P: QuadricPencil) -> CycleSignature:
         return CycleSignature.trivial()
     if field.k != 1:
         raise UnsupportedFieldError("galois_signature expects a prime-field pencil")
-    cycles = [(f.degree, _ruling_sign(_norm(_principal_minor(P, i), f) for i in range(5)))
-              for f in orbits]
-    if includes_infinity:
-        tops = (_principal_minor(P, i).coeffs[4:] for i in range(5))
-        cycles.append((1, _ruling_sign(c[0] if c else field.zero for c in tops)))
-    return CycleSignature(tuple(cycles))
+
+    def minor(i):
+        cs = [c.value for c in _principal_minor(P, i).coeffs]
+        return cs + [0] * (5 - len(cs))
+
+    forms = [[c.value for c in f.coeffs] for f in orbits] + ([[1, 0]] if includes_infinity else [])
+    return CycleSignature(tuple(
+        (len(a) - 1, _ruling_sign(field(det(_sylvester(a, minor(i)))) for i in range(5)))
+        for a in forms))
 
 
 # ---------------------------------------------------------------------------
@@ -472,11 +465,10 @@ def count_points(P: QuadricPencil, k: int) -> int:
     if k > POINTCOUNT_GUARD.bit_length() or p ** k > POINTCOUNT_GUARD:
         raise ResourceLimitError(
             f"p^k = {p}^{k} exceeds the enumeration guard {POINTCOUNT_GUARD}")
-    q = p ** k
     add, mul = _encoded_tables(p, k)
     CA = _encode_form(P.A, p)
     CB = _encode_form(P.B, p)
-    return _accel.count_zero_pairs(CA, CB, add, mul, q)
+    return _accel.count_zero_pairs(CA, CB, add, mul)
 
 
 def predicted_count(sig: CycleSignature, p: int, k: int) -> int:

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qdp4 import fields
+from qdp4.linalg import det
 from qdp4.fields import (GF, MAX_DEGREE, QQ, DegenerateInputError, FFElem,
                          FieldMismatchError, Poly, UnsupportedFieldError,
                          _canonical_modulus, _Frobenius, _is_prime,
@@ -415,6 +416,28 @@ def test_rational_roots_match_the_divisor_enumeration():
     assert sum(len(roots) < f.degree for f, roots in polys) >= 50
     assert sum(any(c.denominator > 1 for c in f.coeffs) for f, _ in polys) >= 20
     assert sum(f.leading() % 105 == f.coeffs[0] % 105 == 0 for f, _ in polys) >= 20
+
+
+def test_sylvester_determinant_is_the_resultant():
+    # det of the Sylvester matrix of a = c prod (z - r) and b, of formal
+    # degree n, is c^n prod b(r); the binary form [1, 0] (formal degree 1,
+    # leading coefficient 0) has its root (1 : 0) at infinity, and
+    # Res([1, 0], b) = b(-1, 0) = (-1)^n b_n
+    rng = random.Random(806)
+    for _ in range(200):
+        roots = [rng.randint(-9, 9) for _ in range(rng.randint(1, 5))]
+        a = [rng.choice([-3, -2, -1, 1, 2, 3])]
+        for r in roots:
+            a = [x - r * y for x, y in zip([0] + a, a + [0])]
+        b = [rng.randint(-20, 20) for _ in range(rng.randint(1, 6))]
+        n = len(b) - 1
+        expected = a[-1] ** n
+        for r in roots:
+            expected *= sum(c * r ** i for i, c in enumerate(b))
+        assert det(fields._sylvester(a, b)) == expected, (a, b)
+        assert det(fields._sylvester([1, 0], b)) == (-1) ** n * b[-1]
+    assert det(fields._sylvester([1, 0], [5, 0, 0, 0, 0])) == 0
+    assert det(fields._sylvester([1, 0], [5, 0, 0, 0, 7])) == 7
 
 
 def _poly_with_rational_roots(roots):

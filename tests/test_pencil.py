@@ -230,9 +230,10 @@ def test_kronecker_unlift_reads_balanced_digits():
 
 
 def test_linalg_sees_integers_only(monkeypatch):
-    # the quintic, the principal minors and the norms reach det as integer
-    # matrices; no elimination over F[z] or over field elements remains
-    # (pencil binds linalg.det by name, so the patch goes there)
+    # the quintic, the principal minors and the ruling-sign resultants reach
+    # det as integer matrices; no elimination over F[z] or over field
+    # elements remains (pencil binds linalg.det by name, so the patch goes
+    # there)
     seen = []
 
     def int_det(mat):
@@ -251,8 +252,10 @@ def test_linalg_sees_integers_only(monkeypatch):
     for p in (3, 5, 7):
         for _ in range(4):
             lengths |= {n for n, _ in galois_signature(random_smooth_pencil(GF(p), rng)).cycles}
-    assert max(lengths) >= 3  # the norms ran on orbits of degree > 1
-    assert {len(m) for m in seen} >= {2, 3, 4, 5}
+    assert max(lengths) >= 3  # the resultants ran on orbits of degree > 1
+    # 5 x 5 quintics, 4 x 4 minors, and an (n + 4) x (n + 4) Sylvester
+    # matrix Res(f, D_i) for an orbit f of each degree n
+    assert {len(m) for m in seen} >= {4, 5} | {n + 4 for n in lengths}
 
 
 def test_degenerate_pencil_rejected():
@@ -596,6 +599,17 @@ def _reference_sign(Q, field):
     return 1 if is_square(d) else -1
 
 
+def _moved_to_infinity(P):
+    """[P with its first rational degenerate point moved to infinity], or []
+    when it has none."""
+    lin = [f for f in factor(affine_quintic(P)) if f.degree == 1]
+    if not lin:
+        return []
+    r = -lin[0].coeffs[0]
+    return [QuadricPencil(P.field, P.B, [[r * b - a for a, b in zip(ra, rb)]
+                                         for ra, rb in zip(P.A, P.B)])]
+
+
 def test_ruling_sign_is_the_same_at_every_conjugate_root():
     # galois_signature takes each sign from a norm over F_p, without a root;
     # every root of each orbit, in F_{p^k}, must give that sign
@@ -604,16 +618,7 @@ def test_ruling_sign_is_the_same_at_every_conjugate_root():
         rng = random.Random(p)
         for _ in range(12):
             P = random_smooth_pencil(GF(p), rng)
-            g = affine_quintic(P)
-            # the same pencil with its first rational degenerate point moved
-            # to infinity, which covers the sign there
-            lin = [f for f in factor(g) if f.degree == 1]
-            moved = []
-            if lin:
-                r = -lin[0].coeffs[0]
-                moved = [QuadricPencil(GF(p), P.B, [[r * b - a for a, b in zip(ra, rb)]
-                                                    for ra, rb in zip(P.A, P.B)])]
-            for Pm in [P] + moved:
+            for Pm in [P] + _moved_to_infinity(P):  # covers the sign there
                 g = affine_quintic(Pm)
                 expected = []
                 if g.degree < 5:
@@ -632,6 +637,48 @@ def test_ruling_sign_is_the_same_at_every_conjugate_root():
                 assert galois_signature(Pm) == CycleSignature(tuple(expected))
                 checked += 1
     assert checked >= 40
+
+
+def _norm(D, f):
+    """Res(f, D) for monic f over F_p: det of multiplication by D on
+    F_p[z]/(f), taken over Z on residues in [0, p) and reduced mod p."""
+    m = f.degree
+    z = Poly(f.field, [f.field.zero, f.field.one])
+    rows, h = [], D % f
+    for _ in range(m):
+        rows.append([c.value for c in h.coeffs] + [0] * (m - len(h.coeffs)))
+        h = (h * z) % f
+    return f.field(det(rows))
+
+
+def _norm_signature(P):
+    """The signature from the norms Res(f, D_i) on each orbit f, and from
+    det(B_i) at infinity."""
+    field, g = P.field, affine_quintic(P)
+    minors = [pencil._principal_minor(P, i) for i in range(5)]
+    cycles = [(f.degree, [_norm(D, f) for D in minors]) for f in factor(g)]
+    if g.degree < 5:
+        cycles.append((1, [field(det([[P.B[a][b].value for b in range(5) if b != i]
+                                      for a in range(5) if a != i])) for i in range(5)]))
+    return CycleSignature(tuple((n, 1 if is_square(next(v for v in vs if v)) else -1)
+                                for n, vs in cycles))
+
+
+def test_ruling_signs_match_the_multiplication_matrix_norms():
+    # each sign is one Sylvester resultant, infinity included; the reference
+    # is the norm as a determinant of multiplication by D_i on F_p[z]/(f),
+    # and at infinity det(B_i), up to primes no point count reaches
+    for p in (3, 5, 7, 11, 13, 1009, 10007, 2 ** 31 - 1):
+        rng = random.Random(p)
+        degrees, at_infinity = set(), 0
+        for _ in range(24):
+            P = random_smooth_pencil(GF(p), rng)
+            for Pm in [P] + _moved_to_infinity(P):
+                sig = galois_signature(Pm)
+                assert sig == _norm_signature(Pm), (p, Pm.A, Pm.B)
+                degrees |= {n for n, _ in sig.cycles}
+                at_infinity += affine_quintic(Pm).degree < 5
+        assert degrees == {1, 2, 3, 4, 5} and at_infinity >= 5, p
 
 
 def test_galois_signature_builds_no_extension_field(monkeypatch):
@@ -808,7 +855,7 @@ def test_count_matches_brute_force():
             add, mul = _encoded_tables(p, k)
             for X, Y in ((X34, P0.A), (X34, P.A), (P.A, X34)):
                 n = _accel.count_zero_pairs(_encode_form(X, p), _encode_form(Y, p),
-                                            add, mul, p ** k)
+                                            add, mul)
                 assert n == brute_force_count(X, Y, F)
 
 

@@ -23,4 +23,5 @@ def test_library_entry_points_block_runs_and_gives_its_commented_values():
         assert eval(code, namespace) == expected, line
         checked.append(code.strip())
     assert "canonical_invariant(P)[0]" in checked
+    assert "galois_signature(reconstruct((2, 3), GF(7))).cycles" in checked
     assert "conic_bundle_ranks(CycleSignature(((5, -1),)))" in checked
