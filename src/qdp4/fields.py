@@ -438,18 +438,24 @@ def _exact_int(obj) -> int:
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
+def rational_parts(obj) -> tuple:
+    """(n, d), d > 0 and not reduced, of an int or of a string n or n/d of
+    the grammar -?[0-9]+(/[0-9]+)?."""
+    if not isinstance(obj, str):
+        return _exact_int(obj), 1
+    match = _RATIONAL.fullmatch(obj)  # Fraction also reads 2.7, 1_000, 1e1000000
+    if not match:
+        problem = "exponent notation" if "e" in obj.lower() else "bad syntax"
+        raise ValueError(f"{problem} in the rational {obj!r}; write an integer or a/b")
+    n, d = int(match[1]), int(match[2] or 1)
+    if not d:
+        raise ValueError(f"zero denominator in {obj!r}")
+    return n, d
+
+
 def scalar_from_json(field, obj):
     if field.is_rational:
-        if isinstance(obj, str):
-            match = _RATIONAL.fullmatch(obj)  # Fraction also reads 2.7, 1_000, 1e1000000
-            if not match:
-                problem = "exponent notation" if "e" in obj.lower() else "bad syntax"
-                raise ValueError(f"{problem} in the rational {obj!r}; write an integer or a/b")
-            try:
-                return Fraction(int(match[1]), int(match[2] or 1))
-            except ZeroDivisionError as exc:
-                raise ValueError(f"zero denominator in {obj!r}") from exc
-        return Fraction(_exact_int(obj))
+        return Fraction(*rational_parts(obj))
     if field.k == 1:
         return field(_exact_int(obj))
     if isinstance(obj, str):

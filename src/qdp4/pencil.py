@@ -6,16 +6,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import factorial, gcd, lcm
 
 import numpy as np
 
 from . import _accel
 from .fields import (GF, QQ, DegenerateInputError, FFElem, FieldMismatchError, Poly,
-                     UnsupportedFieldError, _sylvester, conjugate_roots, embed, factor,
-                     field_from_descriptor, is_square, poly_gcd, rational_roots,
-                     scalar_from_json, scalar_to_json)
+                     UnsupportedFieldError, _exact_int, _sylvester, conjugate_roots, embed,
+                     factor, field_from_descriptor, is_square, poly_gcd, rational_parts,
+                     rational_roots, scalar_from_json, scalar_to_json)
 from .hyperoct import CycleSignature
 from .linalg import congruence, det, kernel_vector, rank
 from .wpline import Moebius, PointConfiguration, ProjPoint, pgl2_match
@@ -47,31 +47,58 @@ class InvalidNormalFormError(ValueError):
 
 
 class QuadricPencil:
-    """A pencil t0*A - t1*B of quadrics in P^4 over an exact field."""
+    """A pencil t0*A - t1*B of quadrics in P^4 over an exact field, held as
+    its integer lift (D, DA, DB), built once by either entry point: over Q, D
+    is the least common denominator of the entries; over F_q, D = 1 and the
+    entries are raw values (residues over F_p).  A and B are built on read."""
 
-    __slots__ = ("field", "A", "B", "_cache")
+    __slots__ = ("field", "lift", "_cache")
 
     def __init__(self, field, A, B):
-        A = tuple(tuple(_entry(field, x) for x in row) for row in A)
-        B = tuple(tuple(_entry(field, x) for x in row) for row in B)
+        """A and B: 5x5 symmetric matrices of ints or elements of field."""
+        def parts(x):
+            if isinstance(x, int) and not isinstance(x, bool):
+                x = field(x)
+            if isinstance(x, Fraction) and field.is_rational:
+                return x.numerator, x.denominator
+            if isinstance(x, FFElem) and x.field is field:
+                return x.value
+            raise ValueError(
+                f"pencil entry {x!r} is neither an integer nor an element of {field!r}")
+        self._lift(field, *([[parts(x) for x in row] for row in M] for M in (A, B)))
+
+    def _lift(self, field, A, B):
+        """Keep the lift of A and B, read as (n, d) pairs over Q and raw values
+        over F_q, once it passes the one check: 5x5, symmetric, a pencil."""
+        D = 1
+        if field.is_rational:
+            D = lcm(*[d for row in A + B for _, d in row])
+            A, B = ([[n * (D // d) for n, d in row] for row in M] for M in (A, B))
+            g = gcd(D, *[x for row in A + B for x in row]) if D > 1 else 1
+            if g > 1:  # a file's n/d may be unreduced
+                D //= g
+                A, B = ([[x // g for x in row] for row in M] for M in (A, B))
         if len(A) != 5 or len(B) != 5 or any(len(r) != 5 for r in A + B):
             raise ValueError("pencil matrices must be 5x5")
-        for M in (A, B):
-            for i in range(5):
-                for j in range(i):
-                    if M[i][j] != M[j][i]:
-                        raise ValueError("pencil matrices must be symmetric")
-        flat = [list(itertools.chain.from_iterable(A)),
-                list(itertools.chain.from_iterable(B))]
-        if field.is_rational:  # the same rank on the integer lift
-            lift = _integer_lift(field, flat, 1)[0]
-            flat = [[lift(x) for x in row] for row in flat]
-        if rank(flat) < 2:
+        if any(list(map(list, zip(*M))) != M for M in (A, B)):
+            raise ValueError("pencil matrices must be symmetric")
+        upper = [[x for i, row in enumerate(M) for x in row[i:]] for M in (A, B)]
+        if rank(upper if field.is_rational else [field.from_values(r) for r in upper]) < 2:
             raise DegeneratePencilError("matrices are proportional")
         self.field = field
-        self.A = A
-        self.B = B
+        self.lift = (D, tuple(map(tuple, A)), tuple(map(tuple, B)))
         self._cache = {}  # memoized derived data; all results are pure
+
+    A = property(lambda self: self._matrix(1))
+    B = property(lambda self: self._matrix(2))
+
+    def _matrix(self, m: int) -> tuple:
+        """lift[m] / D as field elements (m = 1 for A, 2 for B), kept."""
+        if ("matrix", m) not in self._cache:
+            D, field = self.lift[0], self.field
+            element = (lambda n: Fraction(n, D)) if field.is_rational else partial(FFElem, field)
+            self._cache["matrix", m] = tuple(tuple(map(element, row)) for row in self.lift[m])
+        return self._cache["matrix", m]
 
     def to_json(self):
         return {"field": self.field.descriptor(),
@@ -86,23 +113,15 @@ class QuadricPencil:
                    for M in mats):
             raise ValueError("pencil matrices A and B must be lists of rows, "
                              "each row a list of entries")
-        A, B = ([[scalar_from_json(field, x) for x in row] for row in M] for M in mats)
-        return cls(field, A, B)
+        read = (rational_parts if field.is_rational
+                else (lambda x: _exact_int(x) % field.p) if field.k == 1
+                else lambda x: scalar_from_json(field, x).value)
+        P = cls.__new__(cls)
+        P._lift(field, *([[read(x) for x in row] for row in M] for M in mats))
+        return P
 
     def __repr__(self):
         return f"QuadricPencil(field={self.field!r})"
-
-
-def _entry(field, x):
-    """A matrix entry as an element of field: ints are coerced, elements of
-    field pass, anything else (floats, bools, other fields) is refused."""
-    if isinstance(x, int) and not isinstance(x, bool):
-        return field(x)
-    if field.is_rational and isinstance(x, Fraction):
-        return x
-    if isinstance(x, FFElem) and x.field is field:
-        return x
-    raise ValueError(f"pencil entry {x!r} is neither an integer nor an element of {field!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -111,25 +130,29 @@ def _entry(field, x):
 
 def discriminant_quintic(P: QuadricPencil):
     """Coefficients (c0..c5) of det(t0*A - t1*B) with c_i on t0^(5-i) t1^i."""
-    cached = P._cache.get("quintic")
-    if cached is not None:
-        return cached
-    g = _pencil_minor(P, range(5))
-    out = g.coeffs + (P.field.zero,) * (6 - len(g.coeffs))
-    P._cache["quintic"] = out
-    return out
+    if "quintic" not in P._cache:
+        g = _pencil_minor(P, range(5))
+        P._cache["quintic"] = g.coeffs + (P.field.zero,) * (6 - len(g.coeffs))
+    return P._cache["quintic"]
 
 
 def _pencil_minor(P: QuadricPencil, idx):
     """det(A - zB) on the rows and columns idx, in F[z], for every field: one
-    integer determinant of the lifted n x n blocks at z = 2^W, read back as
+    integer determinant of the lift's n x n blocks at z = 2^W, read back as
     balanced base-2^W digits (Kronecker substitution, von zur Gathen-Gerhard
-    ch. 8); |c_i| <= C(n, i) n! M^n <= n! (2M)^n < 2^(W-1), M the largest entry."""
+    ch. 8); |c_i| <= C(n, i) n! M^n <= n! (2M)^n < 2^(W-1), M the largest
+    entry.  A digit c is c / D^n over Q, c mod p over F_p; F_{p^k}: _kronecker."""
     field, n = P.field, len(idx)
-    lift, unlift = _integer_lift(field, P.A + P.B, n)
-    A = [[lift(P.A[i][j]) for j in idx] for i in idx]
-    B = [[lift(P.B[i][j]) for j in idx] for i in idx]
-    M = max(abs(x) for row in A + B for x in row)
+    D, A, B = P.lift
+    A, B = ([[M[i][j] for j in idx] for i in idx] for M in (A, B))
+    if field.is_rational:
+        unlift = partial(Fraction, denominator=D ** n)
+    elif field.k == 1:
+        unlift = field
+    else:
+        pack, unlift = _kronecker(field, n)
+        A, B = ([[pack(x) for x in row] for row in M] for M in (A, B))
+    M = max(map(abs, itertools.chain(*A, *B)))
     W = (factorial(n) * (2 * M) ** n).bit_length() + 1
     c = det([[a - (b << W) for a, b in zip(ra, rb)] for ra, rb in zip(A, B)])
     return Poly(field, [unlift(d) for d in _balanced_digits(c, W, n + 1)])
@@ -147,29 +170,16 @@ def _balanced_digits(c: int, w: int, count: int) -> list:
     return digits
 
 
-def _integer_lift(field, rows, n: int):
-    """(lift, unlift) for n x n blocks of the matrices rows: lift maps an
-    entry to an integer, and unlift maps a z-coefficient of det(A - zB) on
-    lifted blocks back to the field.
-
-    - Q: multiply by the lcm D of the denominators; unlift divides by D^n.
-    - F_p: residues in [0, p); unlift reduces mod p.
-    - F_{p^k}: the coefficient vector packed into one integer at t = 2^w
-      (Kronecker substitution).  A and B are lifted apart, so entries have
-      t-coefficients in [0, p), and each t-coefficient of a z-coefficient of
-      the determinant is below n! (k (n + 1) p)^n in absolute value; 2^w
-      exceeds twice that, so unlift reads the n (k - 1) + 1 of them as
-      balanced base-2^w digits and hands them to the field's reduction.
-    """
-    if field.is_rational:
-        D = lcm(*(x.denominator for row in rows for x in row))
-        return (lambda x: x.numerator * (D // x.denominator),
-                lambda c: Fraction(c, D ** n))
-    if field.k == 1:
-        return (lambda x: x.value), field
-    p, k = field.p, field.k
+def _kronecker(field, n: int):
+    """(pack, unlift) for n x n blocks over F_{p^k}: pack puts the coefficients
+    of a raw value into one integer at t = 2^w, and unlift maps a z-digit of
+    det(A - zB) back.  Every t-coefficient of a z-digit is below
+    n! (k (n + 1) p)^n in absolute value, as A and B are lifted apart, and
+    2^w exceeds twice that, so unlift reads the n (k - 1) + 1 of them as
+    balanced base-2^w digits and hands them to the field's reduction."""
+    p, k, mask, shifts = field.p, field.k, field.mask, field.shifts
     w = (2 * factorial(n) * (k * (n + 1) * p) ** n).bit_length()
-    return (lambda x: sum(c << (w * j) for j, c in enumerate(x.coeffs)),
+    return (lambda v: sum((v >> s & mask) << (w * j) for j, s in enumerate(shifts)),
             lambda c: field.reduce(_balanced_digits(c, w, n * (k - 1) + 1)))
 
 
@@ -443,13 +453,9 @@ def _encoded_tables(p: int, k: int):
 
 
 def _encode_form(M, p: int) -> np.ndarray:
-    """Upper-triangular encoded coefficients of x^T M x over F_p."""
-    C = np.zeros((5, 5), dtype=np.int64)
-    for i in range(5):
-        C[i, i] = M[i][i].value
-        for j in range(i + 1, 5):
-            C[i, j] = (2 * M[i][j].value) % p
-    return C
+    """Upper-triangular encoded coefficients of x^T M x over F_p, M residues."""
+    C = np.array(M, dtype=np.int64)
+    return np.triu(2 * C % p, 1) + np.diag(np.diag(C))
 
 
 def count_points(P: QuadricPencil, k: int) -> int:
@@ -465,10 +471,8 @@ def count_points(P: QuadricPencil, k: int) -> int:
     if k > POINTCOUNT_GUARD.bit_length() or p ** k > POINTCOUNT_GUARD:
         raise ResourceLimitError(
             f"p^k = {p}^{k} exceeds the enumeration guard {POINTCOUNT_GUARD}")
-    add, mul = _encoded_tables(p, k)
-    CA = _encode_form(P.A, p)
-    CB = _encode_form(P.B, p)
-    return _accel.count_zero_pairs(CA, CB, add, mul)
+    CA, CB = (_encode_form(M, p) for M in P.lift[1:])
+    return _accel.count_zero_pairs(CA, CB, *_encoded_tables(p, k))
 
 
 def predicted_count(sig: CycleSignature, p: int, k: int) -> int:

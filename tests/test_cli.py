@@ -4,7 +4,6 @@ import os
 import random
 import re
 import subprocess
-import sys
 import time
 from fractions import Fraction
 from math import lcm
@@ -919,7 +918,8 @@ def test_iso_judges_base_rational_over_the_common_base_field(capsys, tmp_path):
         assert code == 0 and json.loads(out)["certificate"]["base_rational"] is True
 
 
-def test_one_parser_serves_every_call_of_a_process(capsys, tmp_path, p23, p25):
+def test_one_parser_serves_every_call_of_a_process(capsys, tmp_path, p23, p25,
+                                                    qdp4_process):
     # analyze, a malformed file (exit 2) and iso through main() in one
     # process give the exit codes and stdout bytes of fresh processes
     broken = tmp_path / "broken.json"
@@ -930,8 +930,7 @@ def test_one_parser_serves_every_call_of_a_process(capsys, tmp_path, p23, p25):
     assert [code for code, _ in in_process] == [0, 2, 1, 0]
     assert cli.build_parser() is cli.build_parser()
     for argv, (code, out) in zip(calls, in_process):
-        proc = subprocess.run([sys.executable, "-m", "qdp4.cli", *argv],
-                              capture_output=True)
+        proc = qdp4_process(argv, capture_output=True)
         assert (code, out.encode()) == (proc.returncode, proc.stdout), argv
 
 
@@ -1141,6 +1140,62 @@ def _pencil_file(tmp_path, obj):
 
 
 _F7_PENCIL = reconstruct((2, 3), GF(7)).to_json()
+_Q_PENCIL = reconstruct((2, 3), QQ).to_json()
+
+
+def _edited(obj, edit):
+    obj = json.loads(json.dumps(obj))
+    edit(obj)
+    return obj
+
+
+def _set(matrix, i, j, value):
+    def edit(obj):
+        obj[matrix][i][j] = value
+    return edit
+
+
+@pytest.mark.parametrize("pencil,edit,message", [
+    (_Q_PENCIL, lambda obj: obj["A"][2].pop(), "pencil matrices must be 5x5"),
+    (_Q_PENCIL, lambda obj: obj["A"].pop(), "pencil matrices must be 5x5"),
+    (_Q_PENCIL, _set("A", 3, 3, True), "not an exact integer: True"),
+    (_Q_PENCIL, _set("A", 3, 3, 2.7), "not an exact integer: 2.7"),
+    (_Q_PENCIL, _set("A", 3, 3, "2.7"),
+     "bad syntax in the rational '2.7'; write an integer or a/b"),
+    (_Q_PENCIL, _set("A", 3, 3, "1e400"),
+     "exponent notation in the rational '1e400'; write an integer or a/b"),
+    (_Q_PENCIL, _set("A", 3, 3, "3/0"), "zero denominator in '3/0'"),
+    (_Q_PENCIL, _set("A", 0, 1, "1/2"), "pencil matrices must be symmetric"),
+    (_F7_PENCIL, lambda obj: obj["B"][4].append(0), "pencil matrices must be 5x5"),
+    (_F7_PENCIL, lambda obj: obj["B"].pop(), "pencil matrices must be 5x5"),
+    (_F7_PENCIL, _set("A", 3, 3, True), "not an exact integer: True"),
+    (_F7_PENCIL, _set("A", 3, 3, 2.7), "not an exact integer: 2.7"),
+    (_F7_PENCIL, _set("A", 3, 3, "1e400"), "bad syntax in the integer '1e400'"),
+    (_F7_PENCIL, _set("A", 3, 3, "3/0"), "bad syntax in the integer '3/0'"),
+    (_F7_PENCIL, _set("A", 0, 1, 8), "pencil matrices must be symmetric")],
+    ids=["q-ragged", "q-4x5", "q-bool", "q-float", "q-decimal", "q-exponent",
+         "q-zero-denominator", "q-asymmetric", "f7-ragged", "f7-4x5", "f7-bool",
+         "f7-float", "f7-exponent", "f7-fraction", "f7-asymmetric"])
+def test_malformed_pencil_entries_name_the_entry_and_exit_2(capsys, tmp_path, pencil,
+                                                            edit, message):
+    # the integer lift is checked only after every entry is read, so each
+    # entry keeps the message of its own reader
+    path = _pencil_file(tmp_path, _edited(pencil, edit))
+    code, out, err = run_cli(capsys, "analyze", path)
+    assert (code, out, err) == (2, "", f"error: bad pencil file {path}: {message}\n")
+
+
+def test_proportional_pencil_with_other_denominators_exits_2(capsys, tmp_path):
+    # B = A / 3, each entry of B written over its own denominator: 6, 9, 12, ...
+    A = [[(i + 1) * (j + 1) + (i == j) for j in range(5)] for i in range(5)]
+    obj = {"field": QQ.descriptor(), "A": A,
+           "B": [[f"{x * (i + j + 2)}/{3 * (i + j + 2)}" for j, x in enumerate(row)]
+                 for i, row in enumerate(A)]}
+    code, out, err = run_cli(capsys, "analyze", _pencil_file(tmp_path, obj))
+    assert code == 2 and out == "" and "matrices are proportional" in err, err
+    obj["B"][4][4] = f"{A[4][4] + 1}/3"  # one entry off the line: a (singular) pencil
+    code, out, err = run_cli(capsys, "analyze", _pencil_file(tmp_path, obj))
+    assert code == 3 and json.loads(out)["smooth"] is False, err
 
 
 @pytest.mark.parametrize("argv,entry", [
@@ -1296,7 +1351,8 @@ def test_groupoid_verify_past_the_splitting_search_bound_exits_1(capsys, tmp_pat
     ((4,) * 3, lambda g: tuple(2 * x for x in g), False)],   # C2^3 -> C4^3, doubling
     ids=["split", "not-split"])
 def test_groupoid_verify_searches_splittings_of_vector_groups_quickly(tmp_path, target,
-                                                                       image, split):
+                                                                       image, split,
+                                                                       qdp4_process):
     # |Aut_C|^(generators of Aut_D) candidate splittings would be 8^6 here;
     # with psi(phi(g)) = g forced, only the generators outside phi(Aut_C) vary
     def vectors(tag, orders):
@@ -1311,31 +1367,28 @@ def test_groupoid_verify_searches_splittings_of_vector_groups_quickly(tmp_path, 
     paths[1].write_text(json.dumps({
         "target": D.to_json(), "objects": {"*": "*"},
         "morphisms": {n: dname[("*", "*", image(g))] for (_, _, g), n in cname.items()}}))
-    proc = subprocess.run([sys.executable, "-m", "qdp4.cli", "groupoid", "verify",
-                           str(paths[0]), "--functor", str(paths[1])],
-                          capture_output=True, text=True, timeout=10)
+    proc = qdp4_process(["groupoid", "verify", str(paths[0]), "--functor", str(paths[1])],
+                        capture_output=True, text=True, timeout=10)
     assert proc.returncode == (0 if split else 1), proc.stderr
     report = json.loads(proc.stdout)
     assert report["functor_valid"] and report["injective_on_iso_classes"]
     assert report["splitting_found"] is split and report["heavily_separable"] is split
 
 
-def test_console_script_runs():
-    proc = subprocess.run([sys.executable, "-m", "qdp4.cli", "reconstruct",
-                           "--lambda", "2", "--mu", "3"],
-                          capture_output=True, text=True)
+def test_console_script_runs(qdp4_process):
+    proc = qdp4_process(["reconstruct", "--lambda", "2", "--mu", "3"],
+                        capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["field"] == {"kind": "rationals"}
 
 
 @pytest.mark.parametrize("command", ["analyze", "selftest"])
-def test_closed_stdout_exits_1_without_traceback(p23, command):
+def test_closed_stdout_exits_1_without_traceback(p23, command, qdp4_process):
     argv = [command, p23] if command == "analyze" else [command]
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        proc = subprocess.run([sys.executable, "-m", "qdp4.cli", *argv],
-                              stdout=write_end, stderr=subprocess.PIPE, text=True)
+        proc = qdp4_process(argv, stdout=write_end, stderr=subprocess.PIPE, text=True)
     finally:
         os.close(write_end)
     assert proc.stderr == ""

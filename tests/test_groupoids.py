@@ -2,8 +2,6 @@ import collections
 import itertools
 import json
 import random
-import subprocess
-import sys
 
 import pytest
 
@@ -364,7 +362,7 @@ def _c4_power(rank):
 
 
 @pytest.mark.parametrize("corrupt", [False, True], ids=["valid", "corrupted"])
-def test_groupoid_verify_checks_c4_to_the_fourth_quickly(tmp_path, corrupt):
+def test_groupoid_verify_checks_c4_to_the_fourth_quickly(tmp_path, corrupt, qdp4_process):
     # 256 morphisms, the splitting search's bound; a triple loop takes minutes
     G, name = _c4_power(4)
     if corrupt:
@@ -374,8 +372,8 @@ def test_groupoid_verify_checks_c4_to_the_fourth_quickly(tmp_path, corrupt):
         G = _with(G, compose=compose)
     path = tmp_path / "groupoid.json"
     path.write_text(json.dumps(G.to_json()))
-    proc = subprocess.run([sys.executable, "-m", "qdp4.cli", "groupoid", "verify", str(path)],
-                          capture_output=True, text=True, timeout=10)
+    proc = qdp4_process(["groupoid", "verify", str(path)],
+                        capture_output=True, text=True, timeout=10)
     report = json.loads(proc.stdout)
     assert proc.returncode == (1 if corrupt else 0), proc.stderr
     if corrupt:  # the loops meet the failing triple early, at the second h

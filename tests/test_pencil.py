@@ -9,10 +9,12 @@ from math import lcm
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qdp4 import _accel, pencil
 from qdp4.fields import (GF, QQ, FieldMismatchError, Poly, embed, embed_poly,
-                         factor, is_square, squarefree)
+                         factor, is_square, scalar_to_json, squarefree)
 from qdp4.hyperoct import CycleSignature
 from qdp4.linalg import congruence, det, kernel_vector
 from qdp4.pencil import (POINTCOUNT_GUARD, DegeneratePencilError,
@@ -203,8 +205,8 @@ def test_kronecker_unlift_reads_balanced_digits():
     # n (k - 1) of a determinant, with x^j for j >= k reduced by the modulus
     rng = random.Random(24)
     for field in (GF(3, 2), GF(3, 12), GF(1009, 5)):
-        lift, unlift = pencil._integer_lift(field, [[field.one]], 5)
-        w = lift(field.gen()).bit_length() - 1
+        lift, unlift = pencil._kronecker(field, 5)
+        w = lift(field.gen().value).bit_length() - 1
         x = field.gen()
         for _ in range(20):
             digits = [rng.choice([-1, 1]) * rng.choice([rng.randrange(2 ** (w - 1)),
@@ -826,6 +828,10 @@ def brute_force_count(A, B, F):
     return count
 
 
+def _residues(M):
+    return [[x.value for x in row] for row in M]
+
+
 def test_count_matches_brute_force():
     # every q <= 27: a random pencil (both forms have an x4^2 term), the same
     # pencil with A[4][4] = 0 (Q_A is linear in x4), and x3 x4 against that A
@@ -854,8 +860,8 @@ def test_count_matches_brute_force():
             assert count_points(P0, k) == brute_force_count(P0.A, P0.B, F)
             add, mul = _encoded_tables(p, k)
             for X, Y in ((X34, P0.A), (X34, P.A), (P.A, X34)):
-                n = _accel.count_zero_pairs(_encode_form(X, p), _encode_form(Y, p),
-                                            add, mul)
+                n = _accel.count_zero_pairs(_encode_form(_residues(X), p),
+                                            _encode_form(_residues(Y), p), add, mul)
                 assert n == brute_force_count(X, Y, F)
 
 
@@ -912,6 +918,94 @@ def test_pencil_json_round_trip():
         Q = QuadricPencil.from_json(json.loads(json.dumps(js)))
         assert Q.field == P.field
         assert Q.A == P.A and Q.B == P.B
+
+
+def _symmetric(upper):
+    """The 5x5 symmetric matrix with the 15 given entries on and above the diagonal."""
+    M = [[None] * 5 for _ in range(5)]
+    for (i, j), x in zip(itertools.combinations_with_replacement(range(5), 2), upper):
+        M[i][j] = M[j][i] = x
+    return M
+
+
+_F31 = GF(2 ** 31 - 1)
+
+
+def _entries(field):
+    """Pencil entries the constructor takes: ints of either sign and, over
+    F_q, past p; over Q fractions with mixed denominators and up to 310
+    digits; elements of field."""
+    if field.is_rational:
+        big = 10 ** 310
+        return st.one_of(st.integers(-9, 9), st.builds(
+            Fraction, st.integers(-big, big) | st.integers(-99, 99),
+            st.integers(1, 10 ** 305) | st.sampled_from([1, 2, 6, 9, 35, 10 ** 40 + 1])))
+    p, k = field.p, field.k
+    elements = (st.integers(0, p - 1) if k == 1 else
+                st.lists(st.integers(0, p - 1), min_size=k, max_size=k)).map(field)
+    return st.one_of(st.integers(-2 * p, 2 * p), st.sampled_from([0, -1, p - 1, p]), elements)
+
+
+_entry_pencils = st.sampled_from([QQ, GF(3), GF(7), _F31, GF(3, 2), GF(3, 3)]).flatmap(
+    lambda field: st.tuples(st.just(field), *[st.lists(_entries(field), min_size=15,
+                                                        max_size=15).map(_symmetric)] * 2))
+_long = 10 ** 300
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(case=_entry_pencils)
+@example(case=(QQ, _symmetric([Fraction(_long + 7, 3), 0, Fraction(-1, 2), 5,
+                               Fraction(-2, _long + 1), Fraction(_long, 7), Fraction(3, 35),
+                               0, -1, Fraction(-9, 6), Fraction(-_long - 3, 10 ** 40 + 1), 0,
+                               2, Fraction(1, 9), 7]),
+               _symmetric([Fraction(i - 7, i + 1) for i in range(15)])))
+@example(case=(_F31, _symmetric([_F31.p - 1, -1, _F31.p, 0, 2 ** 40] * 3),
+               _symmetric([_F31(i * 123456789) for i in range(15)])))
+@example(case=(GF(3, 2), _symmetric([GF(3, 2).gen() * i for i in range(15)]),
+               _symmetric([GF(3, 2)([i % 3, i // 3 % 3]) for i in range(15)])))
+@example(case=(GF(3, 3), _symmetric([GF(3, 3).gen() ** i for i in range(15)]),
+               _symmetric([GF(3, 3)([i % 3, 2, i // 5]) for i in range(15)])))
+def test_both_entry_points_keep_one_lift(case):
+    # QuadricPencil(field, A, B) and from_json of its JSON keep the same
+    # integer lift: over Q the least common denominator D of the entries
+    # and the integers D x, over F_q the raw values; the quintic, the minors
+    # (both also against the cofactor oracle), A, B and the JSON agree
+    field, A, B = case
+    elements = [[[field(x) for x in row] for row in M] for M in (A, B)]
+    try:
+        P = QuadricPencil(field, A, B)
+    except DegeneratePencilError:
+        with pytest.raises(DegeneratePencilError):
+            QuadricPencil.from_json({"field": field.descriptor(), **{
+                name: [[scalar_to_json(x) for x in row] for row in M]
+                for name, M in zip("AB", elements)}})
+        return
+    Q = QuadricPencil.from_json(json.loads(json.dumps(P.to_json())))
+    D = 1
+    if field.is_rational:
+        D = lcm(*(x.denominator for M in elements for row in M for x in row))
+    assert P.lift == Q.lift == (D, *(tuple(tuple(int(x * D) if field.is_rational else x.value
+                                                   for x in row) for row in M)
+                                     for M in elements))
+    assert discriminant_quintic(P) == discriminant_quintic(Q) == oracle_quintic(P)
+    for i in range(5):
+        assert pencil._principal_minor(P, i) == pencil._principal_minor(Q, i) == oracle_minor(P, i)
+    assert [P.A, P.B] == [Q.A, Q.B] == [tuple(map(tuple, M)) for M in elements]
+    assert P.to_json() == Q.to_json()
+
+
+def test_symmetry_compares_values():
+    # symmetry is decided on the lift: "1/2" against "2/4" and, over F_7, 3
+    # against 10 are symmetric, and the lift is the one of the pencil
+    # spelled alike on both sides
+    eye = [[int(i == j) for j in range(5)] for i in range(5)]
+    for field, upper, lower in ((QQ, "1/2", "2/4"), (GF(7), 3, 10), (GF(7), -1, "13")):
+        obj = {"field": field.descriptor(), "A": [row[:] for row in eye],
+               "B": [[int(i == j) * (i + 2) for j in range(5)] for i in range(5)]}
+        obj["A"][0][1], obj["A"][1][0] = upper, upper
+        same = QuadricPencil.from_json(obj)
+        obj["A"][1][0] = lower
+        assert QuadricPencil.from_json(obj).lift == same.lift
 
 
 def test_extension_base_field_invariant():
