@@ -40,6 +40,10 @@ class UnsupportedFieldError(ValueError):
     """Operation not available over this field."""
 
 
+class ResourceLimitError(RuntimeError):
+    """Enumeration size guard exceeded."""
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False

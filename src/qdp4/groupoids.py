@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pencil import ResourceLimitError
+from .fields import ResourceLimitError
 
 
 MAX_SPLITTING_GROUP_ORDER = 256  # find_splitting's brute-force bound on |Aut_D|

@@ -9,9 +9,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from .fields import ResourceLimitError
 from .hyperoct import CycleSignature, all_signed_perms
 from .linalg import congruence, frac_solve, transpose
-from .pencil import ResourceLimitError
 from .picard import K_CLASS, intersect, pair_of, pair_representatives
 
 GRAM_POINTS_GUARD = 500  # most weight-2 points wpl_gram takes: (n + 2)^2 entries

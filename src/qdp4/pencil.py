@@ -13,9 +13,10 @@ import numpy as np
 
 from . import _accel
 from .fields import (GF, QQ, DegenerateInputError, FFElem, FieldMismatchError, Poly,
-                     UnsupportedFieldError, _exact_int, _sylvester, conjugate_roots, embed,
-                     factor, field_from_descriptor, is_square, poly_gcd, rational_parts,
-                     rational_roots, scalar_from_json, scalar_to_json)
+                     ResourceLimitError, UnsupportedFieldError, _exact_int, _sylvester,
+                     conjugate_roots, embed, factor, field_from_descriptor, is_square,
+                     poly_gcd, rational_parts, rational_roots, scalar_from_json,
+                     scalar_to_json)
 from .hyperoct import CycleSignature
 from .linalg import congruence, det, kernel_vector, rank
 from .wpline import Moebius, PointConfiguration, ProjPoint, pgl2_match
@@ -36,10 +37,6 @@ class NotSmoothError(ValueError):
 
 class UnsupportedSplittingError(UnsupportedFieldError):
     """Degenerate points are not rational over any supported field."""
-
-
-class ResourceLimitError(RuntimeError):
-    """Enumeration size guard exceeded."""
 
 
 class InvalidNormalFormError(ValueError):
@@ -87,18 +84,16 @@ class QuadricPencil:
             raise DegeneratePencilError("matrices are proportional")
         self.field = field
         self.lift = (D, tuple(map(tuple, A)), tuple(map(tuple, B)))
-        self._cache = {}  # memoized derived data; all results are pure
+        self._cache = {}  # pure: det(A - zB) blocks by index tuple, "points", ("config", F)
 
     A = property(lambda self: self._matrix(1))
     B = property(lambda self: self._matrix(2))
 
     def _matrix(self, m: int) -> tuple:
-        """lift[m] / D as field elements (m = 1 for A, 2 for B), kept."""
-        if ("matrix", m) not in self._cache:
-            D, field = self.lift[0], self.field
-            element = (lambda n: Fraction(n, D)) if field.is_rational else partial(FFElem, field)
-            self._cache["matrix", m] = tuple(tuple(map(element, row)) for row in self.lift[m])
-        return self._cache["matrix", m]
+        """lift[m] / D as field elements (m = 1 for A, 2 for B)."""
+        D, field = self.lift[0], self.field
+        element = (lambda n: Fraction(n, D)) if field.is_rational else partial(FFElem, field)
+        return tuple(tuple(map(element, row)) for row in self.lift[m])
 
     def to_json(self):
         return {"field": self.field.descriptor(),
@@ -130,18 +125,18 @@ class QuadricPencil:
 
 def discriminant_quintic(P: QuadricPencil):
     """Coefficients (c0..c5) of det(t0*A - t1*B) with c_i on t0^(5-i) t1^i."""
-    if "quintic" not in P._cache:
-        g = _pencil_minor(P, range(5))
-        P._cache["quintic"] = g.coeffs + (P.field.zero,) * (6 - len(g.coeffs))
-    return P._cache["quintic"]
+    g = _pencil_minor(P, (0, 1, 2, 3, 4))
+    return g.coeffs + (P.field.zero,) * (6 - len(g.coeffs))
 
 
-def _pencil_minor(P: QuadricPencil, idx):
-    """det(A - zB) on the rows and columns idx, in F[z], for every field: one
-    integer determinant of the lift's n x n blocks at z = 2^W, read back as
-    balanced base-2^W digits (Kronecker substitution, von zur Gathen-Gerhard
-    ch. 8); |c_i| <= C(n, i) n! M^n <= n! (2M)^n < 2^(W-1), M the largest
-    entry.  A digit c is c / D^n over Q, c mod p over F_p; F_{p^k}: _kronecker."""
+def _pencil_minor(P: QuadricPencil, idx: tuple) -> Poly:
+    """det(A - zB) on the rows and columns idx in F[z], kept on the pencil, for
+    every field: one integer determinant of the lift's n x n blocks at z = 2^W,
+    read back as balanced base-2^W digits (Kronecker substitution, von zur
+    Gathen-Gerhard ch. 8); |c_i| <= C(n, i) n! M^n <= n! (2M)^n < 2^(W-1), M the
+    largest entry.  A digit c is c / D^n over Q, c mod p over F_p; F_{p^k}: _kronecker."""
+    if idx in P._cache:
+        return P._cache[idx]
     field, n = P.field, len(idx)
     D, A, B = P.lift
     A, B = ([[M[i][j] for j in idx] for i in idx] for M in (A, B))
@@ -155,7 +150,8 @@ def _pencil_minor(P: QuadricPencil, idx):
     M = max(map(abs, itertools.chain(*A, *B)))
     W = (factorial(n) * (2 * M) ** n).bit_length() + 1
     c = det([[a - (b << W) for a, b in zip(ra, rb)] for ra, rb in zip(A, B)])
-    return Poly(field, [unlift(d) for d in _balanced_digits(c, W, n + 1)])
+    P._cache[idx] = Poly(field, [unlift(d) for d in _balanced_digits(c, W, n + 1)])
+    return P._cache[idx]
 
 
 def _balanced_digits(c: int, w: int, count: int) -> list:
@@ -186,16 +182,19 @@ def _kronecker(field, n: int):
 def is_smooth(P: QuadricPencil) -> bool:
     """Squarefreeness of the binary quintic: infinity, a root of multiplicity
     5 - deg g of its affine chart g(z) = F(1, z), is at most simple, and the
-    base-field root finder accepts g (it refuses g with gcd(g, g') != 1).  Its
-    roots, or None and that gcd, are kept for degenerate_orbits: at most one gcd."""
-    if "roots" not in P._cache:
+    base-field root finder accepts g (it refuses g with gcd(g, g') != 1).
+    Keeps the pencil's one degenerate-point record for degenerate_orbits:
+    (includes_infinity, orbits) when it accepts g, over Q the linear factors
+    z - r of its roots; else the refusal's gcd, or None for deg g < 4."""
+    if "points" not in P._cache:
         g = Poly(P.field, discriminant_quintic(P))
-        find = rational_roots if P.field.is_rational else factor
+        find = ((lambda g: [Poly(QQ, [-r, Fraction(1)]) for r in rational_roots(g)])
+                if P.field.is_rational else factor)
         try:
-            P._cache["roots"] = find(g) if g.degree >= 4 else None
+            P._cache["points"] = (g.degree < 5, tuple(find(g))) if g.degree >= 4 else None
         except DegenerateInputError as exc:
-            P._cache["roots"], P._cache["gcd"] = None, exc.gcd
-    return P._cache["roots"] is not None
+            P._cache["points"] = exc.gcd
+    return isinstance(P._cache["points"], tuple)
 
 
 # ---------------------------------------------------------------------------
@@ -208,28 +207,19 @@ def degenerate_orbits(P: QuadricPencil):
     Q the linear factors z - r, in root order).
 
     The quintic is factored once per pencil, by is_smooth; every other
-    degenerate-point computation reads this record.
+    degenerate-point computation reads its record.
     """
-    cached = P._cache.get("orbits")
-    if cached is not None:
-        return cached
-    g = Poly(P.field, discriminant_quintic(P))
     if not is_smooth(P):
-        raise NotSmoothError(_repeated_point(g, P._cache.get("gcd")))
-    roots = P._cache["roots"]
-    if P.field.is_rational:
-        if len(roots) != g.degree:
-            raise UnsupportedSplittingError(
-                f"quintic does not split over Q: it has {len(roots)} rational "
-                f"root(s) and a factor of degree {g.degree - len(roots)} with no "
-                "rational root; reduce the pencil modulo an odd prime to compute "
-                "over a finite field")
-        orbits = tuple(Poly(QQ, [-r, Fraction(1)]) for r in roots)
-    else:
-        orbits = tuple(roots)
-    out = (g.degree < 5, orbits)
-    P._cache["orbits"] = out
-    return out
+        raise NotSmoothError(_repeated_point(Poly(P.field, discriminant_quintic(P)),
+                                             P._cache["points"]))
+    includes_infinity, orbits = P._cache["points"]
+    missing = 5 - includes_infinity - sum(f.degree for f in orbits)
+    if missing:  # over Q only: factor's orbits cover g
+        raise UnsupportedSplittingError(
+            f"quintic does not split over Q: it has {len(orbits)} rational root(s) and a "
+            f"factor of degree {missing} with no rational root; reduce the pencil modulo "
+            "an odd prime to compute over a finite field")
+    return P._cache["points"]
 
 
 def _repeated_point(g: Poly, rep) -> str:
@@ -387,13 +377,6 @@ def reconstruct(pair, field) -> QuadricPencil:
 # Galois signature
 # ---------------------------------------------------------------------------
 
-def _principal_minor(P: QuadricPencil, i: int) -> Poly:
-    """D_i(z): det(A - zB) with row and column i deleted (cached)."""
-    if ("minor", i) not in P._cache:
-        P._cache["minor", i] = _pencil_minor(P, [j for j in range(5) if j != i])
-    return P._cache["minor", i]
-
-
 def _ruling_sign(values) -> int:
     """Quadratic character of the first nonzero value; a corank-1 member
     (every degenerate member of a smooth pencil) always has one."""
@@ -419,7 +402,7 @@ def galois_signature(P: QuadricPencil) -> CycleSignature:
         raise UnsupportedFieldError("galois_signature expects a prime-field pencil")
 
     def minor(i):
-        cs = [c.value for c in _principal_minor(P, i).coeffs]
+        cs = [c.value for c in _pencil_minor(P, tuple(j for j in range(5) if j != i)).coeffs]
         return cs + [0] * (5 - len(cs))
 
     forms = [[c.value for c in f.coeffs] for f in orbits] + ([[1, 0]] if includes_infinity else [])

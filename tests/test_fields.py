@@ -172,6 +172,34 @@ def test_factor_rejects_rationals():
         factor(Poly.from_ints(QQ, [1, 1]))
 
 
+def test_factor_of_a_nonzero_constant_is_empty():
+    for field in (GF(5), GF(3, 2)):
+        assert factor(Poly.from_ints(field, [2])) == []
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: QQ(GF(5)(1)), FieldMismatchError, "cannot coerce a finite-field element into Q"),
+    (lambda: fields.FiniteField(5), TypeError, "use GF(p, k) to construct finite fields"),
+    (lambda: GF(5)(GF(7)(1)), FieldMismatchError, "element of GF(7) used in GF(5)"),
+    (lambda: GF(5, 0), ValueError, "extension degree must be >= 1"),
+    (lambda: scalar_to_json("1"), TypeError, "not a scalar: '1'"),
+    (lambda: rational_roots(Poly.from_ints(GF(5), [1, 1])), UnsupportedFieldError,
+     "rational_roots expects a polynomial over Q"),
+    (lambda: is_square(Fraction(2)), UnsupportedFieldError,
+     "is_square is defined over finite fields"),
+    (lambda: embed(GF(5)(1), QQ), FieldMismatchError,
+     "cannot embed a finite-field element into Q"),
+    (lambda: embed(Fraction(1, 2), GF(5)), FieldMismatchError,
+     "cannot embed a rational into a finite field"),
+    (lambda: embed(GF(5)(1), GF(7, 2)), FieldMismatchError, "no embedding GF(5) -> GF(7^2)"),
+    (lambda: embed(GF(5, 2)([1, 1]), GF(5, 3)), FieldMismatchError,
+     "no embedding GF(5^2) -> GF(5^3)")])
+def test_refusals_give_their_exact_message(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_factor_multiply_back_1000_random():
     # 200 squarefree polynomials of degree 1-6 over each field
     rng = random.Random(1234)

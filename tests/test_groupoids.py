@@ -6,7 +6,7 @@ import random
 import pytest
 
 from qdp4.groupoids import (FiniteGroupoid, GroupoidFunctor,
-                            IncompatibleFamilyError, InvalidSplittingError,
+                            IncompatibleFamilyError, InvalidGroupError, InvalidSplittingError,
                             build_psi, check_functor, check_groupoid,
                             disjoint_union, family_compatible, find_splitting,
                             group_groupoid, independence_check,
@@ -156,6 +156,66 @@ def test_no_splitting_c2_into_c4():
                           {cn[("P", "P", g)]: dn[("Q", "Q", 2 * g)] for g in range(2)})
     assert check_functor(inc) is None
     assert find_splitting(inc, "P") is None
+
+
+def _refusals():
+    """(call, expected): each refusal with the message it raises, or the
+    witness it returns, on the C2 -> C2 x C2 setup unless it needs another."""
+    phi, psi_all, cname, dname = c2_two_object_setup()
+    C, psi = phi.source, psi_all["X"]
+    base, isos = {"X": "X", "Y": "X"}, {"X": C.identities["X"], "Y": cname[("X", "Y", 0)]}
+    d = {k: dname[("Z", "Z", k)] for k in itertools.product(range(2), repeat=2)}
+
+    def split(psi_by_base, isos=isos):
+        return lambda: build_psi(phi, psi_by_base, base, isos)
+
+    c2, mul2 = cyclic(2)
+    monoid, mname = group_groupoid("M", ["*"], (0, 1), lambda h, g: h * g)
+    yield (lambda: monoid.inverse(mname[("*", "*", 0)]),
+           (InvalidGroupError, "morphism M:*>*:0 has no inverse"))
+    yield (split({"X": {u: f for u, f in psi.items() if u != d[1, 1]}}),
+           (InvalidSplittingError,
+            "splitting at 'X' is not defined on the full automorphism group"))
+    yield (split({"X": {**psi, d[1, 1]: cname[("Y", "Y", 1)]}}),
+           (InvalidSplittingError, "splitting at 'X' does not land in Aut('X')"))
+    # the projection onto the second factor is a homomorphism, but no left inverse
+    yield (split({"X": {d[g, k]: cname[("X", "X", k)] for g, k in d}}),
+           (InvalidSplittingError, "splitting at 'X' is not a left inverse on 'C:X>X:1'"))
+    P, pn = group_groupoid("P", ["P0"], c2, mul2)
+    Q, qn = group_groupoid("Q", ["Q0"], c2, mul2)
+    D, dn = group_groupoid("D", ["Z"], c2, mul2)
+    collapsed = GroupoidFunctor(disjoint_union(P, Q), D, {"P0": "Z", "Q0": "Z"},
+                                {n[(x, x, g)]: dn[("Z", "Z", g)]
+                                 for n, x in ((pn, "P0"), (qn, "Q0")) for g in range(2)})
+    yield (lambda: build_psi(collapsed, {}, {}, {}),
+           (InvalidSplittingError, "functor is not injective on isomorphism classes"))
+    yield split({}), (InvalidSplittingError, "no splitting supplied for base object 'X'")
+    yield (split({"X": psi}, isos={**isos, "Y": C.identities["X"]}),
+           (InvalidSplittingError, "iso for 'Y' is not a morphism 'X' -> 'Y'"))
+    # (s1) holds, as (0, 1) is no image of phi; u = (0, 1) on Hom(X, X) then
+    # v = (0, 0) on Hom(X, Y) gives C:X>Y:1 against C:X>Y:0 o C:X>X:0
+    Psi = build_psi(phi, {"X": psi}, base, isos)
+    Psi[("X", "Y")] = {**Psi[("X", "Y")], d[0, 1]: cname[("X", "Y", 1)]}
+    yield (lambda: verify_heavy_separability(phi, Psi),
+           (False, f"(s3) fails on ({d[0, 0]!r}, {d[0, 1]!r}) at ('X','X','Y')"))
+    # psi_Y = (g, k) -> g + k is a splitting too, but transports to psi_X on no u != (g, 0)
+    psi_y = {d[g, k]: cname[("Y", "Y", (g + k) % 2)] for g, k in d}
+    yield (lambda: family_compatible(phi, {"X": psi, "Y": psi_y}),
+           f"compatibility square fails on ({cname[('X', 'Y', 0)]!r}, {d[0, 1]!r})")
+    trivial = GroupoidFunctor(P, D, {"P0": "Z"}, {f: dn[("Z", "Z", 0)] for f in P.morphisms})
+    yield lambda: find_splitting(trivial, "P0"), None  # phi is not injective on Aut
+    yield lambda: disjoint_union(P, P), (ValueError, "object names collide")
+
+
+@pytest.mark.parametrize("call,expected", list(_refusals()))
+def test_refusals_give_their_exact_message(call, expected):
+    if isinstance(expected, tuple) and isinstance(expected[0], type):
+        error, message = expected
+        with pytest.raises(error) as info:
+            call()
+        assert str(info.value) == message
+    else:
+        assert call() == expected
 
 
 def test_find_splitting_succeeds_on_direct_product():

@@ -264,3 +264,19 @@ def test_fiber_product_rejects_non_closed_input():
     cyc = Moebius(QQ, QQ(1), QQ(1), QQ(0), QQ(1))  # arbitrary carriers
     with pytest.raises(InvalidGroupInputError):
         fiber_product_order([(mid, (0, 1, 2, 3, 4)), (cyc, (1, 2, 0, 3, 4))])
+
+
+_IDENTITY_IMAGE = (Moebius.identity(QQ), (0, 1, 2, 3, 4))
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: SignedPerm((0, 1, 1, 3, 4), (1,) * 5), ValueError, "invalid signed permutation"),
+    (lambda: SignedPerm((0, 1, 2, 3, 4), (1,) * 4), ValueError, "invalid signed permutation"),
+    (lambda: SignedPerm((0, 1, 2, 3, 4), (1, 1, 0, 1, 1)), ValueError,
+     "signs must be +1 or -1"),
+    (lambda: fiber_product_order([_IDENTITY_IMAGE, _IDENTITY_IMAGE]), InvalidGroupInputError,
+     "aut_p is not a group: repeated S5 image")])
+def test_refusals_give_their_exact_message(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message

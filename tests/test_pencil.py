@@ -137,6 +137,11 @@ def test_discriminant_oracle_on_random_pencils():
     assert any(c == "common kernel" and not any(cs) for c, cs in checked)
 
 
+def principal_minor(P, i):
+    """D_i(z), the pencil's kept det(A - zB) with row and column i deleted."""
+    return pencil._pencil_minor(P, tuple(j for j in range(5) if j != i))
+
+
 def oracle_minor(P, i):
     idx = [j for j in range(5) if j != i]
     return Poly(P.field, _cofactor_det([[[P.A[a][b], -P.B[a][b]] for b in idx]
@@ -175,7 +180,7 @@ def test_integer_lift_matches_the_oracle_at_its_bounds():
                 P = QuadricPencil(field, A, B)
                 assert discriminant_quintic(P) == oracle_quintic(P)
                 for i in range(5):
-                    assert pencil._principal_minor(P, i) == oracle_minor(P, i)
+                    assert principal_minor(P, i) == oracle_minor(P, i)
                 checked.append(case)
     assert len(checked) == 24
 
@@ -192,7 +197,7 @@ def test_quintic_and_minors_at_the_largest_field_input_may_name():
                       random_symmetric(field, random.Random(28)))
     start = time.perf_counter()
     quintic = discriminant_quintic(P)
-    minors = [pencil._principal_minor(P, i) for i in range(5)]
+    minors = [principal_minor(P, i) for i in range(5)]
     assert time.perf_counter() - start < 10.0
     assert quintic == oracle_quintic(P)
     assert minors == [oracle_minor(P, i) for i in range(5)]
@@ -657,7 +662,7 @@ def _norm_signature(P):
     """The signature from the norms Res(f, D_i) on each orbit f, and from
     det(B_i) at infinity."""
     field, g = P.field, affine_quintic(P)
-    minors = [pencil._principal_minor(P, i) for i in range(5)]
+    minors = [principal_minor(P, i) for i in range(5)]
     cycles = [(f.degree, [_norm(D, f) for D in minors]) for f in factor(g)]
     if g.degree < 5:
         cycles.append((1, [field(det([[P.B[a][b].value for b in range(5) if b != i]
@@ -989,9 +994,31 @@ def test_both_entry_points_keep_one_lift(case):
                                      for M in elements))
     assert discriminant_quintic(P) == discriminant_quintic(Q) == oracle_quintic(P)
     for i in range(5):
-        assert pencil._principal_minor(P, i) == pencil._principal_minor(Q, i) == oracle_minor(P, i)
+        assert principal_minor(P, i) == principal_minor(Q, i) == oracle_minor(P, i)
     assert [P.A, P.B] == [Q.A, Q.B] == [tuple(map(tuple, M)) for M in elements]
     assert P.to_json() == Q.to_json()
+
+
+def test_the_pencil_keeps_one_record_per_derived_value():
+    # the cache holds det(A - zB) blocks under their index tuples, the one
+    # degenerate-point record and a point configuration per field, on every
+    # path: split, not split over Q, singular, and over F_p and F_{p^k}
+    rng = random.Random(3)
+    eye = [[int(i == j) for j in range(5)] for i in range(5)]
+    unsplit = [[1, 1, 0, 0, 0], [1, 0, 0, 0, 0], [0, 0, 2, 0, 0], [0, 0, 0, 3, 0],
+               [0, 0, 0, 0, 0]]  # det(A - zB) = (1 - z - z^2)(1 - 2z)(1 - 3z)
+    pencils = [reconstruct((2, 3), QQ), QuadricPencil(QQ, eye, unsplit),
+               random_smooth_pencil(GF(7), rng), random_smooth_pencil(GF(3, 2), rng),
+               diag_pencil(GF(7), (1, 0, 1, 1, 3), (0, 1, 1, 1, 1))]
+    for P in pencils:
+        for fn in (canonical_invariant, galois_signature, lambda P: isomorphic(P, P)):
+            try:
+                fn(P)
+            except (NotSmoothError, UnsupportedFieldError):
+                pass
+        assert {(0, 1, 2, 3, 4), "points"} <= set(P._cache)
+        assert all(key == "points" or key[0] == "config" or all(type(i) is int for i in key)
+                   for key in P._cache)
 
 
 def test_symmetry_compares_values():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qdp4 import picard
 from qdp4.hyperoct import CycleSignature, SignedPerm, all_signed_perms, even_signed_perms
 from qdp4.kgroups import g_invariant_rank
 from qdp4.linalg import frac_solve, mat_mul, rank
@@ -183,6 +184,15 @@ def test_a_stack_with_one_non_automorphism_raises(bad, message):
         stack = np.stack(W[:position] + [bad] + W[position:])
         with pytest.raises(InvalidAutError, match=message):
             to_signed_perms(stack)
+
+
+def test_a_matrix_past_the_lattice_check_must_permute_the_pairs(monkeypatch):
+    # an isometry fixing K maps zero classes to zero classes, so only a matrix
+    # that skips the lattice check can miss the pairs: 2 I doubles each 2 hbar_i
+    monkeypatch.setattr(picard, "_check_lattice_auts", lambda ws: None)
+    with pytest.raises(InvalidAutError) as info:
+        to_signed_perms(np.stack([np.eye(6, dtype=np.int64), 2 * np.eye(6, dtype=np.int64)]))
+    assert str(info.value) == "automorphism does not permute the zero-class pairs"
 
 
 def test_to_signed_perm_is_isomorphism_onto_evens():

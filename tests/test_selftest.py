@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qdp4 import kgroups, picard, selftest
+from qdp4.cli import main
 
 
 @pytest.fixture
@@ -60,3 +61,16 @@ def test_weyl_order_fails_with_a_generator_of_infinite_order(monkeypatch, fresh_
     start = time.perf_counter()
     assert selftest.suite_weyl_order() == (False, detail)
     assert time.perf_counter() - start < 10
+
+
+def test_a_failing_or_raising_suite_prints_fail_and_exits_1(monkeypatch, capsys):
+    def crash():
+        raise RuntimeError("kaput")
+
+    monkeypatch.setattr(selftest, "SUITES", (("passes", lambda: (True, "fine")),
+                                             ("fails", lambda: (False, "off by one")),
+                                             ("raises", crash)))
+    assert selftest.run_all() == 2
+    assert main(["selftest"]) == 1
+    assert capsys.readouterr().out.splitlines() == 2 * [
+        "PASS passes: fine", "FAIL fails: off by one", "FAIL raises: exception: kaput"]
