@@ -14,7 +14,7 @@ from contextlib import contextmanager
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 
-from . import kgroups, picard, selftest
+from . import kgroups, selftest
 from .fields import (QQ, FieldMismatchError, UnsupportedFieldError, _exact_int,
                      described_field, field_from_descriptor, scalar_from_json,
                      scalar_to_json)
@@ -136,7 +136,7 @@ def analysis_report(P: QuadricPencil) -> dict:
         report["ranks"] = None
     else:
         report["signature"] = sig.to_json()
-        report["minimal"] = picard.is_minimal(sig)
+        report["minimal"] = kgroups.is_minimal(sig)
         report["ranks"] = _ranks(sig)
     return report
 
@@ -212,7 +212,7 @@ def cmd_minimal(args) -> int:
     sig = galois_signature(P)
     _emit({"signature": sig.to_json(),
            "picard_invariant_rank": kgroups.g_invariant_rank(sig, "picard"),
-           "minimal": picard.is_minimal(sig)})
+           "minimal": kgroups.is_minimal(sig)})
     return EXIT_OK
 
 
@@ -240,7 +240,7 @@ def cmd_kgroups_ranks(args) -> int:
     with _parsing("signature"):
         sig = CycleSignature.from_json(json.loads(args.signature))
     _emit({"signature": sig.to_json(), "points": sig.total(), **_ranks(sig),
-           "minimal": picard.is_minimal(sig),
+           "minimal": kgroups.is_minimal(sig),
            "conic_bundle": kgroups.conic_bundle_ranks(sig)})
     return EXIT_OK
 

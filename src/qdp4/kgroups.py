@@ -6,12 +6,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
-from .fields import ResourceLimitError
+from .fields import QQ, ResourceLimitError
 from .hyperoct import CycleSignature, all_signed_perms
-from .linalg import congruence, frac_solve, transpose
+from .linalg import congruence, kernel_vector, transpose
 from .picard import K_CLASS, intersect, pair_of, pair_representatives
 
 GRAM_POINTS_GUARD = 500  # most weight-2 points wpl_gram takes: (n + 2)^2 entries
@@ -78,11 +79,17 @@ def tensor_k_matrix():
 
 
 def serre_from_gram(E):
-    """The operator S with chi(x, y) = chi(y, Sx) for all x, y: E S = E^T."""
-    try:
-        return frac_solve(E, transpose(E))
-    except ZeroDivisionError as exc:
-        raise DegenerateFormError("Euler form is degenerate") from exc
+    """The operator S with chi(x, y) = chi(y, Sx) for all x, y: E S = E^T.
+    With D the lcm of E's denominators, column j of S is v[:n] for the kernel
+    vector v of the integer matrix [D E | -(row j of D E)], which has v[n] = 1
+    exactly when E is nondegenerate."""
+    D = lcm(*(Fraction(x).denominator for row in E for x in row))
+    DE = [[int(x * D) for x in row] for row in E]
+    cols = [kernel_vector([row + [-DE[j][i]] for i, row in enumerate(DE)], QQ)
+            for j in range(len(DE))]
+    if any(v[-1] != 1 for v in cols):
+        raise DegenerateFormError("Euler form is degenerate")
+    return transpose([v[:-1] for v in cols])
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +245,11 @@ def g_invariant_rank(sig: CycleSignature, space: str) -> int:
     realized action, and the rank-formulas suite checks the two agree)."""
     before, after, _ = _layout(space)
     return before + after + sig.plus_cycles()
+
+
+def is_minimal(sig: CycleSignature) -> bool:
+    """rank Pic^G = 1, i.e. every Frobenius cycle carries sign -1."""
+    return g_invariant_rank(sig, "picard") == 1
 
 
 def conic_bundle_ranks(sig: CycleSignature):

@@ -1,9 +1,7 @@
 """Small exact linear algebra over any field and the integers: one Bareiss
-elimination behind the rank, the determinant, kernels and linear solves."""
+elimination behind the rank, the determinant and kernel vectors."""
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 
 def mat_mul(a, b):
@@ -69,15 +67,6 @@ def _echelon(mat):
     return rows, pivots, swaps
 
 
-def _back_substitute(rows, pivots, v):
-    """Solve the pivot entries of v, from the last pivot up, so that every
-    echelon row annihilates v; the other entries of v are given."""
-    for r in reversed(range(len(pivots))):
-        c = pivots[r]
-        v[c] = -sum(rows[r][j] * v[j] for j in range(c + 1, len(v))) / rows[r][c]
-    return v
-
-
 def rank(mat) -> int:
     """Rank over the coefficient field (over Q for integer matrices)."""
     return len(_echelon(mat)[1])
@@ -92,28 +81,18 @@ def det(mat):
 
 
 def kernel_vector(mat, field):
-    """One nonzero kernel vector of a singular square matrix, deterministically:
-    the one whose first free column is one and whose other free columns are
-    zero.  None if the matrix is invertible."""
+    """One nonzero kernel vector of a matrix, deterministically: the one
+    whose first free column is one and whose other free columns are zero,
+    its pivot entries solved from the last pivot up.  None if every column
+    has a pivot."""
     rows, pivots, _ = _echelon(mat)
-    fcol = next((c for c in range(len(mat)) if c not in pivots), None)
+    ncols = len(mat[0])
+    fcol = next((c for c in range(ncols) if c not in pivots), None)
     if fcol is None:
         return None
-    v = [field.zero] * len(mat)
+    v = [field.zero] * ncols
     v[fcol] = field.one
-    return _back_substitute(rows, pivots, v)
-
-
-def frac_solve(mat, rhs):
-    """X with mat X = rhs, for a square mat over Q; raises ZeroDivisionError
-    on singular mat.  Column j of X solves the echelon form of [mat | rhs]
-    against -e_j on the rhs side."""
-    n, m = len(mat), len(rhs[0])
-    rows, pivots, _ = _echelon([[Fraction(x) for x in (*row, *rrow)]
-                                for row, rrow in zip(mat, rhs)])
-    if pivots != list(range(n)):
-        raise ZeroDivisionError("singular matrix")
-    cols = [_back_substitute(rows, pivots, [Fraction(0)] * n +
-                             [Fraction(-int(i == j)) for i in range(m)])[:n]
-            for j in range(m)]
-    return transpose(cols)
+    for r in reversed(range(len(pivots))):
+        c = pivots[r]
+        v[c] = -sum((rows[r][j] * v[j] for j in range(c + 1, ncols)), field.zero) / rows[r][c]
+    return v

@@ -1,5 +1,5 @@
-"""Quadric-pencil analysis: discriminant quintic, smoothness, simultaneous
-diagonalization, degenerate points, Galois signatures, and point counting."""
+"""Quadric-pencil analysis: discriminant quintic, smoothness, degenerate
+points, Galois signatures, and point counting."""
 
 from __future__ import annotations
 
@@ -14,11 +14,11 @@ import numpy as np
 from . import _accel
 from .fields import (GF, QQ, DegenerateInputError, FFElem, FieldMismatchError, Poly,
                      ResourceLimitError, UnsupportedFieldError, _exact_int, _sylvester,
-                     conjugate_roots, embed, factor, field_from_descriptor, is_square,
+                     conjugate_roots, factor, field_from_descriptor, is_square,
                      poly_gcd, rational_parts, rational_roots, scalar_from_json,
                      scalar_to_json)
 from .hyperoct import CycleSignature
-from .linalg import congruence, det, kernel_vector, rank
+from .linalg import det, rank
 from .wpline import Moebius, PointConfiguration, ProjPoint, pgl2_match
 
 POINTCOUNT_GUARD = 250  # largest p^k that count_points enumerates
@@ -280,40 +280,6 @@ def point_configuration(P: QuadricPencil, dst=None) -> PointConfiguration:
     if ("config", dst) not in P._cache:
         P._cache["config", dst] = PointConfiguration(dst, degenerate_parameter_points(P, dst))
     return P._cache["config", dst]
-
-
-def simultaneous_diagonalize(P: QuadricPencil):
-    """Congruence M with M^T A M, M^T B M diagonal, over the splitting field.
-
-    Returns (M, pairs, points): column i of M spans the kernel of the member
-    at points[i], and pairs[i] = (a_i, b_i) are the diagonal entries, with
-    (t0 : t1) = (b_i : a_i) the i-th degenerate point.
-    """
-    pts = degenerate_parameter_points(P)
-    dst = pts[0].field
-    A = [[embed(x, dst) for x in row] for row in P.A]
-    B = [[embed(x, dst) for x in row] for row in P.B]
-    cols = []
-    for p in pts:
-        t0, t1 = p.v, p.u
-        Q = [[t0 * A[i][j] - t1 * B[i][j] for j in range(5)] for i in range(5)]
-        v = kernel_vector(Q, dst)
-        if v is None:
-            raise NotSmoothError("member unexpectedly nondegenerate")
-        cols.append(v)
-    M = [[cols[j][i] for j in range(5)] for i in range(5)]
-    MA = congruence(M, A)
-    MB = congruence(M, B)
-    for i in range(5):
-        for j in range(5):
-            if i != j and (MA[i][j] or MB[i][j]):
-                raise NotSmoothError("simultaneous diagonalization failed")
-    pairs = [(MA[i][i], MB[i][i]) for i in range(5)]
-    for i, p in enumerate(pts):
-        a, b = pairs[i]
-        if a * p.v - b * p.u:
-            raise NotSmoothError("diagonal pair does not match its degenerate point")
-    return M, pairs, pts
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Rank-6 Picard lattice of a quartic del Pezzo surface: zero-classes, the
-D5 root system and Weyl group, and Galois-invariant rank certificates."""
+D5 root system and Weyl group, and its action on the zero-class pairs."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .hyperoct import CycleSignature, SignedPerm
+from .hyperoct import SignedPerm
 
 
 _CLOSURE_CHUNK = 32  # frontier matrices per batched product in weyl_group (369 KB of int64)
@@ -172,8 +172,3 @@ def to_signed_perms(ws: np.ndarray):
     signs = np.where(plus.any(axis=1), 1, -1)  # the sign of the image landing on each target
     return [SignedPerm(tuple(p), tuple(s)) for p, s in zip(perms.tolist(), signs.tolist())]
 
-
-def is_minimal(sig: CycleSignature) -> bool:
-    """rank Pic^G = 1, i.e. every Frobenius cycle carries sign -1."""
-    from .kgroups import g_invariant_rank  # kgroups builds on this module
-    return g_invariant_rank(sig, "picard") == 1

@@ -13,6 +13,7 @@ from .groupoids import (build_psi, independence_check, standard_choice,
                         verify_heavy_separability)
 from .hyperoct import (CycleSignature, all_signed_perms, even_signed_perms,
                        fiber_product_order, index_tables, retract)
+from .linalg import mat_vec
 from .pencil import (canonical_invariant, count_points, degenerate_parameter_points,
                      galois_signature, isomorphic, predicted_count, reconstruct)
 from .sampling import random_smooth_pencil, random_split_functor, random_split_pencil
@@ -141,7 +142,6 @@ def suite_serre_certificate():
     S = kgroups.serre_from_gram(kgroups.full_k0_gram())
     lock = S == [[Fraction(x) for x in row] for row in kgroups.tensor_k_matrix()]
     SA = kgroups.atom_serre()
-    from .linalg import mat_vec
     ok = lock
     for h in picard.zero_classes():
         c = [Fraction(x) for x in

@@ -97,9 +97,6 @@ class Moebius:
         return Moebius(self.field, a * other.a + b * other.c, a * other.b + b * other.d,
                        c * other.a + d * other.c, c * other.b + d * other.d)
 
-    def inverse(self) -> "Moebius":
-        return Moebius(self.field, self.d, -self.b, -self.c, self.a)
-
     def entries(self):
         return (self.a, self.b, self.c, self.d)
 

@@ -156,7 +156,7 @@ def test_criterion_08_rank_bookkeeping():
     assert triple == (1, 2, 1)
     for sp in random.Random(8).sample(list(all_signed_perms()), 100):
         sig = CycleSignature.from_signed_perm(sp)
-        if picard.is_minimal(sig):
+        if kgroups.is_minimal(sig):
             assert (kgroups.g_invariant_rank(sig, "picard"),
                     kgroups.g_invariant_rank(sig, "wpl"),
                     kgroups.g_invariant_rank(sig, "torsion")) == (1, 2, 1)

@@ -125,9 +125,28 @@ def test_serre_sends_structure_sheaf_to_canonical():
     assert K0ClassX.from_vector([int(x) for x in img]) == class_of(K_CLASS)
 
 
+def test_serre_from_gram_matches_sympy_on_grams_with_denominators():
+    # entries over 2 and 3, so the Gram is scaled by 6 before the elimination
+    rng = random.Random(3)
+    checked = 0
+    while checked < 10:
+        n = rng.randint(1, 5)
+        E = [[Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3))) for _ in range(n)]
+             for _ in range(n)]
+        M = sympy.Matrix(E)
+        if M.det() == 0:
+            continue
+        expect = [[Fraction(int(x.p), int(x.q)) for x in row]
+                  for row in (M.inv() * M.T).tolist()]
+        assert serre_from_gram(E) == expect
+        checked += 1
+
+
 def test_serre_rejects_degenerate_form():
-    with pytest.raises(DegenerateFormError):
+    with pytest.raises(DegenerateFormError, match="^Euler form is degenerate$"):
         serre_from_gram([[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]])
+    with pytest.raises(DegenerateFormError, match="^Euler form is degenerate$"):
+        serre_from_gram([[Fraction(1, 2), 0, 1], [0, 0, 0], [Fraction(1, 3), 0, 2]])
 
 
 def test_atom_serre_swaps_pairs_with_sign():

@@ -1,10 +1,9 @@
 import random
 from fractions import Fraction
-
-import pytest
+from functools import partial
 
 from qdp4.fields import GF, QQ, random_element
-from qdp4.linalg import det, frac_solve, kernel_vector, mat_mul, mat_vec, rank
+from qdp4.linalg import det, kernel_vector, mat_mul, mat_vec, rank
 
 
 def _random_of_rank(field, rng, n, r):
@@ -48,16 +47,28 @@ def test_integer_rank_matches_the_rank_over_q():
         assert rank(M) == rank([[Fraction(x) for x in row] for row in M]) == r
 
 
-def test_frac_solve():
-    M = [[2, 1, 0], [1, 3, 1], [0, 1, 4]]
-    eye = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
-    inv = frac_solve(M, eye)
-    assert mat_mul(M, inv) == eye
-    B = [[1, -2], [0, 5], [7, 3]]
-    assert mat_mul(M, frac_solve(M, B)) == B
-    assert frac_solve(M, B) == mat_mul(inv, B)
-    with pytest.raises(ZeroDivisionError):
-        frac_solve([[1, 2], [2, 4]], [[1, 0], [0, 1]])
+def test_kernel_vector_of_a_wide_matrix():
+    # n x (n+1) and n x (n+2): the first column without a pivot is one, the
+    # later free columns zero, and every row annihilates the vector
+    rng = random.Random(7)
+    F7, F9 = GF(7), GF(3, 2)
+    fields = [(QQ, lambda: rng.randint(-9, 9)),
+              (QQ, lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 9))),
+              (F7, partial(random_element, F7, rng)), (F9, partial(random_element, F9, rng))]
+    for field, draw in fields:
+        for n in range(1, 5):
+            for extra in (1, 2):
+                M = [[draw() for _ in range(n + extra)] for _ in range(n)]
+                v = kernel_vector(M, field)
+                assert not any(mat_vec(M, v))
+                free = [c for c in range(n + extra)
+                        if rank([row[:c + 1] for row in M]) == rank([row[:c] for row in M])]
+                assert v[free[0]] == field.one
+                assert all(v[c] == field.zero for c in free[1:])
+    # a column left of every pivot is free: the back-substitution still
+    # returns field elements, not the float of an empty sum over an int pivot
+    assert kernel_vector([[0, 1]], QQ) == [Fraction(1), Fraction(0)]
+    assert all(type(x) is Fraction for x in kernel_vector([[0, 1]], QQ))
 
 
 def _cofactor(M):

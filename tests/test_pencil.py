@@ -26,7 +26,7 @@ from qdp4.pencil import (POINTCOUNT_GUARD, DegeneratePencilError,
                          discriminant_quintic,
                          galois_signature, is_smooth, isomorphic,
                          point_configuration, predicted_count, reconstruct,
-                         simultaneous_diagonalize, splitting_field)
+                         splitting_field)
 from qdp4.sampling import (random_invertible, random_smooth_pencil,
                            random_split_pencil, random_symmetric)
 from qdp4.wpline import Moebius, ProjPoint, moebius_to_inf_zero_one
@@ -345,43 +345,6 @@ def test_smoothness_iff_all_multiplicities_one():
             checked_smooth += 1
         else:
             checked_singular += 1
-
-
-def test_simultaneous_diagonalize_eq_pencil():
-    P = reconstruct((2, 3), QQ)
-    M, pairs, pts = simultaneous_diagonalize(P)
-    # already diagonal: sorted points oo,0,1,2,3 give pairs proportional to
-    # (1,0),(0,1),(1,1),(2,1),(3,1)
-    expect = [(1, 0), (0, 1), (1, 1), (2, 1), (3, 1)]
-    for (a, b), (ea, eb) in zip(pairs, expect):
-        assert a * QQ(eb) == b * QQ(ea)
-    # M is a signed/scaled permutation of the identity
-    nonzero = [[j for j in range(5) if M[i][j] != 0] for i in range(5)]
-    assert sorted(c[0] for c in nonzero) == [0, 1, 2, 3, 4]
-
-
-def test_simultaneous_diagonalize_identity_plus_symmetric():
-    rng = random.Random(7)
-    F11 = GF(11)
-    eye = [[F11(1) if i == j else F11(0) for j in range(5)] for i in range(5)]
-    for _ in range(5):
-        B = random_symmetric(F11, rng)
-        try:
-            P = QuadricPencil(F11, eye, B)
-        except DegeneratePencilError:
-            continue
-        if not is_smooth(P):
-            continue
-        M, pairs, pts = simultaneous_diagonalize(P)
-        dst = pts[0].field
-        from qdp4.fields import embed
-        Me = [[x for x in row] for row in M]
-        At = congruence(Me, [[embed(x, dst) for x in row] for row in P.A])
-        Bt = congruence(Me, [[embed(x, dst) for x in row] for row in P.B])
-        for i in range(5):
-            for j in range(5):
-                if i != j:
-                    assert not At[i][j] and not Bt[i][j]
 
 
 def normal_form(P, ordering=(0, 1, 2, 3, 4)):

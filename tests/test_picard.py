@@ -4,14 +4,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 
 from qdp4 import picard
 from qdp4.hyperoct import CycleSignature, SignedPerm, all_signed_perms, even_signed_perms
-from qdp4.kgroups import g_invariant_rank
-from qdp4.linalg import frac_solve, mat_mul, rank
+from qdp4.kgroups import g_invariant_rank, is_minimal
+from qdp4.linalg import mat_mul, rank
 from qdp4.picard import (InvalidAutError, InvalidClassError, InvalidRootError,
                          K_CLASS, brute_force_classes,
-                         intersect, is_minimal, pair_of,
+                         intersect, pair_of,
                          pair_representatives, reflect, reflection_matrix,
                          roots, to_signed_perms, weyl_group,
                          zero_classes)
@@ -48,8 +49,8 @@ def matrix_on_standard_basis(sp: SignedPerm):
     P = [[Fraction(int(i == j == 0)) for j in range(6)] for i in range(6)]
     for i, row in enumerate(signed_perm_matrix(sp).tolist()):
         P[1 + i][1:] = [Fraction(x) for x in row]
-    eye = [[int(i == j) for j in range(6)] for i in range(6)]
-    return mat_mul(C, mat_mul(P, frac_solve(C, eye)))
+    C_inv = [[Fraction(int(x.p), int(x.q)) for x in row] for row in sympy.Matrix(C).inv().tolist()]
+    return mat_mul(C, mat_mul(P, C_inv))
 
 
 def dict_closure():
@@ -186,12 +187,14 @@ def test_a_stack_with_one_non_automorphism_raises(bad, message):
             to_signed_perms(stack)
 
 
-def test_a_matrix_past_the_lattice_check_must_permute_the_pairs(monkeypatch):
-    # an isometry fixing K maps zero classes to zero classes, so only a matrix
-    # that skips the lattice check can miss the pairs: 2 I doubles each 2 hbar_i
-    monkeypatch.setattr(picard, "_check_lattice_auts", lambda ws: None)
+def test_a_matrix_past_the_lattice_check_must_permute_the_pairs():
+    # the reflection in the rational class r, with r^2 = -2 and r.K = 0, fixes
+    # K and preserves the form, but it is not integral and misses the pairs
+    r = np.array([-1.5, 0.5, 1, 1, 1, 1])
+    reflection = np.eye(6) + np.outer(r, r @ np.diag(picard._FORM))
+    picard._check_lattice_auts(reflection[None])
     with pytest.raises(InvalidAutError) as info:
-        to_signed_perms(np.stack([np.eye(6, dtype=np.int64), 2 * np.eye(6, dtype=np.int64)]))
+        to_signed_perms(np.stack([np.eye(6), reflection]))
     assert str(info.value) == "automorphism does not permute the zero-class pairs"
 
 
