@@ -16,7 +16,7 @@ from .linalg import congruence, kernel_vector, transpose
 from .picard import K_CLASS, intersect, pair_of, pair_representatives
 
 GRAM_POINTS_GUARD = 500  # most weight-2 points wpl_gram takes: (n + 2)^2 entries
-_BURNSIDE_CHUNK = 960  # matrices per pass of burnside_ranks, bounding its powers
+_BURNSIDE_CHUNK = 960  # matrices per pass of burnside_ranks: a power is at most 61 KB of int8
 
 
 class DegenerateFormError(ValueError):
@@ -218,24 +218,25 @@ def burnside_ranks(stack: np.ndarray) -> np.ndarray:
     """dim V^<g> for each matrix g of a stack that holds a whole finite group:
     by Burnside's lemma on the cyclic group <g>, the average of tr(g^j) over
     j < ord g.  The orders are read off the powers, in chunks of
-    _BURNSIDE_CHUNK matrices; no order exceeds the group's, len(stack)."""
+    _BURNSIDE_CHUNK matrices; a row leaves the chunk once M^j = I, and no
+    order exceeds the group's, len(stack)."""
     ranks = np.empty(len(stack), dtype=np.int64)
     for start in range(0, len(stack), _BURNSIDE_CHUNK):
         M = stack[start:start + _BURNSIDE_CHUNK]
+        idx = np.arange(start, start + len(M))
         ident = np.eye(M.shape[1], dtype=M.dtype)
         power = np.broadcast_to(ident, M.shape)
         trace_sum = np.zeros(len(M), dtype=np.int64)
-        order = np.zeros(len(M), dtype=np.int64)
         for j in range(1, len(stack) + 1):
-            pending = order == 0
-            trace_sum += np.where(pending, np.trace(power, axis1=1, axis2=2), 0)
+            trace_sum += np.trace(power, axis1=1, axis2=2)
             power = power @ M
-            order[pending & (power == ident).all(axis=(1, 2))] = j
-            if order.all():
+            done = (power == ident).all(axis=(1, 2))
+            ranks[idx[done]] = trace_sum[done] // j
+            idx, M, power, trace_sum = (a[~done] for a in (idx, M, power, trace_sum))
+            if not len(idx):
                 break
         else:
-            raise ValueError("a matrix of the stack has order beyond the stack's length")
-        ranks[start:start + len(M)] = trace_sum // order
+            raise ValueError(f"matrix {idx[0]} of a stack of {len(stack)} has no order up to {j}")
     return ranks
 
 

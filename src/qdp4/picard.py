@@ -11,7 +11,7 @@ import numpy as np
 from .hyperoct import SignedPerm
 
 
-_CLOSURE_CHUNK = 32  # frontier matrices per batched product in weyl_group (369 KB of int64)
+_CLOSURE_CHUNK = 32  # frontier matrices per batched product in weyl_group: 369 KB of int64 products
 _CLOSURE_BOUND = 3840  # 2^5 5!: every signed permutation of the five zero-class pairs
 
 
@@ -131,14 +131,18 @@ def weyl_group():
             products = gens[:, None] @ frontier[None, start:start + _CLOSURE_CHUNK]
             if not -128 <= products.min() <= products.max() <= 127:
                 raise InvalidAutError("the reflection closure has an entry outside int8")
-            for key in map(bytes, products.astype(np.int8).reshape(-1, 36)):
+            # sorted rows: each distinct product is hashed once (np.unique would import numpy.ma)
+            rows = np.sort(products.astype(np.int8).reshape(-1, 36).view("V36")[:, 0])
+            rows = rows.view(np.int8).reshape(-1, 36)
+            for key in map(bytes, rows[np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]]):
                 if key not in seen:
                     seen.add(key)
                     level.append(key)
             if len(seen) > _CLOSURE_BOUND:
                 raise InvalidAutError(f"the reflection closure exceeds {_CLOSURE_BOUND} elements")
-    group = np.frombuffer(b"".join(seen), dtype=np.int8).reshape(-1, 6, 6).astype(np.int64)
-    return tuple(sorted(group, key=lambda m: m.tobytes()))
+    # int8 bytes sort as the int64 ones: an entry's low byte decides how it compares
+    group = np.frombuffer(b"".join(sorted(seen)), dtype=np.int8).reshape(-1, 6, 6)
+    return tuple(group.astype(np.int64))
 
 
 def _check_lattice_auts(ws: np.ndarray):

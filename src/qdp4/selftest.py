@@ -65,13 +65,18 @@ def suite_retract_homomorphism():
 
 
 def suite_rank_formulas():
-    ranks = {space: kgroups.burnside_ranks(kgroups.action_matrices(space)).tolist()
+    ranks = {space: kgroups.burnside_ranks(kgroups.action_matrices(space))
              for space in ("picard", "wpl", "torsion", "surface-k0")}
-    for i, sp in enumerate(all_signed_perms()):
-        sig = CycleSignature.from_signed_perm(sp)
-        for space, by_element in ranks.items():
-            if by_element[i] != kgroups.g_invariant_rank(sig, space):
-                return False, f"mismatch at {sp} on {space}"
+    # the closed form once per (cycle signature, space), compared on every element
+    classes = {}
+    class_index = [classes.setdefault(CycleSignature.from_signed_perm(sp), len(classes))
+                   for sp in all_signed_perms()]
+    mismatch = np.stack([by_element != np.array([kgroups.g_invariant_rank(sig, space)
+                                                 for sig in classes])[class_index]
+                         for space, by_element in ranks.items()], axis=1)
+    if mismatch.any():
+        i, k = np.argwhere(mismatch)[0]  # element-major: lowest element, then first space
+        return False, f"mismatch at {all_signed_perms()[i]} on {list(ranks)[k]}"
     sig_min = CycleSignature(((5, -1),))
     triple = (kgroups.g_invariant_rank(sig_min, "picard"),
               kgroups.g_invariant_rank(sig_min, "wpl"),

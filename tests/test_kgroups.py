@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import sympy
 
+from qdp4 import kgroups
 from qdp4.hyperoct import CycleSignature, all_signed_perms
 from qdp4.kgroups import (DegenerateFormError, K0ClassX, STRUCTURE_SHEAF,
                           action_matrices, atom_class, atom_coords,
@@ -249,6 +250,59 @@ def test_burnside_ranks_refuse_a_matrix_of_infinite_order():
     with pytest.raises(ValueError, match="order"):
         burnside_ranks(stack)
     assert burnside_ranks(stack[[0, 2]]).tolist() == [2, 0]
+
+
+def test_burnside_refusal_names_the_first_matrix_without_an_order():
+    shear = np.array([[1, 1], [0, 1]], dtype=np.int8)
+    rotation = np.array([[0, -1], [1, 0]], dtype=np.int8)
+    stack = np.stack([rotation, np.eye(2, dtype=np.int8), shear, rotation, shear.T])
+    with pytest.raises(ValueError) as info:
+        burnside_ranks(stack)
+    assert str(info.value) == "matrix 2 of a stack of 5 has no order up to 5"
+
+
+# 2x2 integer blocks of orders 1, 2, 3, 4 and 6: rotations by 0, 180, 120, 90 and 60 degrees
+_BLOCKS = {1: [[1, 0], [0, 1]], 2: [[-1, 0], [0, -1]], 3: [[0, -1], [1, -1]],
+           4: [[0, -1], [1, 0]], 6: [[1, -1], [1, 0]]}
+
+
+def _mixed_order_stack(dtype):
+    # block diagonals of two blocks and a fixed line, shuffled so that the rows
+    # of a chunk finish at different powers
+    stack = []
+    for a in _BLOCKS.values():
+        for b in _BLOCKS.values():
+            M = np.eye(5, dtype=dtype)
+            M[:2, :2], M[2:4, 2:4] = a, b
+            stack.append(M)
+    random.Random(5).shuffle(stack)
+    return np.stack(stack)
+
+
+def _kernel_ranks(stack):
+    n = stack.shape[1]
+    return [n - rank((M.astype(np.int64) - np.eye(n, dtype=np.int64)).tolist()) for M in stack]
+
+
+@pytest.mark.parametrize("chunk", [7, 960])
+def test_burnside_rows_leave_the_loop_at_their_own_order(monkeypatch, chunk):
+    monkeypatch.setattr(kgroups, "_BURNSIDE_CHUNK", chunk)
+    stack = _mixed_order_stack(np.int8)
+    assert burnside_ranks(stack).tolist() == _kernel_ranks(stack)
+
+
+@pytest.mark.parametrize("chunk", [7, 960])
+def test_burnside_ranks_of_a_conjugated_int64_stack(monkeypatch, chunk):
+    # S = E_01(40) E_23(-37) E_12(25) E_34(19) is unimodular with an integer inverse
+    monkeypatch.setattr(kgroups, "_BURNSIDE_CHUNK", chunk)
+    S, S_inv = np.eye(5, dtype=np.int64), np.eye(5, dtype=np.int64)
+    for i, j, c in ((0, 1, 40), (2, 3, -37), (1, 2, 25), (3, 4, 19)):
+        E, E_inv = np.eye(5, dtype=np.int64), np.eye(5, dtype=np.int64)
+        E[i, j], E_inv[i, j] = c, -c
+        S, S_inv = S @ E, E_inv @ S_inv
+    stack = S @ _mixed_order_stack(np.int64) @ S_inv
+    assert np.abs(stack).max() > 127
+    assert burnside_ranks(stack).tolist() == _kernel_ranks(stack)
 
 
 def test_conic_bundle_examples():

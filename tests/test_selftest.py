@@ -2,12 +2,14 @@
 list or the group it checks is wrong."""
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qdp4 import kgroups, picard, selftest
 from qdp4.cli import main
+from qdp4.hyperoct import all_signed_perms
 
 
 @pytest.fixture
@@ -24,6 +26,31 @@ def test_rank_formulas_fail_when_one_closed_form_is_off_by_one(monkeypatch, spac
                         lambda sig, where: closed_form(sig, where) + (where == space))
     ok, detail = selftest.suite_rank_formulas()
     assert not ok and detail.startswith("mismatch at") and detail.endswith(f"on {space}")
+
+
+_SPACES = ("picard", "wpl", "torsion", "surface-k0")
+
+
+@pytest.mark.parametrize("changed,first", [
+    ({(1234, "wpl")}, (1234, "wpl")),
+    ({(2500, "picard"), (700, "surface-k0")}, (700, "surface-k0")),
+    ({(700, "surface-k0"), (700, "torsion")}, (700, "torsion"))])
+def test_rank_formulas_name_the_first_element_major_mismatch(monkeypatch, changed, first):
+    # Burnside ranks off by one at the changed (element, space) pairs: the
+    # detail names the lowest element, then the first space in suite order
+    stacks = {space: kgroups.action_matrices(space) for space in _SPACES}
+    burnside = kgroups.burnside_ranks
+
+    def bumped(stack):
+        space = next(s for s in _SPACES if np.array_equal(stack, stacks[s]))
+        ranks = burnside(stack)
+        for i, where in changed:
+            ranks[i] += where == space
+        return ranks
+
+    monkeypatch.setattr(kgroups, "burnside_ranks", bumped)
+    i, space = first
+    assert selftest.suite_rank_formulas() == (False, f"mismatch at {all_signed_perms()[i]} on {space}")
 
 
 def test_zero_class_census_fails_when_a_class_is_missing(monkeypatch):
@@ -74,3 +101,19 @@ def test_a_failing_or_raising_suite_prints_fail_and_exits_1(monkeypatch, capsys)
     assert main(["selftest"]) == 1
     assert capsys.readouterr().out.splitlines() == 2 * [
         "PASS passes: fine", "FAIL fails: off by one", "FAIL raises: exception: kaput"]
+
+
+def test_whole_group_passes_allocate_little(fresh_weyl_group):
+    # the chunks bound the temporaries: the closure's products and the powers
+    tracemalloc.start()
+    try:
+        picard.weyl_group()
+        assert tracemalloc.get_traced_memory()[1] <= 2_000_000
+        for space in _SPACES:
+            stack = kgroups.action_matrices(space)
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            kgroups.burnside_ranks(stack)
+            assert tracemalloc.get_traced_memory()[1] - start <= 500_000
+    finally:
+        tracemalloc.stop()
