@@ -383,8 +383,8 @@ def galois_signature(P: QuadricPencil) -> CycleSignature:
 
 @lru_cache(maxsize=None)
 def _encoded_tables(p: int, k: int):
-    """Addition and multiplication tables for F_{p^k} encoded as 0..q-1
-    (element sum c_i x^i encoded as sum c_i p^i).
+    """Read-only addition and multiplication tables for F_{p^k} encoded as
+    0..q-1 (element sum c_i x^i encoded as sum c_i p^i).
 
     With digits[b] the coefficient vector of b and shifts[i][b] that of
     x^i b, reduced by the field's x^k, a b = sum_i a_i x^i b."""
@@ -398,6 +398,7 @@ def _encoded_tables(p: int, k: int):
     weights = p ** np.arange(k)
     add = ((digits[:, None, :] + digits[None, :, :]) % p) @ weights
     mul = (np.einsum("ai,ibj->abj", digits, np.stack(shifts)) % p) @ weights
+    add.flags.writeable = mul.flags.writeable = False  # shared by every count of the process
     return add, mul
 
 

@@ -45,6 +45,32 @@ def oracle_chi_line_bundle(D):
     return Fraction(int(val.p), int(val.q))
 
 
+def test_action_matrices_keep_the_bytes_of_the_per_call_construction():
+    # the perm and sign arrays are built once and cached read-only; the stacks
+    # must match, byte for byte, the ones built from the element tuples
+    elements = all_signed_perms()
+    perms = np.array([sp.perm for sp in elements])
+    target_signs = np.take_along_axis(np.array([sp.signs for sp in elements]), perms, axis=1)
+    for space in SPACES:
+        before, after, flip_row = kgroups._LAYOUTS[space]
+        count, n = perms.shape
+        size = before + n + after
+        M = np.zeros((count, size, size), dtype=np.int8)
+        fixed = [*range(before), *range(before + n, size)]
+        M[:, fixed, fixed] = 1
+        simples = before + np.arange(n)
+        M[np.arange(count)[:, None], before + perms, simples] = target_signs
+        if flip_row is not None:
+            M[:, flip_row, simples] = target_signs == -1
+        for _ in range(2):  # at least the second call reads the cached rows
+            got = action_matrices(space)
+            assert got.dtype == M.dtype and got.shape == M.shape
+            assert got.tobytes() == M.tobytes()
+    for cached in kgroups._perms_and_target_signs():
+        with pytest.raises(ValueError):
+            cached[0, 0] = 0
+
+
 def test_chi_structure_sheaf():
     assert euler_x(O, O) == 1
 

@@ -732,10 +732,10 @@ def test_count_points_guard():
 def test_count_points_at_the_largest_fields_the_guard_admits():
     # GF(3) at k = 5 (q = 243) and GF(241) at k = 1.  Each count runs under
     # tracemalloc, with the cached tables built before: the kernel's arrays
-    # hold at most q^2 entries, about 19 int64 arrays of that size at the
-    # peak.  The wall-time budget is a generous stopgap until qdp4 counts
-    # its operations, which a noisy host cannot flake: then bound those.
-    # Each count takes about 0.6 s on a 2-vCPU VM.
+    # hold at most q^2 entries, 19.04 int64 arrays of that size at the peak
+    # at both fields.  The wall-time budget is a generous stopgap until qdp4
+    # counts its operations, which a noisy host cannot flake: then bound
+    # those.  Each count takes about 0.2 s under tracemalloc on a 2-vCPU VM.
     assert 3 ** 6 > POINTCOUNT_GUARD >= 243 and 251 > POINTCOUNT_GUARD >= 241
     for p, k in ((3, 5), (241, 1)):
         P = random_smooth_pencil(GF(p), random.Random(p))
@@ -831,6 +831,37 @@ def test_count_matches_brute_force():
                 n = _accel.count_zero_pairs(_encode_form(_residues(X), p),
                                             _encode_form(_residues(Y), p), add, mul)
                 assert n == brute_force_count(X, Y, F)
+
+
+def test_count_is_invariant_under_pencil_moves_at_the_benchmark_sizes():
+    # brute force is too slow past q = 27, so at q = 49 and 81 (and at 9, 25,
+    # 27) a count must not move when the forms are swapped, when a multiple of
+    # the first is added to the second, or when the first is scaled by c != 0:
+    # each is the same pair of quadrics.  Random encoded forms, about a third
+    # with a = 0, b = 0 or both (no x4^2 term in one or both forms), reach the
+    # swap, the combination b Q_A - a Q_B and the fibres where Q_A has no root
+    rng = random.Random(49)
+    for p, k in ((3, 2), (5, 2), (3, 3), (7, 2), (3, 4)):
+        q = p ** k
+        add, mul = _encoded_tables(p, k)
+        for trial in range(6):
+            CA, CB = (np.triu(np.array([[rng.randrange(q) for _ in range(5)]
+                                        for _ in range(5)])) for _ in range(2))
+            if trial % 3 == 0:
+                CA[4, 4], CB[4, 4] = rng.choice([(0, CB[4, 4]), (CA[4, 4], 0), (0, 0)])
+            c = rng.randrange(1, q)
+            n = _accel.count_zero_pairs(CA, CB, add, mul)
+            assert n == _accel.count_zero_pairs(CB, CA, add, mul)
+            assert n == _accel.count_zero_pairs(CA, add[CB, mul[c][CA]], add, mul)
+            assert n == _accel.count_zero_pairs(mul[c][CA], CB, add, mul)
+
+
+def test_encoded_tables_are_read_only():
+    # the tables are cached for the whole process, so a write would corrupt
+    # every later count
+    for add_or_mul in _encoded_tables(7, 2):
+        with pytest.raises(ValueError):
+            add_or_mul[1, 1] = 0
 
 
 def test_encoded_tables_match_field_arithmetic():
