@@ -1,7 +1,6 @@
-"""Hot inner loops as numpy kernels on precomputed field tables.
+"""The point-count kernel: a numpy enumeration on precomputed field tables.
 
-Both kernels are exact integer computations: table gathers on encoded field
-elements and on signed-permutation indices.
+It is an exact integer computation, table gathers on encoded field elements.
 """
 
 from __future__ import annotations
@@ -84,18 +83,3 @@ def count_zero_pairs(CA, CB, add, mul):
                 total += sum(nroots[L[z] * q + C[z]].tolist())      # cheaper than .sum() here
     return int(total)
 
-
-# ---------------------------------------------------------------------------
-# Exhaustive retract homomorphism check over all 3840^2 composable pairs
-# ---------------------------------------------------------------------------
-
-def retract_homomorphism_violations(mask_apply, retract_mask):
-    """Count of pairs (a, b) in B5 x B5 with retract(ab) != retract(a) retract(b).
-    For a = (pa, ma), b = (pb, mb) both sides have the permutation pa pb, and
-    their masks do not involve pb: each failing (pa, ma, mb) counts 120 times."""
-    ma = np.arange(32)[:, None]
-    failing = 0
-    for apply in mask_apply:  # one pa at a time, so the temporaries are 32 x 32
-        lhs = retract_mask[ma ^ apply]
-        failing += np.count_nonzero(lhs != retract_mask[ma] ^ apply[retract_mask])
-    return len(mask_apply) * failing

@@ -12,6 +12,7 @@ from .fields import ResourceLimitError
 
 
 MAX_SPLITTING_GROUP_ORDER = 256  # find_splitting's brute-force bound on |Aut_D|
+MAX_GROUPOID_MORPHISMS = 512  # check_groupoid's m x m tables: m^2 memory, m^3 time
 
 
 class InvalidGroupError(ValueError):
@@ -99,7 +100,11 @@ def _require_names(*groups):
 
 
 def check_groupoid(G: FiniteGroupoid):
-    """None if G satisfies the groupoid axioms, else a witness message."""
+    """None if G satisfies the groupoid axioms, else a witness message.
+    More than MAX_GROUPOID_MORPHISMS morphisms raise ResourceLimitError."""
+    if len(G.morphisms) > MAX_GROUPOID_MORPHISMS:
+        raise ResourceLimitError(f"{len(G.morphisms)} morphisms exceed the groupoid check's "
+                                 f"bound {MAX_GROUPOID_MORPHISMS}")
     for x in G.objects:
         e = G.identities.get(x)
         if e is None or G.morphisms.get(e) != (x, x):

@@ -68,16 +68,22 @@ def retract(a: SignedPerm) -> SignedPerm:
 
 
 @lru_cache(maxsize=None)
+def _element_table():
+    """The one encoding of B5: element e = 32 * perm_index + sign_mask, the
+    permutations in lexicographic order over image tuples and bit j of the
+    mask set where sign j is -1, so the first 32 elements lie over the
+    identity.  Returns read-only (3840, 5) int64 rows perm and signs."""
+    perms = np.repeat(np.array(list(itertools.permutations(range(5)))), 32, axis=0)
+    signs = 1 - 2 * (np.arange(3840)[:, None] >> np.arange(5) & 1)
+    perms.flags.writeable = signs.flags.writeable = False
+    return perms, signs
+
+
+@lru_cache(maxsize=None)
 def all_signed_perms():
-    """All 2^5 * 5! signed permutations: the permutations in lexicographic
-    order, each with its sign vectors by mask (bit j set: sign j is -1), so
-    the first 32 lie over the identity."""
-    out = []
-    for perm in itertools.permutations(range(5)):
-        for mask in range(2 ** 5):
-            signs = tuple(-1 if (mask >> j) & 1 else 1 for j in range(5))
-            out.append(SignedPerm(perm, signs))
-    return tuple(out)
+    """All 2^5 * 5! signed permutations, in the order of _element_table()."""
+    perms, signs = (rows.tolist() for rows in _element_table())
+    return tuple(SignedPerm(tuple(p), tuple(s)) for p, s in zip(perms, signs))
 
 
 @lru_cache(maxsize=None)
@@ -171,24 +177,28 @@ def fiber_product_order(aut_p) -> int:
 
 @lru_cache(maxsize=None)
 def index_tables():
-    """Encoded composition data for B5: element index = 32 * perm_index + sign_mask.
+    """Composition data for B5 in the encoding of _element_table().
 
     Returns (perms, mask_apply, retract_mask):
       perms[i]          the i-th permutation (lex order over image tuples)
       mask_apply[a, m]  the mask m' with bit_j(m') = bit_{perms[a]^-1(j)}(m)
-      retract_mask[m]   m with all bits flipped when popcount(m) is odd
+      retract_mask[m]   the mask of retract() of the m-th element over the identity
     """
-    perms = list(itertools.permutations(range(5)))
-    mask_apply = np.zeros((120, 32), dtype=np.int64)
-    for a, pa in enumerate(perms):
-        inv = _inverse(pa)
-        for m in range(32):
-            out = 0
-            for j in range(5):
-                if (m >> inv[j]) & 1:
-                    out |= 1 << j
-            mask_apply[a, m] = out
-    retract_mask = np.array([m ^ 31 if bin(m).count("1") % 2 else m
-                             for m in range(32)], dtype=np.int64)
-    return perms, mask_apply, retract_mask
+    order = _element_table()[0][::32]
+    inv = np.argsort(order, axis=1)[:, None, :]
+    mask_apply = (np.arange(32)[:, None] >> inv & 1) << np.arange(5)
+    over_identity = np.array([retract(a).signs for a in all_signed_perms()[:32]])
+    retract_mask = (over_identity == -1) << np.arange(5)
+    return [tuple(p) for p in order.tolist()], mask_apply.sum(axis=2), retract_mask.sum(axis=1)
 
+
+def retract_homomorphism_violations(mask_apply, retract_mask):
+    """Count of pairs (a, b) in B5 x B5 with retract(ab) != retract(a) retract(b).
+    For a = (pa, ma), b = (pb, mb) both sides have the permutation pa pb, and
+    their masks do not involve pb: each failing (pa, ma, mb) counts 120 times."""
+    ma = np.arange(32)[:, None]
+    failing = 0
+    for apply in mask_apply:  # one pa at a time, so the temporaries are 32 x 32
+        lhs = retract_mask[ma ^ apply]
+        failing += np.count_nonzero(lhs != retract_mask[ma] ^ apply[retract_mask])
+    return len(mask_apply) * failing

@@ -6,13 +6,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 
 import numpy as np
 
 from .fields import QQ, ResourceLimitError
-from .hyperoct import CycleSignature, all_signed_perms
+from .hyperoct import CycleSignature, _element_table
 from .linalg import congruence, kernel_vector, transpose
 from .picard import K_CLASS, intersect, pair_of, pair_representatives
 
@@ -194,22 +193,14 @@ def _layout(space: str):
     return _LAYOUTS[space]
 
 
-@lru_cache(maxsize=None)
-def _perms_and_target_signs():
-    """Read-only rows perm[i] and signs[perm[i]] of each of all_signed_perms()."""
-    perms = np.array([sp.perm for sp in all_signed_perms()])
-    signs = np.take_along_axis(np.array([sp.signs for sp in all_signed_perms()]), perms, axis=1)
-    perms.flags.writeable = signs.flags.writeable = False
-    return perms, signs
-
-
 def action_matrices(space: str) -> np.ndarray:
     """The realized action of every signed permutation on the chosen lattice,
     one int8 matrix per element in the order of all_signed_perms(): the
     fixed classes stay, simple i goes to +-simple perm[i] with the sign of
     its target, and a -1 sign also adds the flip row's class."""
     before, after, flip_row = _layout(space)
-    perms, target_signs = _perms_and_target_signs()
+    perms, signs = _element_table()
+    target_signs = np.take_along_axis(signs, perms, axis=1)
     count, n = perms.shape
     size = before + n + after
     M = np.zeros((count, size, size), dtype=np.int8)

@@ -441,3 +441,28 @@ def test_groupoid_verify_checks_c4_to_the_fourth_quickly(tmp_path, corrupt, qdp4
         assert report["witness"].startswith("associativity fails")
     else:
         assert report == {"valid": True, "witness": None}
+
+
+def _discrete_json(m):
+    """The groupoid of m objects X0, X1, ... with identities only, each named as its object."""
+    objects = tuple(f"X{i}" for i in range(m))
+    return FiniteGroupoid(objects, {x: (x, x) for x in objects}, {(x, x): x for x in objects},
+                          {x: x for x in objects}).to_json()
+
+
+@pytest.mark.parametrize("where,m", [("groupoid", 512), ("groupoid", 513), ("target", 513)])
+def test_groupoid_verify_past_the_morphism_bound_exits_1(tmp_path, qdp4_process, where, m):
+    # check_groupoid's tables are m x m and its associativity pass m^3 steps:
+    # past 512 morphisms, in the file or in a functor's target, it is refused
+    path, fpath = tmp_path / "groupoid.json", tmp_path / "functor.json"
+    path.write_text(json.dumps(_discrete_json(m if where == "groupoid" else 1)))
+    fpath.write_text(json.dumps({"target": _discrete_json(m), "objects": {"X0": "X0"},
+                                 "morphisms": {"X0": "X0"}}))
+    functor = ["--functor", str(fpath)] if where == "target" else []
+    proc = qdp4_process(["groupoid", "verify", str(path), *functor],
+                        capture_output=True, text=True, timeout=30)
+    if m == 512:
+        assert proc.returncode == 0 and json.loads(proc.stdout) == {"valid": True, "witness": None}
+    else:
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == "error: 513 morphisms exceed the groupoid check's bound 512\n"

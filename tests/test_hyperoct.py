@@ -4,11 +4,11 @@ import random
 import numpy as np
 import pytest
 
-from qdp4 import _accel
+from qdp4 import hyperoct
 from qdp4.fields import QQ
 from qdp4.hyperoct import (CycleSignature, InvalidGroupInputError, SignedPerm,
                            all_signed_perms, even_signed_perms, fiber_product_order,
-                           index_tables, retract)
+                           index_tables, retract, retract_homomorphism_violations)
 from qdp4.wpline import Moebius
 
 E = SignedPerm.identity()
@@ -197,6 +197,21 @@ def test_index_encoding_matches_composition():
         assert signed_perm_from_index(int(ra)) == retract(a)
 
 
+def test_index_tables_hold_every_composition_and_retract():
+    # every entry, against SignedPerm.compose and the retract rule written out
+    perms, mask_apply, retract_mask = index_tables()
+    for pa, perm in enumerate(perms):
+        lifted = SignedPerm(perm, (1,) * 5)
+        for mb in range(32):
+            ab = lifted.compose(SignedPerm(E.perm, tuple(1 - 2 * (mb >> j & 1) for j in range(5))))
+            assert ab.perm == perm
+            assert sum(1 << j for j in range(5) if ab.signs[j] == -1) == mask_apply[pa, mb]
+    assert retract_mask.tolist() == [m ^ 31 if bin(m).count("1") % 2 else m for m in range(32)]
+    for rows in hyperoct._element_table():
+        with pytest.raises(ValueError):
+            rows[0, 0] = 0
+
+
 def all_pairs_retract_violations(perms, mask_apply, retract_mask):
     """The all-pairs oracle: retract(ab) against retract(a) retract(b) as
     encoded elements, for each of the 3840^2 pairs (a, b), 256 left factors
@@ -218,11 +233,11 @@ def all_pairs_retract_violations(perms, mask_apply, retract_mask):
 
 def test_retract_violation_count_matches_the_all_pairs_oracle():
     perms, mask_apply, retract_mask = index_tables()
-    assert _accel.retract_homomorphism_violations(mask_apply, retract_mask) == 0
+    assert retract_homomorphism_violations(mask_apply, retract_mask) == 0
     # a planted fault: two masks retract to the wrong even mask
     faulty = retract_mask.copy()
     faulty[3], faulty[7] = 5, 1
-    bad = _accel.retract_homomorphism_violations(mask_apply, faulty)
+    bad = retract_homomorphism_violations(mask_apply, faulty)
     assert bad == all_pairs_retract_violations(perms, mask_apply, faulty) == 2557440
 
 

@@ -21,8 +21,8 @@ ALLOWED = {
     "kgroups": {"fields", "hyperoct", "linalg", "picard"},
     "pencil": {"_accel", "fields", "hyperoct", "linalg", "wpline"},
     "sampling": {"fields", "groupoids", "linalg", "pencil", "wpline"},
-    "selftest": {"_accel", "fields", "groupoids", "hyperoct", "kgroups", "linalg", "pencil",
-                 "picard", "sampling", "wpline"},
+    "selftest": {"fields", "groupoids", "hyperoct", "kgroups", "linalg", "pencil", "picard",
+                 "sampling", "wpline"},
     "cli": {"fields", "groupoids", "hyperoct", "kgroups", "pencil", "selftest", "wpline"},
     "__init__": {"fields", "hyperoct", "kgroups", "pencil", "picard", "wpline"},
 }
