@@ -761,9 +761,12 @@ def _split(f: Poly, d: int, frob: _Frobenius, rng: random.Random) -> Poly:
 
 
 def _equal_degree(f: Poly, d: int, frob: _Frobenius, rng: random.Random):
-    """Cantor-Zassenhaus split of a squarefree product of degree-d irreducibles (p odd)."""
+    """Cantor-Zassenhaus split of a squarefree product of degree-d irreducibles
+    (p odd); two linear factors come from the quadratic formula."""
     if f.degree == d:
         return [f]
+    if f.degree == 2:
+        return [Poly(f.field, [-r, f.field.one]) for r in quadratic_roots(f, f.field)]
     g = _split(f, d, frob, rng)
     return _equal_degree(g, d, frob, rng) + _equal_degree(f // g, d, frob, rng)
 
@@ -884,6 +887,69 @@ def in_subfield(a: FFElem, m: int) -> bool:
     return a ** (a.field.p ** m) == a
 
 
+@lru_cache(maxsize=None)
+def _nonsquare(field: FiniteField) -> tuple:
+    """(nu, 1/nu, s, nu^t) for q - 1 = 2^s t, t odd: nu the first non-square
+    of F_q that random.Random(0) draws, so that nu^t has order 2^s."""
+    rng = random.Random(0)
+    nu = random_element(field, rng)
+    while not nu or is_square(nu):
+        nu = random_element(field, rng)
+    q1 = field.order - 1
+    s = (q1 & -q1).bit_length() - 1
+    return nu, nu.inverse(), s, nu ** (q1 >> s)
+
+
+def _sqrt(a: FFElem):
+    """A square root of a in its field F_q, None when a is not a square:
+    Tonelli-Shanks keeps x^2 = a b while the order 2^i of b drops, and a
+    non-square shows as b of order 2^s (von zur Gathen-Gerhard, ch. 14)."""
+    if not a:
+        return a
+    one, (_, _, m, z) = a.field.one, _nonsquare(a.field)
+    w = a ** (((a.field.order - 1) >> m) // 2)  # a^((t-1)/2)
+    x = a * w
+    b = x * w  # a^t
+    while b != one:
+        i, c = 1, b * b
+        while c != one:
+            i, c = i + 1, c * c
+        if i == m:
+            return None
+        for _ in range(m - i - 1):
+            z = z * z
+        x, z, m = x * z, z * z, i
+        b = b * z
+    return x
+
+
+@lru_cache(maxsize=None)
+def _nonsquare_root(src: FiniteField, dst: FiniteField) -> FFElem:
+    """A root in dst of x^2 - nu, nu src's fixed non-square; a dst that does
+    not contain F_{q^2}, q = |src|, raises DegenerateInputError."""
+    nu = embed(_nonsquare(src)[0], dst)
+    return split_root(Poly(dst, [-nu, dst.zero, dst.one]))
+
+
+def quadratic_roots(f: Poly, dst) -> list:
+    """The two roots in dst of x^2 + b x + c, monic and squarefree over F_q
+    inside dst: (-b +- s)/2 with s^2 = b^2 - 4c.  s is the square root of
+    the discriminant in F_q when it has one, and otherwise rho sqrt(disc/nu),
+    nu F_q's fixed non-square and rho a root of x^2 - nu in dst, found once
+    per pair of fields.  A dst that does not split f raises
+    DegenerateInputError."""
+    field = f.field
+    c, b, _ = f.coeffs
+    half = field((field.p + 1) // 2)
+    disc = b * b - 4 * c
+    s, rho = _sqrt(disc), dst.one
+    if s is None:
+        rho = _nonsquare_root(field, dst)
+        s = _sqrt(disc * _nonsquare(field)[1])
+    u, v = embed(-b * half, dst), embed(s * half, dst) * rho
+    return [u + v, u - v]
+
+
 # --- canonical modulus and embeddings ----------------------------------------
 
 def _binomials_reducible(p: int, k: int) -> bool:
@@ -915,9 +981,11 @@ def _canonical_modulus(p: int, k: int) -> tuple:
 
 def conjugate_roots(f: Poly, dst) -> list:
     """The roots in dst of f, a monic irreducible over its field F_Q (linear
-    over Q): one root, read off a linear f or split out of f over dst, and
-    its conjugates r^(Q^j).  A dst that does not split f raises
-    DegenerateInputError."""
+    over Q): both roots of a quadratic by `quadratic_roots`, else one root,
+    read off a linear f or split out of f over dst, and its conjugates
+    r^(Q^j).  A dst that does not split f raises DegenerateInputError."""
+    if f.degree == 2:
+        return quadratic_roots(f, dst)
     roots = [embed(-f.coeffs[0], dst) if f.degree == 1 else split_root(embed_poly(f, dst))]
     while len(roots) < f.degree:
         roots.append(roots[-1] ** f.field.order)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,8 +45,17 @@ class FiniteGroupoid:
         """g o f (f first)."""
         return self.compose_table[(g, f)]
 
+    @cached_property
+    def _homs(self) -> dict:
+        """(x, y) -> the sorted names of Hom(x, y), built on the first `hom`;
+        not a field, so it stays out of ==, hash and repr."""
+        homs = {}
+        for n, st in sorted(self.morphisms.items()):
+            homs.setdefault(st, []).append(n)
+        return homs
+
     def hom(self, x, y):
-        return sorted(n for n, (s, t) in self.morphisms.items() if s == x and t == y)
+        return list(self._homs.get((x, y), ()))
 
     def aut(self, x):
         return self.hom(x, x)

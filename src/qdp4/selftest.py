@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -196,14 +198,18 @@ SUITES = (
 def run_all():
     failures = 0
     for name, fn in SUITES:
+        start = time.perf_counter()
         try:
             ok, detail = fn()
         except Exception as exc:  # a crashed suite is a failed suite
             ok, detail = False, f"exception: {exc}"
+        ms = (time.perf_counter() - start) * 1e3
         status = "PASS" if ok else "FAIL"
         # flushed per line: progress shows through a pipe, and a closed
-        # stdout raises inside the CLI's main, not at exit
+        # stdout raises inside the CLI's main, not at exit, before the
+        # suite's time reaches stderr
         print(f"{status} {name}: {detail}", flush=True)
+        print(f"{name}: {ms:.1f} ms", file=sys.stderr, flush=True)
         if not ok:
             failures += 1
     return failures

@@ -1424,9 +1424,12 @@ PASS heavy-separability: 10 random instances verified
 
 def test_selftest_command_lists_required_suites(capsys):
     # byte for byte: the benchmark keys its suite metrics on these names
-    code, out, _ = run_cli(capsys, "selftest")
+    code, out, err = run_cli(capsys, "selftest")
     assert code == 0
     assert out == _SELFTEST_LINES
+    # stderr: each suite's time, in the order of stdout
+    assert [line.split(":")[0] for line in err.splitlines()] == [
+        line.split(" ")[1].rstrip(":") for line in out.splitlines()]
 
 
 def test_analyze_extension_field_pencil(capsys, tmp_path):

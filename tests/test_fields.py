@@ -1,3 +1,4 @@
+import collections
 import itertools
 import pickle
 import random
@@ -611,6 +612,78 @@ def test_conjugate_roots_are_the_roots_factor_finds():
     assert conjugate_roots(Poly(QQ, [Fraction(5, 3), Fraction(1)]), QQ) == [Fraction(-5, 3)]
     with pytest.raises(DegenerateInputError):  # the cubic's roots lie in F_27
         conjugate_roots(Poly.from_ints(GF(3), [1, 2, 0, 1]), GF(3, 2))
+
+
+def test_sqrt_is_a_square_root_exactly_for_squares():
+    # q - 1 has 2-adic valuation 1 (q = 3, 7, 27), 2 (5, 13), 3 (9, 25 and
+    # the prime near 2^40), 4 (17, 1009, 81), 5 (97) and 8 (257), so
+    # Tonelli-Shanks runs from no reduction step up to seven
+    rng = random.Random(31)
+    fields_ = [GF(p) for p in (3, 5, 7, 13, 17, 97, 257, 1009, 1099511627689)]
+    fields_ += [GF(3, 2), GF(5, 2), GF(3, 3), GF(3, 4)]
+    for field in fields_:
+        elems = (list(field.elements()) if field.order < 2000
+                 else [random_element(field, rng) for _ in range(300)])
+        for a in elems:
+            s = fields._sqrt(a)
+            if not a:
+                assert s == a
+            elif is_square(a):
+                assert s * s == a, (field, a)
+            else:
+                assert s is None, (field, a)
+
+
+def test_quadratic_roots_are_the_roots_factor_finds():
+    # random monic squarefree quadratics, split and irreducible over the base
+    # field F_q, with their roots wanted in F_q, F_{q^2}, F_{q^4} and F_{q^6}
+    rng = random.Random(37)
+    kinds = collections.Counter()
+    for base in (GF(3), GF(7), GF(13), GF(3, 2), GF(5, 2), GF(1099511627689)):
+        for _ in range(6):
+            f = Poly(base, [random_element(base, rng) for _ in range(2)] + [base.one])
+            if not squarefree(f):
+                continue
+            split = len(factor(f)) == 2
+            kinds[split] += 1
+            for m in (1, 2, 4, 6):
+                dst = GF(base.p, base.k * m)
+                if m == 1 and not split:
+                    with pytest.raises(DegenerateInputError):
+                        fields.quadratic_roots(f, dst)
+                    with pytest.raises(DegenerateInputError):
+                        conjugate_roots(f, dst)
+                    continue
+                roots = fields.quadratic_roots(f, dst)
+                assert sorted(roots) == sorted(-g.coeffs[0] for g in factor(embed_poly(f, dst)))
+                assert sorted(conjugate_roots(f, dst)) == sorted(roots)
+    assert kinds[True] and kinds[False], kinds
+
+
+def test_quadratics_take_no_cantor_zassenhaus_round(monkeypatch):
+    # counted, not timed: with rho cached, the roots of an irreducible
+    # quadratic build no Frobenius, and factor splits two linear factors
+    # beside an irreducible cubic with no random draw
+    calls = collections.Counter()
+    real_frobenius, real_split = fields._Frobenius, fields._split
+    for base, a in ((GF(7), 3), (GF(3, 2), GF(3, 2).gen() + 1)):
+        f = Poly(base, [-base(a), base.zero, base.one])  # x^2 - a, a a non-square
+        assert factor(f) == [f]
+        dst = GF(base.p, 2 * base.k)
+        roots = conjugate_roots(f, dst)  # fills the caches
+        monkeypatch.setattr(fields, "_Frobenius",
+                            lambda g: calls.update(["frobenius"]) or real_frobenius(g))
+        monkeypatch.setattr(fields, "_split", lambda *args: calls.update(["split"]) or real_split(*args))
+        assert conjugate_roots(f, dst) == roots
+        assert calls == {}
+        monkeypatch.undo()
+    F = GF(13)
+    cubic = Poly.from_ints(F, [2, 0, 0, 1])  # x^3 + 2: -2 is no cube mod 13
+    assert factor(cubic) == [cubic]
+    f = _with_roots(F, [F(4), F(9)], lead=1) * cubic
+    monkeypatch.setattr(fields, "_split", lambda *args: calls.update(["split"]) or real_split(*args))
+    assert factor(f) == [Poly.from_ints(F, [4, 1]), Poly.from_ints(F, [9, 1]), cubic]  # x - 9, x - 4
+    assert calls == {}
 
 
 def test_embed_poly_roots_cover_factors():

@@ -1,4 +1,5 @@
 import collections
+import functools
 import itertools
 import json
 import random
@@ -296,6 +297,40 @@ def test_round_trip_on_random_instances():
         assert ok, witness
         ok2, witness2 = verify_naturality(phi, Psi)
         assert ok2, witness2
+
+
+def test_hom_aut_and_iso_classes_match_a_scan_of_every_morphism():
+    # the hom-set index against the definitions, read off the morphism list
+    # in a shuffled order; an object that is no object has empty hom-sets
+    rng = random.Random(41)
+    for i in range(30):
+        parts = []
+        for j in range(rng.randrange(1, 4)):
+            elems, mul = cyclic(rng.randrange(1, 4))
+            objects = [f"{i}.{j}.{x}" for x in range(rng.randrange(1, 4))]
+            parts.append(group_groupoid(f"G{j}", objects, elems, mul)[0])
+        U = functools.reduce(disjoint_union, parts)
+        items = list(U.morphisms.items())
+        rng.shuffle(items)
+        G = FiniteGroupoid(U.objects, dict(items), U.compose_table, U.identities)
+        pairs = set(G.morphisms.values())
+        probe = list(G.objects) + ["nowhere"]
+        for x in probe:
+            assert G.aut(x) == sorted(n for n, st in items if st == (x, x))
+            for y in probe:
+                assert G.hom(x, y) == sorted(n for n, st in items if st == (x, y))
+        classes, seen = [], set()
+        for x in G.objects:
+            if x not in seen:
+                classes.append(tuple(sorted((y for y in G.objects if (x, y) in pairs), key=str)))
+                seen.update(classes[-1])
+        assert G.iso_classes() == classes
+        # the index is no field: equality and repr ignore it, and a caller's
+        # list is its own
+        G.hom(G.objects[0], G.objects[0]).append("extra")
+        assert "extra" not in G.aut(G.objects[0])
+        assert G == U and repr(G) == repr(FiniteGroupoid(*(getattr(G, f) for f in (
+            "objects", "morphisms", "compose_table", "identities"))))
 
 
 def test_groupoid_json_round_trip():

@@ -1,6 +1,7 @@
 """Each rewritten suite of `qdp4 selftest` fails when the closed form, the
 list or the group it checks is wrong."""
 
+import re
 import time
 import tracemalloc
 
@@ -99,8 +100,12 @@ def test_a_failing_or_raising_suite_prints_fail_and_exits_1(monkeypatch, capsys)
                                              ("raises", crash)))
     assert selftest.run_all() == 2
     assert main(["selftest"]) == 1
-    assert capsys.readouterr().out.splitlines() == 2 * [
+    out, err = capsys.readouterr()
+    assert out.splitlines() == 2 * [
         "PASS passes: fine", "FAIL fails: off by one", "FAIL raises: exception: kaput"]
+    # each suite's time goes to stderr, one line per suite in suite order
+    assert [re.fullmatch(r"(\w+): \d+\.\d ms", line).group(1)
+            for line in err.splitlines()] == 2 * ["passes", "fails", "raises"]
 
 
 def test_whole_group_passes_allocate_little(fresh_weyl_group):
