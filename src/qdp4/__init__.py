@@ -4,8 +4,8 @@ from .fields import (GF, QQ, DegenerateInputError, FFElem, FieldMismatchError,
                      Poly, UnsupportedFieldError, factor, field_from_descriptor,
                      is_square, rational_roots, squarefree)
 from .hyperoct import CycleSignature, SignedPerm, fiber_product_order, retract
-from .kgroups import (K0ClassX, class_of, conic_bundle_ranks, euler_x,
-                      g_invariant_rank, is_minimal, serre_from_gram, wpl_gram)
+from .kgroups import (class_of, conic_bundle_ranks, euler_x, g_invariant_rank,
+                      is_minimal, serre_from_gram, wpl_gram)
 from .pencil import (DegeneratePencilError, NotSmoothError, QuadricPencil,
                      ResourceLimitError, UnsupportedSplittingError,
                      canonical_invariant, count_points, discriminant_quintic,

@@ -290,15 +290,14 @@ def _functor_report(G: FiniteGroupoid, path: str, report: dict) -> bool:
     report["splitting_found"] = None
     heavy = False
     if injective:
-        base_objects, isos = standard_choice(G)
         psi_by_base = {}
-        for x0 in dict.fromkeys(base_objects.values()):
+        for x0 in dict.fromkeys(standard_choice(G)[0].values()):
             psi_by_base[x0] = find_splitting(phi, x0)
             if psi_by_base[x0] is None:
                 break
         report["splitting_found"] = None not in psi_by_base.values()
         if report["splitting_found"]:
-            Psi = build_psi(phi, psi_by_base, base_objects, isos)
+            Psi = build_psi(phi, psi_by_base)
             heavy, report["heavy_separability_witness"] = verify_heavy_separability(phi, Psi)
     report["heavily_separable"] = heavy
     return heavy

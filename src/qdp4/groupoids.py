@@ -238,10 +238,10 @@ def _check_splitting(phi: GroupoidFunctor, x0, psi: dict):
 
 
 def standard_choice(C: FiniteGroupoid):
-    """The admissible choice build_psi is given unless a caller varies it:
-    each isomorphism class's first object is its base object, and X's
-    isomorphism is the first morphism base -> X by name.  Returns
-    (base_objects, isos); the base objects appear in class order."""
+    """The admissible choice build_psi makes: each isomorphism class's first
+    object is its base object, and X's isomorphism is the first morphism
+    base -> X by name.  Returns (base_objects, isos); the base objects appear
+    in class order."""
     base_objects, isos = {}, {}
     for cls in C.iso_classes():
         for x in cls:
@@ -250,16 +250,10 @@ def standard_choice(C: FiniteGroupoid):
     return base_objects, isos
 
 
-def build_psi(phi: GroupoidFunctor, psi_by_base: dict, base_objects: dict,
-              isos: dict):
-    """Total family Psi[(X, Y)][u] of hom-set left inverses.
-
-    psi_by_base[x0]: verified splitting at the base object x0;
-    base_objects[X]: the chosen base object of X's isomorphism class;
-    isos[X]: a chosen isomorphism base_objects[X] -> X (identity at the base).
-
-    Psi_{X,Y} is the _psi_table of isos[X] and isos[Y].
-    """
+def build_psi(phi: GroupoidFunctor, psi_by_base: dict):
+    """Total family Psi[(X, Y)][u] of hom-set left inverses from the splittings
+    psi_by_base[x0] at the standard choice's base objects: Psi_{X,Y} is the
+    _psi_table of the chosen isomorphisms to X and Y."""
     C = phi.source
     if not injective_on_iso_classes(phi):
         raise InvalidSplittingError("functor is not injective on isomorphism classes")
@@ -267,12 +261,10 @@ def build_psi(phi: GroupoidFunctor, psi_by_base: dict, base_objects: dict,
         witness = _check_splitting(phi, x0, psi)
         if witness:
             raise InvalidSplittingError(witness)
-    for x in C.objects:
-        x0 = base_objects[x]
+    base_objects, isos = standard_choice(C)
+    for x0 in base_objects.values():
         if x0 not in psi_by_base:
             raise InvalidSplittingError(f"no splitting supplied for base object {x0!r}")
-        if C.morphisms[isos[x]] != (x0, x):
-            raise InvalidSplittingError(f"iso for {x!r} is not a morphism {x0!r} -> {x!r}")
     return {(x, y): _psi_table(phi, psi_by_base[base_objects[x]], isos[x], isos[y])
             for x in C.objects for y in C.objects if base_objects[x] == base_objects[y]}
 
@@ -344,9 +336,7 @@ def independence_check(phi: GroupoidFunctor, psi_all: dict) -> bool:
     witness = family_compatible(phi, psi_all)
     if witness:
         raise IncompatibleFamilyError(witness)
-    base_objects, isos = standard_choice(C)
-    reference = build_psi(phi, {x0: psi_all[x0] for x0 in base_objects.values()},
-                          base_objects, isos)
+    reference = build_psi(phi, {x0: psi_all[x0] for x0 in standard_choice(C)[0].values()})
     return all(_psi_table(phi, psi_all[x0], ix, iy) == reference[(x, y)]
                for cls in C.iso_classes() for x0 in cls for x in cls for y in cls
                for ix in C.hom(x0, x) for iy in C.hom(x0, y))

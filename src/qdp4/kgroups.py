@@ -1,10 +1,9 @@
-"""K-theory lattices with Euler forms: the surface K0 in (rank, c1, 2*ch2)
-coordinates, the rank-7 orthogonal sublattice, weighted-line K0 Gram matrices,
-Serre operators, and G-invariant rank certificates."""
+"""K-theory lattices with Euler forms: the surface K0 as integer 8-vectors
+(rank, c1, 2*ch2), the rank-7 orthogonal sublattice, weighted-line K0 Gram
+matrices, Serre operators, and G-invariant rank certificates."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -23,45 +22,36 @@ class DegenerateFormError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class K0ClassX:
-    """Class (r, c1, s2) with s2 twice the second Chern character."""
-
-    r: int
-    c1: tuple
-    s2: int
-
-    @classmethod
-    def from_vector(cls, v):
-        return cls(int(v[0]), tuple(int(x) for x in v[1:7]), int(v[7]))
+STRUCTURE_SHEAF = (1, 0, 0, 0, 0, 0, 0, 0)
 
 
-STRUCTURE_SHEAF = K0ClassX(1, (0, 0, 0, 0, 0, 0), 0)
-
-
-def class_of(D) -> K0ClassX:
+def class_of(D) -> tuple:
     """The line-bundle class (1, D, D.D)."""
     D = tuple(D)
-    return K0ClassX(1, D, intersect(D, D))
+    return (1, *D, intersect(D, D))
 
 
-def euler_x(u: K0ClassX, v: K0ClassX) -> Fraction:
-    """Euler pairing chi(u, v) on the surface K0 lattice (Riemann-Roch)."""
-    ru, Du, su = u.r, u.c1, u.s2
-    rv, Dv, sv = v.r, v.c1, v.s2
+def euler_x(u, v) -> Fraction:
+    """Euler pairing chi(u, v) on the surface K0 lattice (Riemann-Roch), for
+    classes (r, c1, s2) with s2 twice the second Chern character."""
+    if len(u) != 8 or len(v) != 8:
+        raise ValueError(f"K0 classes (r, c1, s2) have 8 entries, not {len(u)} and {len(v)}")
+    ru, Du, su = u[0], u[1:7], u[7]
+    rv, Dv, sv = v[0], v[1:7], v[7]
     mixed = tuple(ru * b - rv * a for a, b in zip(Du, Dv))
-    val = (Fraction(ru * rv)
-           - Fraction(intersect(K_CLASS, mixed), 2)
-           + Fraction(ru * sv + rv * su, 2)
-           - Fraction(intersect(Du, Dv)))
-    return val
+    return (Fraction(ru * rv)
+            - Fraction(intersect(K_CLASS, mixed), 2)
+            + Fraction(ru * sv + rv * su, 2)
+            - Fraction(intersect(Du, Dv)))
+
+
+def _gram(classes):
+    return [[euler_x(a, b) for b in classes] for a in classes]
 
 
 def full_k0_gram():
     """8x8 Euler Gram on the standard basis of Z + Pic + Z (Fraction entries)."""
-    basis = [K0ClassX.from_vector(tuple(1 if i == j else 0 for j in range(8)))
-             for i in range(8)]
-    return [[euler_x(a, b) for b in basis] for a in basis]
+    return _gram([tuple(int(i == j) for j in range(8)) for i in range(8)])
 
 
 def tensor_k_matrix():
@@ -96,30 +86,27 @@ def serre_from_gram(E):
 # The orthogonal sublattice (numerical shadow of the structure-sheaf orthogonal)
 # ---------------------------------------------------------------------------
 
-def atom_functional(v: K0ClassX) -> Fraction:
+def atom_functional(v) -> Fraction:
     """chi([O], v); the sublattice is its integral kernel."""
     return euler_x(STRUCTURE_SHEAF, v)
 
 
-def atom_coords(v: K0ClassX):
+def atom_coords(v):
     """Coordinates (r, D) in the sublattice's basis b0 = (1, 0, -2), b_i =
     (0, e_i, K.e_i); raises if v is not in the sublattice."""
     if atom_functional(v) != 0:
         raise ValueError("class does not pair to zero against [O]")
-    return (v.r,) + tuple(v.c1)
+    return tuple(v[:7])
 
 
-def atom_class(coords) -> K0ClassX:
-    r = coords[0]
-    D = tuple(coords[1:7])
-    return K0ClassX(r, D, intersect(K_CLASS, D) - 2 * r)
+def atom_class(coords) -> tuple:
+    r, D = coords[0], tuple(coords[1:7])
+    return (r, *D, intersect(K_CLASS, D) - 2 * r)
 
 
 def atom_gram():
     """7x7 Euler Gram of the sublattice in atom basis coordinates."""
-    basis = [atom_class(tuple(1 if i == j else 0 for j in range(7)))
-             for i in range(7)]
-    return [[euler_x(a, b) for b in basis] for a in basis]
+    return _gram([atom_class(tuple(int(i == j) for j in range(7))) for i in range(7)])
 
 
 def atom_serre():
@@ -129,12 +116,8 @@ def atom_serre():
 def surface_zero_class_gram():
     """10x10 Euler Gram of the classes [O(-h)] ordered pairwise
     (h_1, h_1', ..., h_5, h_5')."""
-    order = []
-    for h in pair_representatives():
-        order.append(h)
-        order.append(pair_of(h))
-    cls = [class_of(tuple(-x for x in h)) for h in order]
-    return [[euler_x(a, b) for b in cls] for a in cls]
+    order = [g for h in pair_representatives() for g in (h, pair_of(h))]
+    return _gram([class_of(tuple(-x for x in h)) for h in order])
 
 
 # ---------------------------------------------------------------------------

@@ -147,31 +147,28 @@ def suite_fiber_product():
 
 def suite_serre_certificate():
     S = kgroups.serre_from_gram(kgroups.full_k0_gram())
-    lock = S == [[Fraction(x) for x in row] for row in kgroups.tensor_k_matrix()]
+    if S != [[Fraction(x) for x in row] for row in kgroups.tensor_k_matrix()]:
+        return False, "convention lock: the Serre operator is not tensoring by K"
     SA = kgroups.atom_serre()
-    ok = lock
+
+    def coords(h):
+        return [Fraction(x) for x in kgroups.atom_coords(kgroups.class_of(tuple(-v for v in h)))]
+
     for h in picard.zero_classes():
-        c = [Fraction(x) for x in
-             kgroups.atom_coords(kgroups.class_of(tuple(-v for v in h)))]
-        img = mat_vec(SA, c)
-        hp = picard.pair_of(h)
-        expect = [-Fraction(x) for x in
-                  kgroups.atom_coords(kgroups.class_of(tuple(-v for v in hp)))]
-        ok &= img == expect
-        ok &= mat_vec(SA, img) == c
-    gram_match = (kgroups.surface_zero_class_gram() ==
-                  [[Fraction(x) for x in row] for row in kgroups.wpl_pair_gram(5)])
-    ok &= gram_match
-    return ok, "convention lock, pair swap with sign, Gram match"
+        img = mat_vec(SA, coords(h))
+        if img != [-x for x in coords(picard.pair_of(h))] or mat_vec(SA, img) != coords(h):
+            return False, f"pair swap with sign fails at h = {h}"
+    if kgroups.surface_zero_class_gram() != [[Fraction(x) for x in row]
+                                             for row in kgroups.wpl_pair_gram(5)]:
+        return False, "Gram match: [O(-h)] and the weighted line's simples differ"
+    return True, "convention lock, pair swap with sign, Gram match"
 
 
 def suite_heavy_separability():
     rng = random.Random(97)
     for i in range(10):
         phi, psi_all = random_split_functor(rng, idx=i)
-        base_objects, isos = standard_choice(phi.source)
-        psi_by_base = {x0: psi_all[x0] for x0 in base_objects.values()}
-        Psi = build_psi(phi, psi_by_base, base_objects, isos)
+        Psi = build_psi(phi, {x0: psi_all[x0] for x0 in standard_choice(phi.source)[0].values()})
         ok, witness = verify_heavy_separability(phi, Psi)
         if not ok:
             return False, witness

@@ -90,10 +90,10 @@ class Moebius:
         return ProjPoint(self.field, self.a * p.u + self.b * p.v,
                          self.c * p.u + self.d * p.v)
 
-    def compose(self, other: "Moebius", invert: bool = False) -> "Moebius":
-        """self after other, or self^-1 after other when invert is set, with
-        self's adjugate for its inverse: one normalisation either way."""
-        a, b, c, d = (self.d, -self.b, -self.c, self.a) if invert else self.entries()
+    def inverse_after(self, other: "Moebius") -> "Moebius":
+        """self^-1 after other, with self's adjugate for its inverse: one
+        normalisation."""
+        a, b, c, d = self.d, -self.b, -self.c, self.a
         return Moebius(self.field, a * other.a + b * other.c, a * other.b + b * other.d,
                        c * other.a + d * other.c, c * other.b + d * other.d)
 
@@ -234,7 +234,7 @@ def _matches(c1: PointConfiguration, c2: PointConfiguration):
     for ordering, ab in table:
         if ab == ref:
             dst = moebius_to_inf_zero_one(*(c2.points[x] for x in ordering[:3]))
-            yield dst.compose(src, invert=True), ordering
+            yield dst.inverse_after(src), ordering
 
 
 def pgl2_match(c1: PointConfiguration, c2: PointConfiguration):

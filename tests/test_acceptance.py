@@ -232,9 +232,8 @@ def test_criterion_12_heavy_separability_suite():
     instances = 0
     for i in range(100):
         phi, psi_all = random_split_functor(rng, idx=1000 + i)
-        base_objects, isos = standard_choice(phi.source)
-        psi_by_base = {x0: psi_all[x0] for x0 in base_objects.values()}
-        Psi = build_psi(phi, psi_by_base, base_objects, isos)
+        base_objects, _ = standard_choice(phi.source)
+        Psi = build_psi(phi, {x0: psi_all[x0] for x0 in base_objects.values()})
         s13, witness = verify_heavy_separability(phi, Psi)
         assert s13, witness
         s2, witness2 = verify_naturality(phi, Psi)

@@ -1407,6 +1407,34 @@ def test_kgroups_gram_command(capsys):
     assert len(json.loads(out)["gram"]) == 7
 
 
+def _gram_rows(*rows):
+    return [row.split() for row in rows]
+
+
+@pytest.mark.parametrize("space,basis,gram", [
+    ("surface", ["rank", "H", "E1", "E2", "E3", "E4", "E5", "s2"], _gram_rows(
+        "1 3/2 1/2 1/2 1/2 1/2 1/2 1/2",
+        "-3/2 -1 0 0 0 0 0 0",
+        "-1/2 0 1 0 0 0 0 0",
+        "-1/2 0 0 1 0 0 0 0",
+        "-1/2 0 0 0 1 0 0 0",
+        "-1/2 0 0 0 0 1 0 0",
+        "-1/2 0 0 0 0 0 1 0",
+        "1/2 0 0 0 0 0 0 0")),
+    ("atom", ["b0", "H", "E1", "E2", "E3", "E4", "E5"], _gram_rows(
+        "-1 0 0 0 0 0 0",
+        "-3 -1 0 0 0 0 0",
+        "-1 0 1 0 0 0 0",
+        "-1 0 0 1 0 0 0",
+        "-1 0 0 0 1 0 0",
+        "-1 0 0 0 0 1 0",
+        "-1 0 0 0 0 0 1"))])
+def test_kgroups_gram_surface_and_atom_json_is_pinned(capsys, space, basis, gram):
+    code, out, _ = run_cli(capsys, "kgroups", "gram", "--space", space)
+    assert code == 0
+    assert json.loads(out) == {"space": space, "basis": basis, "gram": gram}
+
+
 _SELFTEST_LINES = """\
 PASS field-arith: exact arithmetic over Q, F5, F9
 PASS zero-class-census: 10 classes, 5 pairs with h + h' = -K

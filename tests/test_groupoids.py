@@ -100,7 +100,7 @@ def test_identity_functor_psi_is_identity():
     G, name = group_groupoid("G", ["*"], c3, mul3)
     phi = GroupoidFunctor(G, G, {"*": "*"}, {n: n for n in G.morphisms})
     psi = {n: n for n in G.aut("*")}
-    Psi = build_psi(phi, {"*": psi}, {"*": "*"}, {"*": G.identities["*"]})
+    Psi = build_psi(phi, {"*": psi})
     assert all(Psi[("*", "*")][u] == u for u in G.aut("*"))
     ok, _ = verify_heavy_separability(phi, Psi)
     assert ok
@@ -109,10 +109,7 @@ def test_identity_functor_psi_is_identity():
 
 def test_two_objects_onto_one_full_psi():
     phi, psi_all, cname, dname = c2_two_object_setup()
-    C = phi.source
-    base = {"X": "X", "Y": "X"}
-    isos = {"X": C.identities["X"], "Y": cname[("X", "Y", 0)]}
-    Psi = build_psi(phi, {"X": psi_all["X"]}, base, isos)
+    Psi = build_psi(phi, {"X": psi_all["X"]})
     # defined on all four hom-sets
     assert set(Psi) == {("X", "X"), ("X", "Y"), ("Y", "X"), ("Y", "Y")}
     ok, witness = verify_heavy_separability(phi, Psi)
@@ -123,21 +120,17 @@ def test_two_objects_onto_one_full_psi():
 
 def test_invalid_splitting_rejected():
     phi, psi_all, cname, dname = c2_two_object_setup()
-    C = phi.source
     bad_psi = dict(psi_all["X"])
     # destroy the left-inverse property
     bad_psi[dname[("Z", "Z", (1, 0))]] = cname[("X", "X", 0)]
     with pytest.raises(InvalidSplittingError):
-        build_psi(phi, {"X": bad_psi}, {"X": "X", "Y": "X"},
-                  {"X": C.identities["X"], "Y": cname[("X", "Y", 0)]})
+        build_psi(phi, {"X": bad_psi})
 
 
 def test_perturbed_psi_detected():
     phi, psi_all, cname, dname = c2_two_object_setup()
     C = phi.source
-    base = {"X": "X", "Y": "X"}
-    isos = {"X": C.identities["X"], "Y": cname[("X", "Y", 0)]}
-    Psi = build_psi(phi, {"X": psi_all["X"]}, base, isos)
+    Psi = build_psi(phi, {"X": psi_all["X"]})
     hom_xy = Psi[("X", "Y")]
     u0 = next(iter(hom_xy))
     others = [f for f in C.hom("X", "Y") if f != hom_xy[u0]]
@@ -163,12 +156,11 @@ def _refusals():
     """(call, expected): each refusal with the message it raises, or the
     witness it returns, on the C2 -> C2 x C2 setup unless it needs another."""
     phi, psi_all, cname, dname = c2_two_object_setup()
-    C, psi = phi.source, psi_all["X"]
-    base, isos = {"X": "X", "Y": "X"}, {"X": C.identities["X"], "Y": cname[("X", "Y", 0)]}
+    psi = psi_all["X"]
     d = {k: dname[("Z", "Z", k)] for k in itertools.product(range(2), repeat=2)}
 
-    def split(psi_by_base, isos=isos):
-        return lambda: build_psi(phi, psi_by_base, base, isos)
+    def split(psi_by_base):
+        return lambda: build_psi(phi, psi_by_base)
 
     c2, mul2 = cyclic(2)
     monoid, mname = group_groupoid("M", ["*"], (0, 1), lambda h, g: h * g)
@@ -188,14 +180,16 @@ def _refusals():
     collapsed = GroupoidFunctor(disjoint_union(P, Q), D, {"P0": "Z", "Q0": "Z"},
                                 {n[(x, x, g)]: dn[("Z", "Z", g)]
                                  for n, x in ((pn, "P0"), (qn, "Q0")) for g in range(2)})
-    yield (lambda: build_psi(collapsed, {}, {}, {}),
+    yield (lambda: build_psi(collapsed, {}),
            (InvalidSplittingError, "functor is not injective on isomorphism classes"))
     yield split({}), (InvalidSplittingError, "no splitting supplied for base object 'X'")
-    yield (split({"X": psi}, isos={**isos, "Y": C.identities["X"]}),
-           (InvalidSplittingError, "iso for 'Y' is not a morphism 'X' -> 'Y'"))
+    # X is the standard base object of the class {X, Y}: a splitting at Y,
+    # valid as it is, does not stand in for one at X
+    yield (split({"Y": psi_all["Y"]}),
+           (InvalidSplittingError, "no splitting supplied for base object 'X'"))
     # (s1) holds, as (0, 1) is no image of phi; u = (0, 1) on Hom(X, X) then
     # v = (0, 0) on Hom(X, Y) gives C:X>Y:1 against C:X>Y:0 o C:X>X:0
-    Psi = build_psi(phi, {"X": psi}, base, isos)
+    Psi = build_psi(phi, {"X": psi})
     Psi[("X", "Y")] = {**Psi[("X", "Y")], d[0, 1]: cname[("X", "Y", 1)]}
     yield (lambda: verify_heavy_separability(phi, Psi),
            (False, f"(s3) fails on ({d[0, 0]!r}, {d[0, 1]!r}) at ('X','X','Y')"))
@@ -269,7 +263,7 @@ def test_signed_permutation_inclusion_splits_via_central_flip():
         return (perm, tuple(-s for s in signs))
 
     psi = {dn[("*D", "*D", g)]: cn[("*", "*", retract3(g))] for g in b3}
-    Psi = build_psi(phi, {"*": psi}, {"*": "*"}, {"*": C.identities["*"]})
+    Psi = build_psi(phi, {"*": psi})
     ok, witness = verify_heavy_separability(phi, Psi)
     assert ok, witness
     # Psi is exactly the retract on the single hom-set
@@ -290,9 +284,8 @@ def test_round_trip_on_random_instances():
     rng = random.Random(12)
     for i in range(25):
         phi, psi_all = random_split_functor(rng, idx=i)
-        base_objects, isos = standard_choice(phi.source)
-        psi_by_base = {x0: psi_all[x0] for x0 in base_objects.values()}
-        Psi = build_psi(phi, psi_by_base, base_objects, isos)
+        base_objects, _ = standard_choice(phi.source)
+        Psi = build_psi(phi, {x0: psi_all[x0] for x0 in base_objects.values()})
         ok, witness = verify_heavy_separability(phi, Psi)
         assert ok, witness
         ok2, witness2 = verify_naturality(phi, Psi)

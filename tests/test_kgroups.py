@@ -8,7 +8,7 @@ import sympy
 
 from qdp4 import kgroups
 from qdp4.hyperoct import CycleSignature, all_signed_perms
-from qdp4.kgroups import (DegenerateFormError, K0ClassX, STRUCTURE_SHEAF,
+from qdp4.kgroups import (DegenerateFormError, STRUCTURE_SHEAF,
                           action_matrices, atom_class, atom_coords,
                           atom_functional, atom_gram, atom_serre,
                           burnside_ranks, class_of, conic_bundle_ranks, euler_x,
@@ -16,7 +16,7 @@ from qdp4.kgroups import (DegenerateFormError, K0ClassX, STRUCTURE_SHEAF,
                           surface_zero_class_gram, tensor_k_matrix, wpl_gram,
                           wpl_pair_gram)
 from qdp4.linalg import mat_vec, rank
-from qdp4.picard import K_CLASS, intersect, pair_of, zero_classes
+from qdp4.picard import K_CLASS, intersect, pair_of, pair_representatives, zero_classes
 
 O = STRUCTURE_SHEAF
 MINIMAL = CycleSignature(((5, -1),))
@@ -96,10 +96,10 @@ def test_chi_zero_class_pair():
 
 
 def test_class_of_examples():
-    assert class_of((0,) * 6) == K0ClassX(1, (0,) * 6, 0)
+    assert class_of((0,) * 6) == (1, 0, 0, 0, 0, 0, 0, 0) == O
     h = (1, -1, 0, 0, 0, 0)
-    assert class_of(h) == K0ClassX(1, h, 0)
-    assert class_of(K_CLASS) == K0ClassX(1, K_CLASS, 4)
+    assert class_of(h) == (1, *h, 0)
+    assert class_of(K_CLASS) == (1, *K_CLASS, 4)
 
 
 def test_atom_sublattice():
@@ -112,7 +112,7 @@ def test_atom_sublattice():
     assert len(basis) == 7
     assert rank([list(b) for b in basis]) == 7
     for b in basis:
-        assert atom_functional(K0ClassX.from_vector(b)) == 0
+        assert atom_functional(b) == 0
     # coordinates round trip
     for h in zero_classes():
         v = class_of(tuple(-x for x in h))
@@ -132,21 +132,36 @@ def test_serre_operator_property():
     rng = random.Random(1)
     E = full_k0_gram()
     S = serre_from_gram(E)
-
-    def chi(u, v):
-        return euler_x(K0ClassX.from_vector(u), K0ClassX.from_vector(v))
-
     for _ in range(50):
         x = [rng.randrange(-3, 4) for _ in range(8)]
         y = [rng.randrange(-3, 4) for _ in range(8)]
         Sx = mat_vec(S, [Fraction(v) for v in x])
-        assert chi(x, y) == chi(y, Sx)
+        assert euler_x(x, y) == euler_x(y, Sx)
 
 
 def test_serre_sends_structure_sheaf_to_canonical():
     S = serre_from_gram(full_k0_gram())
-    img = mat_vec(S, [Fraction(x) for x in (O.r, *O.c1, O.s2)])
-    assert K0ClassX.from_vector([int(x) for x in img]) == class_of(K_CLASS)
+    img = mat_vec(S, [Fraction(x) for x in O])
+    assert tuple(img) == class_of(K_CLASS)
+
+
+@pytest.mark.parametrize("u,v", [((1,) * 7, O), (O, (1,) * 9), ((), ())])
+def test_euler_x_refuses_a_class_without_eight_entries(u, v):
+    # zip would pair a short vector's entries against the wrong ones
+    with pytest.raises(ValueError) as info:
+        euler_x(u, v)
+    assert str(info.value) == (f"K0 classes (r, c1, s2) have 8 entries, "
+                               f"not {len(u)} and {len(v)}")
+    with pytest.raises(ValueError, match="8 entries"):
+        atom_coords(u if len(u) != 8 else v)
+
+
+def test_euler_x_reads_fraction_entries():
+    # chi(O, O(D)) is linear in the class, so halving a class halves the pairing
+    D = (2, -1, 0, 1, 0, -1)
+    half = [Fraction(x, 2) for x in class_of(D)]
+    assert euler_x(O, half) == Fraction(euler_x(O, class_of(D)), 2)
+    assert euler_x(half, half) == Fraction(euler_x(class_of(D), class_of(D)), 4)
 
 
 def test_serre_from_gram_matches_sympy_on_grams_with_denominators():
@@ -205,6 +220,63 @@ def test_wpl_pair_gram_structure():
                 assert PG[i][j] == -1  # chi(S_i, S_i') = 0 - 1
             else:
                 assert PG[i][j] == 0
+
+
+_SYMPY_FORM = sympy.diag(1, -1, -1, -1, -1, -1)  # H^2 = 1, E_i^2 = -1
+_SYMPY_K = sympy.Matrix([-3, 1, 1, 1, 1, 1])  # K = -3H + E_1 + ... + E_5
+
+
+def _dot(a, b):
+    return (sympy.Matrix(a).T * _SYMPY_FORM * sympy.Matrix(b))[0]
+
+
+def _line_bundle_class(D):
+    return [1, *D, _dot(D, D)]  # (r, c1, 2 ch2) of O(D)
+
+
+@lru_cache(maxsize=None)
+def _oracle_k0_gram():
+    """Independent oracle for the 8x8 Euler Gram, from Riemann-Roch on the
+    basis O, O(H), O(E1), ..., O(E5), pt: chi(O(D1), O(D2)) = 1 + d.(d - K)/2
+    with d = D2 - D1, chi(O(D), pt) = chi(pt, O(D)) = 1 and chi(pt, pt) = 0.
+    With B's columns those classes, the Gram is B^-T E_o B^-1."""
+    divisors = [sympy.zeros(6, 1)] + [sympy.Matrix([int(i == j) for j in range(6)])
+                                      for i in range(6)]
+    B = sympy.Matrix([_line_bundle_class(D) for D in divisors] + [[0] * 7 + [2]]).T
+    E_o = sympy.zeros(8, 8)
+    for i, D1 in enumerate(divisors):
+        for j, D2 in enumerate(divisors):
+            d = D2 - D1
+            E_o[i, j] = 1 + _dot(d, d - _SYMPY_K) / 2
+        E_o[i, 7] = E_o[7, i] = 1
+    return B.inv().T * E_o * B.inv()
+
+
+def _congruent_oracle(columns):
+    """The oracle Gram on the classes given as columns, as Fraction rows."""
+    P = sympy.Matrix(columns).T
+    return [[Fraction(int(x.p), int(x.q)) for x in row]
+            for row in (P.T * _oracle_k0_gram() * P).tolist()]
+
+
+def test_full_k0_gram_matches_riemann_roch_on_line_bundles_and_a_point():
+    units = [[int(i == j) for j in range(8)] for i in range(8)]
+    assert full_k0_gram() == _congruent_oracle(units)
+
+
+def test_atom_gram_is_the_oracle_on_the_atom_basis():
+    # b0 = (1, 0, -2) and b_i = (0, e_i, K.e_i), as atom_coords documents
+    units = [[int(i == j) for j in range(6)] for i in range(6)]
+    basis = [[1] + [0] * 6 + [-2]] + [[0, *e, _dot(_SYMPY_K, e)] for e in units]
+    assert atom_gram() == _congruent_oracle(basis)
+
+
+def test_surface_zero_class_gram_is_the_oracle_on_the_classes_of_minus_h():
+    # [O(-h)] ordered (h_1, h_1', ..., h_5, h_5')
+    order = [g for h in pair_representatives() for g in (h, pair_of(h))]
+    assert len(set(order)) == 10
+    basis = [_line_bundle_class([-x for x in h]) for h in order]
+    assert surface_zero_class_gram() == _congruent_oracle(basis)
 
 
 def test_gram_match_surface_vs_weighted_line():

@@ -11,6 +11,7 @@ import pytest
 from qdp4 import kgroups, picard, selftest
 from qdp4.cli import main
 from qdp4.hyperoct import all_signed_perms
+from test_groupoids import c2_two_object_setup
 
 
 @pytest.fixture
@@ -106,6 +107,61 @@ def test_a_failing_or_raising_suite_prints_fail_and_exits_1(monkeypatch, capsys)
     # each suite's time goes to stderr, one line per suite in suite order
     assert [re.fullmatch(r"(\w+): \d+\.\d ms", line).group(1)
             for line in err.splitlines()] == 2 * ["passes", "fails", "raises"]
+
+
+def _only_suite(monkeypatch, capsys, name):
+    """The stdout of `qdp4 selftest` running the named suite alone, which
+    must exit 1."""
+    monkeypatch.setattr(selftest, "SUITES", tuple(s for s in selftest.SUITES if s[0] == name))
+    assert main(["selftest"]) == 1
+    return capsys.readouterr().out
+
+
+def _swapped(u, v, pairing=kgroups.euler_x):
+    return pairing(v, u)
+
+
+def _negated(u, v, pairing=kgroups.euler_x):
+    return -pairing(u, v)
+
+
+@pytest.mark.parametrize("target,broken,detail", [
+    # chi(y, x) in place of chi(x, y) transposes the Gram: S becomes its inverse
+    ("euler_x", _swapped, "convention lock: the Serre operator is not tensoring by K"),
+    # -chi has the same Serre operator, so only the Gram match sees it
+    ("euler_x", _negated, "Gram match: [O(-h)] and the weighted line's simples differ"),
+    ("atom_serre", lambda serre=kgroups.atom_serre: [[-x for x in row] for row in serre()],
+     "pair swap with sign fails at h = (1, -1, 0, 0, 0, 0)")],
+    ids=["swapped-pairing", "negated-pairing", "negated-atom-serre"])
+def test_serre_certificate_fails_on_a_broken_pairing(monkeypatch, capsys, target, broken,
+                                                     detail):
+    monkeypatch.setattr(kgroups, target, broken)
+    out = _only_suite(monkeypatch, capsys, "serre-certificate")
+    assert out == f"FAIL serre-certificate: {detail}\n"
+
+
+def test_heavy_separability_fails_on_a_splitting_that_is_no_left_inverse(monkeypatch, capsys):
+    phi, psi_all, cname, dname = c2_two_object_setup()
+    # the projection onto the second factor is a homomorphism, but no left inverse
+    psi_all["X"] = {dname[("Z", "Z", (g, k))]: cname[("X", "X", k)]
+                    for g in range(2) for k in range(2)}
+    monkeypatch.setattr(selftest, "random_split_functor", lambda rng, idx: (phi, psi_all))
+    out = _only_suite(monkeypatch, capsys, "heavy-separability")
+    assert out == ("FAIL heavy-separability: exception: splitting at 'X' is not a left "
+                   "inverse on 'C:X>X:1'\n")
+
+
+def test_heavy_separability_fails_on_a_reported_witness(monkeypatch, capsys):
+    monkeypatch.setattr(selftest, "verify_heavy_separability",
+                        lambda phi, Psi: (False, "(s1) fails on morphism 'f'"))
+    out = _only_suite(monkeypatch, capsys, "heavy-separability")
+    assert out == "FAIL heavy-separability: (s1) fails on morphism 'f'\n"
+
+
+def test_heavy_separability_fails_when_the_choice_matters(monkeypatch, capsys):
+    monkeypatch.setattr(selftest, "independence_check", lambda phi, psi_all: False)
+    out = _only_suite(monkeypatch, capsys, "heavy-separability")
+    assert out == "FAIL heavy-separability: independence fails on instance 0\n"
 
 
 def test_whole_group_passes_allocate_little(fresh_weyl_group):

@@ -20,7 +20,14 @@ def config(field, affine, infinity=True):
 
 def moebius_between_triples(src, dst):
     """The unique Moebius map with src[i] -> dst[i] for an ordered triple."""
-    return moebius_to_inf_zero_one(*dst).compose(moebius_to_inf_zero_one(*src), invert=True)
+    return moebius_to_inf_zero_one(*dst).inverse_after(moebius_to_inf_zero_one(*src))
+
+
+def product(m1, m2):
+    """m1 after m2, from the 2x2 matrix product."""
+    a, b, c, d = m1.entries()
+    e, f, g, h = m2.entries()
+    return Moebius(m1.field, a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
 
 def image(c, m):
@@ -147,13 +154,31 @@ def test_aut_group_is_a_group_with_faithful_permutation_image():
         elems = {m for m, _ in G}
         perms = {m: perm for m, perm in G}
         for m1 in elems:
-            assert m1.compose(Moebius.identity(c.field), invert=True) in elems
+            assert m1.inverse_after(Moebius.identity(c.field)) in elems
             for m2 in elems:
-                prod = m1.compose(m2)
+                prod = product(m1, m2)
                 assert prod in elems
                 assert perms[prod] == tuple(perms[m1][perms[m2][i]]
                                             for i in range(5))
         assert len({perm for _, perm in G}) == len(G)  # faithful on points
+
+
+def test_inverse_after_undoes_self_then_applies_other():
+    rng = random.Random(8)
+    for field in (QQ, GF(13), GF(3, 2)):
+        values = list(field.elements()) if field is not QQ else [QQ(i) for i in range(-5, 6)]
+        one = Moebius.identity(field)
+        maps = []
+        while len(maps) < 6:
+            entries = [rng.choice(values) for _ in range(4)]
+            if entries[0] * entries[3] != entries[1] * entries[2]:
+                maps.append(Moebius(field, *entries))
+        for m in maps:
+            assert m.inverse_after(m) == one
+            assert product(m, m.inverse_after(one)) == one
+            for n in maps:
+                assert m.inverse_after(n) == product(m.inverse_after(one), n)
+                assert product(m, m.inverse_after(n)) == n
 
 
 def test_configuration_validation():
